@@ -6,8 +6,8 @@ are RFC-4180 CSV with LF line endings and 17-significant-digit floats, plus a
 JSON sidecar echoing the full effective config, so identical config and seed
 reproduce byte-identical outputs.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 validation failure
-(the experiment ran but an internal check did not pass).
+Exit codes: 0 success, 1 usage or configuration error, 2 a failed internal
+check or numerical step (eigensolver, arclength inverse, mode cap, lambda_1^+).
 """
 
 from __future__ import annotations
@@ -65,13 +65,11 @@ class RunConfig:
     L_grid: list[float] = field(default_factory=list)
     path: str = "auto"
     seed: int = 0
-    jobs: int = 1
     ell_max: int = 8
     j_index: int = 1
     c_values: list[float] = field(default_factory=list)
     N_grid: list[int] = field(default_factory=list)
     cylinder_lengths: list[float] = field(default_factory=list)
-    residual_tol: float = 1e-9
     validation_tol: float = 1e-3
     out: str | None = None
 
@@ -111,7 +109,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, default=None, dest="dimension", help="sphere dimension")
     p.add_argument("--N", type=int, default=2000, help="grid size (interior nodes)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="CSV output path (JSON sidecar beside it)")
 
 
@@ -237,9 +234,7 @@ def _cmd_validate_sphere(cfg: RunConfig) -> int:
 
 def _cmd_pinocchio_sweep(cfg: RunConfig) -> int:
     op = _make_operator(cfg)
-    rows = experiments.pinocchio_sweep(
-        op, cfg.L_grid, N=cfg.N, path=cfg.path, seed=cfg.seed, jobs=cfg.jobs
-    )
+    rows = experiments.pinocchio_sweep(op, cfg.L_grid, N=cfg.N, path=cfg.path, seed=cfg.seed)
     table = [
         [r.L, r.lambda_1_plus, r.volume, r.invariant, r.sigma, r.n_modes_used, r.max_residual]
         for r in rows
@@ -348,7 +343,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, operator=args.operator, n=n)
     cfg.N = args.N
     cfg.seed = args.seed
-    cfg.jobs = args.jobs
     cfg.out = args.out
     if hasattr(args, "path"):
         cfg.path = args.path
@@ -384,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except experiments.RUN_FAILURES as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

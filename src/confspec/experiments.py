@@ -10,7 +10,6 @@ the cylinder gap (-sigma, sigma).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from confspec import eigensolve, operators
 from confspec.eigensolve import EigenPair, SpectrumReport, SolverConvergenceError
 from confspec.geometry import (
+    ArclengthInversionError,
     ConformalProfile,
     WarpedData,
     constant_profile,
@@ -41,6 +41,8 @@ from confspec.operators import (
 )
 
 __all__ = [
+    "ModeCapError",
+    "NoPositiveEigenvalueError",
     "SweepRow",
     "ValidationRow",
     "ValidationReport",
@@ -61,6 +63,20 @@ INTRINSIC_L_LIMIT = 30.0
 ESCAPE_FRACTION = 0.05  # escape band: |lambda| >= sigma * (1 - ESCAPE_FRACTION)
 TRUNCATION_FACTOR = 1.5
 MODE_CAP = 64
+
+
+class ModeCapError(RuntimeError):
+    """Angular modes still reached below the truncation bar at MODE_CAP."""
+
+
+class NoPositiveEigenvalueError(RuntimeError):
+    """The solved spectrum of a sweep row holds no positive eigenvalue."""
+
+
+# failures of a run whose configuration was valid; the CLI exits 2 on these
+RUN_FAILURES = (
+    SolverConvergenceError, ArclengthInversionError, ModeCapError, NoPositiveEigenvalueError
+)
 
 
 @dataclass(frozen=True)
@@ -246,7 +262,10 @@ def _collect_modes(
         if bottom > bar:
             break
         if n_modes >= MODE_CAP:
-            raise SolverConvergenceError(math.nan)
+            raise ModeCapError(
+                f"mode cap reached after {n_modes} angular modes: the mode "
+                f"bottom {bottom:.6g} is still below the truncation bar {bar:.6g}"
+            )
     return per_mode, n_modes
 
 
@@ -272,7 +291,7 @@ def _sweep_row(op: OperatorKind, L: float, N: int, path: str, seed: int) -> Swee
         report, n_modes, profile = _spectrum_for(op, L, N, path, 2.0 * sigma, seed)
         lam = report.lambda_1_plus
         if lam is None:
-            raise SolverConvergenceError(math.nan)
+            raise NoPositiveEigenvalueError(f"no positive eigenvalue at L={L:g}")
         vol = volume(profile, nose_resolving_grid(profile, N))
         inv = lam * vol ** (op.order / op.n)
         return SweepRow(
@@ -284,7 +303,7 @@ def _sweep_row(op: OperatorKind, L: float, N: int, path: str, seed: int) -> Swee
             n_modes_used=n_modes,
             max_residual=report.max_residual,
         )
-    except (SolverConvergenceError, ValueError) as exc:
+    except (*RUN_FAILURES, ValueError) as exc:
         return SweepRow(
             L=L,
             lambda_1_plus=math.nan,
@@ -303,7 +322,6 @@ def pinocchio_sweep(
     N: int = 2000,
     path: str = "auto",
     seed: int = 0,
-    jobs: int = 1,
 ) -> list[SweepRow]:
     """One row per nose length: lambda_1^+, volume and the invariant
     lambda_1^+ * vol^(k/n).  Per-row failures are recorded in the row."""
@@ -311,12 +329,7 @@ def pinocchio_sweep(
         raise ValueError("L grid must be increasing")
     for L in L_grid:
         resolve_path(op, L, path)  # validate conditioning limits up front
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda L: _sweep_row(op, L, N, path, seed), L_grid))
-    else:
-        rows = [_sweep_row(op, L, N, path, seed) for L in L_grid]
-    return rows
+    return [_sweep_row(op, L, N, path, seed) for L in L_grid]
 
 
 # ---------------------------------------------------------------------------

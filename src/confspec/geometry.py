@@ -13,7 +13,8 @@ with s the quintic smoothstep.  The cap uses q' = s((r-a)/(b-a)) on
 3*e^-L/4 while keeping q >= r, hence F_L <= 1/r everywhere below the nose
 and F_L(0) = (4/3)e^L.  All derivatives are available in closed form, and
 the arclength map t(r) = int F dr is evaluated piecewise exactly (Gauss
-quadrature only across the two smoothstep windows).
+quadrature only across the two smoothstep windows, where its inverse is a
+safeguarded Newton solve with the closed-form slope dt/dr = F).
 
 In arclength the metric is dt^2 + h(t)^2 g_{S^{n-1}} with h = F sin r, and
 
@@ -41,9 +42,15 @@ __all__ = [
     "scalar_curvature_warped",
     "curvature_evaluator",
     "sphere_volume_constant",
+    "ArclengthInversionError",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_NEWTON_MAX_ITER = 20
+
+
+class ArclengthInversionError(RuntimeError):
+    """The Newton inverse of t(r) left points above its residual tolerance."""
 
 
 def _smoothstep(x):
@@ -167,7 +174,8 @@ class _ProfileEvaluator:
 
 
 class _ArclengthMap:
-    """t(r) = int_0^r F and its inverse, piecewise exact.
+    """t(r) = int_0^r F and its inverse, piecewise exact except across the
+    two smoothstep windows, where the inverse is a bracketed Newton solve.
 
     For L = infinity the nose is infinitely long, so the origin is moved to
     t(1) = 0 and t diverges to -infinity at the blowup point.
@@ -215,16 +223,26 @@ class _ArclengthMap:
         out[m] = self.t_one + (r[m] - 1.0)
         return out
 
-    def _invert_window(self, t, lo, hi):
-        """Vectorized bisection of t_of_r on [lo, hi]."""
-        lo = np.full_like(t, lo)
-        hi = np.full_like(t, hi)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            too_low = self.t_of_r(mid) < t
-            lo = np.where(too_low, mid, lo)
-            hi = np.where(too_low, hi, mid)
-        return 0.5 * (lo + hi)
+    def _invert_window(self, t, lo, hi, t_lo, t_hi):
+        """Safeguarded Newton solve of t_of_r(r) = t for r in [lo, hi], which
+        t_of_r maps onto [t_lo, t_hi]; the slope dt/dr is F in closed form."""
+        r = lo + (hi - lo) * (t - t_lo) / (t_hi - t_lo)
+        tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(t), 1.0)
+        for _ in range(_NEWTON_MAX_ITER):
+            f = self.t_of_r(r) - t
+            lo = np.where(f < 0.0, r, lo)
+            hi = np.where(f < 0.0, hi, r)
+            done = np.abs(f) <= tol
+            step = r - f / self.ev.F(r)
+            # converged points take their last step too unless it leaves the
+            # bracket: the tolerance spans several ulps of t, the step does not
+            r = np.where((step > lo) & (step < hi), step, np.where(done, r, 0.5 * (lo + hi)))
+            if done.all():
+                return r
+        raise ArclengthInversionError(
+            f"arclength inverse left {np.count_nonzero(~done)} point(s) unconverged "
+            f"after {_NEWTON_MAX_ITER} Newton steps"
+        )
 
     def r_of_t(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -235,7 +253,7 @@ class _ArclengthMap:
             out[m] = 0.75 * ev.b * t[m]
             m = (t >= self.t_a) & (t < self.t_b)
             if np.any(m):
-                out[m] = self._invert_window(t[m], ev.a, ev.b)
+                out[m] = self._invert_window(t[m], ev.a, ev.b, self.t_a, self.t_b)
             m = (t >= self.t_b) & (t < self.t_half)
             out[m] = ev.b * np.exp(t[m] - self.t_b)
         else:
@@ -243,7 +261,7 @@ class _ArclengthMap:
             out[m] = 0.5 * np.exp(t[m] - self.t_half)
         m = (t >= self.t_half) & (t < self.t_one)
         if np.any(m):
-            out[m] = self._invert_window(t[m], 0.5, 1.0)
+            out[m] = self._invert_window(t[m], 0.5, 1.0, self.t_half, self.t_one)
         m = t >= self.t_one
         out[m] = 1.0 + (t[m] - self.t_one)
         return out
@@ -383,23 +401,12 @@ class WarpedData:
     d2h_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
-def _warp_evaluators(profile: ConformalProfile):
-    # assemblies query h, h', h'' at the same quadrature arrays repeatedly;
-    # memoize the (monotone, bisection-based) inverse map on array signature
-    cache: dict = {}
+def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedData:
+    """Warped-product data of the profile metric on a grid.
 
-    def _r_of(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if t.size == 0:
-            return t
-        key = (t.shape[0], float(t[0]), float(t[-1]), float(t.sum()))
-        r = cache.get(key)
-        if r is None:
-            r = profile.r_of_arclength(t)
-            if len(cache) > 16:
-                cache.clear()
-            cache[key] = r
-        return r
+    Polar grids are pushed forward through t(r); arclength grids are used
+    as-is (nodal values obtained through the inverse map).
+    """
 
     def h_of_r(r):
         return profile.F(r) * np.sin(r)
@@ -416,40 +423,20 @@ def _warp_evaluators(profile: ConformalProfile):
             F * profile.d2F(r) * sin + F * dF * np.cos(r) - F * F * sin - dF * dF * sin
         ) / F**3
 
-    def h_fn(t):
-        return h_of_r(_r_of(t))
-
-    def dh_fn(t):
-        return dh_of_r(_r_of(t))
-
-    def d2h_fn(t):
-        return d2h_of_r(_r_of(t))
-
-    return (h_of_r, dh_of_r, d2h_of_r), (h_fn, dh_fn, d2h_fn)
-
-
-def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedData:
-    """Warped-product data of the profile metric on a grid.
-
-    Polar grids are pushed forward through t(r); arclength grids are used
-    as-is (nodal values obtained through the inverse map).
-    """
-    by_r, by_t = _warp_evaluators(profile)
     if grid.coordinate_kind == "polar":
         r_nodes = grid.nodes
         t_nodes = profile.arclength_of_r(r_nodes)
     else:
         t_nodes = grid.nodes
         r_nodes = profile.r_of_arclength(t_nodes)
-    h_of_r, dh_of_r, d2h_of_r = by_r
     return WarpedData(
         t_nodes=t_nodes,
         h=h_of_r(r_nodes),
         dh=dh_of_r(r_nodes),
         d2h=d2h_of_r(r_nodes),
-        h_fn=by_t[0],
-        dh_fn=by_t[1],
-        d2h_fn=by_t[2],
+        h_fn=lambda t: h_of_r(profile.r_of_arclength(t)),
+        dh_fn=lambda t: dh_of_r(profile.r_of_arclength(t)),
+        d2h_fn=lambda t: d2h_of_r(profile.r_of_arclength(t)),
     )
 
 

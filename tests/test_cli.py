@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from confspec import eigensolve, experiments, geometry
 from confspec.cli import main, parse_range
 
 
@@ -143,3 +144,26 @@ def test_covariance_check_cli(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_text().split("\n")[0] == "N,discrepancy,ratio"
+
+
+def _failing_solve(*args, **kwargs):
+    raise eigensolve.SolverConvergenceError(3e-4)
+
+
+@pytest.mark.parametrize(
+    "module, name, value, message",
+    [
+        (experiments, "MODE_CAP", 1, "error: mode cap reached after 1 angular modes"),
+        (geometry, "_NEWTON_MAX_ITER", 1, "error: arclength inverse left"),
+        (eigensolve, "solve_generalized", _failing_solve,
+         "error: eigensolver did not converge (best residual 3.000e-04)"),
+    ],
+)
+def test_numerical_failures_exit_two(capsys, monkeypatch, module, name, value, message):
+    monkeypatch.setattr(module, name, value)
+    code, _, err = run(
+        capsys, "convergence", "--operator", "conformal-laplacian", "--N", "200", "--j", "1"
+    )
+    assert code == 2
+    assert err.startswith(message)
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -253,3 +253,41 @@ def test_pinocchio_curvature_approaches_cylinder_value():
     r_nodes = prof.r_of_arclength(warped.t_nodes)
     nose = (r_nodes > math.exp(-8.0)) & (r_nodes < 0.05)
     assert np.allclose(scal[nose], 2.0, atol=0.02)
+
+
+def test_warped_evaluators_answer_each_query_array():
+    # equal length, equal ends and equal sum: a memo keyed on those would
+    # hand the second query the first one's values
+    prof = profile_L(3, 2.0)
+    warped = warped_reparametrize(prof, make_grid("polar", 50))
+    for t in (np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 3.0, 2.0, 4.0])):
+        r = prof.r_of_arclength(t)
+        expected = prof.F(r) * np.sin(r)
+        assert np.array_equal(warped.h_fn(t), expected)
+
+
+@pytest.mark.parametrize("L", [1.0, 8.0, 30.0])
+def test_arclength_roundtrip_inside_smoothstep_windows(L):
+    prof = profile_L(3, L)
+    b = math.exp(-L)
+    for lo, hi in ((0.5 * b, b), (0.5, 1.0)):  # cap window, transition window
+        r = np.linspace(lo, hi, 2001)[1:-1]
+        back = prof.r_of_arclength(prof.arclength_of_r(r))
+        assert np.allclose(back, r, rtol=1e-14, atol=0)
+
+
+def test_arclength_inverse_evaluations_are_few(monkeypatch):
+    prof = profile_L(3, 8.0)
+    arc = type(prof._arc)
+    forward = arc.t_of_r
+    calls = []
+
+    def counted(self, r):
+        calls.append(len(r))
+        return forward(self, r)
+
+    monkeypatch.setattr(arc, "t_of_r", counted)
+    t = np.linspace(0.0, prof.total_arclength(), 20001)
+    prof.r_of_arclength(t)
+    assert len(calls) <= 12
+
