@@ -3,15 +3,18 @@
 and the exact-cylinder surrogate that pins the (n-2)^2/4 + (pi/T)^2 law.
 """
 
+import os
 import pathlib
 import sys
 
 from confspec.cli import main
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT = pathlib.Path("results")  # relative to ROOT, so sidecars record a portable path
 
 
 def run() -> int:
+    os.chdir(ROOT)
     OUT.mkdir(exist_ok=True)
     worst = 0
     for operator, n in (("conformal-laplacian", 3), ("dirac", 2)):

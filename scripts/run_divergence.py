@@ -4,15 +4,18 @@ lambda_1^+ * vol^(k/n) for the conformal Laplacian on S^3 and the Dirac
 operator on S^2.  CSVs land in results/.
 """
 
+import os
 import pathlib
 import sys
 
 from confspec.cli import main
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT = pathlib.Path("results")  # relative to ROOT, so sidecars record a portable path
 
 
 def run() -> int:
+    os.chdir(ROOT)
     OUT.mkdir(exist_ok=True)
     worst = 0
     for operator, n in (("conformal-laplacian", 3), ("dirac", 2)):

@@ -5,15 +5,18 @@ Writes results/validate_<operator>.csv plus JSON sidecars and exits nonzero
 if any ladder misses its tolerance.
 """
 
+import os
 import pathlib
 import sys
 
 from confspec.cli import main
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT = pathlib.Path("results")  # relative to ROOT, so sidecars record a portable path
 
 
 def run() -> int:
+    os.chdir(ROOT)
     OUT.mkdir(exist_ok=True)
     worst = 0
     for operator, n, ell_max in (

@@ -1,11 +1,22 @@
 """Symmetric banded generalized eigensolver and spectrum bookkeeping.
 
-Two routes solve A x = lambda B x (A symmetric banded, B symmetric positive
-definite banded) for a handful of eigenvalues nearest a target:
+``solve_generalized`` solves A x = lambda B x (A symmetric banded, B
+symmetric positive definite banded) in one of two ways.
+
+Window solve (``count`` left out, B diagonal): every pair strictly inside a
+value window.  This is the route of the radial operators, whose mass is
+lumped.  The pencil is scaled to the standard banded problem
+T = B^-1/2 A B^-1/2; LAPACK bisection (sbevx, values only) returns exactly
+the eigenvalues inside the window, and each vector comes from shifted
+inverse iteration on the banded T, started from a seeded vector.
+
+Count solve (``count`` given, any banded B): the ``count`` eigenvalues
+nearest a target, by one of
 
   * dense reduction (m <= 4000): banded Cholesky B = L L^T, dense similarity
-    C = L^-1 A L^-T, LAPACK tridiagonalization + MRRR subset extraction,
-    back-substitution of the vectors;
+    C = L^-1 A L^-T, one Householder tridiagonalization of C, all
+    tridiagonal values to pick the index block, vectors of that block only,
+    back-transformed through the reflectors and the Cholesky factor;
   * shift-invert Lanczos (any m): ARPACK on (A - sigma B)^-1 B with a sparse
     LU of the shifted banded matrix and a deterministically seeded start
     vector; breakdown restarts with a slightly perturbed shift.
@@ -24,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from confspec.grid import BandedSymmetric
 from confspec.operators import ModeSpec
@@ -40,6 +52,7 @@ __all__ = [
 
 DENSE_LIMIT = 4000
 _AUTO_ITERATIVE_FROM = 600  # iterative is ~50x faster well below the dense cap
+_INVERSE_ITERATIONS = 3  # per window vector; two already reach the residual floor
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -138,15 +151,26 @@ def _dense_path(A, B, count, window):
     bw = B.bandwidth
     dense = A.to_dense()
     x = sla.solve_banded((bw, 0), lower, dense)
+    del dense
     C = sla.solve_banded((bw, 0), lower, x.T)
-    C = 0.5 * (C + C.T)
-    all_vals = sla.eigh(C, eigvals_only=True)
+    del x
+    C += C.T
+    C *= 0.5
+    # one reduction C = Q T Q^T; Q is kept as m - 1 Householder reflectors
+    lwork, _ = lapack.dsytrd_lwork(m, lower=1)
+    C, d, e, tau, _ = lapack.dsytrd(C, lower=1, lwork=int(lwork), overwrite_a=1)
+    all_vals = sla.eigh_tridiagonal(d, e, eigvals_only=True)
     i0, i1 = _select_nearest(all_vals, count, window)
-    vals, Y = sla.eigh(C, subset_by_index=[i0, i1])
+    vals, Z = sla.eigh_tridiagonal(d, e, select="i", select_range=(i0, i1))
+    if m > 1:
+        # the reflectors of a lower reduction are the QR reflectors of C[1:, :-1]
+        refl = C[1:, :-1]
+        _, work, _ = lapack.dormqr("L", "N", refl, tau, Z[1:], lwork=-1)
+        Z[1:], _, _ = lapack.dormqr("L", "N", refl, tau, Z[1:], lwork=int(work[0]))
     upper = np.zeros_like(lower)
-    for d in range(bw + 1):
-        upper[bw - d, d:] = lower[d, : m - d]
-    vecs = sla.solve_banded((0, bw), upper, Y)
+    for k in range(bw + 1):
+        upper[bw - k, k:] = lower[k, : m - k]
+    vecs = sla.solve_banded((0, bw), upper, Z)
     return list(vals), [vecs[:, j] for j in range(vecs.shape[1])]
 
 
@@ -175,10 +199,53 @@ def _iterative_path(A, B, count, window, seed):
     raise SolverConvergenceError(math.inf) from last_exc
 
 
-def _polish(A, B, a_sp, b_sp, lam, vec, residual_tol):
+def _window_path(A, B, window, seed):
+    """Pairs strictly inside the window of a pencil with diagonal B."""
+    lo, hi = window
+    if not lo < hi:
+        return [], []
+    m = A.size
+    bw = A.bandwidth
+    s = 1.0 / np.sqrt(B.bands[0])
+    T = A.bands * s  # T = B^-1/2 A B^-1/2 in the same lower band storage
+    for k in range(bw + 1):
+        T[k, : m - k] *= s[k:]
+    vals = sla.eig_banded(T, lower=True, eigvals_only=True, select="v", select_range=(lo, hi))
+    vals = vals[(vals > lo) & (vals < hi)]
+    if vals.size == 0:
+        return [], []
+    ab = np.zeros((2 * bw + 1, m))  # full band storage of T for solve_banded
+    ab[bw:] = T
+    for k in range(1, bw + 1):
+        ab[bw - k, k:] = T[k, : m - k]
+    # bisection leaves each value within a few eps ||T|| of the eigenvalue; the
+    # shift sits that far off it, so T - shift is not exactly singular even
+    # where the value is exact (a diagonal T)
+    offset = 4.0 * np.finfo(float).eps * _inf_norm(BandedSymmetric(T))
+    v0 = np.random.default_rng(seed).standard_normal(m)
+    ys: list[np.ndarray] = []
+    for lam in vals:
+        shifted = ab.copy()
+        shifted[bw] -= lam + offset
+        y = v0
+        for _ in range(_INVERSE_ITERATIONS):
+            try:
+                y = sla.solve_banded((bw, bw), shifted, y)
+            except (sla.LinAlgError, ValueError) as exc:
+                raise SolverConvergenceError(math.inf) from exc
+            for u in ys:  # keep clustered values from converging to one vector
+                y -= (u @ y) * u
+            y /= np.linalg.norm(y)
+        ys.append(y)
+    return list(vals), [s * y for y in ys]
+
+
+def _polish(A, B, lam, vec, residual_tol):
     for _ in range(2):
         if relative_residual(A, B, lam, vec) <= residual_tol:
             break
+        a_sp = A.to_sparse()
+        b_sp = B.to_sparse()
         try:
             lu = spla.splu((a_sp - lam * b_sp).tocsc())
             y = lu.solve(b_sp @ vec)
@@ -195,49 +262,41 @@ def _polish(A, B, a_sp, b_sp, lam, vec, residual_tol):
 def solve_generalized(
     A: BandedSymmetric,
     B: BandedSymmetric,
-    count: int,
+    count: int | None = None,
     window: tuple[float, float] | None = None,
     method: str = "auto",
     seed: int = 0,
     residual_tol: float = 1e-9,
 ) -> list[EigenPair]:
-    """Eigenpairs of A x = lambda B x nearest the window (default: nearest 0).
+    """Eigenpairs of A x = lambda B x, sorted by eigenvalue, each B-normalized
+    with its relative residual.
 
-    Returns ``count`` pairs sorted by eigenvalue, each B-normalized with its
-    relative residual.  ``method`` is "dense", "iterative" or "auto"; the
-    dense reduction is limited to m <= 4000.
+    With ``count`` left out: every pair strictly inside ``window = (lo, hi)``
+    (possibly none).  This needs a diagonal B and a window.
+
+    With ``count``: the ``count`` pairs nearest the window (default: nearest
+    0).  ``method`` is "dense", "iterative" or "auto"; the dense reduction is
+    limited to m <= 4000.
     """
     m = A.size
-    if count < 1:
-        raise ValueError("count must be at least 1")
     if B.size != m:
         raise ValueError("A and B sizes differ")
-    count = min(count, m)
-    if method == "auto":
-        method = "iterative" if m > _AUTO_ITERATIVE_FROM else "dense"
-    if method == "iterative" and count >= m - 1:
-        method = "dense"  # ARPACK needs count < m - 1
-    if method == "dense":
-        if m > DENSE_LIMIT:
-            raise ValueError(f"dense path is limited to m <= {DENSE_LIMIT}")
+    if count is None:
+        if window is None or np.any(B.bands[1:]):
+            raise ValueError("a solve without count needs a window and a diagonal B")
+        if method != "auto":
+            raise ValueError("method applies to solves with a count")
         _cholesky_or_raise(B)
-        vals, vecs = _dense_path(A, B, count, window)
-    elif method == "iterative":
-        _cholesky_or_raise(B)
-        vals, vecs = _iterative_path(A, B, count, window, seed)
+        vals, vecs = _window_path(A, B, window, seed)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        vals, vecs = _count_solve(A, B, count, window, method, seed)
 
-    a_sp = A.to_sparse()
-    b_sp = B.to_sparse()
-    polished = [
-        _polish(A, B, a_sp, b_sp, float(v), x, residual_tol) for v, x in zip(vals, vecs)
-    ]
+    polished = [_polish(A, B, float(v), x, residual_tol) for v, x in zip(vals, vecs)]
     vectors = _b_orthonormalize(B, [x for _, x in polished])
     pairs = []
     worst_excess = 0.0
     worst = 0.0
-    for (lam, _), vec in zip(polished, vectors):
+    for vec in vectors:
         lam = float(vec @ A.matvec(vec)) / float(vec @ B.matvec(vec))
         res = relative_residual(A, B, lam, vec)
         bound = max(residual_tol, 32.0 * _residual_floor(A, B, lam, vec))
@@ -249,6 +308,25 @@ def solve_generalized(
         raise SolverConvergenceError(worst)
     pairs.sort(key=lambda pr: pr.value)
     return pairs
+
+
+def _count_solve(A, B, count, window, method, seed):
+    m = A.size
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    count = min(count, m)
+    if method == "auto":
+        method = "iterative" if m > _AUTO_ITERATIVE_FROM else "dense"
+    if method == "iterative" and count >= m - 1:
+        method = "dense"  # ARPACK needs count < m - 1
+    if method == "dense":
+        if m > DENSE_LIMIT:
+            raise ValueError(f"dense path is limited to m <= {DENSE_LIMIT}")
+        return _dense_path(A, B, count, window)
+    if method == "iterative":
+        _cholesky_or_raise(B)
+        return _iterative_path(A, B, count, window, seed)
+    raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)

@@ -224,19 +224,6 @@ def _assemble(op, mode, path, grid, profile=None, warped=None) -> AssembledOpera
     return intrinsic_assemble(op, warped, mode, grid)
 
 
-def _eigs_below(assembled: AssembledOperator, ceiling: float, seed: int) -> list[EigenPair]:
-    """All eigenpairs with |lambda| below ``ceiling`` (expanding the solve
-    count until the returned range covers it)."""
-    count = 4
-    while True:
-        pairs = eigensolve.solve_generalized(
-            assembled.A, assembled.B, count=count, seed=seed
-        )
-        if max(abs(p.value) for p in pairs) >= ceiling or count >= assembled.A.size:
-            return pairs
-        count = min(2 * count, assembled.A.size)
-
-
 def _collect_modes(
     op: OperatorKind,
     path: str,
@@ -246,7 +233,10 @@ def _collect_modes(
     ceiling: float,
     seed: int,
 ) -> tuple[list[tuple[ModeSpec, list[EigenPair]]], int]:
-    """Solve angular modes until the mode bottom clears the truncation bar."""
+    """Solve angular modes until the mode bottom clears the truncation bar.
+
+    Each mode is one windowed solve for every eigenvalue with |lambda| below
+    the bar; an empty window means the mode bottom lies above it."""
     per_mode = []
     n_modes = 0
     bar = TRUNCATION_FACTOR * ceiling
@@ -255,10 +245,12 @@ def _collect_modes(
         for index in group:
             mode = make_mode(op, index)
             assembled = _assemble(op, mode, path, grid, profile=profile, warped=warped)
-            pairs = _eigs_below(assembled, bar, seed)
+            pairs = eigensolve.solve_generalized(
+                assembled.A, assembled.B, window=(-bar, bar), seed=seed
+            )
             per_mode.append((mode, pairs))
             n_modes += 1
-            bottom = min(bottom, min(abs(p.value) for p in pairs))
+            bottom = min([bottom] + [abs(p.value) for p in pairs])
         if bottom > bar:
             break
         if n_modes >= MODE_CAP:

@@ -79,10 +79,6 @@ class RadialGrid:
         if nodes[0] <= 0.0 or nodes[-1] >= self.span:
             raise ValueError("grid nodes must lie strictly inside (0, span)")
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.size
-
 
 @dataclass(frozen=True)
 class WeakForm1D:

@@ -4,15 +4,21 @@ Covariance path.  A conformal rescaling g -> f^2 g conjugates an operator of
 order k by powers of f: u is an eigensection for f^2 g with eigenvalue lam
 iff w = f^((n-k)/2) u solves P_round w = lam f^k w.  The round-sphere radial
 operator is assembled once and the conformal factor enters only through the
-f^k-weighated mass, so the same machinery validates against the exact round
+f^k-weighted mass, so the same machinery validates against the exact round
 spectra.
+
+Every mass B is diagonal.  The scalar operators lump the P1 mass (row sums,
+an O(h^2) change of the discretization, made identically on both paths so
+the dual-path check compares like with like); the Dirac mass is diagonal by
+construction.  A diagonal B lets the eigensolver turn each pencil into a
+banded standard problem.
 
 Intrinsic path.  The operator is assembled directly in the warped metric
 dt^2 + h^2 g_{S^(n-1)}:
 
   * conformal Laplacian: weak form p = h^(n-1),
-    q = h^(n-1) [ l(l+n-2)/h^2 + (n-2)/(4(n-1)) Scal(t) ], unit-weight mass
-    against the warped measure h^(n-1) dt;
+    q = h^(n-1) [ l(l+n-2)/h^2 + (n-2)/(4(n-1)) Scal(t) ], lumped
+    unit-weight mass against the warped measure h^(n-1) dt;
   * Dirac (n = 2, bounding spin structure, half-integer angular modes k):
     the 2x2 first-order system [[0, X], [X*, 0]] with
     X = d/dt + h'/(2h) - k/h, self-adjoint in L^2(h dt).  The two spinor
@@ -25,7 +31,7 @@ dt^2 + h^2 g_{S^(n-1)}:
 The fourth-order Paneitz operator is assembled on the covariance path only,
 as K D^-1 K + a K + c M with K the radial Laplacian stiffness, D the lumped
 round mass and (a, c) its round-sphere Einstein coefficients; the product
-keeps bandwidth 2.
+keeps bandwidth 2, and B is the lumped f^4-weighted mass.
 """
 
 from __future__ import annotations
@@ -194,6 +200,7 @@ def _round_radial_forms(n: int, angular: float, weight_fn, extra_q: float):
 
 
 def _lumped(mass: BandedSymmetric) -> np.ndarray:
+    """Row sums of a banded mass: the diagonal of its lumped form."""
     m = mass.size
     d = mass.bands[0].copy()
     for k in range(1, mass.bandwidth + 1):
@@ -201,6 +208,13 @@ def _lumped(mass: BandedSymmetric) -> np.ndarray:
         d[k:] += band
         d[: m - k] += band
     return d
+
+
+def _assemble_lumped(
+    form: WeakForm1D, grid: RadialGrid
+) -> tuple[BandedSymmetric, BandedSymmetric]:
+    A, M = assemble_weak_form(form, grid)
+    return A, BandedSymmetric.from_diagonal(_lumped(M))
 
 
 def _banded_from_sparse(mat: sp.spmatrix, bandwidth: int) -> BandedSymmetric:
@@ -268,7 +282,7 @@ def _paneitz_pair(
     p, q, w_round = _round_radial_forms(n, angular, lambda r: np.ones_like(r), 0.0)
     form = WeakForm1D(p=p, q=q, w=w_round, essential_left=essential, essential_right=essential)
     K, M = assemble_weak_form(form, grid)
-    _, B = assemble_weak_form(
+    _, B = _assemble_lumped(
         WeakForm1D(
             p=p,
             q=q,
@@ -289,8 +303,8 @@ def covariance_reduce(
 ) -> AssembledOperator:
     """Weighted round-sphere reduction of the operator for f^2 g0.
 
-    A is the round radial operator of the mode, B the f^k-weighted round
-    mass, so eigenvalues of (A, B) are exactly the eigenvalues of the
+    A is the round radial operator of the mode, B the lumped f^k-weighted
+    round mass, so eigenvalues of (A, B) are exactly the eigenvalues of the
     conformally rescaled operator.  Needs a finite profile.
     """
     if math.isinf(profile.L):
@@ -303,7 +317,7 @@ def covariance_reduce(
         p, q, w = _round_radial_forms(
             n, mode.angular_eigenvalue, profile.F, _scalar_constant_term(n)
         )
-        A, B = assemble_weak_form(
+        A, B = _assemble_lumped(
             WeakForm1D(p=p, q=q, w=lambda r: profile.F(r) ** 2 * np.sin(r) ** (n - 1),
                        essential_left=essential, essential_right=essential),
             grid,
@@ -348,7 +362,7 @@ def intrinsic_assemble(
         def w(t):
             return warped.h_fn(t) ** (n - 1)
 
-        A, B = assemble_weak_form(
+        A, B = _assemble_lumped(
             WeakForm1D(p=p, q=q, w=w, essential_left=essential, essential_right=essential),
             work_grid,
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confspec import eigensolve
 from confspec.eigensolve import (
     NotPositiveDefiniteError,
     aggregate,
@@ -11,6 +12,7 @@ from confspec.eigensolve import (
     solve_generalized,
 )
 from confspec.grid import BandedSymmetric, WeakForm1D, assemble_weak_form, make_grid
+from confspec.experiments import pinocchio_sweep
 from confspec.operators import conformal_laplacian, dirac_operator, make_mode
 
 import oracles
@@ -141,6 +143,84 @@ def test_singular_shift_recovers():
     # natural ends truncate the domain to [h, pi - h]; Neumann mode cos(x)
     h = grid.nodes[0]
     assert pairs[1].value == pytest.approx((math.pi / (math.pi - 2 * h)) ** 2, abs=1e-4)
+
+
+# ------------------------------------------------------------------ window mode
+
+
+def diagonal_mass_pencil(rng, m, bandwidth=1):
+    A, B = random_pencil(rng, m, bandwidth)
+    return A, BandedSymmetric.from_diagonal(B.bands[0])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_window_returns_every_pair_inside(seed):
+    rng = np.random.default_rng(seed)
+    A, B = diagonal_mass_pencil(rng, 300)
+    lo, hi = -0.3, 0.4
+    da, ea = oracles.banded_to_tridiag(A)
+    db, eb = np.asarray(B.bands[0]), np.zeros(A.size - 1)
+    first, stop = oracles.tridiag_pencil_count_below(da, ea, db, eb, [lo, hi])
+    pairs = solve_generalized(A, B, window=(lo, hi), seed=seed)
+    assert len(pairs) == stop - first > 0
+    reference = oracles.pencil_eigs_of_banded(A, B, first, stop - 1)
+    assert np.allclose([p.value for p in pairs], reference, rtol=1e-10, atol=1e-10)
+    for i, a in enumerate(pairs):
+        assert a.residual <= 1e-9
+        for b in pairs[i + 1 :]:
+            assert abs(a.vector @ B.matvec(b.vector)) <= 1e-8
+
+
+def test_window_on_bandwidth_two_matches_dense():
+    rng = np.random.default_rng(17)
+    A, B = diagonal_mass_pencil(rng, 500, bandwidth=2)
+    window = (-0.2, 0.25)
+    pairs = solve_generalized(A, B, window=window, seed=4)
+    assert pairs
+    dense = solve_generalized(A, B, count=len(pairs), window=window, method="dense")
+    assert np.allclose([p.value for p in pairs], [p.value for p in dense], rtol=1e-10, atol=1e-10)
+
+
+def test_window_separates_a_repeated_eigenvalue():
+    A = BandedSymmetric.from_tridiagonal(np.array([1.0, 1.0, 2.0] + [5.0] * 13), np.zeros(15))
+    B = BandedSymmetric.from_diagonal(np.full(16, 4.0))
+    pairs = solve_generalized(A, B, window=(0.0, 1.0))
+    assert [p.value for p in pairs] == [0.25, 0.25, 0.5]
+    assert abs(pairs[0].vector @ B.matvec(pairs[1].vector)) <= 1e-12
+
+
+def test_empty_window_returns_nothing():
+    rng = np.random.default_rng(8)
+    A, B = diagonal_mass_pencil(rng, 200)
+    assert solve_generalized(A, B, window=(50.0, 60.0)) == []
+    assert solve_generalized(A, B, window=(0.1, 0.1)) == []
+
+
+def test_window_solve_needs_diagonal_mass_and_window():
+    rng = np.random.default_rng(6)
+    A, B = random_pencil(rng, 100)
+    with pytest.raises(ValueError, match="diagonal B"):
+        solve_generalized(A, B, window=(-1.0, 1.0))
+    with pytest.raises(ValueError, match="window"):
+        solve_generalized(A, BandedSymmetric.from_diagonal(B.bands[0]))
+
+
+@pytest.mark.parametrize(
+    "op", [conformal_laplacian(3), dirac_operator(2)], ids=["conformal-laplacian", "dirac"]
+)
+def test_collect_modes_solves_each_mode_once(monkeypatch, op):
+    calls = []
+    real = eigensolve.solve_generalized
+
+    def counting(A, B, **kwargs):
+        calls.append(kwargs)
+        return real(A, B, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "solve_generalized", counting)
+    (row,) = pinocchio_sweep(op, [2.0], N=400, path="intrinsic")
+    assert row.error is None
+    assert len(calls) == row.n_modes_used
+    assert all("count" not in kw for kw in calls)
 
 
 # ------------------------------------------------------------------ aggregate
