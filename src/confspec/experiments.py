@@ -25,7 +25,7 @@ from confspec.geometry import (
     volume,
     warped_reparametrize,
 )
-from confspec.grid import GradingSpec, RadialGrid, WeakForm1D, assemble_weak_form, make_grid
+from confspec.grid import RadialGrid, WeakForm1D, assemble_weak_form, make_grid
 from confspec.operators import (
     KIND_DIRAC,
     KIND_L,
@@ -181,7 +181,7 @@ def arclength_grid(profile: ConformalProfile, N: int) -> RadialGrid:
     """Uniform arclength grid with nodes snapped onto the profile kinks."""
     T = profile.total_arclength()
     t = _snap_to_kinks(T * np.arange(1, N + 1) / (N + 1), profile)
-    return RadialGrid(nodes=t, coordinate_kind="arclength", grading=GradingSpec(), span=T)
+    return RadialGrid(nodes=t, coordinate_kind="arclength", span=T)
 
 
 def nose_resolving_grid(
@@ -197,12 +197,7 @@ def nose_resolving_grid(
     T = profile.total_arclength()
     t = T * (np.arange(1, N + 1) / (N + 1)) ** exponent
     nodes = profile.r_of_arclength(_snap_to_kinks(t, profile))
-    spacings = np.diff(nodes)
-    declared = max(float(np.max(spacings[1:] / spacings[:-1])), 1.0 + 1e-12)
-    grading = GradingSpec(
-        "geometric-near-left", ratio=declared, r_min=float(nodes[0])
-    )
-    return RadialGrid(nodes=nodes, coordinate_kind="polar", grading=grading, span=math.pi)
+    return RadialGrid(nodes=nodes, coordinate_kind="polar", span=math.pi)
 
 
 def _mode_indices(op: OperatorKind):
@@ -263,28 +258,26 @@ def _collect_modes(
 
 def _spectrum_for(
     op: OperatorKind, L: float, N: int, path: str, ceiling: float, seed: int
-) -> tuple[SpectrumReport, int, ConformalProfile]:
+) -> tuple[SpectrumReport, int, ConformalProfile, RadialGrid]:
+    """Spectrum of one nose length on its polar grid, which both paths share:
+    the intrinsic path warps it through the forward map t(r)."""
     profile = profile_L(op.n, L)
     path = resolve_path(op, L, path)
-    if path == "intrinsic":
-        grid = arclength_grid(profile, N)
-        warped = warped_reparametrize(profile, grid)
-        per_mode, n_modes = _collect_modes(op, path, grid, None, warped, ceiling, seed)
-    else:
-        grid = nose_resolving_grid(profile, N)
-        per_mode, n_modes = _collect_modes(op, path, grid, profile, None, ceiling, seed)
+    grid = nose_resolving_grid(profile, N)
+    warped = warped_reparametrize(profile, grid) if path == "intrinsic" else None
+    per_mode, n_modes = _collect_modes(op, path, grid, profile, warped, ceiling, seed)
     flat = [(m, list(pairs)) for m, pairs in per_mode]
-    return eigensolve.aggregate(flat), n_modes, profile
+    return eigensolve.aggregate(flat), n_modes, profile, grid
 
 
 def _sweep_row(op: OperatorKind, L: float, N: int, path: str, seed: int) -> SweepRow:
     sigma = cylinder_threshold(op)
     try:
-        report, n_modes, profile = _spectrum_for(op, L, N, path, 2.0 * sigma, seed)
+        report, n_modes, profile, grid = _spectrum_for(op, L, N, path, 2.0 * sigma, seed)
         lam = report.lambda_1_plus
         if lam is None:
             raise NoPositiveEigenvalueError(f"no positive eigenvalue at L={L:g}")
-        vol = volume(profile, nose_resolving_grid(profile, N))
+        vol = volume(profile, grid)
         inv = lam * vol ** (op.order / op.n)
         return SweepRow(
             L=L,
@@ -489,7 +482,7 @@ def convergence_study(
     minus: list[float] = []
     plus_ok = minus_ok = True
     for L in L_grid:
-        report, _, _ = _spectrum_for(op, L, N, path, ceiling, seed)
+        report = _spectrum_for(op, L, N, path, ceiling, seed)[0]
         vp = report.lambda_plus(j)
         vm = report.lambda_minus(j)
         plus_ok = plus_ok and vp is not None

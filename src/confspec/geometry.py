@@ -40,7 +40,7 @@ __all__ = [
     "volume",
     "warped_reparametrize",
     "scalar_curvature_warped",
-    "curvature_evaluator",
+    "warped_curvature",
     "sphere_volume_constant",
     "ArclengthInversionError",
 ]
@@ -440,19 +440,11 @@ def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedD
     )
 
 
-def curvature_evaluator(warped: WarpedData, n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Scalar curvature of dt^2 + h^2 g_{S^(n-1)} as a function of t."""
-
-    def scal(t):
-        h = warped.h_fn(t)
-        dh = warped.dh_fn(t)
-        d2h = warped.d2h_fn(t)
-        return (n - 1.0) * ((n - 2.0) * (1.0 - dh**2) / h**2 - 2.0 * d2h / h)
-
-    return scal
+def warped_curvature(h, dh, d2h, n: int) -> np.ndarray:
+    """Scalar curvature of dt^2 + h^2 g_{S^(n-1)} from samples of h, h', h''."""
+    return (n - 1.0) * ((n - 2.0) * (1.0 - dh**2) / h**2 - 2.0 * d2h / h)
 
 
 def scalar_curvature_warped(warped: WarpedData, n: int) -> np.ndarray:
     """Nodewise scalar curvature of the warped metric."""
-    h, dh, d2h = warped.h, warped.dh, warped.d2h
-    return (n - 1.0) * ((n - 2.0) * (1.0 - dh**2) / h**2 - 2.0 * d2h / h)
+    return warped_curvature(warped.h, warped.dh, warped.d2h, n)

@@ -6,18 +6,21 @@ the coordinate singularities at the poles are handled by a small offset plus
 either an essential zero condition or a natural condition, chosen per angular
 mode by the callers.
 
-``assemble_weak_form`` discretizes
+The assembly discretizes
 
     a(u, v) = int p u' v' + q u v dx ,     m(u, v) = int w u v dx
 
 with P1 elements and a two-point Gauss rule per cell, which is exact for the
-polynomial part and keeps both matrices tridiagonal.
+polynomial part and keeps both matrices tridiagonal.  ``quadrature_points``
+alone lays out the Gauss points; ``assemble_sampled`` takes p, q, w already
+sampled there, so a caller deriving all three from one geometry samples it
+once, and ``assemble_weak_form`` samples callables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,6 +32,8 @@ __all__ = [
     "WeakForm1D",
     "BandedSymmetric",
     "make_grid",
+    "quadrature_points",
+    "assemble_sampled",
     "assemble_weak_form",
 ]
 
@@ -66,7 +71,6 @@ class RadialGrid:
 
     nodes: np.ndarray
     coordinate_kind: str  # "polar" | "arclength"
-    grading: GradingSpec
     span: float  # full domain is the open interval (0, span)
 
     def __post_init__(self):
@@ -233,22 +237,36 @@ def make_grid(
         if kind == "polar" and grading.r_min >= math.pi / 2:
             raise ValueError("r_min must be below pi/2 for polar grids")
         nodes = _geometric_nodes(N, span, grading.ratio, grading.r_min)
-    return RadialGrid(nodes=nodes, coordinate_kind=kind, grading=grading, span=span)
+    return RadialGrid(nodes=nodes, coordinate_kind=kind, span=span)
 
 
-def _check_finite(name: str, values: np.ndarray, cells: np.ndarray) -> None:
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"non-finite coefficient {name!r} at cell {i} (x = {cells[i]:.6g})"
-        )
+def _wall_cells(grid: RadialGrid, essential_left: bool, essential_right: bool):
+    """(wall, width, adjacent node) of each pinned wall cell, left first."""
+    nodes = grid.nodes
+    walls = [(0.0, nodes[0], 0)] if essential_left else []
+    if essential_right:
+        walls.append((nodes[-1], grid.span - nodes[-1], nodes.size - 1))
+    return walls
 
 
-def assemble_weak_form(
-    form: WeakForm1D, grid: RadialGrid
+def quadrature_points(
+    grid: RadialGrid, essential_left: bool = False, essential_right: bool = False
+) -> np.ndarray:
+    """The first Gauss point of every cell, then the second of every cell,
+    then both points of each pinned wall cell (left wall first)."""
+    left = grid.nodes[:-1]
+    he = np.diff(grid.nodes)
+    points = [left + g * he for g in _GAUSS_OFFSETS]
+    for wall, hb, _ in _wall_cells(grid, essential_left, essential_right):
+        points.append(np.array([wall + g * hb for g in _GAUSS_OFFSETS]))
+    return np.concatenate(points)
+
+
+def assemble_sampled(
+    grid: RadialGrid, p, q, w, essential_left: bool = False, essential_right: bool = False
 ) -> tuple[BandedSymmetric, BandedSymmetric]:
-    """Assemble the tridiagonal pair (A, M) of a 1-D weak form on a grid.
+    """Assemble the tridiagonal pair (A, M) from p, q, w sampled at
+    ``quadrature_points(grid, essential_left, essential_right)``.
 
     An essential end pins the solution to zero at the domain wall: the
     boundary cell between the wall and the first (or last) node is included,
@@ -261,20 +279,25 @@ def assemble_weak_form(
     nodes = grid.nodes
     m = nodes.size
     he = np.diff(nodes)
-    left = nodes[:-1]
+    x = quadrature_points(grid, essential_left, essential_right)
+    p, q, w = (np.asarray(v, dtype=float) for v in (p, q, w))
+    for name, vals in (("p", p), ("q", q), ("w", w)):
+        if vals.shape != x.shape:
+            raise ValueError(f"coefficient {name!r} has shape {vals.shape}, expected {x.shape}")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            k = int(bad[0])  # name the cell, not the position in the point array
+            where = f"cell {k % (m - 1)}" if k < 2 * (m - 1) else "a wall cell"
+            raise ValueError(f"non-finite coefficient {name!r} at {where} (x = {x[k]:.6g})")
+    interior = [v[: 2 * (m - 1)].reshape(2, -1) for v in (p, q, w)]  # one row per Gauss point
+    at_walls = [v[2 * (m - 1) :].reshape(-1, 2) for v in (p, q, w)]  # one row per wall cell
 
     a_diag = np.zeros(m)
     a_sub = np.zeros(m - 1)
     m_diag = np.zeros(m)
     m_sub = np.zeros(m - 1)
-    for g in _GAUSS_OFFSETS:
-        x = left + g * he
+    for g, pv, qv, wv in zip(_GAUSS_OFFSETS, *interior):
         wq = 0.5 * he
-        pv = np.asarray(form.p(x), dtype=float)
-        qv = np.asarray(form.q(x), dtype=float)
-        wv = np.asarray(form.w(x), dtype=float)
-        for name, vals in (("p", pv), ("q", qv), ("w", wv)):
-            _check_finite(name, vals, x)
         phi0 = 1.0 - g
         phi1 = g
         stiff = wq * pv / he**2
@@ -286,25 +309,24 @@ def assemble_weak_form(
         m_sub += wq * wv * phi0 * phi1
 
     # boundary cells of pinned ends (the hat rises from 0 at the wall)
-    boundary = []
-    if form.essential_left:
-        boundary.append((0.0, nodes[0], 0))
-    if form.essential_right:
-        boundary.append((nodes[-1], grid.span, m - 1))
-    for wall_lo, wall_hi, idx in boundary:
-        hb = wall_hi - wall_lo
-        for g in _GAUSS_OFFSETS:
-            x = np.array([wall_lo + g * hb])
+    walls = _wall_cells(grid, essential_left, essential_right)
+    for (_, hb, idx), *samples in zip(walls, *at_walls):
+        for g, pv, qv, wv in zip(_GAUSS_OFFSETS, *samples):
             wq = 0.5 * hb
-            pv = np.asarray(form.p(x), dtype=float)
-            qv = np.asarray(form.q(x), dtype=float)
-            wv = np.asarray(form.w(x), dtype=float)
-            for name, vals in (("p", pv), ("q", qv), ("w", wv)):
-                _check_finite(name, vals, x)
             phi = g if idx == 0 else 1.0 - g  # rises toward the interior
-            a_diag[idx] += wq * (pv[0] / hb**2 + qv[0] * phi * phi)
-            m_diag[idx] += wq * wv[0] * phi * phi
+            a_diag[idx] += wq * (pv / hb**2 + qv * phi * phi)
+            m_diag[idx] += wq * wv * phi * phi
 
     A = BandedSymmetric.from_tridiagonal(a_diag, a_sub)
     M = BandedSymmetric.from_tridiagonal(m_diag, m_sub)
     return A, M
+
+
+def assemble_weak_form(
+    form: WeakForm1D, grid: RadialGrid
+) -> tuple[BandedSymmetric, BandedSymmetric]:
+    """``assemble_sampled`` with ``form.p``, ``form.q`` and ``form.w``
+    sampled at the grid's quadrature points."""
+    ends = (form.essential_left, form.essential_right)
+    x = quadrature_points(grid, *ends)
+    return assemble_sampled(grid, form.p(x), form.q(x), form.w(x), *ends)

@@ -18,7 +18,9 @@ dt^2 + h^2 g_{S^(n-1)}:
 
   * conformal Laplacian: weak form p = h^(n-1),
     q = h^(n-1) [ l(l+n-2)/h^2 + (n-2)/(4(n-1)) Scal(t) ], lumped
-    unit-weight mass against the warped measure h^(n-1) dt;
+    unit-weight mass against the warped measure h^(n-1) dt.  h, h' and h''
+    are sampled once per assembly at the grid's quadrature points, and p,
+    q and the mass weight are array arithmetic on those samples;
   * Dirac (n = 2, bounding spin structure, half-integer angular modes k):
     the 2x2 first-order system [[0, X], [X*, 0]] with
     X = d/dt + h'/(2h) - k/h, self-adjoint in L^2(h dt).  The two spinor
@@ -42,8 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from confspec.geometry import ConformalProfile, WarpedData, curvature_evaluator
-from confspec.grid import BandedSymmetric, RadialGrid, WeakForm1D, assemble_weak_form
+from confspec.geometry import ConformalProfile, WarpedData, warped_curvature
+from confspec.grid import (
+    BandedSymmetric,
+    RadialGrid,
+    WeakForm1D,
+    assemble_sampled,
+    assemble_weak_form,
+    quadrature_points,
+)
 
 __all__ = [
     "OperatorKind",
@@ -343,29 +352,18 @@ def intrinsic_assemble(
         work_grid = grid
     else:
         span = t_nodes[-1] + (t_nodes[-1] - t_nodes[-2])
-        work_grid = RadialGrid(
-            nodes=t_nodes, coordinate_kind="arclength", grading=grid.grading, span=span
-        )
+        work_grid = RadialGrid(nodes=t_nodes, coordinate_kind="arclength", span=span)
     if op.kind == KIND_L:
-        scal = curvature_evaluator(warped, n)
-        cn = (n - 2) / (4.0 * (n - 1))
-        angular = mode.angular_eigenvalue
+        # one geometry sample per assembly: w = h^(n-1) is also the stiffness
+        # weight p, and q reuses it
         essential = mode.index != 0
-
-        def p(t):
-            return warped.h_fn(t) ** (n - 1)
-
-        def q(t):
-            h = warped.h_fn(t)
-            return h ** (n - 1) * (angular / h**2 + cn * scal(t))
-
-        def w(t):
-            return warped.h_fn(t) ** (n - 1)
-
-        A, B = _assemble_lumped(
-            WeakForm1D(p=p, q=q, w=w, essential_left=essential, essential_right=essential),
-            work_grid,
-        )
+        t = quadrature_points(work_grid, essential, essential)
+        h = warped.h_fn(t)
+        w = h ** (n - 1)
+        scal = warped_curvature(h, warped.dh_fn(t), warped.d2h_fn(t), n)
+        q = w * (mode.angular_eigenvalue / h**2 + (n - 2) / (4.0 * (n - 1)) * scal)
+        A, M = assemble_sampled(work_grid, w, q, w, essential, essential)
+        B = BandedSymmetric.from_diagonal(_lumped(M))
     else:
         ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
         A, B = _dirac_staggered(t_nodes, warped.h_fn, warped.dh_fn, mode.index, ones)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from confspec import eigensolve
 from confspec.eigensolve import (
     NotPositiveDefiniteError,
+    SolverConvergenceError,
     aggregate,
     relative_residual,
     solve_generalized,
@@ -143,6 +145,23 @@ def test_singular_shift_recovers():
     # natural ends truncate the domain to [h, pi - h]; Neumann mode cos(x)
     h = grid.nodes[0]
     assert pairs[1].value == pytest.approx((math.pi / (math.pi - 2 * h)) ** 2, abs=1e-4)
+
+
+def test_arpack_no_convergence_is_an_error_even_with_enough_pairs(monkeypatch):
+    # a non-converged ARPACK call is a failure, not a source of partial pairs,
+    # even when those pairs are exact
+    rng = np.random.default_rng(4)
+    A, B = random_pencil(rng, 700)
+    exact = solve_generalized(A, B, count=3, method="dense")
+    vals = np.array([p.value for p in exact])
+    vecs = np.column_stack([p.vector for p in exact])
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", vals, vecs)
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(SolverConvergenceError):
+        solve_generalized(A, B, count=2, method="iterative")
 
 
 # ------------------------------------------------------------------ window mode

@@ -177,6 +177,22 @@ def test_non_finite_coefficient_reports_cell():
         assemble_weak_form(form, grid)
 
 
+def test_non_finite_coefficient_at_second_gauss_point_reports_cell():
+    # all Gauss points of a grid are sampled as one array; the message must
+    # still name the cell, not the position in that array
+    grid = make_grid("polar", 32)
+    lo, hi = grid.nodes[20], grid.nodes[21]
+    second = lo + (0.5 + 0.5 / math.sqrt(3.0)) * (hi - lo)
+
+    def bad_q(x):
+        return np.where(np.abs(x - second) < 1e-12, np.inf, 0.0)
+
+    for pinned in (False, True):
+        form = WeakForm1D(p=ones, q=bad_q, w=ones, essential_left=pinned, essential_right=pinned)
+        with pytest.raises(ValueError, match=r"at cell 20 \(x = "):
+            assemble_weak_form(form, grid)
+
+
 @settings(max_examples=15, deadline=None)
 @given(amplitude=st.floats(min_value=0.0, max_value=5.0), seed=st.integers(0, 2**16))
 def test_nonnegative_potential_increment_never_lowers_eigenvalues(amplitude, seed):

@@ -171,6 +171,27 @@ def test_intrinsic_round_sphere_matches_ladder():
         assert pair.value == pytest.approx(ref, rel=1e-3)
 
 
+def test_intrinsic_conformal_laplacian_samples_geometry_once(monkeypatch):
+    # h, h' and h'' are each taken once at the quadrature points of a mode
+    # with pinned ends; p, q, w and the curvature reuse those samples
+    prof = profile_L(3, 4.0)
+    op = conformal_laplacian(3)
+    grid = make_grid("arclength", 400, length=prof.total_arclength())
+    warped = warped_reparametrize(prof, grid)
+    cls = type(prof)
+    inverse = cls.r_of_arclength
+    calls = []
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return inverse(self, t)
+
+    monkeypatch.setattr(cls, "r_of_arclength", counted)
+    asm = intrinsic_assemble(op, warped, make_mode(op, 1), grid)
+    assert len(calls) <= 3
+    assert asm.A.size == grid.nodes.size
+
+
 def test_cylinder_segment_bottom_approaches_gap():
     # h == 1 on [0, T] with pinned ends: bottom is (n-2)^2/4 + (pi/T)^2
     from confspec.geometry import WarpedData
