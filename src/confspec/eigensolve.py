@@ -7,20 +7,24 @@ Window solve (``count`` left out, B diagonal): every pair strictly inside a
 value window.  This is the route of the radial operators, whose mass is
 lumped.  The pencil is scaled to the standard banded problem
 T = B^-1/2 A B^-1/2; LAPACK bisection (sbevx, values only) returns exactly
-the eigenvalues inside the window, and each vector comes from shifted
-inverse iteration on the banded T, started from a seeded vector.
+the eigenvalues inside the window.
 
 Count solve (``count`` given, any banded B): the ``count`` eigenvalues
 nearest a target, by one of
 
-  * dense reduction (m <= 4000): banded Cholesky B = L L^T, dense similarity
-    C = L^-1 A L^-T, one Householder tridiagonalization of C, all
-    tridiagonal values to pick the index block, vectors of that block only,
-    back-transformed through the reflectors and the Cholesky factor;
+  * direct band reduction (``method="dense"``, any m): all values from one
+    LAPACK dsbgvx call on the bands (Crawford's split-Cholesky reduction to
+    a standard band problem, band tridiagonalization, root-free QR), the
+    index block picked from them; O(m^2 b) time, O(m b) memory, no m x m
+    array;
   * shift-invert Lanczos (any m): one ARPACK call on (A - sigma B)^-1 B with
     a sparse LU of the shifted banded matrix and a deterministically seeded
     start vector; a breakdown or a non-converged call (even one that holds
     enough partial pairs) raises ``SolverConvergenceError``.
+
+The window solve and the direct count solve share one vector step: shifted
+inverse iteration on the banded A - (lam + delta) B from a seeded vector,
+B-orthogonalized against the earlier vectors of the same solve.
 
 Every returned pair is inverse-iteration polished if needed and
 B-orthonormalized; residuals ||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||) are
@@ -30,6 +34,7 @@ precision cannot certify that, a small multiple of the evaluation floor.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import re
 from dataclasses import dataclass
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import cython_lapack
 
 from confspec.grid import BandedSymmetric
 from confspec.operators import ModeSpec
@@ -52,9 +57,11 @@ __all__ = [
     "aggregate",
 ]
 
-DENSE_LIMIT = 4000
-_AUTO_ITERATIVE_FROM = 600  # iterative is ~50x faster well below the dense cap
-_INVERSE_ITERATIONS = 3  # per window vector; two already reach the residual floor
+# the direct route costs O(m^2 b), ARPACK grows about linearly in m: on random
+# bandwidth-1 pencils with count=4 (2 BLAS threads) they tie near m=400 and
+# ARPACK is 1.5x faster at m=600, 3x at m=1000 and 7x at m=1500
+_AUTO_ITERATIVE_FROM = 600
+_INVERSE_ITERATIONS = 3  # per vector; two already reach the residual floor
 RESIDUAL_TOL = 1e-9
 
 
@@ -148,33 +155,133 @@ def _select_nearest(values: np.ndarray, count: int, window) -> tuple[int, int]:
     return int(order.min()), int(order.max())
 
 
-def _dense_path(A, B, count, window):
+def _bind_dsbgvx():
+    """LAPACK dsbgvx from scipy's Cython LAPACK table.
+
+    ``scipy.linalg.lapack`` does not wrap it.  The Cython entry point takes
+    plain char/int/double pointers and no hidden string lengths."""
+    capsule = cython_lapack.__pyx_capi__["dsbgvx"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )(capsule, name)
+    c = ctypes.c_char_p
+    i = ctypes.POINTER(ctypes.c_int)
+    d = ctypes.POINTER(ctypes.c_double)
+    # jobz range uplo n ka kb ab ldab bb ldbb q ldq vl vu il iu abstol
+    # m w z ldz work iwork ifail info
+    return ctypes.CFUNCTYPE(
+        None, c, c, c, i, i, i, d, i, d, i, d, i, d, d, i, i, d, i, d, d, i, d, i, i, i
+    )(address)
+
+
+_dsbgvx = _bind_dsbgvx()
+
+
+def _lower_storage(M: BandedSymmetric, bw: int) -> np.ndarray:
+    """Column-major LAPACK lower band storage of M padded to bandwidth bw."""
+    ab = np.zeros((bw + 1, M.size), order="F")
+    ab[: M.bandwidth + 1] = M.bands
+    return ab
+
+
+def _full_storage(M: BandedSymmetric, bw: int) -> np.ndarray:
+    """Both triangles of M in ``solve_banded``'s (bw, bw) band storage."""
+    m = M.size
+    ab = np.zeros((2 * bw + 1, m))
+    ab[bw : bw + M.bandwidth + 1] = M.bands
+    for k in range(1, M.bandwidth + 1):
+        ab[bw - k, k:] = M.bands[k, : m - k]
+    return ab
+
+
+def _band_values(A: BandedSymmetric, B: BandedSymmetric) -> np.ndarray:
+    """All eigenvalues of the banded pencil, ascending, by one dsbgvx call
+    (split Cholesky band reduction, band tridiagonalization, root-free QR)."""
+    for M in (A, B):
+        if not np.isfinite(M.bands).all():
+            raise ValueError("array must not contain infs or NaNs")
     m = A.size
-    lower = _cholesky_or_raise(B)
-    bw = B.bandwidth
-    dense = A.to_dense()
-    x = sla.solve_banded((bw, 0), lower, dense)
-    del dense
-    C = sla.solve_banded((bw, 0), lower, x.T)
-    del x
-    C += C.T
-    C *= 0.5
-    # one reduction C = Q T Q^T; Q is kept as m - 1 Householder reflectors
-    lwork, _ = lapack.dsytrd_lwork(m, lower=1)
-    C, d, e, tau, _ = lapack.dsytrd(C, lower=1, lwork=int(lwork), overwrite_a=1)
-    all_vals = sla.eigh_tridiagonal(d, e, eigvals_only=True)
+    bw = max(A.bandwidth, B.bandwidth)
+    ab = _lower_storage(A, bw)
+    bb = _lower_storage(B, bw)
+    w = np.empty(m)
+    work = np.empty(7 * m)
+    iwork = np.empty(5 * m, dtype=np.intc)
+    ifail = np.empty(m, dtype=np.intc)
+    dummy = np.zeros(1)  # Q, Z, vl, vu are not referenced; abstol reads 0
+    found = ctypes.c_int(0)
+    info = ctypes.c_int(0)
+
+    def ptr(arr):
+        return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+
+    def ref(k):
+        return ctypes.byref(ctypes.c_int(k))
+
+    _dsbgvx(
+        b"N", b"A", b"L", ref(m), ref(bw), ref(bw), ptr(ab), ref(bw + 1), ptr(bb),
+        ref(bw + 1), ptr(dummy), ref(1), ptr(dummy), ptr(dummy), ref(1), ref(m),
+        ptr(dummy), ctypes.byref(found), ptr(w), ptr(dummy), ref(1), ptr(work),
+        iwork.ctypes.data_as(ctypes.POINTER(ctypes.c_int)),
+        ifail.ctypes.data_as(ctypes.POINTER(ctypes.c_int)), ctypes.byref(info),
+    )
+    if info.value > m:
+        raise NotPositiveDefiniteError(info.value - m - 1)
+    if info.value > 0:
+        raise SolverConvergenceError(math.inf)
+    if info.value < 0:
+        raise ValueError(f"dsbgvx rejected argument {-info.value}")
+    return np.sort(w[: found.value])
+
+
+def _inverse_iteration(A, B, vals, scale, seed) -> list[np.ndarray]:
+    """Vectors of the pencil at the eigenvalue estimates ``vals``.
+
+    Shifted inverse iteration (A - (lam + offset) B) x' = B x with a banded
+    LU, from one seeded start vector.  The values are accurate to a few
+    eps * ``scale`` (the spectral scale of the pencil); an offset that large
+    keeps the shifted matrix from being exactly singular where a value is
+    exact (a diagonal pencil), and a zero scale means A = 0, where any shift
+    serves.  Each iterate is B-orthogonalized against the earlier vectors so
+    that repeated or clustered values get distinct vectors.
+    """
+    offset = 4.0 * np.finfo(float).eps * scale or 1.0
+    m = A.size
+    bw = max(A.bandwidth, B.bandwidth)
+    a_full = _full_storage(A, bw)
+    b_full = _full_storage(B, bw)
+    xs = np.empty((len(vals), m))  # rows, so that xs[:j] is contiguous
+    v0 = np.random.default_rng(seed).standard_normal(m)
+    for j, lam in enumerate(vals):
+        shifted = b_full * -(lam + offset)
+        shifted += a_full
+        x = v0
+        for _ in range(_INVERSE_ITERATIONS):
+            try:
+                x = sla.solve_banded((bw, bw), shifted, B.matvec(x))
+            except (sla.LinAlgError, ValueError) as exc:
+                raise SolverConvergenceError(math.inf) from exc
+            x -= (xs[:j] @ B.matvec(x)) @ xs[:j]
+            nrm = math.sqrt(max(x @ B.matvec(x), 0.0))
+            if not np.isfinite(nrm) or nrm == 0.0:
+                raise SolverConvergenceError(math.inf)
+            x /= nrm
+        xs[j] = x
+    return list(xs)
+
+
+def _dense_path(A, B, count, window, seed):
+    """Direct band reduction: all values from the bands, block vectors by
+    inverse iteration; no m x m array is formed."""
+    _cholesky_or_raise(B)
+    all_vals = _band_values(A, B)
     i0, i1 = _select_nearest(all_vals, count, window)
-    vals, Z = sla.eigh_tridiagonal(d, e, select="i", select_range=(i0, i1))
-    if m > 1:
-        # the reflectors of a lower reduction are the QR reflectors of C[1:, :-1]
-        refl = C[1:, :-1]
-        _, work, _ = lapack.dormqr("L", "N", refl, tau, Z[1:], lwork=-1)
-        Z[1:], _, _ = lapack.dormqr("L", "N", refl, tau, Z[1:], lwork=int(work[0]))
-    upper = np.zeros_like(lower)
-    for k in range(bw + 1):
-        upper[bw - k, k:] = lower[k, : m - k]
-    vecs = sla.solve_banded((0, bw), upper, Z)
-    return list(vals), [vecs[:, j] for j in range(vecs.shape[1])]
+    vals = all_vals[i0 : i1 + 1]
+    scale = float(np.abs(all_vals).max())
+    return list(vals), _inverse_iteration(A, B, vals, scale, seed)
 
 
 def _iterative_path(A, B, count, window, seed):
@@ -195,39 +302,17 @@ def _window_path(A, B, window, seed):
     if not lo < hi:
         return [], []
     m = A.size
-    bw = A.bandwidth
     s = 1.0 / np.sqrt(B.bands[0])
     T = A.bands * s  # T = B^-1/2 A B^-1/2 in the same lower band storage
-    for k in range(bw + 1):
+    for k in range(A.bandwidth + 1):
         T[k, : m - k] *= s[k:]
     vals = sla.eig_banded(T, lower=True, eigvals_only=True, select="v", select_range=(lo, hi))
     vals = vals[(vals > lo) & (vals < hi)]
     if vals.size == 0:
         return [], []
-    ab = np.zeros((2 * bw + 1, m))  # full band storage of T for solve_banded
-    ab[bw:] = T
-    for k in range(1, bw + 1):
-        ab[bw - k, k:] = T[k, : m - k]
-    # bisection leaves each value within a few eps ||T|| of the eigenvalue; the
-    # shift sits that far off it, so T - shift is not exactly singular even
-    # where the value is exact (a diagonal T)
-    offset = 4.0 * np.finfo(float).eps * _inf_norm(BandedSymmetric(T))
-    v0 = np.random.default_rng(seed).standard_normal(m)
-    ys: list[np.ndarray] = []
-    for lam in vals:
-        shifted = ab.copy()
-        shifted[bw] -= lam + offset
-        y = v0
-        for _ in range(_INVERSE_ITERATIONS):
-            try:
-                y = sla.solve_banded((bw, bw), shifted, y)
-            except (sla.LinAlgError, ValueError) as exc:
-                raise SolverConvergenceError(math.inf) from exc
-            for u in ys:  # keep clustered values from converging to one vector
-                y -= (u @ y) * u
-            y /= np.linalg.norm(y)
-        ys.append(y)
-    return list(vals), [s * y for y in ys]
+    # bisection leaves each value within a few eps ||T|| of the eigenvalue
+    scale = _inf_norm(BandedSymmetric(T))
+    return list(vals), _inverse_iteration(A, B, vals, scale, seed)
 
 
 def _polish(A, B, lam, vec):
@@ -264,8 +349,8 @@ def solve_generalized(
     (possibly none).  This needs a diagonal B and a window.
 
     With ``count``: the ``count`` pairs nearest the window (default: nearest
-    0).  ``method`` is "dense", "iterative" or "auto"; the dense reduction is
-    limited to m <= 4000.
+    0).  ``method`` is "dense" (direct band reduction), "iterative"
+    (shift-invert Lanczos) or "auto".
     """
     m = A.size
     if B.size != m:
@@ -309,9 +394,7 @@ def _count_solve(A, B, count, window, method, seed):
     if method == "iterative" and count >= m - 1:
         method = "dense"  # ARPACK needs count < m - 1
     if method == "dense":
-        if m > DENSE_LIMIT:
-            raise ValueError(f"dense path is limited to m <= {DENSE_LIMIT}")
-        return _dense_path(A, B, count, window)
+        return _dense_path(A, B, count, window, seed)
     if method == "iterative":
         _cholesky_or_raise(B)
         return _iterative_path(A, B, count, window, seed)

@@ -236,13 +236,14 @@ def _banded_from_sparse(mat: sp.spmatrix, bandwidth: int) -> BandedSymmetric:
 
 
 def _dirac_staggered(
-    t_nodes: np.ndarray, h_fn, dh_fn, k: float, weight_fn
+    t_nodes: np.ndarray, h_nodes: np.ndarray, h_fn, dh_fn, k: float, weight_fn
 ) -> tuple[BandedSymmetric, BandedSymmetric]:
     """Staggered first-order mode system, interleaved to bandwidth 1.
 
     Node component a and midpoint component b; the adjoint difference stencil
     is centered at the midpoints, so the scheme is second order and the block
-    matrix [[0, G^T], [G, 0]] is symmetric by construction.
+    matrix [[0, G^T], [G, 0]] is symmetric by construction.  ``h_nodes``
+    holds h at the nodes; ``h_fn`` and ``dh_fn`` are sampled at the midpoints.
     """
     t = np.asarray(t_nodes, dtype=float)
     mids = 0.5 * (t[:-1] + t[1:])
@@ -253,12 +254,11 @@ def _dirac_staggered(
     g_here = hb * (1.0 / dl - 0.5 * ctil)  # coefficient on a_j
     g_next = -hb * (1.0 / dl + 0.5 * ctil)  # coefficient on a_{j+1}
 
-    ha = h_fn(t)
     delta = np.empty(t.size)
     delta[1:-1] = mids[1:] - mids[:-1]
     delta[0] = mids[0] - t[0]
     delta[-1] = t[-1] - mids[-1]
-    mass_a = weight_fn(t) * ha * delta
+    mass_a = weight_fn(t) * h_nodes * delta
     mass_b = weight_fn(mids) * hb
 
     nb = t.size - 1
@@ -334,7 +334,9 @@ def covariance_reduce(
     elif op.kind == KIND_PANEITZ:
         A, B = _paneitz_pair(n, mode.angular_eigenvalue, profile.F, grid, essential)
     else:
-        A, B = _dirac_staggered(grid.nodes, np.sin, np.cos, mode.index, profile.F)
+        A, B = _dirac_staggered(
+            grid.nodes, np.sin(grid.nodes), np.sin, np.cos, mode.index, profile.F
+        )
     return AssembledOperator(A=A, B=B, mode=mode, path="covariance", grid=grid)
 
 
@@ -366,5 +368,7 @@ def intrinsic_assemble(
         B = BandedSymmetric.from_diagonal(_lumped(M))
     else:
         ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
-        A, B = _dirac_staggered(t_nodes, warped.h_fn, warped.dh_fn, mode.index, ones)
+        A, B = _dirac_staggered(
+            t_nodes, warped.h, warped.h_fn, warped.dh_fn, mode.index, ones
+        )
     return AssembledOperator(A=A, B=B, mode=mode, path="intrinsic", grid=work_grid)

@@ -164,6 +164,57 @@ def test_arpack_no_convergence_is_an_error_even_with_enough_pairs(monkeypatch):
         solve_generalized(A, B, count=2, method="iterative")
 
 
+def test_dense_rejects_non_finite_bands():
+    rng = np.random.default_rng(12)
+    A, B = random_pencil(rng, 50)
+    A.bands[0, 17] = np.nan
+    with pytest.raises(ValueError):
+        solve_generalized(A, B, count=3, method="dense")
+
+
+def test_dense_beyond_old_cap_keeps_bands(monkeypatch):
+    # the direct route reduces the bands themselves: no m x m array, no cap
+    rng = np.random.default_rng(6000)
+    A, B = random_pencil(rng, 6000, bandwidth=2)
+
+    def no_dense(self):
+        raise AssertionError("densified a banded matrix")
+
+    monkeypatch.setattr(BandedSymmetric, "to_dense", no_dense)
+    dense = solve_generalized(A, B, count=4, method="dense", seed=3)
+    iterative = solve_generalized(A, B, count=4, method="iterative", seed=3)
+    for a, b in zip(dense, iterative):
+        assert a.value == pytest.approx(b.value, abs=1e-8, rel=1e-8)
+    assert all(p.residual <= 1e-9 for p in dense)
+
+
+def test_dense_separates_repeated_values_with_coupled_mass():
+    # two uncoupled copies of one tridiagonal pencil: every value is double
+    rng = np.random.default_rng(21)
+    A, B = random_pencil(rng, 60)
+    twice = lambda M: BandedSymmetric(np.concatenate([M.bands, M.bands], axis=1))
+    A2, B2 = twice(A), twice(B)
+    single = solve_generalized(A, B, count=3, method="dense")
+    pairs = solve_generalized(A2, B2, count=6, method="dense", seed=5)
+    expected = np.repeat([p.value for p in single], 2)
+    assert np.allclose([p.value for p in pairs], expected, rtol=1e-10, atol=1e-12)
+    for i, a in enumerate(pairs):
+        assert a.residual <= 1e-9
+        for b in pairs[i + 1 :]:
+            assert abs(a.vector @ B2.matvec(b.vector)) <= 1e-8
+
+
+def test_zero_operator_on_both_vector_routes():
+    # every vector is an eigenvector of A = 0; the inverse-iteration shift
+    # must not land exactly on the zero spectrum
+    A = BandedSymmetric(np.zeros((2, 50)))
+    B = BandedSymmetric.from_tridiagonal(np.full(50, 2.0), np.full(49, 0.3))
+    direct = solve_generalized(A, B, count=3, method="dense")
+    window = solve_generalized(A, BandedSymmetric.from_diagonal(B.bands[0]), window=(-1.0, 1.0))
+    assert [p.value for p in direct] == [0.0] * 3
+    assert len(window) == 50 and all(p.value == 0.0 for p in window)
+
+
 # ------------------------------------------------------------------ window mode
 
 

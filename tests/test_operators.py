@@ -192,6 +192,26 @@ def test_intrinsic_conformal_laplacian_samples_geometry_once(monkeypatch):
     assert asm.A.size == grid.nodes.size
 
 
+def test_intrinsic_dirac_samples_geometry_twice(monkeypatch):
+    # h and h' at the cell midpoints; the nodal h comes from WarpedData.h
+    prof = profile_L(2, 4.0)
+    op = dirac_operator(2)
+    grid = make_grid("arclength", 400, length=prof.total_arclength())
+    warped = warped_reparametrize(prof, grid)
+    cls = type(prof)
+    inverse = cls.r_of_arclength
+    calls = []
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return inverse(self, t)
+
+    monkeypatch.setattr(cls, "r_of_arclength", counted)
+    asm = intrinsic_assemble(op, warped, make_mode(op, 1.5), grid)
+    assert len(calls) <= 2
+    assert asm.A.size == 2 * (grid.nodes.size - 1)
+
+
 def test_cylinder_segment_bottom_approaches_gap():
     # h == 1 on [0, T] with pinned ends: bottom is (n-2)^2/4 + (pi/T)^2
     from confspec.geometry import WarpedData
