@@ -36,6 +36,7 @@ from confspec.operators import (
     covariance_reduce,
     cylinder_threshold,
     intrinsic_assemble,
+    intrinsic_record,
     make_mode,
     paneitz_constants,
 )
@@ -213,10 +214,10 @@ def _mode_indices(op: OperatorKind):
             ell += 1
 
 
-def _assemble(op, mode, path, grid, profile=None, warped=None) -> AssembledOperator:
+def _assemble(op, mode, path, grid, profile, warped, record) -> AssembledOperator:
     if path == "covariance":
         return covariance_reduce(op, profile, mode, grid)
-    return intrinsic_assemble(op, warped, mode, grid)
+    return intrinsic_assemble(op, warped, mode, grid, record)
 
 
 def _collect_modes(
@@ -231,15 +232,17 @@ def _collect_modes(
     """Solve angular modes until the mode bottom clears the truncation bar.
 
     Each mode is one windowed solve for every eigenvalue with |lambda| below
-    the bar; an empty window means the mode bottom lies above it."""
+    the bar; an empty window means the mode bottom lies above it.  The
+    intrinsic path samples the warped geometry once for all modes."""
     per_mode = []
     n_modes = 0
     bar = TRUNCATION_FACTOR * ceiling
+    record = intrinsic_record(op, warped, grid) if path == "intrinsic" else None
     for group in _mode_indices(op):
         bottom = math.inf
         for index in group:
             mode = make_mode(op, index)
-            assembled = _assemble(op, mode, path, grid, profile=profile, warped=warped)
+            assembled = _assemble(op, mode, path, grid, profile, warped, record)
             pairs = eigensolve.solve_generalized(
                 assembled.A, assembled.B, window=(-bar, bar), seed=seed
             )
@@ -559,11 +562,12 @@ def covariance_crosscheck(
             cov_grid = make_grid("polar", N)
             int_grid = cov_grid
         warped = warped_reparametrize(profile, int_grid)
+        record = intrinsic_record(op, warped, int_grid)
         worst = 0.0
         for index in _crosscheck_modes(op):
             mode = make_mode(op, index)
             cov = covariance_reduce(op, profile, mode, cov_grid)
-            intr = intrinsic_assemble(op, warped, mode, int_grid)
+            intr = intrinsic_assemble(op, warped, mode, int_grid, record)
             ev_cov = eigensolve.solve_generalized(cov.A, cov.B, count=count, seed=seed)
             ev_int = eigensolve.solve_generalized(intr.A, intr.B, count=count, seed=seed)
             for a, b in zip(ev_cov, ev_int):

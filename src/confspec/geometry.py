@@ -19,6 +19,11 @@ safeguarded Newton solve with the closed-form slope dt/dr = F).
 In arclength the metric is dt^2 + h(t)^2 g_{S^{n-1}} with h = F sin r, and
 
     Scal = (n-1) [ (n-2)(1 - h'^2)/h^2 - 2 h''/h ].
+
+``WarpedData`` evaluates h, h' and h'' at arbitrary arclengths; its ``jet``
+returns all three from one arclength inverse, which is how the intrinsic
+assembly samples a whole sweep row's geometry at once (the per-row record
+in ``operators``).
 """
 
 from __future__ import annotations
@@ -389,7 +394,9 @@ class WarpedData:
     """Arclength presentation dt^2 + h(t)^2 g_{S^(n-1)} of a profile metric.
 
     Carries nodal samples of h, h', h'' plus the underlying evaluators so
-    assembly routines can query arbitrary quadrature points.
+    assembly routines can query arbitrary quadrature points.  ``jet_fn``,
+    when given, returns all three at once from one arclength inverse;
+    ``jet`` falls back to the three evaluators without it.
     """
 
     t_nodes: np.ndarray
@@ -399,29 +406,34 @@ class WarpedData:
     h_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     dh_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     d2h_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    jet_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = field(
+        repr=False, default=None
+    )
+
+    def jet(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """h, h' and h'' at the points t."""
+        if self.jet_fn is not None:
+            return self.jet_fn(t)
+        return self.h_fn(t), self.dh_fn(t), self.d2h_fn(t)
 
 
 def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedData:
     """Warped-product data of the profile metric on a grid.
 
     Polar grids are pushed forward through t(r); arclength grids are used
-    as-is (nodal values obtained through the inverse map).
+    as-is (nodal values obtained through the inverse map).  Each evaluator
+    call, ``jet_fn`` included, runs the arclength inverse once.
     """
 
-    def h_of_r(r):
-        return profile.F(r) * np.sin(r)
+    def jet_of_r(r):
+        F, dF, sin = profile.F(r), profile.dF(r), np.sin(r)
+        h = F * sin
+        dh = (dF * sin + F * np.cos(r)) / F
+        d2h = (F * profile.d2F(r) * sin + F * dF * np.cos(r) - F * F * sin - dF * dF * sin) / F**3
+        return h, dh, d2h
 
-    def dh_of_r(r):
-        F = profile.F(r)
-        return (profile.dF(r) * np.sin(r) + F * np.cos(r)) / F
-
-    def d2h_of_r(r):
-        F = profile.F(r)
-        dF = profile.dF(r)
-        sin = np.sin(r)
-        return (
-            F * profile.d2F(r) * sin + F * dF * np.cos(r) - F * F * sin - dF * dF * sin
-        ) / F**3
+    def jet(t):
+        return jet_of_r(profile.r_of_arclength(t))
 
     if grid.coordinate_kind == "polar":
         r_nodes = grid.nodes
@@ -429,14 +441,16 @@ def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedD
     else:
         t_nodes = grid.nodes
         r_nodes = profile.r_of_arclength(t_nodes)
+    h, dh, d2h = jet_of_r(r_nodes)
     return WarpedData(
         t_nodes=t_nodes,
-        h=h_of_r(r_nodes),
-        dh=dh_of_r(r_nodes),
-        d2h=d2h_of_r(r_nodes),
-        h_fn=lambda t: h_of_r(profile.r_of_arclength(t)),
-        dh_fn=lambda t: dh_of_r(profile.r_of_arclength(t)),
-        d2h_fn=lambda t: d2h_of_r(profile.r_of_arclength(t)),
+        h=h,
+        dh=dh,
+        d2h=d2h,
+        h_fn=lambda t: jet(t)[0],
+        dh_fn=lambda t: jet(t)[1],
+        d2h_fn=lambda t: jet(t)[2],
+        jet_fn=jet,
     )
 
 

@@ -18,9 +18,9 @@ dt^2 + h^2 g_{S^(n-1)}:
 
   * conformal Laplacian: weak form p = h^(n-1),
     q = h^(n-1) [ l(l+n-2)/h^2 + (n-2)/(4(n-1)) Scal(t) ], lumped
-    unit-weight mass against the warped measure h^(n-1) dt.  h, h' and h''
-    are sampled once per assembly at the grid's quadrature points, and p,
-    q and the mass weight are array arithmetic on those samples;
+    unit-weight mass against the warped measure h^(n-1) dt.  p, q and the
+    mass weight are array arithmetic on samples of h, h' and h'' at the
+    grid's quadrature points;
   * Dirac (n = 2, bounding spin structure, half-integer angular modes k):
     the 2x2 first-order system [[0, X], [X*, 0]] with
     X = d/dt + h'/(2h) - k/h, self-adjoint in L^2(h dt).  The two spinor
@@ -29,6 +29,11 @@ dt^2 + h^2 g_{S^(n-1)}:
     first-order discretization would produce.  One endpoint value of the
     node component is pinned to zero (left pole for k > 0, right for k < 0)
     to match the regular Frobenius branch a ~ dist^(|k|+1/2).
+
+A row of modes shares one ``IntrinsicRecord``: the samples of h, h' and h''
+every mode of the operator reads, taken in one ``WarpedData.jet`` call, so
+the arclength inverse runs once per row instead of once or more per mode.
+A mode enters only through its angular eigenvalue and its pinned ends.
 
 The fourth-order Paneitz operator is assembled on the covariance path only,
 as K D^-1 K + a K + c M with K the radial Laplacian stiffness, D the lumped
@@ -66,6 +71,8 @@ __all__ = [
     "mode_multiplicity",
     "make_mode",
     "covariance_reduce",
+    "IntrinsicRecord",
+    "intrinsic_record",
     "intrinsic_assemble",
 ]
 
@@ -235,21 +242,31 @@ def _banded_from_sparse(mat: sp.spmatrix, bandwidth: int) -> BandedSymmetric:
     return BandedSymmetric(bands)
 
 
+def _midpoints(t: np.ndarray) -> np.ndarray:
+    return 0.5 * (t[:-1] + t[1:])
+
+
 def _dirac_staggered(
-    t_nodes: np.ndarray, h_nodes: np.ndarray, h_fn, dh_fn, k: float, weight_fn
+    t_nodes: np.ndarray,
+    h_nodes: np.ndarray,
+    h_mids: np.ndarray,
+    dh_mids: np.ndarray,
+    k: float,
+    weight_fn=None,
 ) -> tuple[BandedSymmetric, BandedSymmetric]:
     """Staggered first-order mode system, interleaved to bandwidth 1.
 
     Node component a and midpoint component b; the adjoint difference stencil
     is centered at the midpoints, so the scheme is second order and the block
     matrix [[0, G^T], [G, 0]] is symmetric by construction.  ``h_nodes``
-    holds h at the nodes; ``h_fn`` and ``dh_fn`` are sampled at the midpoints.
+    holds h at the nodes, ``h_mids`` and ``dh_mids`` hold h and h' at the
+    cell midpoints; the mass weight is ``weight_fn``, or 1 when it is None.
     """
     t = np.asarray(t_nodes, dtype=float)
-    mids = 0.5 * (t[:-1] + t[1:])
+    mids = _midpoints(t)
     dl = np.diff(t)
-    hm = h_fn(mids)
-    ctil = dh_fn(mids) / (2.0 * hm) + k / hm
+    hm = h_mids
+    ctil = dh_mids / (2.0 * hm) + k / hm
     hb = hm * dl
     g_here = hb * (1.0 / dl - 0.5 * ctil)  # coefficient on a_j
     g_next = -hb * (1.0 / dl + 0.5 * ctil)  # coefficient on a_{j+1}
@@ -258,8 +275,9 @@ def _dirac_staggered(
     delta[1:-1] = mids[1:] - mids[:-1]
     delta[0] = mids[0] - t[0]
     delta[-1] = t[-1] - mids[-1]
-    mass_a = weight_fn(t) * h_nodes * delta
-    mass_b = weight_fn(mids) * hb
+    w_nodes, w_mids = (1.0, 1.0) if weight_fn is None else (weight_fn(t), weight_fn(mids))
+    mass_a = w_nodes * h_nodes * delta
+    mass_b = w_mids * hb
 
     nb = t.size - 1
     size = 2 * nb
@@ -334,21 +352,39 @@ def covariance_reduce(
     elif op.kind == KIND_PANEITZ:
         A, B = _paneitz_pair(n, mode.angular_eigenvalue, profile.F, grid, essential)
     else:
+        mids = _midpoints(grid.nodes)
         A, B = _dirac_staggered(
-            grid.nodes, np.sin(grid.nodes), np.sin, np.cos, mode.index, profile.F
+            grid.nodes, np.sin(grid.nodes), np.sin(mids), np.cos(mids), mode.index, profile.F
         )
     return AssembledOperator(A=A, B=B, mode=mode, path="covariance", grid=grid)
 
 
-def intrinsic_assemble(
-    op: OperatorKind, warped: WarpedData, mode: ModeSpec, grid: RadialGrid
-) -> AssembledOperator:
-    """Direct assembly in the warped metric dt^2 + h^2 g_{S^(n-1)}."""
+@dataclass(frozen=True)
+class IntrinsicRecord:
+    """The warped geometry of one intrinsic row, sampled once for all modes.
+
+    ``grid`` is the arclength grid the modes assemble on.  For the conformal
+    Laplacian h, h' and h'' sit at ``quadrature_points(grid, True, True)``,
+    whose first 2(m-1) points are the natural layout, so pinned and free
+    modes read the same samples; for Dirac h and h' sit at the cell
+    midpoints and ``h_nodes`` holds h at the nodes.
+    """
+
+    op: OperatorKind
+    grid: RadialGrid
+    h_nodes: np.ndarray
+    h: np.ndarray
+    dh: np.ndarray
+    d2h: np.ndarray
+
+
+def intrinsic_record(op: OperatorKind, warped: WarpedData, grid: RadialGrid) -> IntrinsicRecord:
+    """Sample the warped geometry every mode of ``op`` needs, in one
+    ``WarpedData.jet`` call (one arclength inverse for a profile metric)."""
     if op.kind == KIND_PANEITZ:
         raise ValueError("intrinsic Paneitz assembly is not supported")
     if len(warped.t_nodes) != len(grid.nodes):
         raise ValueError("warped data does not match the grid")
-    n = op.n
     t_nodes = warped.t_nodes
     if grid.coordinate_kind == "arclength":
         work_grid = grid
@@ -356,19 +392,43 @@ def intrinsic_assemble(
         span = t_nodes[-1] + (t_nodes[-1] - t_nodes[-2])
         work_grid = RadialGrid(nodes=t_nodes, coordinate_kind="arclength", span=span)
     if op.kind == KIND_L:
-        # one geometry sample per assembly: w = h^(n-1) is also the stiffness
-        # weight p, and q reuses it
+        t = quadrature_points(work_grid, True, True)
+    else:
+        t = _midpoints(work_grid.nodes)
+    h, dh, d2h = warped.jet(t)
+    return IntrinsicRecord(op=op, grid=work_grid, h_nodes=warped.h, h=h, dh=dh, d2h=d2h)
+
+
+def intrinsic_assemble(
+    op: OperatorKind,
+    warped: WarpedData,
+    mode: ModeSpec,
+    grid: RadialGrid,
+    record: IntrinsicRecord | None = None,
+) -> AssembledOperator:
+    """Direct assembly in the warped metric dt^2 + h^2 g_{S^(n-1)}.
+
+    ``record`` is ``intrinsic_record(op, warped, grid)``; a row passes one
+    record to all of its modes, and it is sampled here when left out."""
+    if record is None:
+        record = intrinsic_record(op, warped, grid)
+    elif record.op != op or record.h_nodes.size != grid.nodes.size:
+        raise ValueError("geometry record does not match the operator or the grid")
+    n = op.n
+    work_grid = record.grid
+    if op.kind == KIND_L:
+        # w = h^(n-1) is also the stiffness weight p, and q reuses it; a free
+        # mode reads the leading natural layout of the pinned samples
         essential = mode.index != 0
-        t = quadrature_points(work_grid, essential, essential)
-        h = warped.h_fn(t)
+        size = None if essential else 2 * (work_grid.nodes.size - 1)
+        h = record.h[:size]
         w = h ** (n - 1)
-        scal = warped_curvature(h, warped.dh_fn(t), warped.d2h_fn(t), n)
+        scal = warped_curvature(h, record.dh[:size], record.d2h[:size], n)
         q = w * (mode.angular_eigenvalue / h**2 + (n - 2) / (4.0 * (n - 1)) * scal)
         A, M = assemble_sampled(work_grid, w, q, w, essential, essential)
         B = BandedSymmetric.from_diagonal(_lumped(M))
     else:
-        ones = lambda t: np.ones_like(np.asarray(t, dtype=float))
         A, B = _dirac_staggered(
-            t_nodes, warped.h, warped.h_fn, warped.dh_fn, mode.index, ones
+            work_grid.nodes, record.h_nodes, record.h, record.dh, mode.index
         )
     return AssembledOperator(A=A, B=B, mode=mode, path="intrinsic", grid=work_grid)

@@ -367,3 +367,99 @@ def test_aggregate_sorted_and_extraction_consistent(values):
     negatives = [v for v in got if v < -1e-9]
     assert report.lambda_1_plus == (min(positives) if positives else None)
     assert report.lambda_1_minus == (max(negatives) if negatives else None)
+
+
+# ------------------------------------------------------------ certificates
+
+
+def test_nan_vector_is_not_certified(monkeypatch):
+    # a non-finite vector from an inner solve must fail the certificate, not
+    # come back as a pair with value and residual NaN
+    rng = np.random.default_rng(4)
+    A, B = random_pencil(rng, 700)
+    real = spla.eigsh
+
+    def one_nan(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        vecs[:, 0] = np.nan
+        return vals, vecs
+
+    monkeypatch.setattr(spla, "eigsh", one_nan)
+    with pytest.raises(SolverConvergenceError):
+        solve_generalized(A, B, count=2, method="iterative")
+
+
+def test_certificate_matches_recomputed_residuals():
+    # the certificate computes A x and B x once per pair; its residuals are
+    # the ones relative_residual recomputes from the returned pair
+    rng = np.random.default_rng(31)
+    A, B = diagonal_mass_pencil(rng, 400, bandwidth=2)
+    pairs = solve_generalized(A, B, window=(-0.3, 0.3), seed=2)
+    pairs += solve_generalized(A, B, count=3, method="dense", seed=2)
+    assert pairs
+    for pair in pairs:
+        assert pair.residual == relative_residual(A, B, pair.value, pair.vector)
+
+
+# ------------------------------------------------------------ coarse window
+
+
+def _joined_copies(A, B, coupling):
+    """Two copies of a tridiagonal pencil with diagonal B, joined by one
+    off-diagonal entry of A."""
+    m = A.size
+    bands = np.concatenate([A.bands, A.bands], axis=1)
+    bands[1, m - 1] = coupling
+    return BandedSymmetric(bands), BandedSymmetric(np.concatenate([B.bands, B.bands], axis=1))
+
+
+def test_window_splits_values_closer_than_its_tolerance():
+    rng = np.random.default_rng(13)
+    A, B = diagonal_mass_pencil(rng, 150)
+    single = solve_generalized(A, B, window=(-0.3, 0.3), seed=1)
+    A2, B2 = _joined_copies(A, B, 1e-10)
+    pairs = solve_generalized(A2, B2, window=(-0.3, 0.3), seed=1)
+    assert len(pairs) == 2 * len(single) > 0
+    expected = np.repeat([p.value for p in single], 2)
+    assert np.allclose([p.value for p in pairs], expected, rtol=0, atol=1e-9)
+    for i, a in enumerate(pairs):
+        assert a.residual <= 1e-9
+        for b in pairs[i + 1 :]:
+            assert abs(a.vector @ B2.matvec(b.vector)) <= 1e-8
+            assert not np.allclose(np.abs(a.vector), np.abs(b.vector))
+
+
+def test_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch):
+    # bisection hands the shift of 2 twice: the second vector, kept
+    # B-orthogonal to the first, converges to 2.001 outside the window, with
+    # a residual the certificate alone would accept, while 0.01 is lost
+    diag = np.array([0.01, 2.0, 2.001] + [5.0 + k for k in range(13)])
+    A = BandedSymmetric.from_tridiagonal(diag, np.zeros(15))
+    B = BandedSymmetric.from_diagonal(np.ones(16))
+    window = (0.0, 2.0005)
+    assert [round(p.value, 6) for p in solve_generalized(A, B, window=window)] == [0.01, 2.0]
+    real = eigensolve.lapack.dsbevx
+
+    def repeated(*args, **kwargs):
+        w, z, found, ifail, info = real(*args, **kwargs)
+        w[0] = w[1]
+        return w, z, found, ifail, info
+
+    monkeypatch.setattr(eigensolve.lapack, "dsbevx", repeated)
+    with pytest.raises(SolverConvergenceError):
+        solve_generalized(A, B, window=window)
+
+
+@pytest.mark.parametrize(
+    "op", [conformal_laplacian(3), dirac_operator(2)], ids=["conformal-laplacian", "dirac"]
+)
+def test_sweep_rows_need_no_polish(monkeypatch, op):
+    # the window pairs leave inverse iteration already certified: the sparse
+    # LU of the polish step never runs
+    def no_lu(*args, **kwargs):
+        raise AssertionError("polish factorized a sweep pencil")
+
+    monkeypatch.setattr(spla, "splu", no_lu)
+    rows = pinocchio_sweep(op, [8.0, 30.0], N=2000, path="intrinsic")
+    assert all(r.error is None for r in rows)
+    assert all(r.max_residual <= 1e-9 for r in rows)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from confspec import eigensolve
@@ -178,3 +179,24 @@ def test_scaling_check_all_kinds():
 def test_scaling_check_rejects_nonpositive():
     with pytest.raises(ValueError):
         scaling_check(conformal_laplacian(3), -2.0)
+
+
+@pytest.mark.parametrize(
+    "op", [conformal_laplacian(3), dirac_operator(2)], ids=["conformal-laplacian", "dirac"]
+)
+def test_intrinsic_row_inverts_arclength_twice(monkeypatch, op):
+    # one inverse places the grid, one samples the geometry record that every
+    # mode of the row assembles from
+    prof = profile_L(op.n, 8.0)
+    cls = type(prof)
+    inverse = cls.r_of_arclength
+    calls = []
+
+    def counted(self, t):
+        calls.append(np.size(t))
+        return inverse(self, t)
+
+    monkeypatch.setattr(cls, "r_of_arclength", counted)
+    (row,) = pinocchio_sweep(op, [8.0], N=400, path="intrinsic")
+    assert row.error is None and row.n_modes_used > 1
+    assert len(calls) <= 2

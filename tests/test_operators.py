@@ -334,3 +334,44 @@ def test_dirac_staggering_has_no_spurious_doublers():
         - oracles.tridiag_pencil_count_below(da, ea, db, eb, 0.5)[0]
     )
     assert inside == 3  # exactly 1, 2, 3
+
+
+@pytest.mark.parametrize(
+    "op", [conformal_laplacian(3), dirac_operator(2)], ids=["conformal-laplacian", "dirac"]
+)
+def test_shared_record_assembles_like_a_fresh_sample(op):
+    # the row's record, a per-call sample and the three-evaluator fallback of
+    # a hand-built WarpedData all give the same matrices, pinned and free
+    import dataclasses
+
+    from confspec.operators import intrinsic_record
+
+    prof = profile_L(op.n, 4.0)
+    grid = nose_grid(4.0, 1200)
+    warped = warped_reparametrize(prof, grid)
+    by_callables = dataclasses.replace(warped, jet_fn=None)
+    record = intrinsic_record(op, warped, grid)
+    indices = (0.0, 1.0, 2.0) if op.kind == "conformal-laplacian" else (0.5, -0.5, 1.5)
+    for index in indices:
+        mode = make_mode(op, index)
+        shared = intrinsic_assemble(op, warped, mode, grid, record)
+        for other in (
+            intrinsic_assemble(op, warped, mode, grid),
+            intrinsic_assemble(op, by_callables, mode, grid),
+        ):
+            assert np.array_equal(shared.A.bands, other.A.bands)
+            assert np.array_equal(shared.B.bands, other.B.bands)
+
+
+def test_record_must_match_operator_and_grid():
+    from confspec.operators import intrinsic_record
+
+    prof = profile_L(3, 2.0)
+    grid = nose_grid(2.0, 1200)
+    warped = warped_reparametrize(prof, grid)
+    record = intrinsic_record(dirac_operator(2), warped, grid)
+    op = conformal_laplacian(3)
+    with pytest.raises(ValueError, match="record"):
+        intrinsic_assemble(op, warped, make_mode(op, 0), grid, record)
+    with pytest.raises(ValueError, match="intrinsic Paneitz"):
+        intrinsic_record(paneitz_operator(5), warped, grid)
