@@ -81,7 +81,8 @@ def fmt(x) -> str:
 
 
 def parse_range(text: str) -> list[float]:
-    """Either 'start:stop:step' (inclusive) or a comma list."""
+    """Either 'start:stop:step' (inclusive) or a comma list, of at least one
+    value."""
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -95,8 +96,11 @@ def parse_range(text: str) -> list[float]:
         while x <= stop + 1e-12 * max(1.0, abs(stop)):
             values.append(round(x, 12))
             x += step
-        return values
-    return [float(p) for p in text.split(",") if p]
+    else:
+        values = [float(p) for p in text.split(",") if p]
+    if not values:
+        raise ValueError(f"{text!r} selects no values")
+    return values
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -289,8 +293,10 @@ def _cmd_convergence(cfg: RunConfig) -> int:
 
 
 def _cmd_covariance_check(cfg: RunConfig) -> int:
+    if len(cfg.L_grid) != 1:
+        raise ValueError(f"covariance-check takes one nose length, got {len(cfg.L_grid)}")
     op = _make_operator(cfg)
-    L = cfg.L_grid[0]
+    (L,) = cfg.L_grid
     rows = experiments.covariance_crosscheck(op, L, cfg.N_grid, seed=cfg.seed)
     table = [[r.N, r.discrepancy, r.ratio] for r in rows]
     decreasing = all(b.discrepancy < a.discrepancy for a, b in zip(rows, rows[1:]))
@@ -358,7 +364,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.c_values = parse_range(args.c_values)
     if hasattr(args, "N_grid"):
         cfg.N_grid = parse_int_list(args.N_grid)
-    if getattr(args, "cylinder_lengths", None):
+    if getattr(args, "cylinder_lengths", None) is not None:
         cfg.cylinder_lengths = parse_range(args.cylinder_lengths)
     return cfg
 

@@ -10,7 +10,13 @@ T = B^-1/2 A B^-1/2.  LAPACK bisection (dsbevx, values only) counts the
 eigenvalues inside the window exactly, by Sturm counts at its ends, but
 locates each one only to ``_WINDOW_ABSTOL`` times the window's half-width:
 those values are shifts for inverse iteration, and the values returned are
-the Rayleigh quotients of its vectors.
+the Rayleigh quotients of its vectors.  A chiral pencil (tridiagonal A with
+a zero diagonal, the interleaved Dirac mode system) has a spectrum
+symmetric about 0, pair by pair: (lam, x) and (-lam, S x) with
+S = diag((-1)^i).  For it and a symmetric window only the positive half is
+bisected and inverse-iterated and the negative half is mirrored, unless a
+Sturm count at 0 shows a zero eigenvalue, which has no mirror; then the
+whole window is solved.
 
 Count solve (``count`` given, any banded B): the ``count`` eigenvalues
 nearest a target, by one of
@@ -325,8 +331,30 @@ def _iterative_path(A, B, count, window, seed):
     return list(vals), [vecs[:, j] for j in range(vecs.shape[1])]
 
 
+def _window_values(T, lo, hi, abstol):
+    """Eigenvalue estimates of the banded T in (lo, hi], by dsbevx bisection."""
+    vals, _, found, _, info = lapack.dsbevx(
+        T, lo, hi, 1, T.shape[1], compute_v=0, range=1, lower=1, abstol=abstol
+    )
+    if info != 0:
+        raise SolverConvergenceError(math.inf)
+    return vals[:found]
+
+
 def _window_path(A, B, window, seed):
-    """Pairs strictly inside the window of a pencil with diagonal B."""
+    """Pairs strictly inside the window of a pencil with diagonal B.
+
+    A chiral pencil (tridiagonal A with a zero diagonal, as the interleaved
+    Dirac mode system is) satisfies S A S = -A and S B S = B with
+    S = diag((-1)^i), so each pair (lam, x) comes with (-lam, S x).  For such
+    a pencil and a symmetric window only the half (0, hi) is bisected and
+    inverse-iterated, and each pair is returned with its mirror.  A zero
+    eigenvalue (odd m, or a zero even off-diagonal) has no mirror: unless one
+    Sturm count at 0 finds exactly m/2 eigenvalues at or below it, the whole
+    window is solved as for any pencil.  The count is taken at 0, not at the
+    window's ends, because a Sturm count at hi includes an eigenvalue equal
+    to hi and would let one at hi stand in for a zero.
+    """
     lo, hi = window
     if not lo < hi:
         return [], []
@@ -338,18 +366,25 @@ def _window_path(A, B, window, seed):
     scale = _inf_norm(BandedSymmetric(T))
     # the count inside the window is exact (Sturm counts) whatever abstol is
     abstol = _WINDOW_ABSTOL * max(abs(lo), abs(hi))
-    vals, _, found, _, info = lapack.dsbevx(
-        T, lo, hi, 1, m, compute_v=0, range=1, lower=1, abstol=abstol
-    )
-    if info != 0:
-        raise SolverConvergenceError(math.inf)
-    vals = vals[:found]
-    vals = vals[(vals > lo) & (vals < hi)]
-    if vals.size == 0:
-        return [], []
     # a Rayleigh quotient further from its estimate than the bisection
     # interval plus rounding in ||T|| belongs to a neighbouring eigenvalue
     slack = abstol + 8.0 * np.finfo(float).eps * scale
+    if A.bandwidth == 1 and lo == -hi and not A.bands[0].any():
+        # the spectrum is symmetric, so it holds no zero exactly when half
+        # of it lies at or below 0; one Sturm count, no bisection, says so
+        below = 2.0 * scale + 1.0
+        if 2 * _window_values(T, -below, 0.0, below).size == m:
+            half = _window_values(T, 0.0, hi, abstol)
+            half = half[half < hi]
+            if half.size == 0:
+                return [], []
+            vals, vecs = _inverse_iteration(A, B, half, scale, seed, slack)
+            sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+            return vals + [-q for q in vals], vecs + [sign * x for x in vecs]
+    vals = _window_values(T, lo, hi, abstol)
+    vals = vals[(vals > lo) & (vals < hi)]
+    if vals.size == 0:
+        return [], []
     return _inverse_iteration(A, B, vals, scale, seed, slack)
 
 

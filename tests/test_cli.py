@@ -167,3 +167,36 @@ def test_numerical_failures_exit_two(capsys, monkeypatch, module, name, value, m
     assert code == 2
     assert err.startswith(message)
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("covariance-check", "--L="),
+        ("covariance-check", "--N-grid="),
+        ("convergence", "--L", "10:2:2"),
+        ("convergence", "--cylinder-lengths="),
+        ("pinocchio-sweep", "--L="),
+        ("scaling-check", "--c="),
+    ],
+    ids=["covariance-L", "covariance-N-grid", "convergence-L", "convergence-cylinder",
+         "sweep-L", "scaling-c"],
+)
+def test_empty_value_list_exits_one(tmp_path, capsys, args):
+    out = tmp_path / "report.csv"
+    code, _, err = run(capsys, *args, "--operator", "conformal-laplacian", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ") and "selects no values" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_covariance_check_takes_one_nose_length(tmp_path, capsys):
+    out = tmp_path / "cc.csv"
+    code, _, err = run(
+        capsys, "covariance-check", "--operator", "conformal-laplacian", "--L", "1,2,4",
+        "--out", str(out),
+    )
+    assert code == 1
+    assert err == "error: covariance-check takes one nose length, got 3\n"
+    assert not out.exists()

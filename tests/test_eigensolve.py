@@ -463,3 +463,133 @@ def test_sweep_rows_need_no_polish(monkeypatch, op):
     rows = pinocchio_sweep(op, [8.0, 30.0], N=2000, path="intrinsic")
     assert all(r.error is None for r in rows)
     assert all(r.max_residual <= 1e-9 for r in rows)
+
+
+# ------------------------------------------------------------ chiral split
+
+
+def chiral_pencil(rng, m):
+    """Zero-diagonal tridiagonal A with a positive diagonal B.  The even
+    off-diagonals dominate the odd ones, so the spectrum keeps away from 0."""
+    sub = rng.uniform(-0.5, 0.5, m - 1)
+    sub[0::2] = rng.choice([-1.0, 1.0], sub[0::2].size) * rng.uniform(1.0, 2.0, sub[0::2].size)
+    A = BandedSymmetric.from_tridiagonal(np.zeros(m), sub)
+    return A, BandedSymmetric.from_diagonal(rng.uniform(1.0, 2.0, m))
+
+
+@pytest.fixture
+def iterated(monkeypatch):
+    """Number of values each window or count solve inverse-iterates."""
+    counts = []
+    real = eigensolve._inverse_iteration
+
+    def counting(A, B, vals, *args):
+        counts.append(len(vals))
+        return real(A, B, vals, *args)
+
+    monkeypatch.setattr(eigensolve, "_inverse_iteration", counting)
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chiral_window_mirrors_the_positive_half(seed, iterated):
+    rng = np.random.default_rng(seed)
+    A, B = chiral_pencil(rng, 300)
+    lo, hi = -1.2, 1.2
+    da, ea = oracles.banded_to_tridiag(A)
+    first, stop = oracles.tridiag_pencil_count_below(
+        da, ea, np.asarray(B.bands[0]), np.zeros(A.size - 1), [lo, hi]
+    )
+    pairs = solve_generalized(A, B, window=(lo, hi), seed=seed)
+    assert len(pairs) == stop - first > 0
+    assert iterated == [len(pairs) // 2]
+    values = np.array([p.value for p in pairs])
+    reference = oracles.pencil_eigs_of_banded(A, B, first, stop - 1)
+    assert np.allclose(values, reference, rtol=1e-10, atol=1e-10)
+    # mirrored exactly; B-orthonormalizing every pair moves a value by rounding
+    assert np.abs(values + values[::-1]).max() <= 4 * np.finfo(float).eps * np.abs(values).max()
+    for i, a in enumerate(pairs):
+        assert a.residual <= 1e-9
+        for b in pairs[i + 1 :]:
+            assert abs(a.vector @ B.matvec(b.vector)) <= 1e-8
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["odd-size", "split-at-zero"])
+def test_chiral_window_keeps_a_zero_eigenvalue(split, iterated):
+    # a zero eigenvalue has no mirror: an odd size always has one, and a zero
+    # even off-diagonal splits an even size into two odd blocks with one each
+    rng = np.random.default_rng(5)
+    A, B = chiral_pencil(rng, 60 if split else 61)
+    if split:
+        A.bands[1, 10] = 0.0
+    zeros = 2 if split else 1
+    pairs = solve_generalized(A, B, window=(-1.0, 1.0), seed=3)
+    values = np.array([p.value for p in pairs])
+    assert np.sum(np.abs(values) <= 1e-12) == zeros
+    assert iterated == [len(pairs)]
+    da, ea = oracles.banded_to_tridiag(A)
+    first, stop = oracles.tridiag_pencil_count_below(
+        da, ea, np.asarray(B.bands[0]), np.zeros(A.size - 1), [-1.0, 1.0]
+    )
+    assert len(pairs) == stop - first
+    reference = oracles.pencil_eigs_of_banded(A, B, first, stop - 1)
+    assert np.allclose(values, reference, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "sub, hi, zeros",
+    [([1.0, 0.0, 0.5, 0.0], 1.0, 1), ([3.0, 4.0, 0.0, 3.0, 4.0], 5.0, 2)],
+    ids=["odd-size", "even-size"],
+)
+def test_chiral_window_keeps_zeros_when_hi_is_an_eigenvalue(sub, hi, zeros, iterated):
+    # the Sturm counts of (0, hi] and (-hi, hi] both include the eigenvalue
+    # at hi, and give a mirrored count although zeros are present
+    m = len(sub) + 1
+    A = BandedSymmetric.from_tridiagonal(np.zeros(m), np.array(sub))
+    B = BandedSymmetric.from_diagonal(np.ones(m))
+    values = np.array([p.value for p in solve_generalized(A, B, window=(-hi, hi))])
+    assert np.sum(np.abs(values) <= 1e-12) == zeros
+    assert iterated == [len(values)]
+
+
+@pytest.mark.parametrize(
+    "op, ratio", [(conformal_laplacian(3), 1), (dirac_operator(2), 2)],
+    ids=["conformal-laplacian", "dirac"],
+)
+def test_intrinsic_dirac_modes_iterate_half_their_pairs(monkeypatch, iterated, op, ratio):
+    returned = []
+    real = eigensolve.solve_generalized
+
+    def counting(A, B, **kwargs):
+        pairs = real(A, B, **kwargs)
+        returned.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(eigensolve, "solve_generalized", counting)
+    (row,) = pinocchio_sweep(op, [4.0], N=400, path="intrinsic")
+    assert row.error is None
+    solved = [n for n in returned if n]
+    assert solved and [ratio * k for k in iterated] == solved
+
+
+def test_chiral_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch, iterated):
+    # 2x2 blocks [[0, a], [a, 0]] with eigenvalues +-a; bisection hands the
+    # shift of 2 twice, and the second vector converges to 2.001
+    sub = np.zeros(31)
+    sub[0::2] = [0.01, 2.0, 2.001] + [5.0 + k for k in range(13)]
+    A = BandedSymmetric.from_tridiagonal(np.zeros(32), sub)
+    B = BandedSymmetric.from_diagonal(np.ones(32))
+    window = (-2.0005, 2.0005)
+    values = [round(p.value, 6) for p in solve_generalized(A, B, window=window)]
+    assert values == [-2.0, -0.01, 0.01, 2.0]
+    assert iterated == [2]
+    real = eigensolve.lapack.dsbevx
+
+    def repeated(*args, **kwargs):
+        w, z, found, ifail, info = real(*args, **kwargs)
+        w[0] = w[1]
+        return w, z, found, ifail, info
+
+    monkeypatch.setattr(eigensolve.lapack, "dsbevx", repeated)
+    with pytest.raises(SolverConvergenceError):
+        solve_generalized(A, B, window=window)
