@@ -39,10 +39,10 @@ from its bisection estimate than the bisection tolerance plus rounding
 means the iteration slid to a neighbouring eigenvalue, which raises
 ``SolverConvergenceError`` rather than returning a duplicate.
 
-Every returned pair is inverse-iteration polished if needed and
-B-orthonormalized; residuals ||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||) are
-reported per pair and must stay below ``RESIDUAL_TOL`` or, where double
-precision cannot certify that, a small multiple of the evaluation floor.
+Every returned pair is B-orthonormalized; residuals
+||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||) are reported per pair and must
+stay below ``RESIDUAL_TOL`` or, where double precision cannot certify
+that, a small multiple of the evaluation floor.
 A non-finite vector or residual fails that certificate.
 """
 
@@ -81,8 +81,8 @@ _INVERSE_ITERATIONS = 3  # per vector; two already reach the residual floor
 # returned.  Measured on 2 cores with OpenBLAS: the 48 value calls of an
 # L=1..8, N=2000 intrinsic sweep of both radial operators take 0.066 s
 # against 0.126 s bisecting to full precision; over intrinsic sweeps of
-# both at L up to 30 (N=400 and 2000) no pair needed polishing, the worst
-# residual was 4.8e-11 and lambda_1^+ moved by at most 1.0e-12 relative.
+# both at L up to 30 (N=400 and 2000) the worst residual was 4.8e-11 and
+# lambda_1^+ moved by at most 1.0e-12 relative.
 _WINDOW_ABSTOL = 1e-8
 RESIDUAL_TOL = 1e-9
 
@@ -341,6 +341,20 @@ def _window_values(T, lo, hi, abstol):
     return vals[:found]
 
 
+def _open_window_values(T, lo, hi, abstol, slack):
+    """Eigenvalue estimates of the banded T strictly inside (lo, hi).
+
+    The Sturm count at hi includes an eigenvalue equal to hi, whose estimate
+    sits up to ``slack`` below it; when the top estimate is that close, one
+    more count over (hi - 1 ulp, hi] says how many of the top estimates are
+    such values."""
+    vals = _window_values(T, lo, hi, abstol)
+    if vals.size and vals[-1] > hi - slack:
+        at_hi = _window_values(T, np.nextafter(hi, -np.inf), hi, abstol).size
+        vals = vals[: vals.size - at_hi]
+    return vals
+
+
 def _window_path(A, B, window, seed):
     """Pairs strictly inside the window of a pencil with diagonal B.
 
@@ -353,7 +367,8 @@ def _window_path(A, B, window, seed):
     Sturm count at 0 finds exactly m/2 eigenvalues at or below it, the whole
     window is solved as for any pencil.  The count is taken at 0, not at the
     window's ends, because a Sturm count at hi includes an eigenvalue equal
-    to hi and would let one at hi stand in for a zero.
+    to hi and would let one at hi stand in for a zero.  On both routes a
+    pair is kept only if its Rayleigh quotient q satisfies lo < q < hi.
     """
     lo, hi = window
     if not lo < hi:
@@ -369,42 +384,21 @@ def _window_path(A, B, window, seed):
     # a Rayleigh quotient further from its estimate than the bisection
     # interval plus rounding in ||T|| belongs to a neighbouring eigenvalue
     slack = abstol + 8.0 * np.finfo(float).eps * scale
-    if A.bandwidth == 1 and lo == -hi and not A.bands[0].any():
+    chiral = A.bandwidth == 1 and lo == -hi and not A.bands[0].any()
+    if chiral:
         # the spectrum is symmetric, so it holds no zero exactly when half
         # of it lies at or below 0; one Sturm count, no bisection, says so
         below = 2.0 * scale + 1.0
-        if 2 * _window_values(T, -below, 0.0, below).size == m:
-            half = _window_values(T, 0.0, hi, abstol)
-            half = half[half < hi]
-            if half.size == 0:
-                return [], []
-            vals, vecs = _inverse_iteration(A, B, half, scale, seed, slack)
-            sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-            return vals + [-q for q in vals], vecs + [sign * x for x in vecs]
-    vals = _window_values(T, lo, hi, abstol)
-    vals = vals[(vals > lo) & (vals < hi)]
+        chiral = 2 * _window_values(T, -below, 0.0, below).size == m
+    vals = _open_window_values(T, 0.0 if chiral else lo, hi, abstol, slack)
     if vals.size == 0:
         return [], []
-    return _inverse_iteration(A, B, vals, scale, seed, slack)
-
-
-def _polish(A, B, lam, vec):
-    for _ in range(2):
-        if relative_residual(A, B, lam, vec) <= RESIDUAL_TOL:
-            break
-        a_sp = A.to_sparse()
-        b_sp = B.to_sparse()
-        try:
-            lu = spla.splu((a_sp - lam * b_sp).tocsc())
-            y = lu.solve(b_sp @ vec)
-        except RuntimeError:
-            break
-        nrm = math.sqrt(max(y @ (b_sp @ y), 0.0))
-        if not np.isfinite(nrm) or nrm == 0.0:
-            break
-        vec = y / nrm
-        lam = float(vec @ (a_sp @ vec)) / float(vec @ (b_sp @ vec))
-    return lam, vec
+    pairs = zip(*_inverse_iteration(A, B, vals, scale, seed, slack))
+    kept = [(q, x) for q, x in pairs if lo < q < hi]
+    if chiral:
+        sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+        kept += [(-q, sign * x) for q, x in kept]
+    return [q for q, _ in kept], [x for _, x in kept]
 
 
 def solve_generalized(
@@ -438,8 +432,7 @@ def solve_generalized(
     else:
         vals, vecs = _count_solve(A, B, count, window, method, seed)
 
-    polished = [_polish(A, B, float(v), x) for v, x in zip(vals, vecs)]
-    vectors = _b_orthonormalize(B, [x for _, x in polished])
+    vectors = _b_orthonormalize(B, vecs)
     pairs = []
     failed = []
     norm_a, norm_b = _inf_norm(A), _inf_norm(B)
@@ -492,9 +485,15 @@ class SpectrumReport:
     """
 
     entries: tuple[SpectrumEntry, ...]
-    lambda_1_plus: float | None
-    lambda_1_minus: float | None
     kernel_tolerance: float
+
+    @property
+    def lambda_1_plus(self) -> float | None:
+        return self.lambda_plus(1)
+
+    @property
+    def lambda_1_minus(self) -> float | None:
+        return self.lambda_minus(1)
 
     def lambda_plus(self, j: int) -> float | None:
         """j-th positive eigenvalue counted with multiplicity (j >= 1)."""
@@ -554,13 +553,4 @@ def aggregate(
     if kernel_tolerance is None:
         scale = max((abs(e.value) for e in entries), default=0.0)
         kernel_tolerance = 1e-8 * scale
-    lam_plus = next((e.value for e in entries if e.value > kernel_tolerance), None)
-    lam_minus = next(
-        (e.value for e in reversed(entries) if e.value < -kernel_tolerance), None
-    )
-    return SpectrumReport(
-        entries=tuple(entries),
-        lambda_1_plus=lam_plus,
-        lambda_1_minus=lam_minus,
-        kernel_tolerance=kernel_tolerance,
-    )
+    return SpectrumReport(entries=tuple(entries), kernel_tolerance=kernel_tolerance)

@@ -19,7 +19,6 @@ from confspec.eigensolve import EigenPair, SpectrumReport, SolverConvergenceErro
 from confspec.geometry import (
     ArclengthInversionError,
     ConformalProfile,
-    WarpedData,
     constant_profile,
     profile_L,
     volume,
@@ -30,7 +29,7 @@ from confspec.operators import (
     KIND_DIRAC,
     KIND_L,
     KIND_PANEITZ,
-    AssembledOperator,
+    IntrinsicRecord,
     ModeSpec,
     OperatorKind,
     covariance_reduce,
@@ -214,35 +213,31 @@ def _mode_indices(op: OperatorKind):
             ell += 1
 
 
-def _assemble(op, mode, path, grid, profile, warped, record) -> AssembledOperator:
-    if path == "covariance":
-        return covariance_reduce(op, profile, mode, grid)
-    return intrinsic_assemble(op, warped, mode, grid, record)
-
-
 def _collect_modes(
     op: OperatorKind,
-    path: str,
     grid: RadialGrid,
-    profile: ConformalProfile | None,
-    warped: WarpedData | None,
+    profile: ConformalProfile,
+    record: IntrinsicRecord | None,
     ceiling: float,
     seed: int,
 ) -> tuple[list[tuple[ModeSpec, list[EigenPair]]], int]:
     """Solve angular modes until the mode bottom clears the truncation bar.
 
     Each mode is one windowed solve for every eigenvalue with |lambda| below
-    the bar; an empty window means the mode bottom lies above it.  The
-    intrinsic path samples the warped geometry once for all modes."""
+    the bar; an empty window means the mode bottom lies above it.  Modes
+    assemble from the row's intrinsic ``record``, or on the covariance path
+    when it is None."""
     per_mode = []
     n_modes = 0
     bar = TRUNCATION_FACTOR * ceiling
-    record = intrinsic_record(op, warped, grid) if path == "intrinsic" else None
     for group in _mode_indices(op):
         bottom = math.inf
         for index in group:
             mode = make_mode(op, index)
-            assembled = _assemble(op, mode, path, grid, profile, warped, record)
+            if record is None:
+                assembled = covariance_reduce(op, profile, mode, grid)
+            else:
+                assembled = intrinsic_assemble(record, mode)
             pairs = eigensolve.solve_generalized(
                 assembled.A, assembled.B, window=(-bar, bar), seed=seed
             )
@@ -267,10 +262,11 @@ def _spectrum_for(
     profile = profile_L(op.n, L)
     path = resolve_path(op, L, path)
     grid = nose_resolving_grid(profile, N)
-    warped = warped_reparametrize(profile, grid) if path == "intrinsic" else None
-    per_mode, n_modes = _collect_modes(op, path, grid, profile, warped, ceiling, seed)
-    flat = [(m, list(pairs)) for m, pairs in per_mode]
-    return eigensolve.aggregate(flat), n_modes, profile, grid
+    record = None
+    if path == "intrinsic":
+        record = intrinsic_record(op, warped_reparametrize(profile, grid), grid)
+    per_mode, n_modes = _collect_modes(op, grid, profile, record, ceiling, seed)
+    return eigensolve.aggregate(per_mode), n_modes, profile, grid
 
 
 def _sweep_row(op: OperatorKind, L: float, N: int, path: str, seed: int) -> SweepRow:
@@ -561,13 +557,12 @@ def covariance_crosscheck(
         else:
             cov_grid = make_grid("polar", N)
             int_grid = cov_grid
-        warped = warped_reparametrize(profile, int_grid)
-        record = intrinsic_record(op, warped, int_grid)
+        record = intrinsic_record(op, warped_reparametrize(profile, int_grid), int_grid)
         worst = 0.0
         for index in _crosscheck_modes(op):
             mode = make_mode(op, index)
             cov = covariance_reduce(op, profile, mode, cov_grid)
-            intr = intrinsic_assemble(op, warped, mode, int_grid, record)
+            intr = intrinsic_assemble(record, mode)
             ev_cov = eigensolve.solve_generalized(cov.A, cov.B, count=count, seed=seed)
             ev_int = eigensolve.solve_generalized(intr.A, intr.B, count=count, seed=seed)
             for a, b in zip(ev_cov, ev_int):

@@ -20,10 +20,9 @@ In arclength the metric is dt^2 + h(t)^2 g_{S^{n-1}} with h = F sin r, and
 
     Scal = (n-1) [ (n-2)(1 - h'^2)/h^2 - 2 h''/h ].
 
-``WarpedData`` evaluates h, h' and h'' at arbitrary arclengths; its ``jet``
-returns all three from one arclength inverse, which is how the intrinsic
-assembly samples a whole sweep row's geometry at once (the per-row record
-in ``operators``).
+``WarpedData.jet`` returns h, h' and h'' at arbitrary arclengths from one
+arclength inverse, which is how the intrinsic assembly samples a whole
+sweep row's geometry at once (the per-row record in ``operators``).
 """
 
 from __future__ import annotations
@@ -393,36 +392,24 @@ def volume(profile: ConformalProfile, grid: RadialGrid) -> float:
 class WarpedData:
     """Arclength presentation dt^2 + h(t)^2 g_{S^(n-1)} of a profile metric.
 
-    Carries nodal samples of h, h', h'' plus the underlying evaluators so
-    assembly routines can query arbitrary quadrature points.  ``jet_fn``,
-    when given, returns all three at once from one arclength inverse;
-    ``jet`` falls back to the three evaluators without it.
+    Carries nodal samples of h, h', h'' plus ``jet``, which returns all
+    three at arbitrary arclengths, so assembly routines can query their
+    quadrature points.
     """
 
     t_nodes: np.ndarray
     h: np.ndarray
     dh: np.ndarray
     d2h: np.ndarray
-    h_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    dh_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    d2h_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    jet_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] | None = field(
-        repr=False, default=None
-    )
-
-    def jet(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """h, h' and h'' at the points t."""
-        if self.jet_fn is not None:
-            return self.jet_fn(t)
-        return self.h_fn(t), self.dh_fn(t), self.d2h_fn(t)
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
 
 
 def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedData:
     """Warped-product data of the profile metric on a grid.
 
     Polar grids are pushed forward through t(r); arclength grids are used
-    as-is (nodal values obtained through the inverse map).  Each evaluator
-    call, ``jet_fn`` included, runs the arclength inverse once.
+    as-is (nodal values obtained through the inverse map).  Each ``jet``
+    call runs the arclength inverse once.
     """
 
     def jet_of_r(r):
@@ -431,9 +418,6 @@ def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedD
         dh = (dF * sin + F * np.cos(r)) / F
         d2h = (F * profile.d2F(r) * sin + F * dF * np.cos(r) - F * F * sin - dF * dF * sin) / F**3
         return h, dh, d2h
-
-    def jet(t):
-        return jet_of_r(profile.r_of_arclength(t))
 
     if grid.coordinate_kind == "polar":
         r_nodes = grid.nodes
@@ -447,10 +431,7 @@ def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedD
         h=h,
         dh=dh,
         d2h=d2h,
-        h_fn=lambda t: jet(t)[0],
-        dh_fn=lambda t: jet(t)[1],
-        d2h_fn=lambda t: jet(t)[2],
-        jet_fn=jet,
+        jet=lambda t: jet_of_r(profile.r_of_arclength(t)),
     )
 
 

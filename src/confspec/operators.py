@@ -30,10 +30,10 @@ dt^2 + h^2 g_{S^(n-1)}:
     node component is pinned to zero (left pole for k > 0, right for k < 0)
     to match the regular Frobenius branch a ~ dist^(|k|+1/2).
 
-A row of modes shares one ``IntrinsicRecord``: the samples of h, h' and h''
-every mode of the operator reads, taken in one ``WarpedData.jet`` call, so
-the arclength inverse runs once per row instead of once or more per mode.
-A mode enters only through its angular eigenvalue and its pinned ends.
+A row of modes shares one ``IntrinsicRecord``: the operator, its arclength
+grid and the samples of h, h' and h'' every mode reads, taken in one
+``WarpedData.jet`` call, so the arclength inverse runs once per row.  A
+mode enters only through its angular eigenvalue and its pinned ends.
 
 The fourth-order Paneitz operator is assembled on the covariance path only,
 as K D^-1 K + a K + c M with K the radial Laplacian stiffness, D the lumped
@@ -399,23 +399,11 @@ def intrinsic_record(op: OperatorKind, warped: WarpedData, grid: RadialGrid) -> 
     return IntrinsicRecord(op=op, grid=work_grid, h_nodes=warped.h, h=h, dh=dh, d2h=d2h)
 
 
-def intrinsic_assemble(
-    op: OperatorKind,
-    warped: WarpedData,
-    mode: ModeSpec,
-    grid: RadialGrid,
-    record: IntrinsicRecord | None = None,
-) -> AssembledOperator:
-    """Direct assembly in the warped metric dt^2 + h^2 g_{S^(n-1)}.
-
-    ``record`` is ``intrinsic_record(op, warped, grid)``; a row passes one
-    record to all of its modes, and it is sampled here when left out."""
-    if record is None:
-        record = intrinsic_record(op, warped, grid)
-    elif record.op != op or record.h_nodes.size != grid.nodes.size:
-        raise ValueError("geometry record does not match the operator or the grid")
+def intrinsic_assemble(record: IntrinsicRecord, mode: ModeSpec) -> AssembledOperator:
+    """Direct assembly of one mode in the warped metric dt^2 + h^2 g_{S^(n-1)}
+    from the row's record ``intrinsic_record(op, warped, grid)``."""
+    op, work_grid = record.op, record.grid
     n = op.n
-    work_grid = record.grid
     if op.kind == KIND_L:
         # w = h^(n-1) is also the stiffness weight p, and q reuses it; a free
         # mode reads the leading natural layout of the pinned samples

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,34 @@ def test_empty_window_returns_nothing():
     A, B = diagonal_mass_pencil(rng, 200)
     assert solve_generalized(A, B, window=(50.0, 60.0)) == []
     assert solve_generalized(A, B, window=(0.1, 0.1)) == []
+
+
+def zero_diagonal_pencil(sub, mass=1.0):
+    m = len(sub) + 1
+    A = BandedSymmetric.from_tridiagonal(np.zeros(m), mass * np.asarray(sub, dtype=float))
+    return A, BandedSymmetric.from_diagonal(np.full(m, mass))
+
+
+@pytest.mark.parametrize("mass", [1.0, 7.0], ids=["unit-mass", "scaled-mass"])
+@pytest.mark.parametrize(
+    "sub, expected",
+    [
+        ([1.0, 0.0, 0.5], [-0.5, 0.5]),
+        ([1.0, 0.0, 0.5, 0.0], [-0.5, 0.0, 0.5]),
+        ([0.0, 1.0, 0.0, 1.0, 0.0], [0.0, 0.0]),
+    ],
+    ids=["chiral", "odd-size", "two-zeros"],
+)
+def test_window_excludes_eigenvalues_on_its_ends(sub, expected, mass):
+    # every pencil has the eigenvalues -1 and 1, on the ends of the open
+    # window; with mass 7 the scaled matrix puts them 1 ulp inside it, and
+    # only the Rayleigh quotients show that they lie on the ends.  A zero
+    # eigenvalue certifies with relative residual 1 but must not overflow.
+    A, B = zero_diagonal_pencil(sub, mass)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = [p.value for p in solve_generalized(A, B, window=(-1.0, 1.0))]
+    assert values == pytest.approx(expected, abs=1e-12)
 
 
 def test_window_solve_needs_diagonal_mass_and_window():

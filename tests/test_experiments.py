@@ -9,6 +9,7 @@ from confspec.operators import (
     conformal_laplacian,
     dirac_operator,
     intrinsic_assemble,
+    intrinsic_record,
     make_mode,
     paneitz_operator,
 )
@@ -75,7 +76,7 @@ def test_single_point_sweep_matches_standalone_solve():
     prof = profile_L(3, L)
     grid = arclength_grid(prof, N)
     warped = warped_reparametrize(prof, grid)
-    asm = intrinsic_assemble(op, warped, make_mode(op, 0), grid)
+    asm = intrinsic_assemble(intrinsic_record(op, warped, grid), make_mode(op, 0))
     lam = eigensolve.solve_generalized(asm.A, asm.B, count=1)[0].value
     assert row.lambda_1_plus == pytest.approx(lam, rel=1e-12)
 

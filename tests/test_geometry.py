@@ -214,7 +214,7 @@ def test_arclength_derivative_is_profile():
 def _warped_from_callables(t_nodes, h, dh, d2h):
     return WarpedData(
         t_nodes=t_nodes, h=h(t_nodes), dh=dh(t_nodes), d2h=d2h(t_nodes),
-        h_fn=h, dh_fn=dh, d2h_fn=d2h,
+        jet=lambda t: (h(t), dh(t), d2h(t)),
     )
 
 
@@ -263,7 +263,7 @@ def test_warped_evaluators_answer_each_query_array():
     for t in (np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 3.0, 2.0, 4.0])):
         r = prof.r_of_arclength(t)
         expected = prof.F(r) * np.sin(r)
-        assert np.array_equal(warped.h_fn(t), expected)
+        assert np.array_equal(warped.jet(t)[0], expected)
 
 
 @pytest.mark.parametrize("L", [1.0, 8.0, 30.0])

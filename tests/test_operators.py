@@ -18,6 +18,7 @@ from confspec.operators import (
     cylinder_threshold,
     dirac_operator,
     intrinsic_assemble,
+    intrinsic_record,
     make_mode,
     mode_multiplicity,
     paneitz_constants,
@@ -142,7 +143,7 @@ def test_intrinsic_rejects_paneitz():
     grid = make_grid("polar", 64)
     warped = warped_reparametrize(constant_profile(1.0, 5), grid)
     with pytest.raises(ValueError, match="intrinsic Paneitz"):
-        intrinsic_assemble(op, warped, make_mode(op, 0), grid)
+        intrinsic_assemble(intrinsic_record(op, warped, grid), make_mode(op, 0))
 
 
 def test_paneitz_round_ladder():
@@ -165,7 +166,7 @@ def test_intrinsic_round_sphere_matches_ladder():
     op = conformal_laplacian(3)
     grid = make_grid("polar", 2000)
     warped = warped_reparametrize(constant_profile(1.0, 3), grid)
-    asm = intrinsic_assemble(op, warped, make_mode(op, 0), grid)
+    asm = intrinsic_assemble(intrinsic_record(op, warped, grid), make_mode(op, 0))
     pairs = solve_generalized(asm.A, asm.B, count=3)
     for pair, ref in zip(pairs, [0.75, 3.75, 8.75]):
         assert pair.value == pytest.approx(ref, rel=1e-3)
@@ -187,7 +188,7 @@ def test_intrinsic_conformal_laplacian_samples_geometry_once(monkeypatch):
         return inverse(self, t)
 
     monkeypatch.setattr(cls, "r_of_arclength", counted)
-    asm = intrinsic_assemble(op, warped, make_mode(op, 1), grid)
+    asm = intrinsic_assemble(intrinsic_record(op, warped, grid), make_mode(op, 1))
     assert len(calls) <= 3
     assert asm.A.size == grid.nodes.size
 
@@ -207,7 +208,7 @@ def test_intrinsic_dirac_samples_geometry_twice(monkeypatch):
         return inverse(self, t)
 
     monkeypatch.setattr(cls, "r_of_arclength", counted)
-    asm = intrinsic_assemble(op, warped, make_mode(op, 1.5), grid)
+    asm = intrinsic_assemble(intrinsic_record(op, warped, grid), make_mode(op, 1.5))
     assert len(calls) <= 2
     assert asm.A.size == 2 * (grid.nodes.size - 1)
 
@@ -224,12 +225,10 @@ def test_cylinder_segment_bottom_approaches_gap():
             h=np.ones_like(grid.nodes),
             dh=np.zeros_like(grid.nodes),
             d2h=np.zeros_like(grid.nodes),
-            h_fn=lambda t: np.ones_like(t),
-            dh_fn=lambda t: np.zeros_like(t),
-            d2h_fn=lambda t: np.zeros_like(t),
+            jet=lambda t: (np.ones_like(t), np.zeros_like(t), np.zeros_like(t)),
         )
         mode = make_mode(op, 1)  # ell >= 1 pins both ends; subtract angular term
-        asm = intrinsic_assemble(op, warped, mode, grid)
+        asm = intrinsic_assemble(intrinsic_record(op, warped, grid), mode)
         shift = mode.angular_eigenvalue  # l(l+1)/h^2 with h=1
         lam = solve_generalized(asm.A, asm.B, count=1)[0].value - shift
         assert lam == pytest.approx(0.25 + (math.pi / T) ** 2, abs=1e-4)
@@ -294,7 +293,7 @@ def test_dual_path_agreement_on_blowup_metric():
     warped = warped_reparametrize(prof, grid)
     mode = make_mode(op, 0)
     cov = covariance_reduce(op, prof, mode, grid)
-    intr = intrinsic_assemble(op, warped, mode, grid)
+    intr = intrinsic_assemble(intrinsic_record(op, warped, grid), mode)
     ev_cov = solve_generalized(cov.A, cov.B, count=1)[0].value
     ev_int = solve_generalized(intr.A, intr.B, count=1)[0].value
     assert ev_int == pytest.approx(ev_cov, rel=1e-3)
@@ -335,43 +334,3 @@ def test_dirac_staggering_has_no_spurious_doublers():
     )
     assert inside == 3  # exactly 1, 2, 3
 
-
-@pytest.mark.parametrize(
-    "op", [conformal_laplacian(3), dirac_operator(2)], ids=["conformal-laplacian", "dirac"]
-)
-def test_shared_record_assembles_like_a_fresh_sample(op):
-    # the row's record, a per-call sample and the three-evaluator fallback of
-    # a hand-built WarpedData all give the same matrices, pinned and free
-    import dataclasses
-
-    from confspec.operators import intrinsic_record
-
-    prof = profile_L(op.n, 4.0)
-    grid = nose_grid(4.0, 1200)
-    warped = warped_reparametrize(prof, grid)
-    by_callables = dataclasses.replace(warped, jet_fn=None)
-    record = intrinsic_record(op, warped, grid)
-    indices = (0.0, 1.0, 2.0) if op.kind == "conformal-laplacian" else (0.5, -0.5, 1.5)
-    for index in indices:
-        mode = make_mode(op, index)
-        shared = intrinsic_assemble(op, warped, mode, grid, record)
-        for other in (
-            intrinsic_assemble(op, warped, mode, grid),
-            intrinsic_assemble(op, by_callables, mode, grid),
-        ):
-            assert np.array_equal(shared.A.bands, other.A.bands)
-            assert np.array_equal(shared.B.bands, other.B.bands)
-
-
-def test_record_must_match_operator_and_grid():
-    from confspec.operators import intrinsic_record
-
-    prof = profile_L(3, 2.0)
-    grid = nose_grid(2.0, 1200)
-    warped = warped_reparametrize(prof, grid)
-    record = intrinsic_record(dirac_operator(2), warped, grid)
-    op = conformal_laplacian(3)
-    with pytest.raises(ValueError, match="record"):
-        intrinsic_assemble(op, warped, make_mode(op, 0), grid, record)
-    with pytest.raises(ValueError, match="intrinsic Paneitz"):
-        intrinsic_record(paneitz_operator(5), warped, grid)
