@@ -19,24 +19,29 @@ Sturm count at 0 shows a zero eigenvalue, which has no mirror; then the
 whole window is solved.
 
 Count solve (``count`` given, any banded B): the ``count`` eigenvalues
-nearest a target, by one of
+nearest a window (default: nearest 0).  ``method="auto"`` on a diagonal B,
+the mass of every pencil the program assembles, bisects T too: a Sturm
+count at each window end brackets the candidates' index block, dsbevx
+locates just those, and the nearest ``count`` are inverse-iterated.  On a
+non-diagonal B "auto" means "dense"; ARPACK runs only when named:
 
   * direct band reduction (``method="dense"``, any m): all values from one
     LAPACK dsbgvx call on the bands (Crawford's split-Cholesky reduction to
     a standard band problem, band tridiagonalization, root-free QR), the
     index block picked from them; O(m^2 b) time, O(m b) memory, no m x m
     array;
-  * shift-invert Lanczos (any m): one ARPACK call on (A - sigma B)^-1 B with
-    a sparse LU of the shifted banded matrix and a deterministically seeded
-    start vector; a breakdown or a non-converged call (even one that holds
-    enough partial pairs) raises ``SolverConvergenceError``.
+  * shift-invert Lanczos (``method="iterative"``, any m): one ARPACK call on
+    (A - sigma B)^-1 B with a sparse LU of the shifted banded matrix and a
+    deterministically seeded start vector; a breakdown or a non-converged
+    call (even one that holds enough partial pairs) raises
+    ``SolverConvergenceError``.
 
-The window solve and the direct count solve share one vector step: shifted
-inverse iteration on the banded A - (lam + delta) B from seeded vectors,
-B-orthogonalized against the earlier vectors of the same solve, returning
-each vector's Rayleigh quotient.  On the window route a quotient further
-from its bisection estimate than the bisection tolerance plus rounding
-means the iteration slid to a neighbouring eigenvalue, which raises
+Every route but ARPACK shares one vector step: shifted inverse iteration
+on the banded A - (lam + delta) B from seeded vectors, B-orthogonalized
+against the earlier vectors of the same solve, returning each vector's
+Rayleigh quotient.  On the routes that bisect T, a quotient further from
+its bisection estimate than the bisection tolerance plus rounding means the
+iteration slid to a neighbouring eigenvalue, which raises
 ``SolverConvergenceError`` rather than returning a duplicate.
 
 Every returned pair is B-orthonormalized; residuals
@@ -71,10 +76,6 @@ __all__ = [
     "aggregate",
 ]
 
-# the direct route costs O(m^2 b), ARPACK grows about linearly in m: on random
-# bandwidth-1 pencils with count=4 (2 BLAS threads) they tie near m=400 and
-# ARPACK is 1.5x faster at m=600, 3x at m=1000 and 7x at m=1500
-_AUTO_ITERATIVE_FROM = 600
 _INVERSE_ITERATIONS = 3  # per vector; two already reach the residual floor
 # window bisection stops at this fraction of the window's half-width: the
 # values only shift inverse iteration, whose Rayleigh quotients are what is
@@ -117,10 +118,6 @@ def _cholesky_or_raise(B: BandedSymmetric) -> np.ndarray:
         match = re.search(r"(\d+)", str(exc))
         pivot = int(match.group(1)) - 1 if match else -1
         raise NotPositiveDefiniteError(pivot) from exc
-
-
-def relative_residual(A: BandedSymmetric, B: BandedSymmetric, lam: float, x: np.ndarray) -> float:
-    return _residual(A.matvec(x), B.matvec(x), lam)
 
 
 def _residual(ax: np.ndarray, bx: np.ndarray, lam: float) -> float:
@@ -267,9 +264,11 @@ def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
 
     Shifted inverse iteration (A - (lam + offset) B) x' = B x with a banded
     LU, each vector from its own seeded start.  ``scale`` is the spectral
-    scale of the pencil; an offset of a few eps * scale keeps the shifted
-    matrix from being exactly singular where a value is exact (a diagonal
-    pencil), and a zero scale means A = 0, where any shift serves.  Each
+    scale of the pencil.  The offset 4 eps (|lam| + eps scale) keeps the
+    shifted matrix from being exactly singular where a value is exact (a
+    diagonal pencil, or lam = 0) while staying a few ulps of lam, not of
+    ||T||, off it: three steps certify even where ||T|| is 1e11 times lam.
+    A zero offset (A = 0 at lam = 0) becomes 1, where any shift serves.  Each
     iterate is B-orthogonalized against the earlier vectors so that repeated
     or clustered values get distinct vectors.  The starts differ because a
     shared one leaves the later members of a cluster nothing of their own
@@ -278,7 +277,7 @@ def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
     from its estimate means the iteration slid to another eigenvalue, and
     raises ``SolverConvergenceError``.
     """
-    offset = 4.0 * np.finfo(float).eps * scale or 1.0
+    eps = np.finfo(float).eps
     m = A.size
     bw = max(A.bandwidth, B.bandwidth)
     a_full = _full_storage(A, bw)
@@ -287,6 +286,7 @@ def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
     quotients = []
     rng = np.random.default_rng(seed)
     for j, lam in enumerate(vals):
+        offset = 4.0 * eps * (abs(lam) + eps * scale) or 1.0
         shifted = b_full * -(lam + offset)
         shifted += a_full
         x = rng.standard_normal(m)
@@ -311,7 +311,6 @@ def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
 def _dense_path(A, B, count, window, seed):
     """Direct band reduction: all values from the bands, block vectors by
     inverse iteration; no m x m array is formed."""
-    _cholesky_or_raise(B)
     all_vals = _band_values(A, B)
     i0, i1 = _select_nearest(all_vals, count, window)
     vals = all_vals[i0 : i1 + 1]
@@ -331,14 +330,36 @@ def _iterative_path(A, B, count, window, seed):
     return list(vals), [vecs[:, j] for j in range(vecs.shape[1])]
 
 
-def _window_values(T, lo, hi, abstol):
-    """Eigenvalue estimates of the banded T in (lo, hi], by dsbevx bisection."""
+def _scaled_standard(A, B):
+    """T = B^-1/2 A B^-1/2 for a diagonal B, in A's lower band storage, and
+    its inf-norm, which bounds the spectrum."""
+    m = A.size
+    s = 1.0 / np.sqrt(B.bands[0])
+    T = A.bands * s
+    for k in range(A.bandwidth + 1):
+        T[k, : m - k] *= s[k:]
+    return T, _inf_norm(BandedSymmetric(T))
+
+
+def _bisect(T, abstol, lo=0.0, hi=0.0, first=None, stop=None):
+    """Eigenvalue estimates of the banded T by dsbevx bisection: those in
+    (lo, hi], or with ``first`` and ``stop`` the ascending numbers
+    first..stop-1 (0-based)."""
+    by_index = first is not None
+    il, iu = (first + 1, stop) if by_index else (1, T.shape[1])
     vals, _, found, _, info = lapack.dsbevx(
-        T, lo, hi, 1, T.shape[1], compute_v=0, range=1, lower=1, abstol=abstol
+        T, lo, hi, il, iu, compute_v=0, range=2 if by_index else 1, lower=1, abstol=abstol
     )
     if info != 0:
         raise SolverConvergenceError(math.inf)
     return vals[:found]
+
+
+def _count_at_or_below(T, x, scale):
+    """Number of eigenvalues of T at or below x: a Sturm count, since a
+    tolerance wider than the whole spectrum leaves dsbevx nothing to bisect."""
+    wide = 2.0 * scale + abs(x) + 1.0
+    return _bisect(T, wide, -wide, x).size
 
 
 def _open_window_values(T, lo, hi, abstol, slack):
@@ -348,9 +369,9 @@ def _open_window_values(T, lo, hi, abstol, slack):
     sits up to ``slack`` below it; when the top estimate is that close, one
     more count over (hi - 1 ulp, hi] says how many of the top estimates are
     such values."""
-    vals = _window_values(T, lo, hi, abstol)
+    vals = _bisect(T, abstol, lo, hi)
     if vals.size and vals[-1] > hi - slack:
-        at_hi = _window_values(T, np.nextafter(hi, -np.inf), hi, abstol).size
+        at_hi = _bisect(T, abstol, np.nextafter(hi, -np.inf), hi).size
         vals = vals[: vals.size - at_hi]
     return vals
 
@@ -374,22 +395,16 @@ def _window_path(A, B, window, seed):
     if not lo < hi:
         return [], []
     m = A.size
-    s = 1.0 / np.sqrt(B.bands[0])
-    T = A.bands * s  # T = B^-1/2 A B^-1/2 in the same lower band storage
-    for k in range(A.bandwidth + 1):
-        T[k, : m - k] *= s[k:]
-    scale = _inf_norm(BandedSymmetric(T))
+    T, scale = _scaled_standard(A, B)
     # the count inside the window is exact (Sturm counts) whatever abstol is
     abstol = _WINDOW_ABSTOL * max(abs(lo), abs(hi))
     # a Rayleigh quotient further from its estimate than the bisection
     # interval plus rounding in ||T|| belongs to a neighbouring eigenvalue
     slack = abstol + 8.0 * np.finfo(float).eps * scale
     chiral = A.bandwidth == 1 and lo == -hi and not A.bands[0].any()
-    if chiral:
-        # the spectrum is symmetric, so it holds no zero exactly when half
-        # of it lies at or below 0; one Sturm count, no bisection, says so
-        below = 2.0 * scale + 1.0
-        chiral = 2 * _window_values(T, -below, 0.0, below).size == m
+    # the spectrum is symmetric, so it holds no zero exactly when half of it
+    # lies at or below 0
+    chiral = chiral and 2 * _count_at_or_below(T, 0.0, scale) == m
     vals = _open_window_values(T, 0.0 if chiral else lo, hi, abstol, slack)
     if vals.size == 0:
         return [], []
@@ -399,6 +414,28 @@ def _window_path(A, B, window, seed):
         sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
         kept += [(-q, sign * x) for q, x in kept]
     return [q for q, _ in kept], [x for _, x in kept]
+
+
+def _nearest_path(A, B, count, window, seed):
+    """The ``count`` pairs nearest the window of a pencil with diagonal B.
+
+    The values at or below lo have the indices below the Sturm count at lo,
+    those above hi the indices from the count at hi on, so the nearest
+    ``count`` lie among the ``count`` on either side of the window and those
+    inside it.  dsbevx bisects just that index block of T, to its default
+    tolerance eps ||T|| (the accuracy of the dense route's values), and the
+    nearest ``count`` of it are inverse-iterated with the window route's
+    slide check."""
+    lo, hi = (0.0, 0.0) if window is None else window
+    T, scale = _scaled_standard(A, B)
+    below_lo = _count_at_or_below(T, lo, scale)
+    below_hi = below_lo if hi == lo else _count_at_or_below(T, hi, scale)
+    first = max(below_lo - count, 0)
+    stop = min(below_hi + count, A.size)
+    vals = _bisect(T, 0.0, first=first, stop=stop)
+    i0, i1 = _select_nearest(vals, count, window)
+    slack = 8.0 * np.finfo(float).eps * scale
+    return _inverse_iteration(A, B, vals[i0 : i1 + 1], scale, seed, slack)
 
 
 def solve_generalized(
@@ -416,21 +453,32 @@ def solve_generalized(
     (possibly none).  This needs a diagonal B and a window.
 
     With ``count``: the ``count`` pairs nearest the window (default: nearest
-    0).  ``method`` is "dense" (direct band reduction), "iterative"
-    (shift-invert Lanczos) or "auto".
+    0).  ``method`` is "auto" (the bisection of the window route on a
+    diagonal B, else "dense"), "dense" (direct band reduction) or
+    "iterative" (shift-invert Lanczos).
     """
     m = A.size
     if B.size != m:
         raise ValueError("A and B sizes differ")
+    diagonal = not np.any(B.bands[1:])
     if count is None:
-        if window is None or np.any(B.bands[1:]):
+        if window is None or not diagonal:
             raise ValueError("a solve without count needs a window and a diagonal B")
         if method != "auto":
             raise ValueError("method applies to solves with a count")
-        _cholesky_or_raise(B)
+    elif count < 1:
+        raise ValueError("count must be at least 1")
+    elif method not in ("auto", "dense", "iterative"):
+        raise ValueError(f"unknown method {method!r}")
+    _cholesky_or_raise(B)
+    if count is None:
         vals, vecs = _window_path(A, B, window, seed)
+    elif method == "auto" and diagonal:
+        vals, vecs = _nearest_path(A, B, min(count, m), window, seed)
+    elif method == "iterative" and count < m - 1:  # ARPACK needs count < m - 1
+        vals, vecs = _iterative_path(A, B, count, window, seed)
     else:
-        vals, vecs = _count_solve(A, B, count, window, method, seed)
+        vals, vecs = _dense_path(A, B, min(count, m), window, seed)
 
     vectors = _b_orthonormalize(B, vecs)
     pairs = []
@@ -448,23 +496,6 @@ def solve_generalized(
         raise SolverConvergenceError(max(failed))
     pairs.sort(key=lambda pr: pr.value)
     return pairs
-
-
-def _count_solve(A, B, count, window, method, seed):
-    m = A.size
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    count = min(count, m)
-    if method == "auto":
-        method = "iterative" if m > _AUTO_ITERATIVE_FROM else "dense"
-    if method == "iterative" and count >= m - 1:
-        method = "dense"  # ARPACK needs count < m - 1
-    if method == "dense":
-        return _dense_path(A, B, count, window, seed)
-    if method == "iterative":
-        _cholesky_or_raise(B)
-        return _iterative_path(A, B, count, window, seed)
-    raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from confspec.geometry import (
     volume,
     warped_reparametrize,
 )
-from confspec.grid import RadialGrid, WeakForm1D, assemble_weak_form, make_grid
+from confspec.grid import RadialGrid, WeakForm1D, make_grid
 from confspec.operators import (
     KIND_DIRAC,
     KIND_L,
@@ -218,7 +218,7 @@ def _collect_modes(
     grid: RadialGrid,
     profile: ConformalProfile,
     record: IntrinsicRecord | None,
-    ceiling: float,
+    bar: float,
     seed: int,
 ) -> tuple[list[tuple[ModeSpec, list[EigenPair]]], int]:
     """Solve angular modes until the mode bottom clears the truncation bar.
@@ -229,7 +229,6 @@ def _collect_modes(
     when it is None."""
     per_mode = []
     n_modes = 0
-    bar = TRUNCATION_FACTOR * ceiling
     for group in _mode_indices(op):
         bottom = math.inf
         for index in group:
@@ -265,7 +264,8 @@ def _spectrum_for(
     record = None
     if path == "intrinsic":
         record = intrinsic_record(op, warped_reparametrize(profile, grid), grid)
-    per_mode, n_modes = _collect_modes(op, grid, profile, record, ceiling, seed)
+    bar = TRUNCATION_FACTOR * ceiling
+    per_mode, n_modes = _collect_modes(op, grid, profile, record, bar, seed)
     return eigensolve.aggregate(per_mode), n_modes, profile, grid
 
 
@@ -320,107 +320,70 @@ def pinocchio_sweep(
 # round-sphere validation
 
 
-def _scalar_level_value(op: OperatorKind, j: int) -> float:
+def _sphere_ladder(
+    op: OperatorKind, ell_max: int
+) -> tuple[list[tuple[str, float, int]], float]:
+    """Closed-form round S^n ladder: (label, eigenvalue, multiplicity) of each
+    checked level, and the truncation bar halfway between the top checked
+    level and the next one.
+
+    Scalar operators: levels j = 0..min(7, ell_max) of total degree j, with
+    mu_j = j(j + n - 1) on C(n+j, n) - C(n+j-2, n) harmonics and value
+    mu_j + n(n-2)/4 (conformal Laplacian) or mu_j^2 + a mu_j + (n-4)/2 Q
+    (Paneitz).  Dirac: +-(n/2 + m) for m = 0..min(5, ell_max), each sign with
+    multiplicity 2^floor(n/2) C(n+m-1, m)."""
     n = op.n
-    mu = j * (j + n - 1)  # round Laplacian eigenvalue of total degree j
-    if op.kind == KIND_L:
-        return mu + n * (n - 2) / 4.0
-    a, q_const = paneitz_constants(n)
-    return mu * mu + a * mu + (n - 4) / 2.0 * q_const
+    dirac = op.kind == KIND_DIRAC
+    top = min(5 if dirac else 7, ell_max)
+    levels = []
+    for j in range(top + 2):
+        if dirac:
+            levels.append((n / 2.0 + j, 2 ** (n // 2) * math.comb(n + j - 1, j)))
+            continue
+        mu = j * (j + n - 1)
+        if op.kind == KIND_L:
+            value = mu + n * (n - 2) / 4.0
+        else:
+            a, q_const = paneitz_constants(n)
+            value = mu * mu + a * mu + (n - 4) / 2.0 * q_const
+        levels.append((value, math.comb(n + j, n) - math.comb(n + j - 2, n)))
+    rows = [
+        (f"dirac m={j} sign={sign}" if dirac else f"{op.kind} j={j}", sign * value, mult)
+        for j, (value, mult) in enumerate(levels[:-1])
+        for sign in ((1, -1) if dirac else (1,))
+    ]
+    return rows, 0.5 * (levels[top][0] + levels[top + 1][0])
 
 
 def validate_sphere(
     op: OperatorKind, N: int = 2000, ell_max: int = 8, tolerance: float = 1e-3, seed: int = 0
 ) -> ValidationReport:
-    """Compare computed round-sphere ladders against the exact spectra.
+    """Compare the computed round-sphere spectrum against the exact ladders.
 
-    Scalar kinds: the first ``min(8, ell_max + 1)`` distinct eigenvalues with
-    their total multiplicities.  Dirac: levels +-(m+1) for m <= ell_max with
-    multiplicity 2(m+1), checking each contributing mode appears exactly once
-    (no spurious doubled modes).
+    The spectrum comes from the sweep's own mode loop on the covariance path
+    with the unit factor: one window solve per angular mode, the truncation
+    bar halfway between the top checked level and the next one.  Each
+    computed eigenvalue counts towards the nearest checked level with its
+    mode's multiplicity, and a row reports the summed multiplicity and the
+    value furthest from the exact one (NaN for a level nothing reached).
+    Scalar kinds check the first ``min(8, ell_max + 1)`` levels, Dirac the
+    levels +-(n/2 + m) for m <= min(5, ell_max); a missing or doubled mode
+    shows as a wrong multiplicity.
     """
+    checked, bar = _sphere_ladder(op, ell_max)
     grid = make_grid("polar", N)
-    profile = constant_profile(1.0, n=op.n)
-    rows: list[ValidationRow] = []
-    if op.kind == KIND_DIRAC:
-        m_max = min(ell_max, 5)
-        per_mode = {}
-        for twok in range(1, 2 * m_max + 2, 2):
-            for k in (twok / 2.0, -twok / 2.0):
-                mode = make_mode(op, k)
-                assembled = covariance_reduce(op, profile, mode, grid)
-                count = 2 * (m_max + 1 - int(abs(k)))
-                pairs = eigensolve.solve_generalized(
-                    assembled.A, assembled.B, count=count, seed=seed
-                )
-                per_mode[k] = [p.value for p in pairs]
-        for m in range(m_max + 1):
-            contributing = [k for k in per_mode if abs(k) <= m + 0.5]
-            for sign in (1.0, -1.0):
-                target = sign * (m + 1)
-                got = []
-                for k in contributing:
-                    vals = [v for v in per_mode[k] if abs(v - target) < 0.5]
-                    if len(vals) != 1:
-                        # missing or doubled level in this mode
-                        got = None
-                        break
-                    got.append(vals[0])
-                if got is None:
-                    rows.append(
-                        ValidationRow(
-                            label=f"dirac m={m} sign={int(sign)}",
-                            computed=math.nan,
-                            analytic=target,
-                            rel_error=math.inf,
-                            multiplicity=-1,
-                            expected_multiplicity=2 * (m + 1),
-                        )
-                    )
-                    continue
-                worst = max(got, key=lambda v: abs(v - target))
-                rows.append(
-                    ValidationRow(
-                        label=f"dirac m={m} sign={int(sign)}",
-                        computed=worst,
-                        analytic=target,
-                        rel_error=abs(worst - target) / abs(target),
-                        multiplicity=len(got),
-                        expected_multiplicity=2 * (m + 1),
-                    )
-                )
-    else:
-        j_max = min(7, ell_max)
-        per_mode = {}
-        for ell in range(j_max + 1):
-            mode = make_mode(op, float(ell))
-            assembled = covariance_reduce(op, profile, mode, grid)
-            count = j_max + 1 - ell
-            pairs = eigensolve.solve_generalized(
-                assembled.A, assembled.B, count=count, seed=seed
-            )
-            per_mode[ell] = ([p.value for p in pairs], mode.multiplicity)
-        for j in range(j_max + 1):
-            analytic = _scalar_level_value(op, j)
-            computed = []
-            mult = 0
-            expected_mult = 0
-            for ell in range(j + 1):
-                vals, m_ell = per_mode[ell]
-                computed.append(vals[j - ell])
-                mult += m_ell
-                expected_mult += operators.mode_multiplicity(op, ell)
-            worst = max(computed, key=lambda v: abs(v - analytic))
-            rows.append(
-                ValidationRow(
-                    label=f"{op.kind} j={j}",
-                    computed=worst,
-                    analytic=analytic,
-                    rel_error=abs(worst - analytic) / abs(analytic),
-                    multiplicity=mult,
-                    expected_multiplicity=expected_mult,
-                )
-            )
+    per_mode, _ = _collect_modes(op, grid, constant_profile(1.0, n=op.n), None, bar, seed)
+    levels = np.array([value for _, value, _ in checked])
+    found: list[list] = [[] for _ in checked]
+    for entry in eigensolve.aggregate(per_mode).entries:
+        found[int(np.argmin(np.abs(levels - entry.value)))].append(entry)
+    rows = []
+    for (label, analytic, expected), entries in zip(checked, found):
+        values = [e.value for e in entries]
+        worst = max(values, key=lambda v: abs(v - analytic), default=math.nan)
+        rel = abs(worst - analytic) / abs(analytic)
+        mult = sum(e.multiplicity for e in entries)
+        rows.append(ValidationRow(label, worst, analytic, rel, mult, expected))
     passed = all(
         r.rel_error <= tolerance and r.multiplicity == r.expected_multiplicity
         for r in rows
@@ -500,7 +463,8 @@ def cylinder_surrogate_study(
     T_grid: list[float], N: int = 2000, n: int = 3, seed: int = 0
 ) -> tuple[Trajectory, float]:
     """Exact-cylinder check: h == 1 on a length-T interval with zero boundary
-    conditions.  The conformal-Laplacian bottom follows
+    conditions and the lumped mass of the production operators.  The
+    conformal-Laplacian bottom follows
     (n-2)^2/4 + (pi/T)^2; returns the trajectory and the worst deviation
     from that law."""
     sigma = (n - 2) ** 2 / 4.0
@@ -515,7 +479,7 @@ def cylinder_surrogate_study(
             essential_left=True,
             essential_right=True,
         )
-        A, M = assemble_weak_form(form, grid)
+        A, M = operators._assemble_lumped(form, grid)
         pairs = eigensolve.solve_generalized(A, M, count=1, seed=seed)
         lam = pairs[0].value
         law = sigma + (math.pi / T) ** 2

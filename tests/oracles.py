@@ -141,3 +141,26 @@ def harmonic_dimension(n: int, ell: int) -> int:
     num = (2 * ell + n - 2) * math.comb(ell + n - 3, ell)
     assert num % (n - 2) == 0
     return num // (n - 2)
+
+
+def sphere_ladder(kind: str, n: int, levels: int) -> list[tuple[float, int]]:
+    """(eigenvalue, multiplicity) of the lowest ``levels`` levels of the round
+    S^n, the Dirac ones on S^2 only and one sign each.
+
+    Multiplicities come from the mode structure rather than a closed form: a
+    degree-j harmonic on S^n splits into degree-l harmonics of S^(n-1) for
+    l = 0..j, and on S^2 the Dirac level m + 1 gathers one value from each
+    half-integer Fourier mode k and radial index p with |k| + 1/2 + p = m + 1.
+    """
+    out = []
+    for j in range(levels):
+        if kind == "dirac":
+            if n != 2:
+                raise ValueError("the Dirac ladder oracle covers S^2 only")
+            modes = [k + 0.5 for k in range(-j - 1, j + 1)]  # |k| <= j + 1/2
+            mult = sum(1 for k in modes for p in range(j + 1) if abs(k) + 0.5 + p == j + 1)
+            out.append((dirac_sphere_level(j), mult))
+            continue
+        level = conformal_laplacian_level if kind == "conformal-laplacian" else paneitz_level
+        out.append((level(n, j), sum(harmonic_dimension(n, ell) for ell in range(j + 1))))
+    return out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from confspec import eigensolve
+from confspec import eigensolve, experiments
 from confspec.geometry import profile_L, volume, warped_reparametrize
 from confspec.operators import (
     conformal_laplacian,
@@ -24,6 +24,8 @@ from confspec.experiments import (
     scaling_check,
     validate_sphere,
 )
+
+import oracles
 
 
 def test_path_resolution_rules():
@@ -65,6 +67,43 @@ def test_validate_sphere_paneitz_bottom():
     assert report.passed
     assert report.rows[0].analytic == 6.5625
     assert report.rows[0].computed == pytest.approx(6.5625, abs=1e-2)
+
+
+@pytest.mark.parametrize(
+    "op, ell_max",
+    [
+        (conformal_laplacian(3), 8),
+        (conformal_laplacian(4), 8),
+        (conformal_laplacian(5), 3),
+        (paneitz_operator(5), 4),
+        (paneitz_operator(6), 2),
+        (dirac_operator(2), 5),
+    ],
+    ids=["cl3", "cl4", "cl5", "paneitz5", "paneitz6", "dirac2"],
+)
+def test_sphere_ladder_matches_oracle(op, ell_max):
+    rows, bar = experiments._sphere_ladder(op, ell_max)
+    signs = (1, -1) if op.kind == "dirac" else (1,)
+    levels = oracles.sphere_ladder(op.kind, op.n, len(rows) // len(signs) + 1)
+    expected = [(s * value, mult) for value, mult in levels[:-1] for s in signs]
+    assert [value for _, value, _ in rows] == pytest.approx([v for v, _ in expected], rel=1e-15)
+    assert [mult for _, _, mult in rows] == [mult for _, mult in expected]
+    assert bar == pytest.approx(0.5 * (levels[-2][0] + levels[-1][0]), rel=1e-15)
+
+
+def test_validate_sphere_counts_a_doubled_mode(monkeypatch):
+    # the l = 0 mode alone carries level j = 0; solving it twice doubles it
+    real = experiments._collect_modes
+
+    def repeat_first(*args):
+        per_mode, n_modes = real(*args)
+        return [per_mode[0]] + per_mode, n_modes + 1
+
+    monkeypatch.setattr(experiments, "_collect_modes", repeat_first)
+    report = validate_sphere(conformal_laplacian(3), N=1000, ell_max=4)
+    assert not report.passed
+    assert report.rows[0].multiplicity == 2 * report.rows[0].expected_multiplicity == 2
+    assert report.rows[1].multiplicity == report.rows[1].expected_multiplicity + 1
 
 
 def test_single_point_sweep_matches_standalone_solve():
