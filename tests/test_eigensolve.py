@@ -502,26 +502,42 @@ def test_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch):
         solve_generalized(A, B, window=window)
 
 
-def test_criterion_workloads_never_call_arpack(monkeypatch):
+@pytest.fixture
+def no_arpack(monkeypatch):
+    """Make any shift-invert Lanczos call fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK ran on a pencil the program built")
+
+    monkeypatch.setattr(spla, "eigsh", refuse)
+
+
+@pytest.mark.parametrize(
+    "op, ell_max",
+    [(conformal_laplacian(3), 8), (dirac_operator(2), 5)],
+    ids=["conformal-laplacian", "dirac"],
+)
+def test_sweep_rows_need_no_polish(no_arpack, op, ell_max):
     # every pencil the experiments assemble has a diagonal mass and is solved
     # by bisection and inverse iteration: shift-invert Lanczos never runs, and
     # the sweep rows certify at 1e-9 straight from inverse iteration
-    def no_arpack(*args, **kwargs):
-        raise AssertionError("ARPACK ran on a pencil the program built")
+    L_grid = [float(L) for L in range(1, 9)] + [30.0]
+    rows = pinocchio_sweep(op, L_grid, N=2000, path="intrinsic")
+    assert all(r.error is None for r in rows)
+    assert all(r.max_residual <= 1e-9 for r in rows)
+    assert convergence_study(op, 1, [2.0, 4.0, 6.0, 8.0, 10.0], N=2000).trajectories
+    rows = covariance_crosscheck(op, 4.0, [500, 1000, 2000])
+    assert rows[-1].discrepancy <= 1e-3 and all(r.ratio >= 3.0 for r in rows[1:])
+    assert validate_sphere(op, N=2000, ell_max=ell_max).passed
+    assert all(scaling_check(op, c).passed for c in (0.5, 2.0, 3.0))
 
-    monkeypatch.setattr(spla, "eigsh", no_arpack)
-    cl3, dirac = conformal_laplacian(3), dirac_operator(2)
-    for op in (cl3, dirac):
-        L_grid = [float(L) for L in range(1, 9)] + [30.0]
-        rows = pinocchio_sweep(op, L_grid, N=2000, path="intrinsic")
-        assert all(r.error is None for r in rows)
-        assert all(r.max_residual <= 1e-9 for r in rows)
-        assert convergence_study(op, 1, [2.0, 4.0, 6.0, 8.0, 10.0], N=2000).trajectories
-        rows = covariance_crosscheck(op, 4.0, [500, 1000, 2000])
-        assert rows[-1].discrepancy <= 1e-3 and all(r.ratio >= 3.0 for r in rows[1:])
-    for op, ell_max in ((cl3, 8), (dirac, 5), (paneitz_operator(5), 4)):
-        assert validate_sphere(op, N=2000, ell_max=ell_max).passed
-        assert all(scaling_check(op, c).passed for c in (0.5, 2.0, 3.0))
+
+def test_criterion_workloads_never_call_arpack(no_arpack):
+    # the criterion workloads beyond the two sweep operators: the Paneitz
+    # validation and scaling check, and the exact-cylinder law
+    op = paneitz_operator(5)
+    assert validate_sphere(op, N=2000, ell_max=4).passed
+    assert all(scaling_check(op, c).passed for c in (0.5, 2.0, 3.0))
     _, law_dev = cylinder_surrogate_study([5.0, 10.0, 15.0, 20.0, 25.0, 30.0], N=2000)
     assert law_dev <= 1e-3
 
