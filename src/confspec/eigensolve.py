@@ -19,30 +19,28 @@ Sturm count at 0 shows a zero eigenvalue, which has no mirror; then the
 whole window is solved.
 
 Count solve (``count`` given, any banded B): the ``count`` eigenvalues
-nearest a window (default: nearest 0).  ``method="auto"`` on a diagonal B,
-the mass of every pencil the program assembles, bisects T too: a Sturm
-count at each window end brackets the candidates' index block, dsbevx
-locates just those, and the nearest ``count`` are inverse-iterated.  On a
-non-diagonal B "auto" means "dense"; ARPACK runs only when named:
-
-  * direct band reduction (``method="dense"``, any m): all values from one
-    LAPACK dsbgvx call on the bands (Crawford's split-Cholesky reduction to
-    a standard band problem, band tridiagonalization, root-free QR), the
-    index block picked from them; O(m^2 b) time, O(m b) memory, no m x m
-    array;
-  * shift-invert Lanczos (``method="iterative"``, any m): one ARPACK call on
-    (A - sigma B)^-1 B with a sparse LU of the shifted banded matrix and a
-    deterministically seeded start vector; a breakdown or a non-converged
-    call (even one that holds enough partial pairs) raises
-    ``SolverConvergenceError``.
+nearest a window (default: nearest 0).  The pencil becomes a standard band
+problem T with its eigenvalues: a diagonal B, the mass of every pencil the
+program assembles, is scaled as above, and any other B is reduced once to a
+symmetric tridiagonal T by the band reduction inside LAPACK dsbgvx
+(Crawford's split-Cholesky reduction, then band tridiagonalization), in
+O(m^2 b) time and O(m b) memory with no m x m array.  A Sturm count at each
+window end brackets the candidates' index block, dsbevx locates just those,
+and the nearest ``count`` are inverse-iterated.  ``method`` "auto" and
+"dense" both name this route.  ARPACK runs only when named: shift-invert
+Lanczos (``method="iterative"``, any m) makes one ARPACK call on
+(A - sigma B)^-1 B with a sparse LU of the shifted banded matrix and a
+deterministically seeded start vector; a breakdown or a non-converged call
+(even one that holds enough partial pairs) raises
+``SolverConvergenceError``.
 
 Every route but ARPACK shares one vector step: shifted inverse iteration
 on the banded A - (lam + delta) B from seeded vectors, B-orthogonalized
 against the earlier vectors of the same solve, returning each vector's
-Rayleigh quotient.  On the routes that bisect T, a quotient further from
-its bisection estimate than the bisection tolerance plus rounding means the
-iteration slid to a neighbouring eigenvalue, which raises
-``SolverConvergenceError`` rather than returning a duplicate.
+Rayleigh quotient.  Where T is the scaled one (B diagonal), a quotient
+further from its bisection estimate than the bisection tolerance plus
+rounding means the iteration slid to a neighbouring eigenvalue, which
+raises ``SolverConvergenceError`` rather than returning a duplicate.
 
 Every returned pair is B-orthonormalized; residuals
 ||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||) are reported per pair and must
@@ -177,29 +175,31 @@ def _select_nearest(values: np.ndarray, count: int, window) -> tuple[int, int]:
     return int(order.min()), int(order.max())
 
 
-def _bind_dsbgvx():
-    """LAPACK dsbgvx from scipy's Cython LAPACK table.
-
-    ``scipy.linalg.lapack`` does not wrap it.  The Cython entry point takes
-    plain char/int/double pointers and no hidden string lengths."""
-    capsule = cython_lapack.__pyx_capi__["dsbgvx"]
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+def _bind(name, *argtypes):
+    """LAPACK routine ``name`` from scipy's Cython LAPACK table, which has the
+    band reduction routines ``scipy.linalg.lapack`` does not wrap.  Its entry
+    points take plain char/int/double pointers and no hidden string lengths;
+    an int argument may be passed as a ``ctypes.c_int``, a double array as
+    an ndarray."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
     )(capsule)
     address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )(capsule, name)
-    c = ctypes.c_char_p
-    i = ctypes.POINTER(ctypes.c_int)
-    d = ctypes.POINTER(ctypes.c_double)
-    # jobz range uplo n ka kb ab ldab bb ldbb q ldq vl vu il iu abstol
-    # m w z ldz work iwork ifail info
-    return ctypes.CFUNCTYPE(
-        None, c, c, c, i, i, i, d, i, d, i, d, i, d, d, i, i, d, i, d, d, i, d, i, i, i
-    )(address)
+    )(capsule, capsule_name)
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
 
 
-_dsbgvx = _bind_dsbgvx()
+_C = ctypes.c_char_p
+_I = ctypes.POINTER(ctypes.c_int)
+_D = np.ctypeslib.ndpointer(np.float64)  # takes an array's data pointer
+# uplo n kd ab ldab info
+_dpbstf = _bind("dpbstf", _C, _I, _I, _D, _I, _I)
+# vect uplo n ka kb ab ldab bb ldbb x ldx work info
+_dsbgst = _bind("dsbgst", _C, _C, _I, _I, _I, _D, _I, _D, _I, _D, _I, _D, _I)
+# vect uplo n kd ab ldab d e q ldq work info
+_dsbtrd = _bind("dsbtrd", _C, _C, _I, _I, _D, _I, _D, _D, _D, _I, _D, _I)
 
 
 def _lower_storage(M: BandedSymmetric, bw: int) -> np.ndarray:
@@ -210,72 +210,53 @@ def _lower_storage(M: BandedSymmetric, bw: int) -> np.ndarray:
 
 
 def _full_storage(M: BandedSymmetric, bw: int) -> np.ndarray:
-    """Both triangles of M in ``solve_banded``'s (bw, bw) band storage."""
+    """Both triangles of M in dgbtrf's storage for (bw, bw) bands: bw rows of
+    room for the fill-in, then the diagonals from the bw-th above down."""
     m = M.size
-    ab = np.zeros((2 * bw + 1, m))
-    ab[bw : bw + M.bandwidth + 1] = M.bands
+    ab = np.zeros((3 * bw + 1, m))
+    ab[2 * bw : 2 * bw + M.bandwidth + 1] = M.bands
     for k in range(1, M.bandwidth + 1):
-        ab[bw - k, k:] = M.bands[k, : m - k]
+        ab[2 * bw - k, k:] = M.bands[k, : m - k]
     return ab
 
 
-def _band_values(A: BandedSymmetric, B: BandedSymmetric) -> np.ndarray:
-    """All eigenvalues of the banded pencil, ascending, by one dsbgvx call
-    (split Cholesky band reduction, band tridiagonalization, root-free QR)."""
-    for M in (A, B):
-        if not np.isfinite(M.bands).all():
-            raise ValueError("array must not contain infs or NaNs")
-    m = A.size
-    bw = max(A.bandwidth, B.bandwidth)
-    ab = _lower_storage(A, bw)
-    bb = _lower_storage(B, bw)
-    w = np.empty(m)
-    work = np.empty(7 * m)
-    iwork = np.empty(5 * m, dtype=np.intc)
-    ifail = np.empty(m, dtype=np.intc)
-    dummy = np.zeros(1)  # Q, Z, vl, vu are not referenced; abstol reads 0
-    found = ctypes.c_int(0)
-    info = ctypes.c_int(0)
+def _shifted_solver(a_full, b_full, bw, sigma, tiny):
+    """Solver of (A - sigma B) y = r, factored once by LU with partial pivoting.
 
-    def ptr(arr):
-        return arr.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-    def ref(k):
-        return ctypes.byref(ctypes.c_int(k))
-
-    _dsbgvx(
-        b"N", b"A", b"L", ref(m), ref(bw), ref(bw), ptr(ab), ref(bw + 1), ptr(bb),
-        ref(bw + 1), ptr(dummy), ref(1), ptr(dummy), ptr(dummy), ref(1), ref(m),
-        ptr(dummy), ctypes.byref(found), ptr(w), ptr(dummy), ref(1), ptr(work),
-        iwork.ctypes.data_as(ctypes.POINTER(ctypes.c_int)),
-        ifail.ctypes.data_as(ctypes.POINTER(ctypes.c_int)), ctypes.byref(info),
-    )
-    if info.value > m:
-        raise NotPositiveDefiniteError(info.value - m - 1)
-    if info.value > 0:
-        raise SolverConvergenceError(math.inf)
-    if info.value < 0:
-        raise ValueError(f"dsbgvx rejected argument {-info.value}")
-    return np.sort(w[: found.value])
+    An exactly zero pivot (sigma an eigenvalue to working precision) is set
+    to ``tiny``, as LAPACK's tridiagonal inverse iteration perturbs it.
+    Tridiagonal systems take the cheaper dgttrf/dgttrs (gtsv's elimination);
+    scipy's dgttrf wrapper rejects m <= 2."""
+    shifted = b_full * -sigma
+    shifted += a_full
+    if bw == 1 and shifted.shape[1] > 2:
+        dl, d, du, du2, ipiv, _ = lapack.dgttrf(shifted[3, :-1], shifted[2], shifted[1, 1:])
+        d[d == 0.0] = tiny
+        return lambda r: lapack.dgttrs(dl, d, du, du2, ipiv, r)[0]
+    lu, ipiv, _ = lapack.dgbtrf(shifted, bw, bw)
+    pivots = lu[2 * bw]
+    pivots[pivots == 0.0] = tiny
+    return lambda r: lapack.dgbtrs(lu, bw, bw, r, ipiv)[0]
 
 
 def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
     """Rayleigh quotients and vectors of the pencil at the estimates ``vals``.
 
-    Shifted inverse iteration (A - (lam + offset) B) x' = B x with a banded
-    LU, each vector from its own seeded start.  ``scale`` is the spectral
-    scale of the pencil.  The offset 4 eps (|lam| + eps scale) keeps the
-    shifted matrix from being exactly singular where a value is exact (a
+    Shifted inverse iteration (A - (lam + offset) B) x' = B x with one banded
+    LU per shift, each vector from its own seeded start.  ``scale`` is the
+    spectral scale of the pencil.  The offset 4 eps (|lam| + eps scale) keeps
+    the shifted matrix from being exactly singular where a value is exact (a
     diagonal pencil, or lam = 0) while staying a few ulps of lam, not of
     ||T||, off it: three steps certify even where ||T|| is 1e11 times lam.
-    A zero offset (A = 0 at lam = 0) becomes 1, where any shift serves.  Each
-    iterate is B-orthogonalized against the earlier vectors so that repeated
-    or clustered values get distinct vectors.  The starts differ because a
-    shared one leaves the later members of a cluster nothing of their own
-    eigenvectors but rounding, which three steps at a shift as coarse as
-    ``slack`` cannot amplify.  A Rayleigh quotient further than ``slack``
-    from its estimate means the iteration slid to another eigenvalue, and
-    raises ``SolverConvergenceError``.
+    A zero offset (A = 0 at lam = 0) becomes 1, where any shift serves; a
+    pivot the offset still leaves exactly zero becomes eps (scale + |lam|).
+    Each iterate is B-orthogonalized against the earlier vectors so that
+    repeated or clustered values get distinct vectors.  The starts differ
+    because a shared one leaves the later members of a cluster nothing of
+    their own eigenvectors but rounding, which three steps at a shift as
+    coarse as ``slack`` cannot amplify.  A Rayleigh quotient further than
+    ``slack`` from its estimate means the iteration slid to another
+    eigenvalue, and raises ``SolverConvergenceError``.
     """
     eps = np.finfo(float).eps
     m = A.size
@@ -287,14 +268,10 @@ def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
     rng = np.random.default_rng(seed)
     for j, lam in enumerate(vals):
         offset = 4.0 * eps * (abs(lam) + eps * scale) or 1.0
-        shifted = b_full * -(lam + offset)
-        shifted += a_full
+        solve = _shifted_solver(a_full, b_full, bw, lam + offset, eps * (scale + abs(lam)))
         x = rng.standard_normal(m)
         for _ in range(_INVERSE_ITERATIONS):
-            try:
-                x = sla.solve_banded((bw, bw), shifted, B.matvec(x))
-            except (sla.LinAlgError, ValueError) as exc:
-                raise SolverConvergenceError(math.inf) from exc
+            x = solve(B.matvec(x))
             x -= (xs[:j] @ B.matvec(x)) @ xs[:j]
             nrm = math.sqrt(max(x @ B.matvec(x), 0.0))
             if not np.isfinite(nrm) or nrm == 0.0:
@@ -306,16 +283,6 @@ def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
             raise SolverConvergenceError(math.inf)
         quotients.append(rq)
     return quotients, list(xs)
-
-
-def _dense_path(A, B, count, window, seed):
-    """Direct band reduction: all values from the bands, block vectors by
-    inverse iteration; no m x m array is formed."""
-    all_vals = _band_values(A, B)
-    i0, i1 = _select_nearest(all_vals, count, window)
-    vals = all_vals[i0 : i1 + 1]
-    scale = float(np.abs(all_vals).max())
-    return _inverse_iteration(A, B, vals, scale, seed)
 
 
 def _iterative_path(A, B, count, window, seed):
@@ -338,6 +305,33 @@ def _scaled_standard(A, B):
     T = A.bands * s
     for k in range(A.bandwidth + 1):
         T[k, : m - k] *= s[k:]
+    return T, _inf_norm(BandedSymmetric(T))
+
+
+def _reduced_standard(A, B):
+    """A symmetric tridiagonal T with the eigenvalues of the pencil, for a B
+    that is not diagonal, in lower band storage, and its inf-norm.
+
+    The reduction is the one inside LAPACK dsbgvx: B = S^T S by a split
+    Cholesky factorization (dpbstf), A to the band matrix X^T A X with the
+    same eigenvalues (dsbgst, Crawford's algorithm) and that to tridiagonal
+    form (dsbtrd), with no transformation accumulated and no m x m array."""
+    if not np.isfinite(A.bands).all():  # B's were checked by its Cholesky
+        raise ValueError("array must not contain infs or NaNs")
+    m = A.size
+    bw = max(A.bandwidth, B.bandwidth)
+    ab = _lower_storage(A, bw)
+    bb = _lower_storage(B, bw)
+    T = np.zeros((2, m))
+    work = np.empty(2 * m)
+    dummy = np.zeros(1)  # X and Q are not referenced
+    n, kd, ld, one = (ctypes.c_int(k) for k in (m, bw, bw + 1, 1))
+    info = ctypes.c_int(0)
+    _dpbstf(b"L", n, kd, bb, ld, info)
+    if info.value > 0:
+        raise NotPositiveDefiniteError(info.value - 1)
+    _dsbgst(b"N", b"L", n, kd, kd, ab, ld, bb, ld, dummy, one, work, info)
+    _dsbtrd(b"N", b"L", n, kd, ab, ld, T[0], T[1], dummy, one, work, info)
     return T, _inf_norm(BandedSymmetric(T))
 
 
@@ -416,25 +410,27 @@ def _window_path(A, B, window, seed):
     return [q for q, _ in kept], [x for _, x in kept]
 
 
-def _nearest_path(A, B, count, window, seed):
-    """The ``count`` pairs nearest the window of a pencil with diagonal B.
+def _nearest_path(A, B, count, window, seed, diagonal):
+    """The ``count`` pairs nearest the window.
 
-    The values at or below lo have the indices below the Sturm count at lo,
-    those above hi the indices from the count at hi on, so the nearest
-    ``count`` lie among the ``count`` on either side of the window and those
-    inside it.  dsbevx bisects just that index block of T, to its default
-    tolerance eps ||T|| (the accuracy of the dense route's values), and the
-    nearest ``count`` of it are inverse-iterated with the window route's
-    slide check."""
+    A diagonal B is scaled into T = B^-1/2 A B^-1/2, any other reduced to a
+    tridiagonal T; either has the pencil's eigenvalues.  The values at or
+    below lo have the indices below the Sturm count at lo, those above hi
+    the indices from the count at hi on, so the nearest ``count`` lie among
+    the ``count`` on either side of the window and those inside it.  dsbevx
+    bisects just that index block of T, to its default tolerance eps ||T||,
+    and the nearest ``count`` of it are inverse-iterated on the pencil.  Only
+    the scaled T gets the window route's slide check: the reduction's own
+    rounding puts its values up to about 20 eps ||T|| from the quotients."""
     lo, hi = (0.0, 0.0) if window is None else window
-    T, scale = _scaled_standard(A, B)
+    T, scale = _scaled_standard(A, B) if diagonal else _reduced_standard(A, B)
     below_lo = _count_at_or_below(T, lo, scale)
     below_hi = below_lo if hi == lo else _count_at_or_below(T, hi, scale)
     first = max(below_lo - count, 0)
     stop = min(below_hi + count, A.size)
     vals = _bisect(T, 0.0, first=first, stop=stop)
     i0, i1 = _select_nearest(vals, count, window)
-    slack = 8.0 * np.finfo(float).eps * scale
+    slack = 8.0 * np.finfo(float).eps * scale if diagonal else math.inf
     return _inverse_iteration(A, B, vals[i0 : i1 + 1], scale, seed, slack)
 
 
@@ -453,9 +449,9 @@ def solve_generalized(
     (possibly none).  This needs a diagonal B and a window.
 
     With ``count``: the ``count`` pairs nearest the window (default: nearest
-    0).  ``method`` is "auto" (the bisection of the window route on a
-    diagonal B, else "dense"), "dense" (direct band reduction) or
-    "iterative" (shift-invert Lanczos).
+    0).  ``method`` is "auto" or its synonym "dense" (bisection of the
+    scaled or band-reduced pencil, then inverse iteration) or "iterative"
+    (shift-invert Lanczos).
     """
     m = A.size
     if B.size != m:
@@ -473,12 +469,10 @@ def solve_generalized(
     _cholesky_or_raise(B)
     if count is None:
         vals, vecs = _window_path(A, B, window, seed)
-    elif method == "auto" and diagonal:
-        vals, vecs = _nearest_path(A, B, min(count, m), window, seed)
     elif method == "iterative" and count < m - 1:  # ARPACK needs count < m - 1
         vals, vecs = _iterative_path(A, B, count, window, seed)
     else:
-        vals, vecs = _dense_path(A, B, min(count, m), window, seed)
+        vals, vecs = _nearest_path(A, B, min(count, m), window, seed, diagonal)
 
     vectors = _b_orthonormalize(B, vecs)
     pairs = []

@@ -370,6 +370,8 @@ def validate_sphere(
     levels +-(n/2 + m) for m <= min(5, ell_max); a missing or doubled mode
     shows as a wrong multiplicity.
     """
+    if ell_max < 0:
+        raise ValueError(f"ell_max must be at least 0, got {ell_max}")
     checked, bar = _sphere_ladder(op, ell_max)
     grid = make_grid("polar", N)
     per_mode, _ = _collect_modes(op, grid, constant_profile(1.0, n=op.n), None, bar, seed)

@@ -115,6 +115,19 @@ def test_validate_sphere_cli(tmp_path, capsys):
     assert header == "label,computed,analytic,rel_error,multiplicity,expected_multiplicity"
 
 
+def test_validate_sphere_rejects_negative_ell_max(tmp_path, capsys):
+    # a negative ell_max checks no level, so its report would pass vacuously
+    out = tmp_path / "val.csv"
+    code, _, err = run(
+        capsys,
+        "validate-sphere", "--operator", "conformal-laplacian", "--n", "3",
+        "--N", "200", "--ell-max", "-1", "--out", str(out),
+    )
+    assert code == 1
+    assert "ell_max" in err
+    assert not out.exists()
+
+
 def test_scaling_check_cli(capsys):
     code, out, _ = run(capsys, "scaling-check", "--operator", "dirac", "--c", "0.5,2")
     assert code == 0

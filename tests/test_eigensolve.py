@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
@@ -237,6 +238,81 @@ def test_zero_operator_on_both_vector_routes():
     window = solve_generalized(A, BandedSymmetric.from_diagonal(B.bands[0]), window=(-1.0, 1.0))
     assert [p.value for p in direct] == [0.0] * 3
     assert len(window) == 50 and all(p.value == 0.0 for p in window)
+
+
+def ladder_pencil(seed, m):
+    """perfbench's `pencils` pencil of size m: the ladder of 24 sizes from 100
+    to 1000 plus 2500, bandwidth alternating 1 and 2, drawn in order from one
+    rng."""
+    rng = np.random.default_rng(seed)
+    sizes = np.rint(np.geomspace(100, 1000, 24)).astype(int).tolist() + [2500]
+    for i, size in enumerate(sizes):
+        A, B = random_pencil(rng, size, 2 if i % 2 else 1)
+        if size == m:
+            return A, B
+    raise ValueError(f"no pencil of size {m}")
+
+
+def nearest_dense_values(A, B, count):
+    values = sla.eigh(A.to_dense(), B.to_dense(), eigvals_only=True)
+    return np.sort(values[np.argsort(np.abs(values), kind="stable")[:count]])
+
+
+@pytest.mark.parametrize(
+    "seed, m, diagonal",
+    [(207, 606, True), (104, 100, False), (87, 149, False)],
+    ids=["diagonal-mass", "coupled-mass-100", "coupled-mass-149"],
+)
+def test_count_solve_survives_a_shift_on_an_eigenvalue(seed, m, diagonal):
+    # on these pencils a shift is an eigenvalue to working precision, and the
+    # shifted LU meets an exactly zero pivot
+    A, B = ladder_pencil(seed, m)
+    if diagonal:
+        B = BandedSymmetric.from_diagonal(B.bands[0])
+    pairs = solve_generalized(A, B, count=4, seed=seed)
+    expected = nearest_dense_values(A, B, 4)
+    assert np.allclose([p.value for p in pairs], expected, rtol=1e-12, atol=1e-14)
+    assert all(p.residual <= 1e-9 for p in pairs)
+
+
+def test_count_solve_bisects_only_the_wanted_block(monkeypatch):
+    # the count route reduces a coupled mass to a tridiagonal T and bisects
+    # the 2 count values around the window, never the whole spectrum
+    A, B = random_pencil(np.random.default_rng(2500), 2500)
+    blocks = []
+    bisect = eigensolve._bisect
+
+    def spy(T, abstol, lo=0.0, hi=0.0, first=None, stop=None):
+        if first is not None:
+            blocks.append(stop - first)
+        return bisect(T, abstol, lo, hi, first, stop)
+
+    monkeypatch.setattr(eigensolve, "_bisect", spy)
+    pairs = solve_generalized(A, B, count=4, method="dense")
+    assert len(pairs) == 4
+    assert len(blocks) == 1 and blocks[0] <= 8
+
+
+@pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal-mass", "coupled-mass"])
+def test_dense_means_auto(diagonal):
+    A, B = random_pencil(np.random.default_rng(31), 400, bandwidth=2)
+    if diagonal:
+        B = BandedSymmetric.from_diagonal(B.bands[0])
+    auto = solve_generalized(A, B, count=5, window=(0.1, 0.2), seed=4)
+    dense = solve_generalized(A, B, count=5, window=(0.1, 0.2), method="dense", seed=4)
+    assert len(auto) == len(dense) == 5
+    for a, d in zip(auto, dense):
+        assert a.value == d.value and a.residual == d.residual
+        assert np.array_equal(a.vector, d.vector)
+
+
+@pytest.mark.parametrize("m, count", [(20, 20), (150, 10), (300, 10)])
+def test_bandwidth_three_matches_dense_eigh(m, count):
+    A, B = random_pencil(np.random.default_rng(m), m, bandwidth=3)
+    pairs = solve_generalized(A, B, count=count)
+    expected = nearest_dense_values(A, B, count)
+    scale = np.abs(expected).max()
+    assert np.abs(np.array([p.value for p in pairs]) - expected).max() <= 1e-12 * scale
 
 
 # ------------------------------------------------------------------ window mode
