@@ -61,7 +61,7 @@ class RunConfig:
     command: str
     operator: str
     n: int
-    N: int = 2000
+    N: int | None = None  # scaling-check picks N per operator kind
     L_grid: list[float] = field(default_factory=list)
     path: str = "auto"
     seed: int = 0
@@ -107,13 +107,17 @@ def parse_int_list(text: str) -> list[int]:
     return [int(v) for v in parse_range(text)]
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_operator(p: argparse.ArgumentParser):
     p.add_argument("--operator", required=True, choices=sorted(_OPERATORS))
     # distinct dest so the CONFSPEC_N override cannot collide with --n
     p.add_argument("--n", type=int, default=None, dest="dimension", help="sphere dimension")
-    p.add_argument("--N", type=int, default=2000, help="grid size (interior nodes)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV output path (JSON sidecar beside it)")
+
+
+def _add_common(p: argparse.ArgumentParser):
+    _add_operator(p)
+    p.add_argument("--N", type=int, default=2000, help="grid size (interior nodes)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,8 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", default="2")
     p.add_argument("--N-grid", default="500,1000,2000", dest="N_grid")
 
+    # no --N: scaling_check picks the grid size per operator kind
     p = sub.add_parser("scaling-check", help="exact constant-factor covariance law")
-    _add_common(p)
+    _add_operator(p)
     p.add_argument("--c", default="0.5,2,3", dest="c_values")
     return parser
 
@@ -259,6 +264,11 @@ def _cmd_pinocchio_sweep(cfg: RunConfig) -> int:
 
 def _cmd_convergence(cfg: RunConfig) -> int:
     if cfg.cylinder_lengths:
+        if cfg.operator != "conformal-laplacian":
+            raise ValueError(
+                "--cylinder-lengths runs the conformal-Laplacian surrogate only, "
+                f"not {cfg.operator}"
+            )
         trajectory, worst = experiments.cylinder_surrogate_study(
             cfg.cylinder_lengths, N=cfg.N, n=cfg.n, seed=cfg.seed
         )
@@ -347,7 +357,8 @@ _COMMANDS = {
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     n = args.dimension if args.dimension is not None else _DEFAULT_N[args.operator]
     cfg = RunConfig(command=args.command, operator=args.operator, n=n)
-    cfg.N = args.N
+    if hasattr(args, "N"):
+        cfg.N = args.N
     cfg.seed = args.seed
     cfg.out = args.out
     if hasattr(args, "path"):

@@ -24,15 +24,15 @@ from confspec.geometry import (
     volume,
     warped_reparametrize,
 )
-from confspec.grid import RadialGrid, WeakForm1D, make_grid
+from confspec.grid import BandedSymmetric, RadialGrid, assemble_sampled, make_grid, quadrature_points
 from confspec.operators import (
     KIND_DIRAC,
     KIND_L,
     KIND_PANEITZ,
-    IntrinsicRecord,
     ModeSpec,
     OperatorKind,
-    covariance_reduce,
+    RowRecord,
+    covariance_record,
     cylinder_threshold,
     intrinsic_assemble,
     intrinsic_record,
@@ -214,29 +214,20 @@ def _mode_indices(op: OperatorKind):
 
 
 def _collect_modes(
-    op: OperatorKind,
-    grid: RadialGrid,
-    profile: ConformalProfile,
-    record: IntrinsicRecord | None,
-    bar: float,
-    seed: int,
+    op: OperatorKind, record: RowRecord, bar: float, seed: int
 ) -> tuple[list[tuple[ModeSpec, list[EigenPair]]], int]:
     """Solve angular modes until the mode bottom clears the truncation bar.
 
     Each mode is one windowed solve for every eigenvalue with |lambda| below
-    the bar; an empty window means the mode bottom lies above it.  Modes
-    assemble from the row's intrinsic ``record``, or on the covariance path
-    when it is None."""
+    the bar; an empty window means the mode bottom lies above it.  Every
+    mode assembles from the row's ``record``, on either path."""
     per_mode = []
     n_modes = 0
     for group in _mode_indices(op):
         bottom = math.inf
         for index in group:
             mode = make_mode(op, index)
-            if record is None:
-                assembled = covariance_reduce(op, profile, mode, grid)
-            else:
-                assembled = intrinsic_assemble(record, mode)
+            assembled = intrinsic_assemble(record, mode)
             pairs = eigensolve.solve_generalized(
                 assembled.A, assembled.B, window=(-bar, bar), seed=seed
             )
@@ -261,11 +252,12 @@ def _spectrum_for(
     profile = profile_L(op.n, L)
     path = resolve_path(op, L, path)
     grid = nose_resolving_grid(profile, N)
-    record = None
     if path == "intrinsic":
         record = intrinsic_record(op, warped_reparametrize(profile, grid), grid)
+    else:
+        record = covariance_record(op, profile, grid)
     bar = TRUNCATION_FACTOR * ceiling
-    per_mode, n_modes = _collect_modes(op, grid, profile, record, bar, seed)
+    per_mode, n_modes = _collect_modes(op, record, bar, seed)
     return eigensolve.aggregate(per_mode), n_modes, profile, grid
 
 
@@ -373,8 +365,8 @@ def validate_sphere(
     if ell_max < 0:
         raise ValueError(f"ell_max must be at least 0, got {ell_max}")
     checked, bar = _sphere_ladder(op, ell_max)
-    grid = make_grid("polar", N)
-    per_mode, _ = _collect_modes(op, grid, constant_profile(1.0, n=op.n), None, bar, seed)
+    record = covariance_record(op, constant_profile(1.0, n=op.n), make_grid("polar", N))
+    per_mode, _ = _collect_modes(op, record, bar, seed)
     levels = np.array([value for _, value, _ in checked])
     found: list[list] = [[] for _ in checked]
     for entry in eigensolve.aggregate(per_mode).entries:
@@ -474,15 +466,10 @@ def cylinder_surrogate_study(
     worst = 0.0
     for T in T_grid:
         grid = make_grid("arclength", N, length=float(T))
-        form = WeakForm1D(
-            p=lambda t: np.ones_like(t),
-            q=lambda t: np.full_like(t, sigma),
-            w=lambda t: np.ones_like(t),
-            essential_left=True,
-            essential_right=True,
-        )
-        A, M = operators._assemble_lumped(form, grid)
-        pairs = eigensolve.solve_generalized(A, M, count=1, seed=seed)
+        ones = np.ones(quadrature_points(grid, True, True).size)
+        A, M = assemble_sampled(grid, ones, sigma * ones, ones, True, True)
+        B = BandedSymmetric.from_diagonal(operators._lumped(M))
+        pairs = eigensolve.solve_generalized(A, B, count=1, seed=seed)
         lam = pairs[0].value
         law = sigma + (math.pi / T) ** 2
         worst = max(worst, abs(lam - law))
@@ -523,12 +510,13 @@ def covariance_crosscheck(
         else:
             cov_grid = make_grid("polar", N)
             int_grid = cov_grid
-        record = intrinsic_record(op, warped_reparametrize(profile, int_grid), int_grid)
+        cov_record = covariance_record(op, profile, cov_grid)
+        int_record = intrinsic_record(op, warped_reparametrize(profile, int_grid), int_grid)
         worst = 0.0
         for index in _crosscheck_modes(op):
             mode = make_mode(op, index)
-            cov = covariance_reduce(op, profile, mode, cov_grid)
-            intr = intrinsic_assemble(record, mode)
+            cov = intrinsic_assemble(cov_record, mode)
+            intr = intrinsic_assemble(int_record, mode)
             ev_cov = eigensolve.solve_generalized(cov.A, cov.B, count=count, seed=seed)
             ev_int = eigensolve.solve_generalized(intr.A, intr.B, count=count, seed=seed)
             for a, b in zip(ev_cov, ev_int):
@@ -558,7 +546,7 @@ def scaling_check(op: OperatorKind, c: float, N: int | None = None, seed: int = 
     mode = make_mode(op, index)
     grid = make_grid("polar", N)
     one = constant_profile(1.0, op.n)
-    base = covariance_reduce(op, one, mode, grid)
+    base = intrinsic_assemble(covariance_record(op, one, grid), mode)
     count = 4
     ev_base = eigensolve.solve_generalized(base.A, base.B, count=count, seed=seed)
 
@@ -570,7 +558,7 @@ def scaling_check(op: OperatorKind, c: float, N: int | None = None, seed: int = 
         if b.value != 0.0
     )
 
-    pointwise = covariance_reduce(op, constant_profile(c, op.n), mode, grid)
+    pointwise = intrinsic_assemble(covariance_record(op, constant_profile(c, op.n), grid), mode)
     ev_point = eigensolve.solve_generalized(pointwise.A, pointwise.B, count=count, seed=seed)
     pointwise_rel_err = max(
         abs(s.value - b.value * c**-k) / abs(b.value) / c**-k

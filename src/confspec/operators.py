@@ -2,25 +2,29 @@
 
 Covariance path.  A conformal rescaling g -> f^2 g conjugates an operator of
 order k by powers of f: u is an eigensection for f^2 g with eigenvalue lam
-iff w = f^((n-k)/2) u solves P_round w = lam f^k w.  The round-sphere radial
-operator is assembled once and the conformal factor enters only through the
-f^k-weighted mass, so the same machinery validates against the exact round
-spectra.
-
-Every mass B is diagonal.  The scalar operators lump the P1 mass (row sums,
-an O(h^2) change of the discretization, made identically on both paths so
-the dual-path check compares like with like); the Dirac mass is diagonal by
-construction.  A diagonal B lets the eigensolver turn each pencil into a
-banded standard problem.
+iff w = f^((n-k)/2) u solves P_round w = lam f^k w.  The operator is the
+round-sphere radial operator (h = sin r, a constant curvature term) and the
+conformal factor enters only through the f^k-weighted mass, so the same
+machinery validates against the exact round spectra.
 
 Intrinsic path.  The operator is assembled directly in the warped metric
-dt^2 + h^2 g_{S^(n-1)}:
+dt^2 + h^2 g_{S^(n-1)}, with h, h' and h'' sampled through the arclength
+inverse, the scalar curvature (n-2)/(4(n-1)) Scal(t) as the conformal
+Laplacian's curvature term and a unit mass weight.
+
+Both paths sample the geometry of a row once, into one ``RowRecord``
+(``covariance_record`` or ``intrinsic_record``), and every mode of the row
+assembles from it alone through ``intrinsic_assemble(record, mode)``; a
+mode enters only through its angular eigenvalue and its pinned ends.
 
   * conformal Laplacian: weak form p = h^(n-1),
-    q = h^(n-1) [ l(l+n-2)/h^2 + (n-2)/(4(n-1)) Scal(t) ], lumped
-    unit-weight mass against the warped measure h^(n-1) dt.  p, q and the
-    mass weight are array arithmetic on samples of h, h' and h'' at the
-    grid's quadrature points;
+    q = h^(n-1) [ l(l+n-2)/h^2 + potential ] and the lumped mass with
+    weight F^2 h^(n-1) (F = 1 on the intrinsic path), all array arithmetic
+    on the record's samples at the grid's quadrature points;
+  * Paneitz (covariance path only): K D^-1 K + a K + c M, with K the
+    radial Laplacian stiffness, D its lumped unit-weight mass and (a, c)
+    the round-sphere Einstein coefficients; the product keeps bandwidth 2,
+    and B is the lumped F^4-weighted mass;
   * Dirac (n = 2, bounding spin structure, half-integer angular modes k):
     the 2x2 first-order system [[0, X], [X*, 0]] with
     X = d/dt + h'/(2h) - k/h, self-adjoint in L^2(h dt).  The two spinor
@@ -30,15 +34,11 @@ dt^2 + h^2 g_{S^(n-1)}:
     node component is pinned to zero (left pole for k > 0, right for k < 0)
     to match the regular Frobenius branch a ~ dist^(|k|+1/2).
 
-A row of modes shares one ``IntrinsicRecord``: the operator, its arclength
-grid and the samples of h, h' and h'' every mode reads, taken in one
-``WarpedData.jet`` call, so the arclength inverse runs once per row.  A
-mode enters only through its angular eigenvalue and its pinned ends.
-
-The fourth-order Paneitz operator is assembled on the covariance path only,
-as K D^-1 K + a K + c M with K the radial Laplacian stiffness, D the lumped
-round mass and (a, c) its round-sphere Einstein coefficients; the product
-keeps bandwidth 2, and B is the lumped f^4-weighted mass.
+Every mass B is diagonal.  The scalar operators lump the P1 mass (row sums,
+an O(h^2) change of the discretization, made identically on both paths so
+the dual-path check compares like with like); the Dirac mass is diagonal by
+construction.  A diagonal B lets the eigensolver turn each pencil into a
+banded standard problem.
 """
 
 from __future__ import annotations
@@ -50,14 +50,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from confspec.geometry import ConformalProfile, WarpedData, warped_curvature
-from confspec.grid import (
-    BandedSymmetric,
-    RadialGrid,
-    WeakForm1D,
-    assemble_sampled,
-    assemble_weak_form,
-    quadrature_points,
-)
+from confspec.grid import BandedSymmetric, RadialGrid, assemble_sampled, quadrature_points
 
 __all__ = [
     "OperatorKind",
@@ -71,7 +64,8 @@ __all__ = [
     "mode_multiplicity",
     "make_mode",
     "covariance_reduce",
-    "IntrinsicRecord",
+    "RowRecord",
+    "covariance_record",
     "intrinsic_record",
     "intrinsic_assemble",
 ]
@@ -191,28 +185,11 @@ class AssembledOperator:
 
     A: BandedSymmetric
     B: BandedSymmetric
-    mode: ModeSpec
-    path: str  # "covariance" | "intrinsic"
-    grid: RadialGrid
 
 
 def _scalar_constant_term(n: int) -> float:
     # (n-2)/(4(n-1)) * Scal(round S^n) with Scal = n(n-1)
     return n * (n - 2) / 4.0
-
-
-def _round_radial_forms(n: int, angular: float, weight_fn, extra_q: float):
-    def p(r):
-        return np.sin(r) ** (n - 1)
-
-    def q(r):
-        s = np.sin(r)
-        return (angular / s**2 + extra_q) * s ** (n - 1)
-
-    def w(r):
-        return weight_fn(r) * np.sin(r) ** (n - 1)
-
-    return p, q, w
 
 
 def _lumped(mass: BandedSymmetric) -> np.ndarray:
@@ -224,13 +201,6 @@ def _lumped(mass: BandedSymmetric) -> np.ndarray:
         d[k:] += band
         d[: m - k] += band
     return d
-
-
-def _assemble_lumped(
-    form: WeakForm1D, grid: RadialGrid
-) -> tuple[BandedSymmetric, BandedSymmetric]:
-    A, M = assemble_weak_form(form, grid)
-    return A, BandedSymmetric.from_diagonal(_lumped(M))
 
 
 def _banded_from_sparse(mat: sp.spmatrix, bandwidth: int) -> BandedSymmetric:
@@ -252,7 +222,8 @@ def _dirac_staggered(
     h_mids: np.ndarray,
     dh_mids: np.ndarray,
     k: float,
-    weight_fn=None,
+    w_nodes: np.ndarray,
+    w_mids: np.ndarray,
 ) -> tuple[BandedSymmetric, BandedSymmetric]:
     """Staggered first-order mode system, interleaved to bandwidth 1.
 
@@ -260,7 +231,8 @@ def _dirac_staggered(
     is centered at the midpoints, so the scheme is second order and the block
     matrix [[0, G^T], [G, 0]] is symmetric by construction.  ``h_nodes``
     holds h at the nodes, ``h_mids`` and ``dh_mids`` hold h and h' at the
-    cell midpoints; the mass weight is ``weight_fn``, or 1 when it is None.
+    cell midpoints, and ``w_nodes`` and ``w_mids`` the mass weight at each
+    (F on the covariance path, 1 on the intrinsic path).
     """
     t = np.asarray(t_nodes, dtype=float)
     mids = _midpoints(t)
@@ -275,7 +247,6 @@ def _dirac_staggered(
     delta[1:-1] = mids[1:] - mids[:-1]
     delta[0] = mids[0] - t[0]
     delta[-1] = t[-1] - mids[-1]
-    w_nodes, w_mids = (1.0, 1.0) if weight_fn is None else (weight_fn(t), weight_fn(mids))
     mass_a = w_nodes * h_nodes * delta
     mass_b = w_mids * hb
 
@@ -301,86 +272,59 @@ def _dirac_staggered(
     return A, B
 
 
-def _paneitz_pair(
-    n: int, angular: float, weight_fn, grid: RadialGrid, essential: bool
-) -> tuple[BandedSymmetric, BandedSymmetric]:
-    a_coef, q_const = paneitz_constants(n)
-    c_const = (n - 4) / 2.0 * q_const
-    p, q, w_round = _round_radial_forms(n, angular, lambda r: np.ones_like(r), 0.0)
-    form = WeakForm1D(p=p, q=q, w=w_round, essential_left=essential, essential_right=essential)
-    K, M = assemble_weak_form(form, grid)
-    _, B = _assemble_lumped(
-        WeakForm1D(
-            p=p,
-            q=q,
-            w=lambda r: weight_fn(r) ** 4 * np.sin(r) ** (n - 1),
-            essential_left=essential,
-            essential_right=essential,
-        ),
-        grid,
-    )
-    d_lumped = _lumped(M)
-    K_sp = K.to_sparse()
-    P_sp = K_sp @ sp.diags(1.0 / d_lumped) @ K_sp + a_coef * K_sp + c_const * M.to_sparse()
-    return _banded_from_sparse(P_sp, 2), B
-
-
-def covariance_reduce(
-    op: OperatorKind, profile: ConformalProfile, mode: ModeSpec, grid: RadialGrid
-) -> AssembledOperator:
-    """Weighted round-sphere reduction of the operator for f^2 g0.
-
-    A is the round radial operator of the mode, B the lumped f^k-weighted
-    round mass, so eigenvalues of (A, B) are exactly the eigenvalues of the
-    conformally rescaled operator.  Needs a finite profile.
-    """
-    if math.isinf(profile.L):
-        raise ValueError("covariance path requires a finite nose length")
-    if grid.coordinate_kind != "polar":
-        raise ValueError("covariance path assembles on a polar grid")
-    n = op.n
-    essential = mode.index != 0 if op.kind != KIND_DIRAC else False
-    if op.kind == KIND_L:
-        p, q, w = _round_radial_forms(
-            n, mode.angular_eigenvalue, profile.F, _scalar_constant_term(n)
-        )
-        A, B = _assemble_lumped(
-            WeakForm1D(p=p, q=q, w=lambda r: profile.F(r) ** 2 * np.sin(r) ** (n - 1),
-                       essential_left=essential, essential_right=essential),
-            grid,
-        )
-    elif op.kind == KIND_PANEITZ:
-        A, B = _paneitz_pair(n, mode.angular_eigenvalue, profile.F, grid, essential)
-    else:
-        mids = _midpoints(grid.nodes)
-        A, B = _dirac_staggered(
-            grid.nodes, np.sin(grid.nodes), np.sin(mids), np.cos(mids), mode.index, profile.F
-        )
-    return AssembledOperator(A=A, B=B, mode=mode, path="covariance", grid=grid)
-
-
 @dataclass(frozen=True)
-class IntrinsicRecord:
-    """The warped geometry of one intrinsic row, sampled once for all modes.
+class RowRecord:
+    """The geometry of one row of modes, sampled once for all of them.
 
-    ``grid`` is the arclength grid the modes assemble on.  For the conformal
-    Laplacian h, h' and h'' sit at ``quadrature_points(grid, True, True)``,
-    whose first 2(m-1) points are the natural layout, so pinned and free
-    modes read the same samples; for Dirac h and h' sit at the cell
-    midpoints and ``h_nodes`` holds h at the nodes.
+    ``grid`` is the grid the modes assemble on: polar on the covariance
+    path, arclength on the intrinsic path.  For the scalar kinds ``h``,
+    ``potential`` (the curvature term per unit mass) and ``weight`` (the
+    mass weight) sit at ``quadrature_points(grid, True, True)``, whose first
+    2(m-1) points are the natural layout, so pinned and free modes read the
+    same samples.  For Dirac ``h``, ``dh`` and ``weight`` sit at the cell
+    midpoints, and ``h_nodes`` and ``weight_nodes`` hold h and the weight at
+    the nodes.  Fields a kind does not read are None.
     """
 
     op: OperatorKind
     grid: RadialGrid
-    h_nodes: np.ndarray
     h: np.ndarray
-    dh: np.ndarray
-    d2h: np.ndarray
+    weight: np.ndarray
+    potential: np.ndarray | None = None
+    dh: np.ndarray | None = None
+    h_nodes: np.ndarray | None = None
+    weight_nodes: np.ndarray | None = None
 
 
-def intrinsic_record(op: OperatorKind, warped: WarpedData, grid: RadialGrid) -> IntrinsicRecord:
+def covariance_record(op: OperatorKind, profile: ConformalProfile, grid: RadialGrid) -> RowRecord:
+    """Sample the round geometry h = sin r and the mass weight F^k on a polar
+    grid, once for every mode of ``op``: the scalar kinds at the Gauss points
+    with the constant curvature term n(n-2)/4 (conformal Laplacian) or 0
+    (Paneitz, whose curvature terms enter as its Einstein coefficients),
+    Dirac at the cell midpoints and the nodes.  Needs a finite profile."""
+    if math.isinf(profile.L):
+        raise ValueError("covariance path requires a finite nose length")
+    if grid.coordinate_kind != "polar":
+        raise ValueError("covariance path assembles on a polar grid")
+    if op.kind == KIND_DIRAC:
+        # k = 1, so the mass weight is F itself
+        r = _midpoints(grid.nodes)
+        return RowRecord(
+            op, grid, np.sin(r), profile.F(r), dh=np.cos(r),
+            h_nodes=np.sin(grid.nodes), weight_nodes=profile.F(grid.nodes),
+        )
+    r = quadrature_points(grid, True, True)
+    constant = _scalar_constant_term(op.n) if op.kind == KIND_L else 0.0
+    return RowRecord(
+        op, grid, np.sin(r), profile.F(r) ** op.order, potential=np.full(r.shape, constant)
+    )
+
+
+def intrinsic_record(op: OperatorKind, warped: WarpedData, grid: RadialGrid) -> RowRecord:
     """Sample the warped geometry every mode of ``op`` needs, in one
-    ``WarpedData.jet`` call (one arclength inverse for a profile metric)."""
+    ``WarpedData.jet`` call (one arclength inverse for a profile metric).
+    The scalar curvature enters once per row through ``potential``, and the
+    mass weight is 1."""
     if op.kind == KIND_PANEITZ:
         raise ValueError("intrinsic Paneitz assembly is not supported")
     if len(warped.t_nodes) != len(grid.nodes):
@@ -392,31 +336,64 @@ def intrinsic_record(op: OperatorKind, warped: WarpedData, grid: RadialGrid) -> 
         span = t_nodes[-1] + (t_nodes[-1] - t_nodes[-2])
         work_grid = RadialGrid(nodes=t_nodes, coordinate_kind="arclength", span=span)
     if op.kind == KIND_L:
-        t = quadrature_points(work_grid, True, True)
-    else:
-        t = _midpoints(work_grid.nodes)
-    h, dh, d2h = warped.jet(t)
-    return IntrinsicRecord(op=op, grid=work_grid, h_nodes=warped.h, h=h, dh=dh, d2h=d2h)
+        n = op.n
+        h, dh, d2h = warped.jet(quadrature_points(work_grid, True, True))
+        potential = (n - 2) / (4.0 * (n - 1)) * warped_curvature(h, dh, d2h, n)
+        return RowRecord(op, work_grid, h, np.ones_like(h), potential=potential)
+    h, dh, _ = warped.jet(_midpoints(work_grid.nodes))
+    return RowRecord(
+        op, work_grid, h, np.ones_like(h), dh=dh,
+        h_nodes=warped.h, weight_nodes=np.ones_like(warped.h),
+    )
 
 
-def intrinsic_assemble(record: IntrinsicRecord, mode: ModeSpec) -> AssembledOperator:
-    """Direct assembly of one mode in the warped metric dt^2 + h^2 g_{S^(n-1)}
-    from the row's record ``intrinsic_record(op, warped, grid)``."""
-    op, work_grid = record.op, record.grid
-    n = op.n
-    if op.kind == KIND_L:
-        # w = h^(n-1) is also the stiffness weight p, and q reuses it; a free
-        # mode reads the leading natural layout of the pinned samples
-        essential = mode.index != 0
-        size = None if essential else 2 * (work_grid.nodes.size - 1)
-        h = record.h[:size]
-        w = h ** (n - 1)
-        scal = warped_curvature(h, record.dh[:size], record.d2h[:size], n)
-        q = w * (mode.angular_eigenvalue / h**2 + (n - 2) / (4.0 * (n - 1)) * scal)
-        A, M = assemble_sampled(work_grid, w, q, w, essential, essential)
-        B = BandedSymmetric.from_diagonal(_lumped(M))
-    else:
+def intrinsic_assemble(record: RowRecord, mode: ModeSpec) -> AssembledOperator:
+    """Assemble one mode from its row's record, taken on either path
+    (``covariance_record`` or ``intrinsic_record``).
+
+    The scalar kinds form w = h^(n-1), which is the stiffness weight p and
+    the measure, q = w (angular/h^2 + potential) and the mass weight
+    ``weight * w``; a free mode reads the leading natural layout of the
+    pinned samples.  The conformal Laplacian lumps that mass.  Paneitz
+    squares the stiffness K of the unit-weight form through the lumped unit
+    mass D into K D^-1 K + a K + c M and lumps the weighted mass.  Dirac is
+    the staggered system with the record's weights.
+    """
+    op, grid = record.op, record.grid
+    if op.kind == KIND_DIRAC:
         A, B = _dirac_staggered(
-            work_grid.nodes, record.h_nodes, record.h, record.dh, mode.index
+            grid.nodes, record.h_nodes, record.h, record.dh, mode.index,
+            record.weight_nodes, record.weight,
         )
-    return AssembledOperator(A=A, B=B, mode=mode, path="intrinsic", grid=work_grid)
+        return AssembledOperator(A=A, B=B)
+    essential = mode.index != 0
+    size = None if essential else 2 * (grid.nodes.size - 1)
+    h = record.h[:size]
+    w = h ** (op.n - 1)
+    q = w * (mode.angular_eigenvalue / h**2 + record.potential[:size])
+    mass_w = record.weight[:size] * w
+    if op.kind == KIND_L:
+        A, M = assemble_sampled(grid, w, q, mass_w, essential, essential)
+        return AssembledOperator(A=A, B=BandedSymmetric.from_diagonal(_lumped(M)))
+    a_coef, q_const = paneitz_constants(op.n)
+    c_const = (op.n - 4) / 2.0 * q_const
+    K, M = assemble_sampled(grid, w, q, w, essential, essential)
+    _, M_weighted = assemble_sampled(grid, w, q, mass_w, essential, essential)
+    K_sp = K.to_sparse()
+    P_sp = K_sp @ sp.diags(1.0 / _lumped(M)) @ K_sp + a_coef * K_sp + c_const * M.to_sparse()
+    return AssembledOperator(
+        A=_banded_from_sparse(P_sp, 2), B=BandedSymmetric.from_diagonal(_lumped(M_weighted))
+    )
+
+
+def covariance_reduce(
+    op: OperatorKind, profile: ConformalProfile, mode: ModeSpec, grid: RadialGrid
+) -> AssembledOperator:
+    """Weighted round-sphere reduction of one mode of the operator for f^2 g0.
+
+    A is the round radial operator of the mode, B the lumped f^k-weighted
+    round mass, so eigenvalues of (A, B) are exactly the eigenvalues of the
+    conformally rescaled operator.  Samples a record for this mode alone;
+    a row samples one and assembles every mode from it.
+    """
+    return intrinsic_assemble(covariance_record(op, profile, grid), mode)

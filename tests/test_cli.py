@@ -134,6 +134,17 @@ def test_scaling_check_cli(capsys):
     assert "PASS" in out
 
 
+def test_scaling_check_rejects_grid_size(tmp_path, capsys):
+    # scaling_check picks N per operator kind, so --N would do nothing
+    out = tmp_path / "scale.csv"
+    code, _, err = run(
+        capsys, "scaling-check", "--operator", "dirac", "--N", "5", "--c", "2", "--out", str(out)
+    )
+    assert code == 1
+    assert err.startswith("usage error: ") and "--N" in err
+    assert not out.exists()
+
+
 def test_convergence_cli_cylinder_surrogate(tmp_path, capsys):
     out = tmp_path / "conv.csv"
     code, stdout, _ = run(
@@ -146,6 +157,21 @@ def test_convergence_cli_cylinder_surrogate(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "conv.json").read_text())
     assert sidecar["summary"]["flags"]["+"] == "escape"
     assert sidecar["summary"]["max_law_deviation"] <= 1e-3
+
+
+@pytest.mark.parametrize("operator", ["dirac", "paneitz"])
+def test_cylinder_surrogate_rejects_other_operators(tmp_path, capsys, operator):
+    # the surrogate is the conformal Laplacian's; another operator has another gap
+    out = tmp_path / "conv.csv"
+    code, _, err = run(
+        capsys, "convergence", "--operator", operator, "--cylinder-lengths", "10,20",
+        "--N", "200", "--out", str(out),
+    )
+    assert code == 1
+    assert err == (
+        f"error: --cylinder-lengths runs the conformal-Laplacian surrogate only, not {operator}\n"
+    )
+    assert not out.exists()
 
 
 def test_covariance_check_cli(tmp_path, capsys):

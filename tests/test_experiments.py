@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -240,3 +241,36 @@ def test_intrinsic_row_inverts_arclength_twice(monkeypatch, op):
     (row,) = pinocchio_sweep(op, [8.0], N=400, path="intrinsic")
     assert row.error is None and row.n_modes_used > 1
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize(
+    "op", [conformal_laplacian(3), dirac_operator(2)], ids=["conformal-laplacian", "dirac"]
+)
+def test_covariance_row_samples_the_factor_once(monkeypatch, op):
+    # the row's record samples F once at the Gauss points (scalar kinds) or
+    # at the midpoints and the nodes (Dirac); no mode samples it again
+    calls, row_calls = [], []
+    real_profile = experiments.profile_L
+    real_spectrum = experiments._spectrum_for
+
+    def counted_profile(n, L):
+        prof = real_profile(n, L)
+
+        def F(r):
+            calls.append(np.size(r))
+            return prof.F(r)
+
+        return dataclasses.replace(prof, F=F)
+
+    def spectrum(*args):
+        # count the row's spectrum only; the volume quadrature samples F too
+        calls.clear()
+        result = real_spectrum(*args)
+        row_calls.extend(calls)
+        return result
+
+    monkeypatch.setattr(experiments, "profile_L", counted_profile)
+    monkeypatch.setattr(experiments, "_spectrum_for", spectrum)
+    (row,) = pinocchio_sweep(op, [2.0], N=400, path="covariance")
+    assert row.error is None and row.n_modes_used > 1
+    assert len(row_calls) == (2 if op.kind == "dirac" else 1)

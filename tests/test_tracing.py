@@ -1,0 +1,25 @@
+"""The benchmark tracer binds package functions by name; a rename in the
+package must fail here, not silently in a traced benchmark run."""
+
+import importlib.util
+import pathlib
+
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_target_exists():
+    targets = _load_tracing().TARGETS
+    assert targets
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, *_ in targets
+        if attr not in owner.__dict__
+    ]
+    assert not missing
