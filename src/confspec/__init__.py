@@ -10,7 +10,6 @@ the nose-length family.
 
 from confspec.grid import (
     BandedSymmetric,
-    GradingSpec,
     RadialGrid,
     WeakForm1D,
     assemble_weak_form,
@@ -20,9 +19,7 @@ from confspec.geometry import (
     ConformalProfile,
     WarpedData,
     constant_profile,
-    profile_infinity,
     profile_L,
-    scalar_curvature_warped,
     volume,
     warped_reparametrize,
 )

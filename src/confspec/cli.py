@@ -111,12 +111,16 @@ def _add_operator(p: argparse.ArgumentParser):
     p.add_argument("--operator", required=True, choices=sorted(_OPERATORS))
     # distinct dest so the CONFSPEC_N override cannot collide with --n
     p.add_argument("--n", type=int, default=None, dest="dimension", help="sphere dimension")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV output path (JSON sidecar beside it)")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_seeded(p: argparse.ArgumentParser):
     _add_operator(p)
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_common(p: argparse.ArgumentParser):
+    _add_seeded(p)
     p.add_argument("--N", type=int, default=2000, help="grid size (interior nodes)")
 
 
@@ -129,23 +133,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell-max", type=int, default=8)
     p.add_argument("--tolerance", type=float, default=1e-3)
 
+    # closed form: no grid, no solve, so no --N or --seed
     p = sub.add_parser("cylinder-thresholds", help="closed-form cylinder gap sigma")
-    _add_common(p)
+    _add_operator(p)
 
     p = sub.add_parser("pinocchio-sweep", help="invariant along the nose-length family")
     _add_common(p)
     p.add_argument("--L", required=True, help="nose lengths, start:stop:step or list")
     p.add_argument("--path", choices=["covariance", "intrinsic", "auto"], default="auto")
 
+    # --L, --j and --path default to None so that --cylinder-lengths can tell
+    # them apart from the defaults (2:10:2, 1, auto) that _config_from_args fills in
     p = sub.add_parser("convergence", help="eigenvalue trajectories and dichotomy flags")
     _add_common(p)
-    p.add_argument("--L", default="2:10:2")
-    p.add_argument("--j", type=int, default=1, dest="j_index")
-    p.add_argument("--path", choices=["covariance", "intrinsic", "auto"], default="auto")
+    p.add_argument("--L", default=None, help="nose lengths (default 2:10:2)")
+    p.add_argument("--j", type=int, default=None, dest="j_index", help="default 1")
+    p.add_argument("--path", choices=["covariance", "intrinsic", "auto"], default=None)
     p.add_argument(
         "--cylinder-lengths",
         default=None,
-        help="run the exact-cylinder surrogate over these lengths instead",
+        help="run the exact-cylinder surrogate over these lengths instead (no --L, --j, --path)",
     )
 
     p = sub.add_parser("covariance-check", help="dual-path eigenvalue agreement")
@@ -155,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # no --N: scaling_check picks the grid size per operator kind
     p = sub.add_parser("scaling-check", help="exact constant-factor covariance law")
-    _add_operator(p)
+    _add_seeded(p)
     p.add_argument("--c", default="0.5,2,3", dest="c_values")
     return parser
 
@@ -359,17 +366,26 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, operator=args.operator, n=n)
     if hasattr(args, "N"):
         cfg.N = args.N
-    cfg.seed = args.seed
+    if hasattr(args, "seed"):
+        cfg.seed = args.seed
     cfg.out = args.out
-    if hasattr(args, "path"):
+    if getattr(args, "cylinder_lengths", None) is not None:
+        unused = [flag for flag, dest in (("--L", "L"), ("--j", "j_index"), ("--path", "path"))
+                  if getattr(args, dest) is not None]
+        if unused:
+            raise ValueError(
+                f"--cylinder-lengths runs the exact-cylinder surrogate, which takes no "
+                f"{', '.join(unused)}"
+            )
+    if getattr(args, "path", None) is not None:
         cfg.path = args.path
     if hasattr(args, "L"):
-        cfg.L_grid = parse_range(args.L)
+        cfg.L_grid = parse_range("2:10:2" if args.L is None else args.L)
     if hasattr(args, "ell_max"):
         cfg.ell_max = args.ell_max
     if hasattr(args, "tolerance"):
         cfg.validation_tol = args.tolerance
-    if hasattr(args, "j_index"):
+    if getattr(args, "j_index", None) is not None:
         cfg.j_index = args.j_index
     if hasattr(args, "c_values"):
         cfg.c_values = parse_range(args.c_values)

@@ -143,7 +143,10 @@ class ScalingReport:
 
 
 def resolve_path(op: OperatorKind, L: float, path: str) -> str:
-    """Pick and validate the assembly path for one nose length."""
+    """Validate one nose length (``profile_L``'s rule) and pick and validate
+    its assembly path."""
+    if not (math.isfinite(L) and L >= 1.0):
+        raise ValueError(f"nose length L must be finite and at least 1, got {L:g}")
     if path == "auto":
         if op.kind == KIND_PANEITZ:
             path = "covariance"
@@ -491,13 +494,19 @@ def covariance_crosscheck(
     op: OperatorKind, L: float, N_grid: list[int], count: int = 3, seed: int = 0
 ) -> list[CrosscheckRow]:
     """Max relative eigenvalue discrepancy between the covariance and
-    intrinsic assemblies of the same metric, on a shared refinement family."""
+    intrinsic assemblies of the same metric, on a shared refinement family.
+    L = 0 checks the round sphere.  A row's ratio is the previous discrepancy
+    over its own: inf when only its own is 0, nan on the first row or when
+    both are 0."""
     if op.kind == KIND_PANEITZ:
         raise ValueError("cross-check needs both paths; Paneitz has only one")
     if op.kind == KIND_DIRAC and count % 2:
         count += 1  # keep the near-symmetric +- pairs balanced across paths
-    resolve_path(op, L, "covariance")
-    profile = profile_L(op.n, L) if L > 0 else constant_profile(1.0, op.n)
+    if L == 0.0:
+        profile = constant_profile(1.0, op.n)
+    else:
+        resolve_path(op, L, "covariance")
+        profile = profile_L(op.n, L)
     rows: list[CrosscheckRow] = []
     prev = math.nan
     for N in N_grid:
@@ -521,9 +530,13 @@ def covariance_crosscheck(
             ev_int = eigensolve.solve_generalized(intr.A, intr.B, count=count, seed=seed)
             for a, b in zip(ev_cov, ev_int):
                 worst = max(worst, abs(a.value - b.value) / max(abs(a.value), 1e-30))
-        rows.append(
-            CrosscheckRow(N=N, discrepancy=worst, ratio=prev / worst if rows else math.nan)
-        )
+        if rows and worst:
+            ratio = prev / worst
+        elif rows and prev:
+            ratio = math.inf
+        else:
+            ratio = math.nan
+        rows.append(CrosscheckRow(N=N, discrepancy=worst, ratio=ratio))
         prev = worst
     return rows
 

@@ -1,7 +1,7 @@
 """Radial conformal factors on the round sphere and their warped-product form.
 
-The blowup family rescales the round metric g0 by F_L(r)^2 where r is the
-polar distance from the blowup point:
+The blowup family rescales the round metric g0 by F_L(r)^2, for a finite
+nose length L >= 1, where r is the polar distance from the blowup point:
 
     F_L(r) = 1                  for r >= 1,
     F_L(r) = exp(s(2(1-r)) * log(1/r))   on the transition [1/2, 1],
@@ -38,12 +38,10 @@ from confspec.grid import RadialGrid
 __all__ = [
     "ConformalProfile",
     "WarpedData",
-    "profile_infinity",
     "profile_L",
     "constant_profile",
     "volume",
     "warped_reparametrize",
-    "scalar_curvature_warped",
     "warped_curvature",
     "sphere_volume_constant",
     "ArclengthInversionError",
@@ -104,9 +102,7 @@ class _ProfileEvaluator:
     """Piecewise closed-form F, F', F'' for the blowup profile."""
 
     def __init__(self, L: float):
-        self.L = float(L)
-        self.finite = math.isfinite(L)
-        self.b = math.exp(-L) if self.finite else 0.0
+        self.b = math.exp(-L)
         self.a = 0.5 * self.b
 
     def _cap_q(self, r):
@@ -117,16 +113,12 @@ class _ProfileEvaluator:
     def F(self, r):
         r = np.asarray(r, dtype=float)
         out = np.ones_like(r)
-        if self.finite:
-            m = r < self.a
-            out[m] = 1.0 / (0.75 * self.b)
-            m = (r >= self.a) & (r < self.b)
-            q, _ = self._cap_q(r[m])
-            out[m] = 1.0 / q
-            m = (r >= self.b) & (r < 0.5)
-        else:
-            m = (r > 0.0) & (r < 0.5)
-            out[r == 0.0] = np.inf
+        m = r < self.a
+        out[m] = 1.0 / (0.75 * self.b)
+        m = (r >= self.a) & (r < self.b)
+        q, _ = self._cap_q(r[m])
+        out[m] = 1.0 / q
+        m = (r >= self.b) & (r < 0.5)
         out[m] = 1.0 / r[m]
         m = (r >= 0.5) & (r < 1.0)
         out[m] = _transition_F(r[m])
@@ -135,13 +127,10 @@ class _ProfileEvaluator:
     def dF(self, r):
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
-        if self.finite:
-            m = (r >= self.a) & (r < self.b)
-            q, rho = self._cap_q(r[m])
-            out[m] = -_smoothstep(rho) / q**2
-            m = (r >= self.b) & (r < 0.5)
-        else:
-            m = (r > 0.0) & (r < 0.5)
+        m = (r >= self.a) & (r < self.b)
+        q, rho = self._cap_q(r[m])
+        out[m] = -_smoothstep(rho) / q**2
+        m = (r >= self.b) & (r < 0.5)
         out[m] = -1.0 / r[m] ** 2
         m = (r >= 0.5) & (r < 1.0)
         rm = r[m]
@@ -155,15 +144,12 @@ class _ProfileEvaluator:
     def d2F(self, r):
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
-        if self.finite:
-            m = (r >= self.a) & (r < self.b)
-            q, rho = self._cap_q(r[m])
-            qp = _smoothstep(rho)
-            qpp = _dsmoothstep(rho) / (self.b - self.a)
-            out[m] = (2.0 * qp**2 - q * qpp) / q**3
-            m = (r >= self.b) & (r < 0.5)
-        else:
-            m = (r > 0.0) & (r < 0.5)
+        m = (r >= self.a) & (r < self.b)
+        q, rho = self._cap_q(r[m])
+        qp = _smoothstep(rho)
+        qpp = _dsmoothstep(rho) / (self.b - self.a)
+        out[m] = (2.0 * qp**2 - q * qpp) / q**3
+        m = (r >= self.b) & (r < 0.5)
         out[m] = 2.0 / r[m] ** 3
         m = (r >= 0.5) & (r < 1.0)
         rm = r[m]
@@ -179,47 +165,27 @@ class _ProfileEvaluator:
 
 class _ArclengthMap:
     """t(r) = int_0^r F and its inverse, piecewise exact except across the
-    two smoothstep windows, where the inverse is a bracketed Newton solve.
-
-    For L = infinity the nose is infinitely long, so the origin is moved to
-    t(1) = 0 and t diverges to -infinity at the blowup point.
-    """
+    two smoothstep windows, where the inverse is a bracketed Newton solve."""
 
     def __init__(self, ev: _ProfileEvaluator):
         self.ev = ev
-        b, a = ev.b, ev.a
-        if ev.finite:
-            self.t_a = 2.0 / 3.0
-            self.t_b = self.t_a + float(_gl_cumulative(_cap_speed, 0.0, np.array([1.0]))[0])
-            self.t_half = self.t_b + math.log(0.5 / b)
-        else:
-            self.t_half = None
-        self.len_transition = float(
-            _gl_cumulative(_transition_F, 0.5, np.array([1.0]))[0]
-        )
-        if ev.finite:
-            self.t_one = self.t_half + self.len_transition
-        else:
-            self.t_one = 0.0
-            self.t_half = -self.len_transition
+        self.t_a = 2.0 / 3.0
+        self.t_b = self.t_a + float(_gl_cumulative(_cap_speed, 0.0, np.array([1.0]))[0])
+        self.t_half = self.t_b + math.log(0.5 / ev.b)
+        self.t_one = self.t_half + float(_gl_cumulative(_transition_F, 0.5, np.array([1.0]))[0])
 
     def t_of_r(self, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
         ev = self.ev
         out = np.empty_like(r)
-        if ev.finite:
-            m = r < ev.a
-            out[m] = r[m] / (0.75 * ev.b)
-            m = (r >= ev.a) & (r < ev.b)
-            if np.any(m):
-                rho = (r[m] - ev.a) / (ev.b - ev.a)
-                out[m] = self.t_a + _gl_cumulative(_cap_speed, 0.0, rho)
-            m = (r >= ev.b) & (r < 0.5)
-            out[m] = self.t_b + np.log(r[m] / ev.b)
-        else:
-            m = (r > 0.0) & (r < 0.5)
-            out[m] = self.t_half + np.log(2.0 * r[m])
-            out[r == 0.0] = -np.inf
+        m = r < ev.a
+        out[m] = r[m] / (0.75 * ev.b)
+        m = (r >= ev.a) & (r < ev.b)
+        if np.any(m):
+            rho = (r[m] - ev.a) / (ev.b - ev.a)
+            out[m] = self.t_a + _gl_cumulative(_cap_speed, 0.0, rho)
+        m = (r >= ev.b) & (r < 0.5)
+        out[m] = self.t_b + np.log(r[m] / ev.b)
         m = (r >= 0.5) & (r < 1.0)
         if np.any(m):
             out[m] = self.t_half + _gl_cumulative(_transition_F, 0.5, r[m])
@@ -252,17 +218,13 @@ class _ArclengthMap:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         ev = self.ev
         out = np.empty_like(t)
-        if ev.finite:
-            m = t < self.t_a
-            out[m] = 0.75 * ev.b * t[m]
-            m = (t >= self.t_a) & (t < self.t_b)
-            if np.any(m):
-                out[m] = self._invert_window(t[m], ev.a, ev.b, self.t_a, self.t_b)
-            m = (t >= self.t_b) & (t < self.t_half)
-            out[m] = ev.b * np.exp(t[m] - self.t_b)
-        else:
-            m = t < self.t_half
-            out[m] = 0.5 * np.exp(t[m] - self.t_half)
+        m = t < self.t_a
+        out[m] = 0.75 * ev.b * t[m]
+        m = (t >= self.t_a) & (t < self.t_b)
+        if np.any(m):
+            out[m] = self._invert_window(t[m], ev.a, ev.b, self.t_a, self.t_b)
+        m = (t >= self.t_b) & (t < self.t_half)
+        out[m] = ev.b * np.exp(t[m] - self.t_b)
         m = (t >= self.t_half) & (t < self.t_one)
         if np.any(m):
             out[m] = self._invert_window(t[m], 0.5, 1.0, self.t_half, self.t_one)
@@ -271,8 +233,6 @@ class _ArclengthMap:
         return out
 
     def total(self) -> float:
-        if not self.ev.finite:
-            return math.inf
         return self.t_one + (math.pi - 1.0)
 
 
@@ -281,8 +241,7 @@ class ConformalProfile:
     """Rotationally symmetric conformal factor r -> F(r) > 0 on (0, pi].
 
     F, dF, d2F are vectorized closed-form evaluators.  The arclength map
-    t(r) = int_0^r F (origin shifted to t(1) = 0 when L is infinite) is
-    exposed through the method API.  ``kink_radii`` lists the radii where F
+    t(r) = int_0^r F is exposed through the method API.  ``kink_radii`` lists the radii where F
     is only C2 (region boundaries); quadrature grids should place nodes
     there so no cell straddles a derivative jump.
     """
@@ -305,29 +264,17 @@ class ConformalProfile:
         return self._arc.total()
 
 
-def profile_infinity(n: int) -> ConformalProfile:
-    """The complete blowup profile F(r) = 1/r below the transition."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    ev = _ProfileEvaluator(math.inf)
-    return ConformalProfile(
-        n=n, L=math.inf, F=ev.F, dF=ev.dF, d2F=ev.d2F,
-        kink_radii=(0.5, 1.0), _arc=_ArclengthMap(ev),
-    )
-
-
 def profile_L(n: int, L: float) -> ConformalProfile:
-    """Nose-length-L profile: equals the blowup profile on r >= e^-L, smooth
-    bounded cap below."""
+    """Nose-length-L profile: 1/r on the nose [e^-L, 1/2], a smooth bounded
+    cap below it and the fixed transition to 1 above."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    if not L >= 1.0:
-        raise ValueError("nose length L must be at least 1")
+    if not (math.isfinite(L) and L >= 1.0):
+        raise ValueError(f"nose length L must be finite and at least 1, got {L:g}")
     ev = _ProfileEvaluator(float(L))
-    b = math.exp(-float(L))
     return ConformalProfile(
         n=n, L=float(L), F=ev.F, dF=ev.dF, d2F=ev.d2F,
-        kink_radii=(0.5 * b, b, 0.5, 1.0), _arc=_ArclengthMap(ev),
+        kink_radii=(ev.a, ev.b, 0.5, 1.0), _arc=_ArclengthMap(ev),
     )
 
 
@@ -370,8 +317,6 @@ def volume(profile: ConformalProfile, grid: RadialGrid) -> float:
     Second-order composite Gauss quadrature on the grid cells, extended by
     the two end cells so the full interval (0, pi) is covered.
     """
-    if math.isinf(profile.L):
-        raise ValueError("infinite volume")
     if grid.coordinate_kind != "polar":
         raise ValueError("volume quadrature expects a polar grid")
     cap = math.exp(-profile.L)
@@ -392,15 +337,13 @@ def volume(profile: ConformalProfile, grid: RadialGrid) -> float:
 class WarpedData:
     """Arclength presentation dt^2 + h(t)^2 g_{S^(n-1)} of a profile metric.
 
-    Carries nodal samples of h, h', h'' plus ``jet``, which returns all
-    three at arbitrary arclengths, so assembly routines can query their
-    quadrature points.
+    Carries the grid nodes in arclength and h there, plus ``jet``, which
+    returns h, h' and h'' at arbitrary arclengths, so assembly routines can
+    query their quadrature points.
     """
 
     t_nodes: np.ndarray
     h: np.ndarray
-    dh: np.ndarray
-    d2h: np.ndarray
     jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
 
 
@@ -408,8 +351,8 @@ def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedD
     """Warped-product data of the profile metric on a grid.
 
     Polar grids are pushed forward through t(r); arclength grids are used
-    as-is (nodal values obtained through the inverse map).  Each ``jet``
-    call runs the arclength inverse once.
+    as-is (nodal h obtained through the inverse map).  Each ``jet`` call
+    runs the arclength inverse once.
     """
 
     def jet_of_r(r):
@@ -425,12 +368,9 @@ def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedD
     else:
         t_nodes = grid.nodes
         r_nodes = profile.r_of_arclength(t_nodes)
-    h, dh, d2h = jet_of_r(r_nodes)
     return WarpedData(
         t_nodes=t_nodes,
-        h=h,
-        dh=dh,
-        d2h=d2h,
+        h=profile.F(r_nodes) * np.sin(r_nodes),
         jet=lambda t: jet_of_r(profile.r_of_arclength(t)),
     )
 
@@ -438,8 +378,3 @@ def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedD
 def warped_curvature(h, dh, d2h, n: int) -> np.ndarray:
     """Scalar curvature of dt^2 + h^2 g_{S^(n-1)} from samples of h, h', h''."""
     return (n - 1.0) * ((n - 2.0) * (1.0 - dh**2) / h**2 - 2.0 * d2h / h)
-
-
-def scalar_curvature_warped(warped: WarpedData, n: int) -> np.ndarray:
-    """Nodewise scalar curvature of the warped metric."""
-    return warped_curvature(warped.h, warped.dh, warped.d2h, n)

@@ -27,7 +27,6 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "GradingSpec",
     "RadialGrid",
     "WeakForm1D",
     "BandedSymmetric",
@@ -40,29 +39,6 @@ __all__ = [
 _GAUSS_OFFSETS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
 MIN_NODES = 16
-
-
-@dataclass(frozen=True)
-class GradingSpec:
-    """Node placement rule: ``uniform`` or ``geometric-near-left``.
-
-    Geometric grading starts at ``r_min`` and grows spacings by ``ratio``
-    per step until they reach the uniform spacing that fills the rest of
-    the interval; consecutive spacing ratios stay within [1, ratio].
-    """
-
-    kind: str = "uniform"
-    ratio: float | None = None
-    r_min: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "geometric-near-left"):
-            raise ValueError(f"unknown grading kind {self.kind!r}")
-        if self.kind == "geometric-near-left":
-            if self.r_min is None or self.r_min <= 0.0:
-                raise ValueError("geometric grading requires r_min > 0")
-            if self.ratio is None or self.ratio <= 1.0:
-                raise ValueError("geometric grading requires ratio > 1")
 
 
 @dataclass(frozen=True)
@@ -172,51 +148,12 @@ class BandedSymmetric:
         return BandedSymmetric(bands)
 
 
-def _uniform_nodes(N: int, span: float) -> np.ndarray:
-    return span * np.arange(1, N + 1) / (N + 1)
-
-
-def _geometric_nodes(N: int, span: float, ratio: float, r_min: float) -> np.ndarray:
-    """Geometric prefix r_min * ratio^j, uniform suffix ending one spacing
-    short of ``span``.  The split index is chosen so the junction spacing
-    ratio stays within [1, ratio]."""
-    if r_min >= span:
-        raise ValueError("r_min must be smaller than the domain span")
-    K = None
-    for k in range(1, N - 1):
-        n_k = r_min * ratio**k
-        if n_k >= span:
-            break
-        s_k = r_min * ratio ** (k - 1) * (ratio - 1.0)
-        h_k = (span - n_k) / (N - k)
-        if h_k <= ratio * s_k:
-            K = k
-            break
-    if K is None:
-        raise ValueError(
-            "geometric grading infeasible: ratio/r_min leave no room for a "
-            "uniform tail; increase N or the ratio"
-        )
-    n_K = r_min * ratio**K
-    h = (span - n_K) / (N - K)
-    nodes = np.empty(N)
-    nodes[: K + 1] = r_min * ratio ** np.arange(K + 1)
-    nodes[K + 1 :] = n_K + h * np.arange(1, N - K)
-    return nodes
-
-
-def make_grid(
-    kind: str,
-    N: int,
-    grading: GradingSpec | None = None,
-    *,
-    length: float | None = None,
-) -> RadialGrid:
-    """Build a radial grid with N interior nodes.
+def make_grid(kind: str, N: int, *, length: float | None = None) -> RadialGrid:
+    """Build a uniform radial grid with N interior nodes at span*i/(N+1).
 
     ``kind`` is "polar" (domain (0, pi)) or "arclength" (domain (0, length),
-    ``length`` required).  Uniform grading places nodes at span*i/(N+1);
-    geometric grading resolves the left end down to ``r_min``.
+    ``length`` required).  Grids that resolve the nose are built from the
+    profile's arclength map instead (``experiments.nose_resolving_grid``).
     """
     if N < MIN_NODES:
         raise ValueError("node count too small")
@@ -230,13 +167,7 @@ def make_grid(
         span = float(length)
     else:
         raise ValueError(f"unknown coordinate kind {kind!r}")
-    grading = grading or GradingSpec()
-    if grading.kind == "uniform":
-        nodes = _uniform_nodes(N, span)
-    else:
-        if kind == "polar" and grading.r_min >= math.pi / 2:
-            raise ValueError("r_min must be below pi/2 for polar grids")
-        nodes = _geometric_nodes(N, span, grading.ratio, grading.r_min)
+    nodes = span * np.arange(1, N + 1) / (N + 1)
     return RadialGrid(nodes=nodes, coordinate_kind=kind, span=span)
 
 

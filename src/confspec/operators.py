@@ -301,9 +301,7 @@ def covariance_record(op: OperatorKind, profile: ConformalProfile, grid: RadialG
     grid, once for every mode of ``op``: the scalar kinds at the Gauss points
     with the constant curvature term n(n-2)/4 (conformal Laplacian) or 0
     (Paneitz, whose curvature terms enter as its Einstein coefficients),
-    Dirac at the cell midpoints and the nodes.  Needs a finite profile."""
-    if math.isinf(profile.L):
-        raise ValueError("covariance path requires a finite nose length")
+    Dirac at the cell midpoints and the nodes."""
     if grid.coordinate_kind != "polar":
         raise ValueError("covariance path assembles on a polar grid")
     if op.kind == KIND_DIRAC:

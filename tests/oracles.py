@@ -109,6 +109,19 @@ def fd_radial_eigs(p_fn, q_fn, w_fn, N: int, span: float, count: int,
     return tridiag_pencil_eigs(da, ea, db, eb, 0, count - 1)
 
 
+# closed-form reference profile ----------------------------------------------
+
+
+def blowup_factor(r) -> np.ndarray:
+    """The complete blowup factor that every nose-length-L profile follows
+    on r >= e^-L: 1/r below 1/2, exp(s(2(1-r)) log(1/r)) on [1/2, 1) with
+    s(x) = 6x^5 - 15x^4 + 10x^3 the quintic smoothstep, and 1 from 1 on."""
+    r = np.asarray(r, dtype=float)
+    x = np.clip(2.0 * (1.0 - r), 0.0, 1.0)
+    smooth = 6.0 * x**5 - 15.0 * x**4 + 10.0 * x**3
+    return np.where(r < 0.5, 1.0 / r, np.where(r < 1.0, np.exp(-smooth * np.log(r)), 1.0))
+
+
 # closed-form reference ladders ------------------------------------------------
 
 

@@ -239,3 +239,51 @@ def test_covariance_check_takes_one_nose_length(tmp_path, capsys):
     assert code == 1
     assert err == "error: covariance-check takes one nose length, got 3\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("L", ["0.5", "nan", "inf"])
+def test_sweep_checks_nose_length_before_any_row(tmp_path, capsys, L):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(
+        capsys, "pinocchio-sweep", "--operator", "conformal-laplacian", "--L", L,
+        "--N", "100", "--out", str(out),
+    )
+    assert code == 1
+    assert err == f"error: nose length L must be finite and at least 1, got {L}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [("--N", "5"), ("--seed", "3")], ids=["N", "seed"])
+def test_cylinder_thresholds_rejects_solver_flags(tmp_path, capsys, flag):
+    # sigma is closed form: no grid to size and no solve to seed
+    out = tmp_path / "sigma.csv"
+    code, _, err = run(
+        capsys, "cylinder-thresholds", "--operator", "dirac", *flag, "--out", str(out)
+    )
+    assert code == 1
+    assert err.startswith("usage error: ") and flag[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--L", "7"), "--L"),
+        (("--j", "3"), "--j"),
+        (("--path", "covariance"), "--path"),
+        (("--j", "3", "--path", "covariance", "--L", "7"), "--L, --j, --path"),
+    ],
+    ids=["L", "j", "path", "all"],
+)
+def test_cylinder_surrogate_rejects_nose_flags(tmp_path, capsys, flags, named):
+    # the surrogate runs over --cylinder-lengths alone and would only echo these
+    out = tmp_path / "conv.csv"
+    code, _, err = run(
+        capsys, "convergence", "--operator", "conformal-laplacian",
+        "--cylinder-lengths", "5,10", "--N", "200", *flags, "--out", str(out),
+    )
+    assert code == 1
+    assert err == (
+        f"error: --cylinder-lengths runs the exact-cylinder surrogate, which takes no {named}\n"
+    )
+    assert not out.exists()

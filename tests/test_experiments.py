@@ -199,6 +199,34 @@ def test_crosscheck_identity_factor_is_tight():
     assert all(r.discrepancy <= 1e-10 for r in rows)
 
 
+@pytest.mark.parametrize("L", [-1.0, math.nan])
+def test_crosscheck_rejects_negative_or_nan_nose(L):
+    # only L = 0 stands for the round sphere
+    with pytest.raises(ValueError, match="nose length"):
+        covariance_crosscheck(conformal_laplacian(3), L, [100, 200])
+
+
+def test_crosscheck_ratio_when_both_discrepancies_vanish():
+    # on the round sphere both Dirac assemblies are the same pencil
+    rows = covariance_crosscheck(dirac_operator(2), 0.0, [100, 200])
+    assert [r.discrepancy for r in rows] == [0.0, 0.0]
+    assert math.isnan(rows[1].ratio)
+
+
+def test_crosscheck_ratio_when_only_the_new_discrepancy_vanishes(monkeypatch):
+    # two modes, each solved on the covariance then the intrinsic pencil:
+    # the intrinsic values differ at the first N only
+    values = iter([1.0, 1.1, 1.0, 1.1] + [1.0] * 4)
+
+    def fake_solve(A, B, count, seed):
+        return [eigensolve.EigenPair(next(values), np.zeros(A.size), 0.0)] * count
+
+    monkeypatch.setattr(eigensolve, "solve_generalized", fake_solve)
+    rows = covariance_crosscheck(conformal_laplacian(3), 0.0, [100, 200])
+    assert rows[0].discrepancy == pytest.approx(0.1) and rows[1].discrepancy == 0.0
+    assert rows[1].ratio == math.inf
+
+
 def test_crosscheck_second_order_refinement():
     rows = covariance_crosscheck(conformal_laplacian(3), 2.0, [500, 1000, 2000])
     assert rows[-1].discrepancy <= 1e-3

@@ -1,41 +1,55 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confspec.experiments import nose_resolving_grid
 from confspec.geometry import (
     WarpedData,
     constant_profile,
     profile_L,
-    profile_infinity,
-    scalar_curvature_warped,
     sphere_volume_constant,
     volume,
+    warped_curvature,
     warped_reparametrize,
 )
-from confspec.grid import GradingSpec, make_grid
+from confspec.grid import make_grid
+
+import oracles
 
 
 def polar_grid(N=2000, L=None):
     if L is None:
         return make_grid("polar", N)
-    return make_grid(
-        "polar", N, GradingSpec("geometric-near-left", ratio=1.01, r_min=math.exp(-L) / 8)
-    )
+    return nose_resolving_grid(profile_L(3, L), N)
 
 
 # ------------------------------------------------------------------ profiles
 
 
+def test_oracles_import_no_package_code():
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+    assert not {name for name in imported if name.split(".")[0] == "confspec"}
+
+
 def test_profile_infinity_plateau_and_nose():
-    prof = profile_infinity(3)
+    # a finite profile follows the blowup factor's plateau and its 1/r nose
+    prof = profile_L(3, 2.0)
     assert prof.F(np.array([1.2]))[0] == 1.0
     assert prof.F(np.array([0.25]))[0] == pytest.approx(4.0, rel=1e-15)
 
 
 def test_profile_infinity_transition_band():
-    prof = profile_infinity(3)
+    prof = profile_L(3, 1.0)
     r = np.linspace(0.5, 1.0, 100)
     F = prof.F(r)
     assert np.all(F >= 1.0 - 1e-12) and np.all(F <= 2.0 + 1e-12)
@@ -49,7 +63,7 @@ def test_profile_L_matches_blowup_outside_cap():
     prof = profile_L(3, 2.0)
     assert prof.F(np.array([math.exp(-1.0)]))[0] == pytest.approx(math.e, rel=1e-14)
     r = np.linspace(math.exp(-2.0), 3.0, 500)
-    assert np.allclose(prof.F(r), profile_infinity(3).F(r), rtol=1e-14)
+    assert np.allclose(prof.F(r), oracles.blowup_factor(r), rtol=1e-14)
 
 
 def test_profile_L_cap_bounded_below_blowup():
@@ -66,20 +80,21 @@ def test_profile_independent_of_dimension():
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        profile_infinity(1)
+        profile_L(1, 2.0)
     with pytest.raises(ValueError):
         profile_L(3, 0.5)
+    for L in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            profile_L(3, L)
     with pytest.raises(ValueError):
         constant_profile(-1.0)
 
 
 def test_profile_derivatives_match_finite_differences():
-    for L in (1.0, 3.0, math.inf):
-        prof = profile_L(3, L) if math.isfinite(L) else profile_infinity(3)
-        b = math.exp(-L) if math.isfinite(L) else None
-        samples = [0.3, 0.55, 0.75, 0.95, 1.5]
-        if b is not None:
-            samples += [0.3 * b, 0.6 * b, 0.9 * b]
+    for L in (1.0, 3.0):
+        prof = profile_L(3, L)
+        b = math.exp(-L)
+        samples = [0.3, 0.55, 0.75, 0.95, 1.5, 0.3 * b, 0.6 * b, 0.9 * b]
         eps = 1e-6
         for r0 in samples:
             r = np.array([r0 - eps, r0, r0 + eps])
@@ -102,7 +117,7 @@ def test_profile_monotone_in_L_and_below_blowup(L1, L2):
     r = np.linspace(1e-9, math.pi, 2000)
     f1 = profile_L(3, L1).F(r)
     f2 = profile_L(3, L2).F(r)
-    finf = profile_infinity(3).F(r)
+    finf = oracles.blowup_factor(r)
     assert np.all(f1 <= f2 + 1e-12)
     assert np.all(f2 <= finf + 1e-12)
     outside = r >= math.exp(-L1)
@@ -145,8 +160,9 @@ def test_volume_slope_matches_girth_constant():
 
 
 def test_volume_rejects_infinite_and_unresolved():
-    with pytest.raises(ValueError, match="infinite volume"):
-        volume(profile_infinity(3), polar_grid())
+    # an infinite nose has no profile, so no volume can be asked of it
+    with pytest.raises(ValueError, match="finite"):
+        volume(profile_L(3, math.inf), polar_grid())
     with pytest.raises(ValueError, match="resolve"):
         volume(profile_L(3, 8.0), make_grid("polar", 100))
 
@@ -159,26 +175,27 @@ def test_round_sphere_warps_to_identity():
     warped = warped_reparametrize(constant_profile(1.0, 3), grid)
     assert np.allclose(warped.t_nodes, grid.nodes, rtol=0, atol=0)
     assert np.allclose(warped.h, np.sin(grid.nodes), rtol=0, atol=1e-15)
-    assert np.allclose(warped.dh, np.cos(grid.nodes), rtol=0, atol=1e-15)
+    assert np.allclose(warped.jet(warped.t_nodes)[1], np.cos(grid.nodes), rtol=0, atol=1e-15)
 
 
 def test_blowup_region_is_asymptotically_cylindrical():
     # closed form on the nose: h(r) = sin(r)/r, whose minimum over
     # [e^-8, 1/4] is sin(1/4)/(1/4) = 0.98961...
-    prof = profile_infinity(2)
+    prof = profile_L(2, 8.0)
     r = np.geomspace(math.exp(-8.0), 0.25, 400)
     h = prof.F(r) * np.sin(r)
     assert np.allclose(h, np.sin(r) / r, rtol=1e-14)
     assert np.all(h >= math.sin(0.25) / 0.25 - 1e-12) and np.all(h <= 1.0 + 1e-12)
     # cylinder limit: |h - 1| <= 2r and |dh/dt| <= 2r on the nose
     assert np.all(np.abs(h - 1.0) <= 2 * r)
-    warped = warped_reparametrize(prof, make_grid("polar", 2000))
+    warped = warped_reparametrize(prof, nose_resolving_grid(prof, 2000))
     lo = prof.arclength_of_r(np.array([math.exp(-8.0)]))[0]
     hi = prof.arclength_of_r(np.array([0.25]))[0]
     mask = (warped.t_nodes >= lo) & (warped.t_nodes <= hi)
     r_mask = prof.r_of_arclength(warped.t_nodes[mask])
+    _, dh, _ = warped.jet(warped.t_nodes[mask])
     assert np.all(np.abs(warped.h[mask] - 1.0) <= 2 * r_mask)
-    assert np.all(np.abs(warped.dh[mask]) <= 2 * r_mask + 1e-12)
+    assert np.all(np.abs(dh) <= 2 * r_mask + 1e-12)
 
 
 def test_nose_arclength_is_logarithmic():
@@ -212,17 +229,14 @@ def test_arclength_derivative_is_profile():
 
 
 def _warped_from_callables(t_nodes, h, dh, d2h):
-    return WarpedData(
-        t_nodes=t_nodes, h=h(t_nodes), dh=dh(t_nodes), d2h=d2h(t_nodes),
-        jet=lambda t: (h(t), dh(t), d2h(t)),
-    )
+    return WarpedData(t_nodes=t_nodes, h=h(t_nodes), jet=lambda t: (h(t), dh(t), d2h(t)))
 
 
 def test_curvature_round_sphere():
     t = np.linspace(0.2, math.pi - 0.2, 50)
     for n in (2, 3, 5):
         warped = _warped_from_callables(t, np.sin, np.cos, lambda x: -np.sin(x))
-        scal = scalar_curvature_warped(warped, n)
+        scal = warped_curvature(*warped.jet(t), n)
         assert np.allclose(scal, n * (n - 1), atol=1e-8)
 
 
@@ -232,7 +246,7 @@ def test_curvature_exact_cylinder():
         t, lambda x: np.ones_like(x), lambda x: np.zeros_like(x), lambda x: np.zeros_like(x)
     )
     for n in (2, 3, 5):
-        scal = scalar_curvature_warped(warped, n)
+        scal = warped_curvature(*warped.jet(t), n)
         assert np.allclose(scal, (n - 1) * (n - 2), rtol=0, atol=1e-14)
 
 
@@ -241,7 +255,7 @@ def test_curvature_hyperbolic_desk_check():
     warped = _warped_from_callables(t, np.cosh, np.sinh, np.cosh)
     for n in (3, 4):
         expected = (n - 1) * ((n - 2) * (1 - np.sinh(t) ** 2) / np.cosh(t) ** 2 - 2.0)
-        assert np.allclose(scalar_curvature_warped(warped, n), expected, rtol=1e-14)
+        assert np.allclose(warped_curvature(*warped.jet(t), n), expected, rtol=1e-14)
 
 
 def test_pinocchio_curvature_approaches_cylinder_value():
@@ -249,7 +263,7 @@ def test_pinocchio_curvature_approaches_cylinder_value():
     prof = profile_L(3, 8.0)
     grid = polar_grid(3000, 8.0)
     warped = warped_reparametrize(prof, grid)
-    scal = scalar_curvature_warped(warped, 3)
+    scal = warped_curvature(*warped.jet(warped.t_nodes), 3)
     r_nodes = prof.r_of_arclength(warped.t_nodes)
     nose = (r_nodes > math.exp(-8.0)) & (r_nodes < 0.05)
     assert np.allclose(scal[nose], 2.0, atol=0.02)

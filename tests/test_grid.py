@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from confspec.eigensolve import solve_generalized
 from confspec.grid import (
     BandedSymmetric,
-    GradingSpec,
+    RadialGrid,
     WeakForm1D,
     assemble_weak_form,
     make_grid,
@@ -37,57 +37,12 @@ def test_uniform_polar_partition():
     assert np.allclose(grid.nodes, np.pi * np.arange(1, 18) / 18, rtol=0, atol=0)
 
 
-def test_geometric_grading_recurrence():
-    ratio, r_min = 1.01, 1e-6
-    grid = make_grid("polar", 2000, GradingSpec("geometric-near-left", ratio=ratio, r_min=r_min))
-    spacings = np.diff(grid.nodes)
-    # first spacing follows the geometric recurrence from r_min
-    assert spacings[0] == pytest.approx(r_min * (ratio - 1.0), rel=1e-12)
-    ratios = spacings[1:] / spacings[:-1]
-    assert np.all(ratios <= ratio * (1 + 1e-12))
-    assert np.all(ratios >= 1.0 - 1e-12)
-    # the prefix is exactly geometric: recompute the recurrence directly
-    k = np.flatnonzero(ratios < 1.0 + 1e-12)[0] + 1  # first uniform step
-    assert np.allclose(grid.nodes[:k], r_min * ratio ** np.arange(k), rtol=1e-12)
-
-
-def test_geometric_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        GradingSpec("geometric-near-left", ratio=0.99, r_min=1e-6)
-    with pytest.raises(ValueError):
-        GradingSpec("geometric-near-left", ratio=1.01, r_min=-1.0)
-    with pytest.raises(ValueError, match="pi/2"):
-        make_grid("polar", 100, GradingSpec("geometric-near-left", ratio=1.01, r_min=2.0))
-
-
 def test_arclength_needs_length():
     with pytest.raises(ValueError):
         make_grid("arclength", 100)
     grid = make_grid("arclength", 100, length=7.5)
     assert grid.span == 7.5
     assert grid.nodes[0] > 0 and grid.nodes[-1] < 7.5
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    N=st.integers(min_value=16, max_value=400),
-    ratio=st.floats(min_value=1.001, max_value=1.2),
-    r_min_exp=st.floats(min_value=-8.0, max_value=-2.0),
-)
-def test_geometric_grading_invariants(N, ratio, r_min_exp):
-    r_min = 10.0**r_min_exp
-    try:
-        grid = make_grid("polar", N, GradingSpec("geometric-near-left", ratio=ratio, r_min=r_min))
-    except ValueError:
-        return  # infeasible parameter combination is allowed to be rejected
-    nodes = grid.nodes
-    assert nodes[0] == r_min
-    assert nodes[-1] < math.pi
-    spacings = np.diff(nodes)
-    assert np.all(spacings > 0)
-    ratios = spacings[1:] / spacings[:-1]
-    assert np.all(ratios <= ratio * (1 + 1e-9))
-    assert np.all(ratios >= 1.0 - 1e-9)
 
 
 # ------------------------------------------------------------- assembly
@@ -150,7 +105,9 @@ def test_sphere_radial_modes_against_fd_oracle():
 
 
 def test_assembled_matrices_exactly_symmetric():
-    grid = make_grid("polar", 200, GradingSpec("geometric-near-left", ratio=1.05, r_min=1e-3))
+    # graded toward the left pole, so no two cells share a width
+    nodes = math.pi * (np.arange(1, 201) / 201) ** 2
+    grid = RadialGrid(nodes=nodes, coordinate_kind="polar", span=math.pi)
     rng = np.random.default_rng(7)
     coef = rng.uniform(0.5, 2.0, size=3)
     form = WeakForm1D(

@@ -5,13 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confspec.eigensolve import solve_generalized
-from confspec.geometry import (
-    constant_profile,
-    profile_L,
-    profile_infinity,
-    warped_reparametrize,
-)
-from confspec.grid import GradingSpec, make_grid
+from confspec.experiments import nose_resolving_grid
+from confspec.geometry import constant_profile, profile_L, warped_reparametrize
+from confspec.grid import make_grid
 from confspec.operators import (
     conformal_laplacian,
     covariance_reduce,
@@ -29,9 +25,7 @@ import oracles
 
 
 def nose_grid(L, N=2000):
-    return make_grid(
-        "polar", N, GradingSpec("geometric-near-left", ratio=1.01, r_min=math.exp(-L) / 8)
-    )
+    return nose_resolving_grid(profile_L(3, L), N)
 
 
 # ------------------------------------------------------------ kinds and constants
@@ -131,13 +125,6 @@ def test_constant_factor_scales_mass_only():
         assert b.value == pytest.approx(a.value / 4.0, rel=1e-13)
 
 
-def test_covariance_rejects_infinite_profile():
-    op = conformal_laplacian(3)
-    grid = make_grid("polar", 64)
-    with pytest.raises(ValueError, match="finite"):
-        covariance_reduce(op, profile_infinity(3), make_mode(op, 0), grid)
-
-
 def test_intrinsic_rejects_paneitz():
     op = paneitz_operator(5)
     grid = make_grid("polar", 64)
@@ -223,8 +210,6 @@ def test_cylinder_segment_bottom_approaches_gap():
         warped = WarpedData(
             t_nodes=grid.nodes,
             h=np.ones_like(grid.nodes),
-            dh=np.zeros_like(grid.nodes),
-            d2h=np.zeros_like(grid.nodes),
             jet=lambda t: (np.ones_like(t), np.zeros_like(t), np.zeros_like(t)),
         )
         mode = make_mode(op, 1)  # ell >= 1 pins both ends; subtract angular term
