@@ -309,6 +309,13 @@ def _cmd_convergence(cfg: RunConfig) -> int:
     return 0
 
 
+# A refinement step counts as converged when its discrepancy decreases or is
+# already at roundoff.  The round sphere (L = 0), where the two paths assemble
+# the same pencil, reads 2.6e-13 for the conformal Laplacian n = 3 at N = 600
+# and 0 for Dirac; the nose at L = 2, N = 2000 still reads 2.1e-6.
+_DISCREPANCY_ROUNDOFF = 1e-10
+
+
 def _cmd_covariance_check(cfg: RunConfig) -> int:
     if len(cfg.L_grid) != 1:
         raise ValueError(f"covariance-check takes one nose length, got {len(cfg.L_grid)}")
@@ -316,7 +323,10 @@ def _cmd_covariance_check(cfg: RunConfig) -> int:
     (L,) = cfg.L_grid
     rows = experiments.covariance_crosscheck(op, L, cfg.N_grid, seed=cfg.seed)
     table = [[r.N, r.discrepancy, r.ratio] for r in rows]
-    decreasing = all(b.discrepancy < a.discrepancy for a, b in zip(rows, rows[1:]))
+    decreasing = all(
+        b.discrepancy < a.discrepancy or b.discrepancy <= _DISCREPANCY_ROUNDOFF
+        for a, b in zip(rows, rows[1:])
+    )
     final_ok = rows[-1].discrepancy <= 1e-3
     _write_report(
         cfg,

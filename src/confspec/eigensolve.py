@@ -45,7 +45,9 @@ raises ``SolverConvergenceError`` rather than returning a duplicate.
 Every returned pair is B-orthonormalized; residuals
 ||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||) are reported per pair and must
 stay below ``RESIDUAL_TOL`` or, where double precision cannot certify
-that, a small multiple of the evaluation floor.
+that, a small multiple of the evaluation floor.  Where that denominator
+is below its own rounding, as at an exact zero eigenvalue, the residual
+is taken against (||A|| + |lam| ||B||) ||x|| instead.
 A non-finite vector or residual fails that certificate.
 """
 
@@ -58,6 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cython_lapack, lapack
 
@@ -118,14 +121,6 @@ def _cholesky_or_raise(B: BandedSymmetric) -> np.ndarray:
         raise NotPositiveDefiniteError(pivot) from exc
 
 
-def _residual(ax: np.ndarray, bx: np.ndarray, lam: float) -> float:
-    """Relative residual of a pair from its products A x and B x."""
-    denom = np.linalg.norm(ax) + abs(lam) * np.linalg.norm(bx)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(ax - lam * bx) / denom)
-
-
 def _inf_norm(A: BandedSymmetric) -> float:
     m = A.size
     row = np.abs(A.bands[0]).astype(float)
@@ -136,19 +131,27 @@ def _inf_norm(A: BandedSymmetric) -> float:
     return float(row.max(initial=0.0))
 
 
-def _residual_floor(norm_a: float, norm_b: float, ax, bx, lam: float, x: np.ndarray) -> float:
-    """Smallest relative residual certifiable in double precision.
+def _certificate(norm_a: float, norm_b: float, ax, bx, lam: float, x) -> tuple[float, float]:
+    """Relative residual of a pair and the smallest one certifiable in
+    double precision, from its products ``ax`` = A x and ``bx`` = B x and
+    the inf-norms of A and B.
 
-    Even the exact eigenvector, rounded to binary64, carries a residual of
-    order eps * (||A|| + |lam| ||B||) ||x||; pencils with a huge spectral
-    range (the squared fourth-order operator) sit well above 1e-9.
-    ``norm_a`` and ``norm_b`` are the inf-norms of A and B, ``ax`` and
-    ``bx`` the products A x and B x."""
+    The residual is ||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||).  Even the
+    exact eigenvector, rounded to binary64, carries a residual of order
+    eps (||A|| + |lam| ||B||) ||x|| over that denominator; pencils with a
+    huge spectral range (the squared fourth-order operator) sit well above
+    1e-9.  Where the denominator is itself below that rounding, both are
+    taken relative to (||A|| + |lam| ||B||) ||x|| instead: at an exact zero
+    eigenvalue A x and lam vanish together and the first ratio is 1 for any
+    x."""
+    eps = np.finfo(float).eps
     denom = np.linalg.norm(ax) + abs(lam) * np.linalg.norm(bx)
-    if denom == 0.0:
-        return 0.0
     scale = (norm_a + abs(lam) * norm_b) * np.linalg.norm(x)
-    return float(np.finfo(float).eps * scale / denom)
+    if denom < eps * scale:
+        denom = scale
+    if denom == 0.0:
+        return 0.0, 0.0
+    return float(np.linalg.norm(ax - lam * bx) / denom), float(eps * scale / denom)
 
 
 def _b_orthonormalize(B: BandedSymmetric, vectors: list[np.ndarray]) -> list[np.ndarray]:
@@ -285,12 +288,22 @@ def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
     return quotients, list(xs)
 
 
+def _to_sparse(M: BandedSymmetric) -> sp.csc_matrix:
+    """Both triangles of M as a sparse matrix, the form ARPACK's shift-invert
+    takes; no other route leaves band storage."""
+    m = M.size
+    offsets = list(range(M.bandwidth + 1))
+    diags = [M.bands[d, : m - d] for d in offsets]
+    upper = [M.bands[d, : m - d] for d in offsets[1:]]
+    return sp.diags(diags + upper, [-d for d in offsets] + offsets[1:], shape=(m, m), format="csc")
+
+
 def _iterative_path(A, B, count, window, seed):
     center = 0.0 if window is None else 0.5 * (window[0] + window[1])
     v0 = np.random.default_rng(seed).standard_normal(A.size)
     try:
         vals, vecs = spla.eigsh(
-            A.to_sparse(), k=count, M=B.to_sparse(), sigma=center, which="LM", v0=v0, tol=0
+            _to_sparse(A), k=count, M=_to_sparse(B), sigma=center, which="LM", v0=v0, tol=0
         )
     except (RuntimeError, ValueError) as exc:  # ArpackNoConvergence is a RuntimeError
         raise SolverConvergenceError(math.inf) from exc
@@ -481,8 +494,8 @@ def solve_generalized(
     for vec in vectors:
         ax, bx = A.matvec(vec), B.matvec(vec)
         lam = float(vec @ ax) / float(vec @ bx)
-        res = _residual(ax, bx, lam)
-        bound = max(RESIDUAL_TOL, 32.0 * _residual_floor(norm_a, norm_b, ax, bx, lam, vec))
+        res, floor = _certificate(norm_a, norm_b, ax, bx, lam, vec)
+        bound = max(RESIDUAL_TOL, 32.0 * floor)
         if not res <= bound:  # a NaN residual fails too
             failed.append(res)
         pairs.append(EigenPair(value=lam, vector=vec, residual=res))

@@ -490,8 +490,13 @@ def _crosscheck_modes(op: OperatorKind):
     return (0.0, 1.0)
 
 
+# eigenvalues compared per mode; Dirac compares an even number so that its
+# near-symmetric +- pairs stay balanced across paths
+_CROSSCHECK_COUNT = {KIND_L: 3, KIND_DIRAC: 4}
+
+
 def covariance_crosscheck(
-    op: OperatorKind, L: float, N_grid: list[int], count: int = 3, seed: int = 0
+    op: OperatorKind, L: float, N_grid: list[int], seed: int = 0
 ) -> list[CrosscheckRow]:
     """Max relative eigenvalue discrepancy between the covariance and
     intrinsic assemblies of the same metric, on a shared refinement family.
@@ -500,8 +505,7 @@ def covariance_crosscheck(
     both are 0."""
     if op.kind == KIND_PANEITZ:
         raise ValueError("cross-check needs both paths; Paneitz has only one")
-    if op.kind == KIND_DIRAC and count % 2:
-        count += 1  # keep the near-symmetric +- pairs balanced across paths
+    count = _CROSSCHECK_COUNT[op.kind]
     if L == 0.0:
         profile = constant_profile(1.0, op.n)
     else:
@@ -541,19 +545,21 @@ def covariance_crosscheck(
     return rows
 
 
-def scaling_check(op: OperatorKind, c: float, N: int | None = None, seed: int = 0) -> ScalingReport:
+# The scaling law holds at any resolution; the grid size only sets how much
+# double-precision solver noise enters the comparison, and the squared
+# fourth-order pencil accumulates it like N^4, so the Paneitz grid stays small.
+_SCALING_CHECK_N = {KIND_L: 600, KIND_PANEITZ: 32, KIND_DIRAC: 600}
+
+
+def scaling_check(op: OperatorKind, c: float, seed: int = 0) -> ScalingReport:
     """Machine-level check of the covariance law for constant factors.
 
     Scaling the metric by c^2 multiplies the mass by exactly c^k, so every
-    eigenvalue scales by c^-k and lambda_1^+ * vol^(k/n) is unchanged.  The
-    law holds at any resolution; N only sets how much double-precision
-    solver noise enters the comparison, and the squared fourth-order pencil
-    accumulates it like N^4, so the Paneitz default stays small.
+    eigenvalue scales by c^-k and lambda_1^+ * vol^(k/n) is unchanged.
     """
     if c <= 0.0:
         raise ValueError("scaling factor must be positive")
-    if N is None:
-        N = 32 if op.kind == KIND_PANEITZ else 600
+    N = _SCALING_CHECK_N[op.kind]
     k = op.order
     index = 0.5 if op.kind == KIND_DIRAC else 0.0
     mode = make_mode(op, index)

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from confspec.grid import RadialGrid
+from confspec.grid import _GAUSS_OFFSETS, RadialGrid
 
 __all__ = [
     "ConformalProfile",
@@ -327,7 +327,7 @@ def volume(profile: ConformalProfile, grid: RadialGrid) -> float:
     he = np.diff(edges)
     left = edges[:-1]
     total = 0.0
-    for g in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
+    for g in _GAUSS_OFFSETS:
         x = left + g * he
         total += np.sum(0.5 * he * profile.F(x) ** n * np.sin(x) ** (n - 1))
     return sphere_volume_constant(n) * float(total)

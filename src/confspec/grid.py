@@ -15,6 +15,10 @@ polynomial part and keeps both matrices tridiagonal.  ``quadrature_points``
 alone lays out the Gauss points; ``assemble_sampled`` takes p, q, w already
 sampled there, so a caller deriving all three from one geometry samples it
 once, and ``assemble_weak_form`` samples callables.
+
+Every matrix stays in LAPACK band storage (``BandedSymmetric``) from
+assembly to eigensolve; only the eigensolver's ARPACK route converts one to
+a sparse matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "RadialGrid",
@@ -108,21 +111,13 @@ class BandedSymmetric:
     def from_diagonal(cls, diag: np.ndarray) -> "BandedSymmetric":
         return cls(np.asarray(diag, dtype=float)[None, :].copy())
 
-    def to_sparse(self) -> sp.csc_matrix:
-        m = self.size
-        offsets = list(range(self.bandwidth + 1))
-        diags = [self.bands[d, : m - d] for d in offsets]
-        upper = [self.bands[d, : m - d] for d in offsets[1:]]
-        mat = sp.diags(
-            diags + upper,
-            [-d for d in offsets] + offsets[1:],
-            shape=(m, m),
-            format="csc",
-        )
-        return mat
-
     def to_dense(self) -> np.ndarray:
-        return self.to_sparse().toarray()
+        m = self.size
+        dense = np.diag(self.bands[0])
+        for d in range(1, self.bandwidth + 1):
+            i = np.arange(m - d)
+            dense[i + d, i] = dense[i, i + d] = self.bands[d, : m - d]
+        return dense
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         m = self.size

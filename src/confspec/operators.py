@@ -23,8 +23,8 @@ mode enters only through its angular eigenvalue and its pinned ends.
     on the record's samples at the grid's quadrature points;
   * Paneitz (covariance path only): K D^-1 K + a K + c M, with K the
     radial Laplacian stiffness, D its lumped unit-weight mass and (a, c)
-    the round-sphere Einstein coefficients; the product keeps bandwidth 2,
-    and B is the lumped F^4-weighted mass;
+    the round-sphere Einstein coefficients, formed entry by entry in band
+    storage (bandwidth 2), and B is the lumped F^4-weighted mass;
   * Dirac (n = 2, bounding spin structure, half-integer angular modes k):
     the 2x2 first-order system [[0, X], [X*, 0]] with
     X = d/dt + h'/(2h) - k/h, self-adjoint in L^2(h dt).  The two spinor
@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from confspec.geometry import ConformalProfile, WarpedData, warped_curvature
 from confspec.grid import BandedSymmetric, RadialGrid, assemble_sampled, quadrature_points
@@ -203,12 +202,23 @@ def _lumped(mass: BandedSymmetric) -> np.ndarray:
     return d
 
 
-def _banded_from_sparse(mat: sp.spmatrix, bandwidth: int) -> BandedSymmetric:
-    mat = mat.tocsr()
-    m = mat.shape[0]
-    bands = np.zeros((bandwidth + 1, m))
-    for d in range(bandwidth + 1):
-        bands[d, : m - d] = mat.diagonal(-d)
+def _paneitz_bands(K: BandedSymmetric, M: BandedSymmetric, n: int) -> BandedSymmetric:
+    """K D^-1 K + a K + c M for the stiffness K and unit mass M of a mode, D
+    the lumped M.  Each entry of K D^-1 K sums (K[i,k] / D[k]) K[k,j] over
+    ascending k before a K and c M are added, as a sparse CSR product does,
+    so the bands keep the bits that product gave."""
+    a, q_const = paneitz_constants(n)
+    m = K.size
+    k0, k1 = K.bands[0], K.bands[1, : m - 1]
+    s = 1.0 / _lumped(M)
+    bands = np.zeros((3, m))
+    bands[0] = k0 * s * k0
+    bands[0, 1:] = k1 * s[:-1] * k1 + bands[0, 1:]
+    bands[0, :-1] += k1 * s[1:] * k1
+    bands[1, : m - 1] = k1 * s[:-1] * k0[:-1] + k0[1:] * s[1:] * k1
+    bands[2, : m - 2] = k1[1:] * s[1:-1] * k1[:-1]
+    bands[:2] += a * K.bands
+    bands[:2] += (n - 4) / 2.0 * q_const * M.bands
     return BandedSymmetric(bands)
 
 
@@ -352,10 +362,10 @@ def intrinsic_assemble(record: RowRecord, mode: ModeSpec) -> AssembledOperator:
     The scalar kinds form w = h^(n-1), which is the stiffness weight p and
     the measure, q = w (angular/h^2 + potential) and the mass weight
     ``weight * w``; a free mode reads the leading natural layout of the
-    pinned samples.  The conformal Laplacian lumps that mass.  Paneitz
-    squares the stiffness K of the unit-weight form through the lumped unit
-    mass D into K D^-1 K + a K + c M and lumps the weighted mass.  Dirac is
-    the staggered system with the record's weights.
+    pinned samples.  One assembly gives a scalar kind its stiffness K and B,
+    the lumped weighted mass; K is the conformal Laplacian's A, and Paneitz
+    adds the unit mass M for K D^-1 K + a K + c M, D the lumped M.  Dirac
+    is the staggered system with the record's weights.
     """
     op, grid = record.op, record.grid
     if op.kind == KIND_DIRAC:
@@ -369,19 +379,12 @@ def intrinsic_assemble(record: RowRecord, mode: ModeSpec) -> AssembledOperator:
     h = record.h[:size]
     w = h ** (op.n - 1)
     q = w * (mode.angular_eigenvalue / h**2 + record.potential[:size])
-    mass_w = record.weight[:size] * w
-    if op.kind == KIND_L:
-        A, M = assemble_sampled(grid, w, q, mass_w, essential, essential)
-        return AssembledOperator(A=A, B=BandedSymmetric.from_diagonal(_lumped(M)))
-    a_coef, q_const = paneitz_constants(op.n)
-    c_const = (op.n - 4) / 2.0 * q_const
-    K, M = assemble_sampled(grid, w, q, w, essential, essential)
-    _, M_weighted = assemble_sampled(grid, w, q, mass_w, essential, essential)
-    K_sp = K.to_sparse()
-    P_sp = K_sp @ sp.diags(1.0 / _lumped(M)) @ K_sp + a_coef * K_sp + c_const * M.to_sparse()
-    return AssembledOperator(
-        A=_banded_from_sparse(P_sp, 2), B=BandedSymmetric.from_diagonal(_lumped(M_weighted))
-    )
+    A, M = assemble_sampled(grid, w, q, record.weight[:size] * w, essential, essential)
+    if op.kind == KIND_PANEITZ:
+        # the stiffness bands do not read the mass weight, so A is K
+        _, unit_mass = assemble_sampled(grid, w, q, w, essential, essential)
+        A = _paneitz_bands(A, unit_mass, op.n)
+    return AssembledOperator(A=A, B=BandedSymmetric.from_diagonal(_lumped(M)))
 
 
 def covariance_reduce(

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -183,6 +184,36 @@ def test_covariance_check_cli(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_text().split("\n")[0] == "N,discrepancy,ratio"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--operator", "conformal-laplacian", "--n", "3", "--N-grid", "300,600"),
+        ("--operator", "dirac", "--N-grid", "100,200"),
+    ],
+    ids=["conformal-laplacian", "dirac"],
+)
+def test_covariance_check_passes_on_exact_agreement(tmp_path, capsys, args):
+    # on the round sphere both paths assemble the same pencil: discrepancies
+    # of 0 and 2.6e-13 sit at roundoff, not on a failed refinement
+    out = tmp_path / "cc.csv"
+    code, _, _ = run(capsys, "covariance-check", "--L", "0", *args, "--out", str(out))
+    assert code == 0
+    assert json.loads(out.with_suffix(".json").read_text())["summary"]["pass"] is True
+
+
+def test_covariance_check_fails_when_discrepancy_rises_above_roundoff(capsys, monkeypatch):
+    def rising(op, L, N_grid, seed=0):
+        return [experiments.CrosscheckRow(N=N, discrepancy=d, ratio=math.nan)
+                for N, d in zip(N_grid, [1e-12, 1e-9])]
+
+    monkeypatch.setattr(experiments, "covariance_crosscheck", rising)
+    code, _, _ = run(
+        capsys, "covariance-check", "--operator", "conformal-laplacian", "--L", "0",
+        "--N-grid", "100,200",
+    )
+    assert code == 2
 
 
 def _failing_solve(*args, **kwargs):

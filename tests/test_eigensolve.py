@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -394,6 +396,18 @@ def test_window_excludes_eigenvalues_on_its_ends(sub, expected, mass):
     assert values == pytest.approx(expected, abs=1e-12)
 
 
+def test_exact_zero_eigenvalue_certifies_against_the_norms():
+    # at lam = 0 with A x = 0, ||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||) is 1
+    # for any x; the residual is then taken against (||A|| + |lam| ||B||) ||x||
+    A, B = zero_diagonal_pencil([0.0, 1.0, 0.0, 1.0, 0.0])
+    windowed = solve_generalized(A, B, window=(-1.5, 1.5))
+    nearest = solve_generalized(A, B, count=2)
+    assert [p.value for p in windowed] == pytest.approx([-1, -1, 0, 0, 1, 1], abs=1e-12)
+    assert nearest[0].value == pytest.approx(0.0, abs=1e-12)
+    assert nearest[1].value == pytest.approx(0.0, abs=1e-12)
+    assert all(p.residual <= 1e-15 for p in windowed + nearest)
+
+
 def test_window_solve_needs_diagonal_mass_and_window():
     rng = np.random.default_rng(6)
     A, B = random_pencil(rng, 100)
@@ -763,3 +777,23 @@ def test_chiral_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch, 
     monkeypatch.setattr(eigensolve.lapack, "dsbevx", repeated)
     with pytest.raises(SolverConvergenceError):
         solve_generalized(A, B, window=window)
+
+
+# ------------------------------------------------------------ module boundaries
+
+
+def test_only_the_eigensolver_imports_scipy_sparse():
+    # every other module keeps its matrices in band storage; scipy.sparse
+    # serves the eigensolver's ARPACK route alone
+    importers = set()
+    for path in pathlib.Path(eigensolve.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.startswith("scipy.sparse") for name in names):
+                importers.add(path.name)
+    assert importers <= {"eigensolve.py"}

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from confspec.eigensolve import solve_generalized
 from confspec.experiments import nose_resolving_grid
 from confspec.geometry import constant_profile, profile_L, warped_reparametrize
-from confspec.grid import make_grid
+from confspec.grid import assemble_sampled, make_grid, quadrature_points
 from confspec.operators import (
     conformal_laplacian,
+    covariance_record,
     covariance_reduce,
     cylinder_threshold,
     dirac_operator,
@@ -144,6 +145,35 @@ def test_paneitz_round_ladder():
     for pair, ref in zip(pairs, expected):
         assert pair.value == pytest.approx(ref, rel=1e-3)
     assert pairs[0].value == pytest.approx(6.5625, abs=1e-4)
+
+
+@pytest.mark.parametrize("ell", [0, 1, 3])
+@pytest.mark.parametrize("n", [5, 6])
+def test_paneitz_bands_match_dense_product(n, ell):
+    # A = K D^-1 K + a K + c M entry by entry, with K and the unit mass M
+    # rebuilt from sin r and the product taken densely
+    op = paneitz_operator(n)
+    profile = profile_L(n, 1.0)
+    grid = nose_resolving_grid(profile, 300)
+    mode = make_mode(op, ell)
+    asm = intrinsic_assemble(covariance_record(op, profile, grid), mode)
+
+    pinned = ell != 0
+    r = quadrature_points(grid, pinned, pinned)
+    h = np.sin(r)
+    w = h ** (n - 1)
+    q = w * mode.angular_eigenvalue / h**2
+    K, M = assemble_sampled(grid, w, q, w, pinned, pinned)
+    _, weighted = assemble_sampled(grid, w, q, profile.F(r) ** 4 * w, pinned, pinned)
+    k, m = K.to_dense(), M.to_dense()
+    a, q_const = paneitz_constants(n)
+    expected = k @ np.diag(1.0 / m.sum(axis=1)) @ k + a * k + (n - 4) / 2.0 * q_const * m
+
+    assert asm.A.bandwidth == 2
+    dense = asm.A.to_dense()
+    assert np.abs(dense - expected).max() <= 1e-13 * np.abs(dense).max()
+    assert asm.B.bandwidth == 0
+    assert asm.B.bands[0] == pytest.approx(weighted.to_dense().sum(axis=1), rel=1e-14)
 
 
 # ------------------------------------------------------------ intrinsic path
