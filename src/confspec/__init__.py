@@ -11,7 +11,6 @@ the nose-length family.
 from confspec.grid import (
     BandedSymmetric,
     RadialGrid,
-    WeakForm1D,
     assemble_weak_form,
     make_grid,
 )

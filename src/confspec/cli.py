@@ -377,6 +377,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if hasattr(args, "N"):
         cfg.N = args.N
     if hasattr(args, "seed"):
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         cfg.seed = args.seed
     cfg.out = args.out
     if getattr(args, "cylinder_lengths", None) is not None:

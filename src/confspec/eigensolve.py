@@ -508,7 +508,6 @@ def solve_generalized(
 @dataclass(frozen=True)
 class SpectrumEntry:
     value: float
-    mode: ModeSpec
     multiplicity: int
     residual: float
 
@@ -517,9 +516,8 @@ class SpectrumEntry:
 class SpectrumReport:
     """Multiplicity-weighted union of per-mode spectra.
 
-    ``lambda_1_plus`` is the smallest eigenvalue above the kernel tolerance
-    and ``lambda_1_minus`` the largest below its negative; either is None
-    when that side of the spectrum is empty.
+    ``lambda_1_plus`` is the smallest eigenvalue above the kernel tolerance,
+    None when there is none; ``lambda_minus(j)`` counts below its negative.
     """
 
     entries: tuple[SpectrumEntry, ...]
@@ -528,10 +526,6 @@ class SpectrumReport:
     @property
     def lambda_1_plus(self) -> float | None:
         return self.lambda_plus(1)
-
-    @property
-    def lambda_1_minus(self) -> float | None:
-        return self.lambda_minus(1)
 
     def lambda_plus(self, j: int) -> float | None:
         """j-th positive eigenvalue counted with multiplicity (j >= 1)."""
@@ -557,38 +551,15 @@ class SpectrumReport:
         return max((e.residual for e in self.entries), default=0.0)
 
 
-def _entry_value_residual(item) -> tuple[float, float]:
-    if isinstance(item, EigenPair):
-        return item.value, item.residual
-    if isinstance(item, tuple):
-        return float(item[0]), float(item[1])
-    return float(item), 0.0
-
-
-def aggregate(
-    per_mode: list[tuple[ModeSpec, list]],
-    kernel_tolerance: float | None = None,
-) -> SpectrumReport:
-    """Merge per-mode eigenvalue lists into one sorted, multiplicity-tagged
-    spectrum and extract lambda_1^+ / lambda_1^-.
-
-    Items may be floats, (value, residual) tuples or EigenPair objects.
-    The kernel tolerance defaults to 1e-8 times the spectral scale.
+def aggregate(per_mode: list[tuple[ModeSpec, list[EigenPair]]]) -> SpectrumReport:
+    """Merge per-mode eigenpairs into one sorted, multiplicity-tagged
+    spectrum.  The kernel tolerance is 1e-8 times the spectral scale, the
+    largest |value|.
     """
-    entries = []
-    for mode, items in per_mode:
-        for item in items:
-            value, residual = _entry_value_residual(item)
-            entries.append(
-                SpectrumEntry(
-                    value=value,
-                    mode=mode,
-                    multiplicity=mode.multiplicity,
-                    residual=residual,
-                )
-            )
-    entries.sort(key=lambda e: e.value)
-    if kernel_tolerance is None:
-        scale = max((abs(e.value) for e in entries), default=0.0)
-        kernel_tolerance = 1e-8 * scale
-    return SpectrumReport(entries=tuple(entries), kernel_tolerance=kernel_tolerance)
+    entries = sorted(
+        (SpectrumEntry(pair.value, mode.multiplicity, pair.residual)
+         for mode, pairs in per_mode for pair in pairs),
+        key=lambda e: e.value,
+    )
+    scale = max((abs(e.value) for e in entries), default=0.0)
+    return SpectrumReport(tuple(entries), 1e-8 * scale)

@@ -24,7 +24,9 @@ from confspec.geometry import (
     volume,
     warped_reparametrize,
 )
-from confspec.grid import BandedSymmetric, RadialGrid, assemble_sampled, make_grid, quadrature_points
+from confspec.grid import (
+    BandedSymmetric, RadialGrid, assemble_weak_form, make_grid, quadrature_points,
+)
 from confspec.operators import (
     KIND_DIRAC,
     KIND_L,
@@ -367,6 +369,8 @@ def validate_sphere(
     """
     if ell_max < 0:
         raise ValueError(f"ell_max must be at least 0, got {ell_max}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     checked, bar = _sphere_ladder(op, ell_max)
     record = covariance_record(op, constant_profile(1.0, n=op.n), make_grid("polar", N))
     per_mode, _ = _collect_modes(op, record, bar, seed)
@@ -429,6 +433,8 @@ def convergence_study(
     """Trajectories L -> lambda_j^+- with the dichotomy flag per sector:
     either the values settle (cauchy) or they end up pinned at the cylinder
     gap edge (escape)."""
+    if j < 1:
+        raise ValueError(f"eigenvalue index j must be at least 1, got {j}")
     if list(L_grid) != sorted(L_grid):
         raise ValueError("L grid must be increasing")
     if path == "auto":
@@ -436,7 +442,7 @@ def convergence_study(
         # differences see a consistent O(h^2) bias
         path = "covariance" if op.kind == KIND_PANEITZ else "intrinsic"
     sigma = cylinder_threshold(op)
-    ceiling = 2.0 * sigma * max(1, j)
+    ceiling = 2.0 * sigma * j
     plus: list[float] = []
     minus: list[float] = []
     plus_ok = minus_ok = True
@@ -470,7 +476,7 @@ def cylinder_surrogate_study(
     for T in T_grid:
         grid = make_grid("arclength", N, length=float(T))
         ones = np.ones(quadrature_points(grid, True, True).size)
-        A, M = assemble_sampled(grid, ones, sigma * ones, ones, True, True)
+        A, M = assemble_weak_form(grid, ones, sigma * ones, ones, True, True)
         B = BandedSymmetric.from_diagonal(operators._lumped(M))
         pairs = eigensolve.solve_generalized(A, B, count=1, seed=seed)
         lam = pairs[0].value
@@ -505,6 +511,8 @@ def covariance_crosscheck(
     both are 0."""
     if op.kind == KIND_PANEITZ:
         raise ValueError("cross-check needs both paths; Paneitz has only one")
+    if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
+        raise ValueError(f"N grid must be strictly increasing, got {list(N_grid)}")
     count = _CROSSCHECK_COUNT[op.kind]
     if L == 0.0:
         profile = constant_profile(1.0, op.n)

@@ -12,9 +12,9 @@ The assembly discretizes
 
 with P1 elements and a two-point Gauss rule per cell, which is exact for the
 polynomial part and keeps both matrices tridiagonal.  ``quadrature_points``
-alone lays out the Gauss points; ``assemble_sampled`` takes p, q, w already
-sampled there, so a caller deriving all three from one geometry samples it
-once, and ``assemble_weak_form`` samples callables.
+alone lays out the Gauss points and ``assemble_weak_form`` takes p, q, w
+already sampled there, so a caller deriving all three from one geometry
+samples it once.
 
 Every matrix stays in LAPACK band storage (``BandedSymmetric``) from
 assembly to eigensolve; only the eigensolver's ARPACK route converts one to
@@ -25,17 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "RadialGrid",
-    "WeakForm1D",
     "BandedSymmetric",
     "make_grid",
     "quadrature_points",
-    "assemble_sampled",
     "assemble_weak_form",
 ]
 
@@ -61,17 +58,6 @@ class RadialGrid:
             raise ValueError("grid nodes must be strictly increasing")
         if nodes[0] <= 0.0 or nodes[-1] >= self.span:
             raise ValueError("grid nodes must lie strictly inside (0, span)")
-
-
-@dataclass(frozen=True)
-class WeakForm1D:
-    """Coefficients of int(p u'v' + q u v) against mass int(w u v)."""
-
-    p: Callable[[np.ndarray], np.ndarray]
-    q: Callable[[np.ndarray], np.ndarray]
-    w: Callable[[np.ndarray], np.ndarray]
-    essential_left: bool = False
-    essential_right: bool = False
 
 
 @dataclass(frozen=True)
@@ -188,7 +174,7 @@ def quadrature_points(
     return np.concatenate(points)
 
 
-def assemble_sampled(
+def assemble_weak_form(
     grid: RadialGrid, p, q, w, essential_left: bool = False, essential_right: bool = False
 ) -> tuple[BandedSymmetric, BandedSymmetric]:
     """Assemble the tridiagonal pair (A, M) from p, q, w sampled at
@@ -246,13 +232,3 @@ def assemble_sampled(
     A = BandedSymmetric.from_tridiagonal(a_diag, a_sub)
     M = BandedSymmetric.from_tridiagonal(m_diag, m_sub)
     return A, M
-
-
-def assemble_weak_form(
-    form: WeakForm1D, grid: RadialGrid
-) -> tuple[BandedSymmetric, BandedSymmetric]:
-    """``assemble_sampled`` with ``form.p``, ``form.q`` and ``form.w``
-    sampled at the grid's quadrature points."""
-    ends = (form.essential_left, form.essential_right)
-    x = quadrature_points(grid, *ends)
-    return assemble_sampled(grid, form.p(x), form.q(x), form.w(x), *ends)

@@ -20,7 +20,8 @@ mode enters only through its angular eigenvalue and its pinned ends.
   * conformal Laplacian: weak form p = h^(n-1),
     q = h^(n-1) [ l(l+n-2)/h^2 + potential ] and the lumped mass with
     weight F^2 h^(n-1) (F = 1 on the intrinsic path), all array arithmetic
-    on the record's samples at the grid's quadrature points;
+    on the record's samples at the grid's quadrature points, which
+    ``grid.assemble_weak_form`` takes as they are;
   * Paneitz (covariance path only): K D^-1 K + a K + c M, with K the
     radial Laplacian stiffness, D its lumped unit-weight mass and (a, c)
     the round-sphere Einstein coefficients, formed entry by entry in band
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from confspec.geometry import ConformalProfile, WarpedData, warped_curvature
-from confspec.grid import BandedSymmetric, RadialGrid, assemble_sampled, quadrature_points
+from confspec.grid import BandedSymmetric, RadialGrid, assemble_weak_form, quadrature_points
 
 __all__ = [
     "OperatorKind",
@@ -379,10 +380,10 @@ def intrinsic_assemble(record: RowRecord, mode: ModeSpec) -> AssembledOperator:
     h = record.h[:size]
     w = h ** (op.n - 1)
     q = w * (mode.angular_eigenvalue / h**2 + record.potential[:size])
-    A, M = assemble_sampled(grid, w, q, record.weight[:size] * w, essential, essential)
+    A, M = assemble_weak_form(grid, w, q, record.weight[:size] * w, essential, essential)
     if op.kind == KIND_PANEITZ:
         # the stiffness bands do not read the mass weight, so A is K
-        _, unit_mass = assemble_sampled(grid, w, q, w, essential, essential)
+        _, unit_mass = assemble_weak_form(grid, w, q, w, essential, essential)
         A = _paneitz_bands(A, unit_mass, op.n)
     return AssembledOperator(A=A, B=BandedSymmetric.from_diagonal(_lumped(M)))
 

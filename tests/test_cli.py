@@ -318,3 +318,68 @@ def test_cylinder_surrogate_rejects_nose_flags(tmp_path, capsys, flags, named):
         f"error: --cylinder-lengths runs the exact-cylinder surrogate, which takes no {named}\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("j", ["0", "-2"])
+def test_convergence_rejects_index_below_one(tmp_path, capsys, j):
+    # lambda_j^+ counts from j = 1; a smaller index would report lambda_1^+ under it
+    out = tmp_path / "conv.csv"
+    code, _, err = run(
+        capsys, "convergence", "--operator", "conformal-laplacian", "--L", "1,2",
+        "--N", "200", "--j", j, "--out", str(out),
+    )
+    assert code == 1
+    assert err == f"error: eigenvalue index j must be at least 1, got {j}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("pinocchio-sweep", "--L", "1", "--N", "200"),
+        ("validate-sphere", "--N", "200", "--ell-max", "2"),
+        ("scaling-check",),
+    ],
+    ids=["sweep", "validate-sphere", "scaling-check"],
+)
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, args, source):
+    def no_run(*_, **__):
+        raise AssertionError("an experiment ran with a negative seed")
+
+    for name in ("pinocchio_sweep", "validate_sphere", "scaling_check"):
+        monkeypatch.setattr(experiments, name, no_run)
+    seed = ("--seed", "-1") if source == "flag" else ()
+    if source == "env":
+        monkeypatch.setenv("CONFSPEC_SEED", "-1")
+    out = tmp_path / "report.csv"
+    code, _, err = run(
+        capsys, *args, "--operator", "conformal-laplacian", *seed, "--out", str(out)
+    )
+    assert code == 1
+    assert err == "error: --seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+def test_covariance_check_rejects_unordered_grid_sizes(tmp_path, capsys):
+    out = tmp_path / "cc.csv"
+    for grid in ("400,200", "200,200"):
+        code, _, err = run(
+            capsys, "covariance-check", "--operator", "conformal-laplacian",
+            "--L", "0", "--N-grid", grid, "--out", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: N grid must be strictly increasing")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-3"])
+def test_validate_sphere_rejects_bad_tolerance(tmp_path, capsys, tolerance):
+    out = tmp_path / "val.csv"
+    code, _, err = run(
+        capsys, "validate-sphere", "--operator", "conformal-laplacian",
+        "--N", "200", f"--tolerance={tolerance}", "--out", str(out),
+    )
+    assert code == 1
+    assert err.startswith("error: tolerance must be finite and positive")
+    assert not out.exists()

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from confspec import eigensolve
 from confspec.eigensolve import (
+    EigenPair,
     NotPositiveDefiniteError,
     SolverConvergenceError,
     aggregate,
     solve_generalized,
 )
-from confspec.grid import BandedSymmetric, WeakForm1D, assemble_weak_form, make_grid
+from confspec.grid import BandedSymmetric, assemble_weak_form, make_grid, quadrature_points
 from confspec.experiments import (
     convergence_study,
     covariance_crosscheck,
@@ -60,6 +61,12 @@ def random_pencil(rng, m, bandwidth=1):
     return BandedSymmetric(bands_a), BandedSymmetric(bands_b)
 
 
+def unit_laplacian(grid, pinned):
+    """The pencil of -u'' = lam u on the grid, both ends pinned or both free."""
+    ones = np.ones_like(quadrature_points(grid, pinned, pinned))
+    return assemble_weak_form(grid, ones, 0.0 * ones, ones, pinned, pinned)
+
+
 def test_diagonal_pencil_is_exact():
     A = BandedSymmetric.from_tridiagonal(np.array([1.0, 2.0, 3.0] + [5.0] * 13), np.zeros(15))
     B = BandedSymmetric.from_tridiagonal(np.ones(16), np.zeros(15))
@@ -68,15 +75,7 @@ def test_diagonal_pencil_is_exact():
 
 
 def test_second_difference_dirichlet():
-    grid = make_grid("polar", 2000)
-    form = WeakForm1D(
-        p=lambda x: np.ones_like(x),
-        q=lambda x: np.zeros_like(x),
-        w=lambda x: np.ones_like(x),
-        essential_left=True,
-        essential_right=True,
-    )
-    A, M = assemble_weak_form(form, grid)
+    A, M = unit_laplacian(make_grid("polar", 2000), pinned=True)
     pairs = solve_generalized(A, M, count=3)
     for m, pair in enumerate(pairs, start=1):
         assert pair.value == pytest.approx(m * m, abs=1e-4)
@@ -161,12 +160,7 @@ def test_deterministic_given_seed():
 def test_singular_shift_recovers():
     # A has an exact zero eigenvalue; shift-invert at 0 must not hang
     grid = make_grid("polar", 1200)
-    form = WeakForm1D(
-        p=lambda x: np.ones_like(x),
-        q=lambda x: np.zeros_like(x),
-        w=lambda x: np.ones_like(x),
-    )
-    A, M = assemble_weak_form(form, grid)
+    A, M = unit_laplacian(grid, pinned=False)
     pairs = solve_generalized(A, M, count=2, method="iterative")
     assert pairs[0].value == pytest.approx(0.0, abs=1e-9)
     # natural ends truncate the domain to [h, pi - h]; Neumann mode cos(x)
@@ -388,7 +382,7 @@ def test_window_excludes_eigenvalues_on_its_ends(sub, expected, mass):
     # every pencil has the eigenvalues -1 and 1, on the ends of the open
     # window; with mass 7 the scaled matrix puts them 1 ulp inside it, and
     # only the Rayleigh quotients show that they lie on the ends.  A zero
-    # eigenvalue certifies with relative residual 1 but must not overflow.
+    # eigenvalue certifies against the norms of A and B and must not overflow.
     A, B = zero_diagonal_pencil(sub, mass)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -438,47 +432,52 @@ def test_collect_modes_solves_each_mode_once(monkeypatch, op):
 # ------------------------------------------------------------------ aggregate
 
 
+def eigenpairs(*values):
+    """Eigenpairs with the given values, empty vectors and zero residuals."""
+    return [EigenPair(value=v, vector=np.empty(0), residual=0.0) for v in values]
+
+
 def test_aggregate_merges_modes_with_multiplicity():
     op = conformal_laplacian(3)
     report = aggregate(
         [
-            (make_mode(op, 0), [0.75]),
-            (make_mode(op, 1), [3.75]),
+            (make_mode(op, 0), eigenpairs(0.75)),
+            (make_mode(op, 1), eigenpairs(3.75)),
         ]
     )
     assert [e.value for e in report.entries] == [0.75, 3.75]
     assert [e.multiplicity for e in report.entries] == [1, 3]
     assert report.lambda_1_plus == 0.75
-    assert report.lambda_1_minus is None
+    assert report.lambda_minus(1) is None
 
 
 def test_aggregate_dirac_symmetric():
     op = dirac_operator(2)
     report = aggregate(
         [
-            (make_mode(op, 0.5), [-1.0, 1.0]),
-            (make_mode(op, -0.5), [-1.0, 1.0]),
+            (make_mode(op, 0.5), eigenpairs(-1.0, 1.0)),
+            (make_mode(op, -0.5), eigenpairs(-1.0, 1.0)),
         ]
     )
     near_one = [e for e in report.entries if abs(e.value - 1.0) < 1e-12]
     assert sum(e.multiplicity for e in near_one) == 2
     assert report.lambda_1_plus == 1.0
-    assert report.lambda_1_minus == -1.0
+    assert report.lambda_minus(1) == -1.0
 
 
 def test_aggregate_without_positive_part():
     op = dirac_operator(2)
-    report = aggregate([(make_mode(op, 0.5), [-2.0, -1.0])])
+    report = aggregate([(make_mode(op, 0.5), eigenpairs(-2.0, -1.0))])
     assert report.lambda_1_plus is None
-    assert report.lambda_1_minus == -1.0
+    assert report.lambda_minus(1) == -1.0
 
 
 def test_lambda_j_counts_multiplicity():
     op = conformal_laplacian(3)
     report = aggregate(
         [
-            (make_mode(op, 0), [0.75, 3.75]),
-            (make_mode(op, 1), [3.75]),
+            (make_mode(op, 0), eigenpairs(0.75, 3.75)),
+            (make_mode(op, 1), eigenpairs(3.75)),
         ]
     )
     assert report.lambda_plus(1) == 0.75
@@ -489,7 +488,7 @@ def test_lambda_j_counts_multiplicity():
 
 def test_kernel_tolerance_default_scales():
     op = conformal_laplacian(3)
-    report = aggregate([(make_mode(op, 0), [1e-12, 2.0])])
+    report = aggregate([(make_mode(op, 0), eigenpairs(1e-12, 2.0))])
     # 1e-12 sits below 1e-8 * spectral scale, so it is treated as kernel
     assert report.lambda_1_plus == 2.0
 
@@ -502,13 +501,15 @@ def test_kernel_tolerance_default_scales():
 )
 def test_aggregate_sorted_and_extraction_consistent(values):
     op = conformal_laplacian(3)
-    report = aggregate([(make_mode(op, 0), values)], kernel_tolerance=1e-9)
+    report = aggregate([(make_mode(op, 0), eigenpairs(*values))])
     got = [e.value for e in report.entries]
     assert got == sorted(got)
-    positives = [v for v in got if v > 1e-9]
-    negatives = [v for v in got if v < -1e-9]
+    tol = report.kernel_tolerance
+    assert tol == 1e-8 * max(abs(v) for v in values)
+    positives = [v for v in got if v > tol]
+    negatives = [v for v in got if v < -tol]
     assert report.lambda_1_plus == (min(positives) if positives else None)
-    assert report.lambda_1_minus == (max(negatives) if negatives else None)
+    assert report.lambda_minus(1) == (max(negatives) if negatives else None)
 
 
 # ------------------------------------------------------------ certificates

@@ -160,7 +160,10 @@ def test_sweep_row_without_positive_eigenvalue_names_the_cause(monkeypatch):
     real_aggregate = eigensolve.aggregate
 
     def negated(per_mode):
-        return real_aggregate([(m, [-abs(p.value) for p in pairs]) for m, pairs in per_mode])
+        return real_aggregate([
+            (m, [dataclasses.replace(p, value=-abs(p.value)) for p in pairs])
+            for m, pairs in per_mode
+        ])
 
     monkeypatch.setattr(eigensolve, "aggregate", negated)
     (row,) = pinocchio_sweep(conformal_laplacian(3), [1.0], N=200, path="covariance")

@@ -8,9 +8,9 @@ from confspec.eigensolve import solve_generalized
 from confspec.grid import (
     BandedSymmetric,
     RadialGrid,
-    WeakForm1D,
     assemble_weak_form,
     make_grid,
+    quadrature_points,
 )
 
 import oracles
@@ -22,6 +22,12 @@ def ones(x):
 
 def zeros(x):
     return np.zeros_like(x)
+
+
+def assemble_callables(grid, p, q, w, essential_left=False, essential_right=False):
+    """``assemble_weak_form`` with p, q and w sampled at the quadrature points."""
+    x = quadrature_points(grid, essential_left, essential_right)
+    return assemble_weak_form(grid, p(x), q(x), w(x), essential_left, essential_right)
 
 
 # ---------------------------------------------------------------- make_grid
@@ -50,8 +56,7 @@ def test_arclength_needs_length():
 
 def test_dirichlet_laplacian_spectrum():
     grid = make_grid("polar", 2000)
-    form = WeakForm1D(p=ones, q=zeros, w=ones, essential_left=True, essential_right=True)
-    A, M = assemble_weak_form(form, grid)
+    A, M = assemble_callables(grid, ones, zeros, ones, True, True)
     pairs = solve_generalized(A, M, count=3)
     for m, pair in enumerate(pairs, start=1):
         assert pair.value == pytest.approx(m * m, abs=1e-4)
@@ -59,8 +64,7 @@ def test_dirichlet_laplacian_spectrum():
 
 def test_essential_ends_give_second_difference_stiffness():
     grid = make_grid("polar", 17)
-    form = WeakForm1D(p=ones, q=zeros, w=ones, essential_left=True, essential_right=True)
-    A, _ = assemble_weak_form(form, grid)
+    A, _ = assemble_callables(grid, ones, zeros, ones, True, True)
     h = np.pi / 18
     assert np.allclose(A.bands[0], 2.0 / h)
     assert np.allclose(A.bands[1, :-1], -1.0 / h)
@@ -68,13 +72,8 @@ def test_essential_ends_give_second_difference_stiffness():
 
 def test_constant_shift_moves_spectrum_exactly():
     grid = make_grid("polar", 300)
-    base = WeakForm1D(p=ones, q=zeros, w=ones, essential_left=True, essential_right=True)
-    shifted = WeakForm1D(
-        p=ones, q=lambda x: np.full_like(x, 2.5), w=ones,
-        essential_left=True, essential_right=True,
-    )
-    A0, M = assemble_weak_form(base, grid)
-    A1, M1 = assemble_weak_form(shifted, grid)
+    A0, M = assemble_callables(grid, ones, zeros, ones, True, True)
+    A1, M1 = assemble_callables(grid, ones, lambda x: np.full_like(x, 2.5), ones, True, True)
     assert np.allclose(M1.bands, M.bands, rtol=0, atol=0)
     ev0 = solve_generalized(A0, M, count=4)
     ev1 = solve_generalized(A1, M, count=4, window=(2.5, 2.5 + 10.0))
@@ -86,12 +85,9 @@ def test_sphere_radial_modes_against_fd_oracle():
     # radial S^3 Laplacian, angular mode 0: eigenvalues j(j+2)
     n = 3
     grid = make_grid("polar", 2000)
-    form = WeakForm1D(
-        p=lambda r: np.sin(r) ** (n - 1),
-        q=zeros,
-        w=lambda r: np.sin(r) ** (n - 1),
+    A, M = assemble_callables(
+        grid, lambda r: np.sin(r) ** (n - 1), zeros, lambda r: np.sin(r) ** (n - 1)
     )
-    A, M = assemble_weak_form(form, grid)
     computed = [p.value for p in solve_generalized(A, M, count=3)]
     for lam, expected in zip(computed, [0.0, 3.0, 8.0]):
         assert lam == pytest.approx(expected, abs=1e-3)
@@ -110,12 +106,12 @@ def test_assembled_matrices_exactly_symmetric():
     grid = RadialGrid(nodes=nodes, coordinate_kind="polar", span=math.pi)
     rng = np.random.default_rng(7)
     coef = rng.uniform(0.5, 2.0, size=3)
-    form = WeakForm1D(
-        p=lambda x: coef[0] + np.sin(3 * x) ** 2,
-        q=lambda x: coef[1] * np.cos(x),
-        w=lambda x: coef[2] + x,
+    A, M = assemble_callables(
+        grid,
+        lambda x: coef[0] + np.sin(3 * x) ** 2,
+        lambda x: coef[1] * np.cos(x),
+        lambda x: coef[2] + x,
     )
-    A, M = assemble_weak_form(form, grid)
     for mat in (A, M):
         dense = mat.to_dense()
         assert np.array_equal(dense, dense.T)
@@ -129,9 +125,8 @@ def test_non_finite_coefficient_reports_cell():
         out[5] = np.inf
         return out
 
-    form = WeakForm1D(p=ones, q=bad_q, w=ones)
     with pytest.raises(ValueError, match="cell 5"):
-        assemble_weak_form(form, grid)
+        assemble_callables(grid, ones, bad_q, ones)
 
 
 def test_non_finite_coefficient_at_second_gauss_point_reports_cell():
@@ -145,9 +140,8 @@ def test_non_finite_coefficient_at_second_gauss_point_reports_cell():
         return np.where(np.abs(x - second) < 1e-12, np.inf, 0.0)
 
     for pinned in (False, True):
-        form = WeakForm1D(p=ones, q=bad_q, w=ones, essential_left=pinned, essential_right=pinned)
         with pytest.raises(ValueError, match=r"at cell 20 \(x = "):
-            assemble_weak_form(form, grid)
+            assemble_callables(grid, ones, bad_q, ones, pinned, pinned)
 
 
 @settings(max_examples=15, deadline=None)
@@ -161,10 +155,8 @@ def test_nonnegative_potential_increment_never_lowers_eigenvalues(amplitude, see
     def bump(x):
         return amplitude * np.exp(-((x - center) ** 2) * 8.0)
 
-    base = WeakForm1D(p=ones, q=zeros, w=ones, essential_left=True, essential_right=True)
-    more = WeakForm1D(p=ones, q=bump, w=ones, essential_left=True, essential_right=True)
-    A0, M = assemble_weak_form(base, grid)
-    A1, _ = assemble_weak_form(more, grid)
+    A0, M = assemble_callables(grid, ones, zeros, ones, True, True)
+    A1, _ = assemble_callables(grid, ones, bump, ones, True, True)
     ev0 = oracles.pencil_eigs_of_banded(A0, M, 0, 4)
     ev1 = oracles.pencil_eigs_of_banded(A1, M, 0, 4)
     assert np.all(ev1 >= ev0 - 1e-11)
@@ -174,14 +166,14 @@ def test_refinement_second_order():
     # doubling N cuts the error against a 4x-resolution reference by >= 3
     def run(N):
         grid = make_grid("polar", N)
-        form = WeakForm1D(
-            p=lambda x: 1.0 + 0.3 * np.sin(x),
-            q=lambda x: np.cos(x) ** 2,
-            w=lambda x: 1.0 + 0.1 * x,
-            essential_left=True,
-            essential_right=True,
+        A, M = assemble_callables(
+            grid,
+            lambda x: 1.0 + 0.3 * np.sin(x),
+            lambda x: np.cos(x) ** 2,
+            lambda x: 1.0 + 0.1 * x,
+            True,
+            True,
         )
-        A, M = assemble_weak_form(form, grid)
         return solve_generalized(A, M, count=2)[0].value
 
     reference = run(2000)

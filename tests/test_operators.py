@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from confspec.eigensolve import solve_generalized
 from confspec.experiments import nose_resolving_grid
 from confspec.geometry import constant_profile, profile_L, warped_reparametrize
-from confspec.grid import assemble_sampled, make_grid, quadrature_points
+from confspec.grid import assemble_weak_form, make_grid, quadrature_points
 from confspec.operators import (
     conformal_laplacian,
     covariance_record,
@@ -163,8 +163,8 @@ def test_paneitz_bands_match_dense_product(n, ell):
     h = np.sin(r)
     w = h ** (n - 1)
     q = w * mode.angular_eigenvalue / h**2
-    K, M = assemble_sampled(grid, w, q, w, pinned, pinned)
-    _, weighted = assemble_sampled(grid, w, q, profile.F(r) ** 4 * w, pinned, pinned)
+    K, M = assemble_weak_form(grid, w, q, w, pinned, pinned)
+    _, weighted = assemble_weak_form(grid, w, q, profile.F(r) ** 4 * w, pinned, pinned)
     k, m = K.to_dense(), M.to_dense()
     a, q_const = paneitz_constants(n)
     expected = k @ np.diag(1.0 / m.sum(axis=1)) @ k + a * k + (n - 4) / 2.0 * q_const * m
