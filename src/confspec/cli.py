@@ -15,11 +15,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
 import platform
+import re
 import sys
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +54,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse before 3.13 reads only -N and -N.N as negative numbers, so
+        # "--tolerance -1e-3" took the value for an option; this is 3.13's rule
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with status 2 on usage errors; the contract wants 1
     def error(self, message):
         raise _UsageError(message)
@@ -167,8 +176,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built once per process: building takes 1.3-1.9 ms, mostly argparse's
+    # formatters asking for the terminal size, which is 10-20% of a sweep row
+    return build_parser()
+
+
+# option -> its default as build_parser set it, before any CONFSPEC_* override
+_BUILT_DEFAULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _apply_env_overrides(parser: argparse.ArgumentParser) -> None:
-    """Seed parser defaults from CONFSPEC_* variables (explicit flags win)."""
+    """Set each option's default to its CONFSPEC_* value when that variable
+    is set and to its build-time default otherwise, so a reused parser never
+    keeps an override its environment has dropped (explicit flags win)."""
     stack = [parser]
     while stack:
         p = stack.pop()
@@ -178,11 +200,12 @@ def _apply_env_overrides(parser: argparse.ArgumentParser) -> None:
                 continue
             if not action.option_strings or action.dest == "help":
                 continue
-            env_name = ENV_PREFIX + action.dest.upper()
-            if env_name in os.environ:
-                raw = os.environ[env_name]
-                value = action.type(raw) if action.type else raw
-                p.set_defaults(**{action.dest: value})
+            built = _BUILT_DEFAULTS.setdefault(action, action.default)
+            raw = os.environ.get(ENV_PREFIX + action.dest.upper())
+            if raw is None:
+                action.default = built
+            else:
+                action.default = action.type(raw) if action.type else raw
 
 
 def _make_operator(cfg: RunConfig) -> OperatorKind:
@@ -410,7 +433,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         _apply_env_overrides(parser)
         args = parser.parse_args(argv)

@@ -12,9 +12,12 @@ with s the quintic smoothstep.  The cap uses q' = s((r-a)/(b-a)) on
 [a, b] = [e^-L/2, e^-L], so q levels off C2-smoothly to the constant
 3*e^-L/4 while keeping q >= r, hence F_L <= 1/r everywhere below the nose
 and F_L(0) = (4/3)e^L.  All derivatives are available in closed form, and
-the arclength map t(r) = int F dr is evaluated piecewise exactly (Gauss
-quadrature only across the two smoothstep windows, where its inverse is a
-safeguarded Newton solve with the closed-form slope dt/dr = F).
+the arclength map t(r) = int F dr is evaluated piecewise exactly except
+across the two smoothstep windows.  Their speeds do not depend on L, so
+each window is tabulated once per process (arclength and slope at uniform
+knots): t(r) is the nearest knot's value plus a short Gauss rule, and the
+inverse is a safeguarded Newton solve with the closed-form slope dt/dr = F,
+started from a cubic-Hermite inverse of the table.
 
 In arclength the metric is dt^2 + h(t)^2 g_{S^{n-1}} with h = F sin r, and
 
@@ -49,6 +52,14 @@ __all__ = [
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _NEWTON_MAX_ITER = 20
+# Each smoothstep window is tabulated at _WINDOW_KNOTS + 1 uniform knots; a
+# point's arclength is its nearest knot's plus a _LOCAL_ORDER-point rule over
+# at most half a spacing.  With 512 and 6 the forward map agrees with one
+# 32-point rule from the window start to 4e-15 at L in {1, 4, 8, 30}, and the
+# Hermite start of the inverse lies within 1.6e-12 of the root in t.
+_WINDOW_KNOTS = 512
+_LOCAL_ORDER = 6
+_LOCAL_NODES, _LOCAL_WEIGHTS = np.polynomial.legendre.leggauss(_LOCAL_ORDER)
 
 
 class ArclengthInversionError(RuntimeError):
@@ -96,6 +107,43 @@ def _transition_F(r):
 def _cap_speed(rho):
     # dt/drho across the cap window, independent of L
     return 0.5 / (0.75 + 0.5 * _smoothstep_antiderivative(rho))
+
+
+class _WindowTable:
+    """Arclength t(u) = int_u0^u speed across one smoothstep window, whose
+    speed does not depend on L, tabulated once per process.
+
+    The knots carry t from one 32-point rule each and the slope du/dt =
+    1/speed, so ``t_of_u`` integrates only from the nearest knot and
+    ``u_guess`` inverts by cubic-Hermite interpolation between knots.
+    """
+
+    def __init__(self, speed, u0: float, u1: float):
+        self.speed, self.u0 = speed, u0
+        self.spacing = (u1 - u0) / _WINDOW_KNOTS
+        self.u = np.linspace(u0, u1, _WINDOW_KNOTS + 1)
+        self.t = _gl_cumulative(speed, u0, self.u)
+        self.du_dt = 1.0 / speed(self.u)
+        self.total = float(self.t[-1])
+
+    def t_of_u(self, u):
+        k = np.rint((u - self.u0) / self.spacing).astype(int)
+        half = 0.5 * (u - self.u[k])
+        pts = (self.u[k] + half)[:, None] + half[:, None] * _LOCAL_NODES[None, :]
+        vals = self.speed(pts.ravel()).reshape(pts.shape)
+        return self.t[k] + half * (vals @ _LOCAL_WEIGHTS)
+
+    def u_guess(self, t):
+        j = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, _WINDOW_KNOTS - 1)
+        dt = self.t[j + 1] - self.t[j]
+        s = (t - self.t[j]) / dt
+        s2, s3 = s * s, s * s * s
+        return ((2.0 * s3 - 3.0 * s2 + 1.0) * self.u[j] + (s3 - 2.0 * s2 + s) * dt * self.du_dt[j]
+                + (3.0 * s2 - 2.0 * s3) * self.u[j + 1] + (s3 - s2) * dt * self.du_dt[j + 1])
+
+
+_CAP_WINDOW = _WindowTable(_cap_speed, 0.0, 1.0)  # u = rho = (r - a)/(b - a)
+_TRANSITION_WINDOW = _WindowTable(_transition_F, 0.5, 1.0)  # u = r
 
 
 class _ProfileEvaluator:
@@ -165,14 +213,15 @@ class _ProfileEvaluator:
 
 class _ArclengthMap:
     """t(r) = int_0^r F and its inverse, piecewise exact except across the
-    two smoothstep windows, where the inverse is a bracketed Newton solve."""
+    two smoothstep windows, where t(r) is read from the window tables and
+    the inverse is a bracketed Newton solve started from them."""
 
     def __init__(self, ev: _ProfileEvaluator):
         self.ev = ev
         self.t_a = 2.0 / 3.0
-        self.t_b = self.t_a + float(_gl_cumulative(_cap_speed, 0.0, np.array([1.0]))[0])
+        self.t_b = self.t_a + _CAP_WINDOW.total
         self.t_half = self.t_b + math.log(0.5 / ev.b)
-        self.t_one = self.t_half + float(_gl_cumulative(_transition_F, 0.5, np.array([1.0]))[0])
+        self.t_one = self.t_half + _TRANSITION_WINDOW.total
 
     def t_of_r(self, r):
         r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -183,20 +232,20 @@ class _ArclengthMap:
         m = (r >= ev.a) & (r < ev.b)
         if np.any(m):
             rho = (r[m] - ev.a) / (ev.b - ev.a)
-            out[m] = self.t_a + _gl_cumulative(_cap_speed, 0.0, rho)
+            out[m] = self.t_a + _CAP_WINDOW.t_of_u(rho)
         m = (r >= ev.b) & (r < 0.5)
         out[m] = self.t_b + np.log(r[m] / ev.b)
         m = (r >= 0.5) & (r < 1.0)
         if np.any(m):
-            out[m] = self.t_half + _gl_cumulative(_transition_F, 0.5, r[m])
+            out[m] = self.t_half + _TRANSITION_WINDOW.t_of_u(r[m])
         m = r >= 1.0
         out[m] = self.t_one + (r[m] - 1.0)
         return out
 
-    def _invert_window(self, t, lo, hi, t_lo, t_hi):
-        """Safeguarded Newton solve of t_of_r(r) = t for r in [lo, hi], which
-        t_of_r maps onto [t_lo, t_hi]; the slope dt/dr is F in closed form."""
-        r = lo + (hi - lo) * (t - t_lo) / (t_hi - t_lo)
+    def _invert_window(self, t, r, lo, hi):
+        """Safeguarded Newton solve of t_of_r(r) = t for r in [lo, hi] from the
+        starting points r; the slope dt/dr is F in closed form."""
+        r = np.clip(r, lo, hi)
         tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(t), 1.0)
         for _ in range(_NEWTON_MAX_ITER):
             f = self.t_of_r(r) - t
@@ -222,12 +271,14 @@ class _ArclengthMap:
         out[m] = 0.75 * ev.b * t[m]
         m = (t >= self.t_a) & (t < self.t_b)
         if np.any(m):
-            out[m] = self._invert_window(t[m], ev.a, ev.b, self.t_a, self.t_b)
+            rho = _CAP_WINDOW.u_guess(t[m] - self.t_a)
+            out[m] = self._invert_window(t[m], ev.a + (ev.b - ev.a) * rho, ev.a, ev.b)
         m = (t >= self.t_b) & (t < self.t_half)
         out[m] = ev.b * np.exp(t[m] - self.t_b)
         m = (t >= self.t_half) & (t < self.t_one)
         if np.any(m):
-            out[m] = self._invert_window(t[m], 0.5, 1.0, self.t_half, self.t_one)
+            r0 = _TRANSITION_WINDOW.u_guess(t[m] - self.t_half)
+            out[m] = self._invert_window(t[m], r0, 0.5, 1.0)
         m = t >= self.t_one
         out[m] = 1.0 + (t[m] - self.t_one)
         return out

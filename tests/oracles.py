@@ -122,6 +122,45 @@ def blowup_factor(r) -> np.ndarray:
     return np.where(r < 0.5, 1.0 / r, np.where(r < 1.0, np.exp(-smooth * np.log(r)), 1.0))
 
 
+def cap_speed(rho) -> np.ndarray:
+    """dt/drho across the cap [e^-L/2, e^-L] of a nose-length-L profile, in
+    rho = (r - a)/(b - a): the cap factor is 1/(b (3/4 + S(rho)/2)) with
+    S(x) = x^6 - 3x^5 + 5x^4/2 the antiderivative of the smoothstep, and
+    dr/drho = b/2."""
+    rho = np.asarray(rho, dtype=float)
+    return 0.5 / (0.75 + 0.5 * (rho**6 - 3.0 * rho**5 + 2.5 * rho**4))
+
+
+def gauss_integral(fn, a: float, upper) -> np.ndarray:
+    """int_a^x fn for each x in ``upper``: a composite Gauss-Legendre rule of
+    64 equal panels with 24 points each."""
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    edges = a + (upper[:, None] - a) * np.linspace(0.0, 1.0, 65)[None, :]
+    half = 0.5 * np.diff(edges, axis=1)
+    mid = edges[:, :-1] + half
+    pts = mid[:, :, None] + half[:, :, None] * nodes
+    return np.sum(half * (fn(pts) @ weights), axis=1)
+
+
+def blowup_arclength(r, L: float) -> np.ndarray:
+    """t(r) = int_0^r F_L for r in the cap [e^-L/2, e^-L) or the transition
+    [1/2, 1) of a nose-length-L profile: the flat core contributes 2/3, the
+    cap int cap_speed, the nose log(1/2) + L, the transition the integral of
+    the blowup factor."""
+    r = np.asarray(r, dtype=float)
+    b = np.exp(-L)
+    cap = (r >= 0.5 * b) & (r < b)
+    trans = (r >= 0.5) & (r < 1.0)
+    if not np.all(cap | trans):
+        raise ValueError("the oracle covers the cap and the transition windows only")
+    out = np.empty_like(r)
+    out[cap] = 2.0 / 3.0 + gauss_integral(cap_speed, 0.0, (r[cap] - 0.5 * b) / (0.5 * b))
+    t_half = 2.0 / 3.0 + gauss_integral(cap_speed, 0.0, 1.0)[0] + np.log(0.5) + L
+    out[trans] = t_half + gauss_integral(blowup_factor, 0.5, r[trans])
+    return out
+
+
 # closed-form reference ladders ------------------------------------------------
 
 

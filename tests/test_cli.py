@@ -383,3 +383,43 @@ def test_validate_sphere_rejects_bad_tolerance(tmp_path, capsys, tolerance):
     assert code == 1
     assert err.startswith("error: tolerance must be finite and positive")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("validate-sphere", "--N", "200", "--tolerance", "-1e-3"),
+         "error: tolerance must be finite and positive, got -0.001\n"),
+        (("pinocchio-sweep", "--N", "100", "--L", "-1e-3"),
+         "error: nose length L must be finite and at least 1, got -0.001\n"),
+    ],
+    ids=["tolerance", "sweep-L"],
+)
+def test_negative_scientific_value_reaches_its_check(tmp_path, capsys, args, message):
+    # "-1e-3" is a value, not an option, so the value check names it
+    out = tmp_path / "report.csv"
+    code, _, err = run(capsys, *args, "--operator", "conformal-laplacian", "--out", str(out))
+    assert code == 1
+    assert err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("pinocchio-sweep", "--L", "1", "--path", "covariance"),
+        ("validate-sphere", "--ell-max", "0"),
+    ],
+    ids=["sweep", "validate-sphere"],
+)
+def test_env_override_ends_with_its_variable(tmp_path, capsys, monkeypatch, args):
+    # one process reuses its parser, so a dropped override must not linger
+    out = tmp_path / "x.csv"
+    monkeypatch.setenv("CONFSPEC_N", "320")
+    code, _, _ = run(capsys, *args, "--operator", "conformal-laplacian", "--out", str(out))
+    assert code == 0
+    assert json.loads((tmp_path / "x.json").read_text())["config"]["N"] == 320
+    monkeypatch.delenv("CONFSPEC_N")
+    code, _, _ = run(capsys, *args, "--operator", "conformal-laplacian", "--out", str(out))
+    assert code == 0
+    assert json.loads((tmp_path / "x.json").read_text())["config"]["N"] == 2000

@@ -303,5 +303,20 @@ def test_arclength_inverse_evaluations_are_few(monkeypatch):
     monkeypatch.setattr(arc, "t_of_r", counted)
     t = np.linspace(0.0, prof.total_arclength(), 20001)
     prof.r_of_arclength(t)
-    assert len(calls) <= 12
+    # two per window: the tabulated start is one Newton step from the root
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("L", [1.0, 8.0, 30.0])
+def test_window_arclength_matches_composite_gauss_oracle(L):
+    prof = profile_L(3, L)
+    b = math.exp(-L)
+    r = np.concatenate([
+        np.linspace(0.5 * b, b, 2001, endpoint=False),
+        np.linspace(0.5, 1.0, 2001, endpoint=False),
+    ])
+    t = prof.arclength_of_r(r)
+    expected = oracles.blowup_arclength(r, L)
+    tol = 8.0 * np.finfo(float).eps * np.maximum(np.abs(expected), 1.0)
+    assert np.all(np.abs(t - expected) <= tol)
 
