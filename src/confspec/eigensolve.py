@@ -42,7 +42,12 @@ further from its bisection estimate than the bisection tolerance plus
 rounding means the iteration slid to a neighbouring eigenvalue, which
 raises ``SolverConvergenceError`` rather than returning a duplicate.
 
-Every returned pair is B-orthonormalized; residuals
+Every returned vector is B-orthonormal as its route returns it, and no
+second pass touches it.  Inverse iteration B-orthogonalizes each iterate
+against the earlier vectors of the same solve and B-normalizes it.  The
+chiral mirror S x keeps x's B-norm and B-products exactly (S B S = B) and
+is an eigenvector of -lam, hence B-orthogonal to the positive half.
+ARPACK's shift-invert Lanczos basis is B-orthonormal.  Residuals
 ||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||) are reported per pair and must
 stay below ``RESIDUAL_TOL`` or, where double precision cannot certify
 that, a small multiple of the evaluation floor.  Where that denominator
@@ -55,11 +60,9 @@ from __future__ import annotations
 
 import ctypes
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cython_lapack, lapack
@@ -112,23 +115,17 @@ class EigenPair:
     residual: float
 
 
-def _cholesky_or_raise(B: BandedSymmetric) -> np.ndarray:
-    try:
-        return sla.cholesky_banded(B.bands, lower=True)
-    except sla.LinAlgError as exc:
-        match = re.search(r"(\d+)", str(exc))
-        pivot = int(match.group(1)) - 1 if match else -1
-        raise NotPositiveDefiniteError(pivot) from exc
+def _cholesky_or_raise(B: BandedSymmetric) -> None:
+    if not np.isfinite(B.bands).all():
+        raise ValueError("array must not contain infs or NaNs")
+    _, info = lapack.dpbtrf(B.bands, lower=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(info - 1)
 
 
 def _inf_norm(A: BandedSymmetric) -> float:
-    m = A.size
-    row = np.abs(A.bands[0]).astype(float)
-    for d in range(1, A.bandwidth + 1):
-        band = np.abs(A.bands[d, : m - d])
-        row[d:] += band
-        row[: m - d] += band
-    return float(row.max(initial=0.0))
+    rows = BandedSymmetric(np.abs(A.bands)).matvec(np.ones(A.size))
+    return float(rows.max(initial=0.0))
 
 
 def _certificate(norm_a: float, norm_b: float, ax, bx, lam: float, x) -> tuple[float, float]:
@@ -152,19 +149,6 @@ def _certificate(norm_a: float, norm_b: float, ax, bx, lam: float, x) -> tuple[f
     if denom == 0.0:
         return 0.0, 0.0
     return float(np.linalg.norm(ax - lam * bx) / denom), float(eps * scale / denom)
-
-
-def _b_orthonormalize(B: BandedSymmetric, vectors: list[np.ndarray]) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for v in vectors:
-        v = v.copy()
-        for u in out:
-            v -= (u @ B.matvec(v)) * u
-        nrm = math.sqrt(max(v @ B.matvec(v), 0.0))
-        if not np.isfinite(nrm) or nrm == 0.0:
-            raise SolverConvergenceError(math.inf)
-        out.append(v / nrm)
-    return out
 
 
 def _select_nearest(values: np.ndarray, count: int, window) -> tuple[int, int]:
@@ -487,11 +471,10 @@ def solve_generalized(
     else:
         vals, vecs = _nearest_path(A, B, min(count, m), window, seed, diagonal)
 
-    vectors = _b_orthonormalize(B, vecs)
     pairs = []
     failed = []
     norm_a, norm_b = _inf_norm(A), _inf_norm(B)
-    for vec in vectors:
+    for vec in vecs:
         ax, bx = A.matvec(vec), B.matvec(vec)
         lam = float(vec @ ax) / float(vec @ bx)
         res, floor = _certificate(norm_a, norm_b, ax, bx, lam, vec)

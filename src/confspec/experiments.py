@@ -475,8 +475,8 @@ def cylinder_surrogate_study(
     worst = 0.0
     for T in T_grid:
         grid = make_grid("arclength", N, length=float(T))
-        ones = np.ones(quadrature_points(grid, True, True).size)
-        A, M = assemble_weak_form(grid, ones, sigma * ones, ones, True, True)
+        ones = np.ones(quadrature_points(grid, pinned=True).size)
+        A, M = assemble_weak_form(grid, ones, sigma * ones, ones, pinned=True)
         B = BandedSymmetric.from_diagonal(operators._lumped(M))
         pairs = eigensolve.solve_generalized(A, B, count=1, seed=seed)
         lam = pairs[0].value

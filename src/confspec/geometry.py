@@ -292,9 +292,11 @@ class ConformalProfile:
     """Rotationally symmetric conformal factor r -> F(r) > 0 on (0, pi].
 
     F, dF, d2F are vectorized closed-form evaluators.  The arclength map
-    t(r) = int_0^r F is exposed through the method API.  ``kink_radii`` lists the radii where F
-    is only C2 (region boundaries); quadrature grids should place nodes
-    there so no cell straddles a derivative jump.
+    t(r) = int_0^r F and its inverse are exposed through the method API,
+    which raises ``ValueError`` for a NaN or a value outside [0, pi] (for
+    t(r)) or [0, total_arclength()] (for the inverse).  ``kink_radii`` lists
+    the radii where F is only C2 (region boundaries); quadrature grids
+    should place nodes there so no cell straddles a derivative jump.
     """
 
     n: int
@@ -306,9 +308,18 @@ class ConformalProfile:
     _arc: object = field(repr=False, default=None)
 
     def arclength_of_r(self, r):
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        bad = ~((r >= 0.0) & (r <= math.pi))  # a NaN is outside too
+        if bad.any():
+            raise ValueError(f"polar distance {r[bad][0]:g} outside [0, pi]")
         return self._arc.t_of_r(r)
 
     def r_of_arclength(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        total = self.total_arclength()
+        bad = ~((t >= 0.0) & (t <= total))
+        if bad.any():
+            raise ValueError(f"arclength {t[bad][0]:g} outside [0, {total:g}]")
         return self._arc.r_of_t(t)
 
     def total_arclength(self) -> float:

@@ -3,8 +3,8 @@
 A grid is a strictly increasing set of interior nodes of either the polar
 interval (0, pi) or an arclength interval (0, T).  Endpoints are never nodes:
 the coordinate singularities at the poles are handled by a small offset plus
-either an essential zero condition or a natural condition, chosen per angular
-mode by the callers.
+either an essential zero condition at both walls (``pinned``) or a natural
+condition at both, chosen per angular mode by the callers.
 
 The assembly discretizes
 
@@ -152,46 +152,44 @@ def make_grid(kind: str, N: int, *, length: float | None = None) -> RadialGrid:
     return RadialGrid(nodes=nodes, coordinate_kind=kind, span=span)
 
 
-def _wall_cells(grid: RadialGrid, essential_left: bool, essential_right: bool):
-    """(wall, width, adjacent node) of each pinned wall cell, left first."""
+def _wall_cells(grid: RadialGrid, pinned: bool):
+    """(wall, width, adjacent node) of both wall cells of a pinned grid, left
+    first; none for a free one."""
+    if not pinned:
+        return []
     nodes = grid.nodes
-    walls = [(0.0, nodes[0], 0)] if essential_left else []
-    if essential_right:
-        walls.append((nodes[-1], grid.span - nodes[-1], nodes.size - 1))
-    return walls
+    return [(0.0, nodes[0], 0), (nodes[-1], grid.span - nodes[-1], nodes.size - 1)]
 
 
-def quadrature_points(
-    grid: RadialGrid, essential_left: bool = False, essential_right: bool = False
-) -> np.ndarray:
+def quadrature_points(grid: RadialGrid, pinned: bool = False) -> np.ndarray:
     """The first Gauss point of every cell, then the second of every cell,
-    then both points of each pinned wall cell (left wall first)."""
+    then, when ``pinned``, both points of each wall cell (left wall first)."""
     left = grid.nodes[:-1]
     he = np.diff(grid.nodes)
     points = [left + g * he for g in _GAUSS_OFFSETS]
-    for wall, hb, _ in _wall_cells(grid, essential_left, essential_right):
+    for wall, hb, _ in _wall_cells(grid, pinned):
         points.append(np.array([wall + g * hb for g in _GAUSS_OFFSETS]))
     return np.concatenate(points)
 
 
 def assemble_weak_form(
-    grid: RadialGrid, p, q, w, essential_left: bool = False, essential_right: bool = False
+    grid: RadialGrid, p, q, w, pinned: bool = False
 ) -> tuple[BandedSymmetric, BandedSymmetric]:
     """Assemble the tridiagonal pair (A, M) from p, q, w sampled at
-    ``quadrature_points(grid, essential_left, essential_right)``.
+    ``quadrature_points(grid, pinned)``.
 
-    An essential end pins the solution to zero at the domain wall: the
-    boundary cell between the wall and the first (or last) node is included,
-    with the wall value's row and column eliminated.  A natural end simply
-    truncates the integrals at the offset node, which is the right treatment
-    for the coordinate poles where the measure weight vanishes.
+    Pinned ends hold the solution to zero at both domain walls: the boundary
+    cell between each wall and its first node is included, with the wall
+    value's row and column eliminated.  Free ends simply truncate the
+    integrals at the offset nodes, which is the right treatment for the
+    coordinate poles where the measure weight vanishes.
 
     Both returned matrices are exactly symmetric by construction.
     """
     nodes = grid.nodes
     m = nodes.size
     he = np.diff(nodes)
-    x = quadrature_points(grid, essential_left, essential_right)
+    x = quadrature_points(grid, pinned)
     p, q, w = (np.asarray(v, dtype=float) for v in (p, q, w))
     for name, vals in (("p", p), ("q", q), ("w", w)):
         if vals.shape != x.shape:
@@ -221,7 +219,7 @@ def assemble_weak_form(
         m_sub += wq * wv * phi0 * phi1
 
     # boundary cells of pinned ends (the hat rises from 0 at the wall)
-    walls = _wall_cells(grid, essential_left, essential_right)
+    walls = _wall_cells(grid, pinned)
     for (_, hb, idx), *samples in zip(walls, *at_walls):
         for g, pv, qv, wv in zip(_GAUSS_OFFSETS, *samples):
             wq = 0.5 * hb

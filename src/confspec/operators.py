@@ -194,13 +194,7 @@ def _scalar_constant_term(n: int) -> float:
 
 def _lumped(mass: BandedSymmetric) -> np.ndarray:
     """Row sums of a banded mass: the diagonal of its lumped form."""
-    m = mass.size
-    d = mass.bands[0].copy()
-    for k in range(1, mass.bandwidth + 1):
-        band = mass.bands[k, : m - k]
-        d[k:] += band
-        d[: m - k] += band
-    return d
+    return mass.matvec(np.ones(mass.size))
 
 
 def _paneitz_bands(K: BandedSymmetric, M: BandedSymmetric, n: int) -> BandedSymmetric:
@@ -290,7 +284,7 @@ class RowRecord:
     ``grid`` is the grid the modes assemble on: polar on the covariance
     path, arclength on the intrinsic path.  For the scalar kinds ``h``,
     ``potential`` (the curvature term per unit mass) and ``weight`` (the
-    mass weight) sit at ``quadrature_points(grid, True, True)``, whose first
+    mass weight) sit at ``quadrature_points(grid, pinned=True)``, whose first
     2(m-1) points are the natural layout, so pinned and free modes read the
     same samples.  For Dirac ``h``, ``dh`` and ``weight`` sit at the cell
     midpoints, and ``h_nodes`` and ``weight_nodes`` hold h and the weight at
@@ -322,7 +316,7 @@ def covariance_record(op: OperatorKind, profile: ConformalProfile, grid: RadialG
             op, grid, np.sin(r), profile.F(r), dh=np.cos(r),
             h_nodes=np.sin(grid.nodes), weight_nodes=profile.F(grid.nodes),
         )
-    r = quadrature_points(grid, True, True)
+    r = quadrature_points(grid, pinned=True)
     constant = _scalar_constant_term(op.n) if op.kind == KIND_L else 0.0
     return RowRecord(
         op, grid, np.sin(r), profile.F(r) ** op.order, potential=np.full(r.shape, constant)
@@ -346,7 +340,7 @@ def intrinsic_record(op: OperatorKind, warped: WarpedData, grid: RadialGrid) -> 
         work_grid = RadialGrid(nodes=t_nodes, coordinate_kind="arclength", span=span)
     if op.kind == KIND_L:
         n = op.n
-        h, dh, d2h = warped.jet(quadrature_points(work_grid, True, True))
+        h, dh, d2h = warped.jet(quadrature_points(work_grid, pinned=True))
         potential = (n - 2) / (4.0 * (n - 1)) * warped_curvature(h, dh, d2h, n)
         return RowRecord(op, work_grid, h, np.ones_like(h), potential=potential)
     h, dh, _ = warped.jet(_midpoints(work_grid.nodes))
@@ -375,15 +369,15 @@ def intrinsic_assemble(record: RowRecord, mode: ModeSpec) -> AssembledOperator:
             record.weight_nodes, record.weight,
         )
         return AssembledOperator(A=A, B=B)
-    essential = mode.index != 0
-    size = None if essential else 2 * (grid.nodes.size - 1)
+    pinned = mode.index != 0
+    size = None if pinned else 2 * (grid.nodes.size - 1)
     h = record.h[:size]
     w = h ** (op.n - 1)
     q = w * (mode.angular_eigenvalue / h**2 + record.potential[:size])
-    A, M = assemble_weak_form(grid, w, q, record.weight[:size] * w, essential, essential)
+    A, M = assemble_weak_form(grid, w, q, record.weight[:size] * w, pinned)
     if op.kind == KIND_PANEITZ:
         # the stiffness bands do not read the mass weight, so A is K
-        _, unit_mass = assemble_weak_form(grid, w, q, w, essential, essential)
+        _, unit_mass = assemble_weak_form(grid, w, q, w, pinned)
         A = _paneitz_bands(A, unit_mass, op.n)
     return AssembledOperator(A=A, B=BandedSymmetric.from_diagonal(_lumped(M)))
 

@@ -217,6 +217,20 @@ def test_arclength_map_roundtrip_and_monotone():
     )
 
 
+@pytest.mark.parametrize(
+    "prof", [profile_L(3, 2.0), constant_profile(2.0)], ids=["L=2", "constant"]
+)
+@pytest.mark.parametrize("bad", [math.nan, 100.0, -1.0])
+def test_arclength_maps_reject_points_outside_their_domain(prof, bad):
+    # a NaN or a point off the domain is an error, never an extrapolated value;
+    # both ends of the domain are accepted
+    for method in (prof.r_of_arclength, prof.arclength_of_r):
+        with pytest.raises(ValueError, match="outside"):
+            method(np.array([0.5, bad]))
+    ends = prof.r_of_arclength(np.array([0.0, prof.total_arclength()]))
+    assert ends[0] == 0.0 and ends[1] == pytest.approx(math.pi, rel=1e-14)
+
+
 def test_arclength_derivative_is_profile():
     prof = profile_L(2, 2.5)
     r = np.array([0.01, 0.04, 0.1, 0.3, 0.6, 0.9, 1.5, 3.0])

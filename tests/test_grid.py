@@ -24,10 +24,10 @@ def zeros(x):
     return np.zeros_like(x)
 
 
-def assemble_callables(grid, p, q, w, essential_left=False, essential_right=False):
+def assemble_callables(grid, p, q, w, pinned=False):
     """``assemble_weak_form`` with p, q and w sampled at the quadrature points."""
-    x = quadrature_points(grid, essential_left, essential_right)
-    return assemble_weak_form(grid, p(x), q(x), w(x), essential_left, essential_right)
+    x = quadrature_points(grid, pinned)
+    return assemble_weak_form(grid, p(x), q(x), w(x), pinned)
 
 
 # ---------------------------------------------------------------- make_grid
@@ -56,7 +56,7 @@ def test_arclength_needs_length():
 
 def test_dirichlet_laplacian_spectrum():
     grid = make_grid("polar", 2000)
-    A, M = assemble_callables(grid, ones, zeros, ones, True, True)
+    A, M = assemble_callables(grid, ones, zeros, ones, True)
     pairs = solve_generalized(A, M, count=3)
     for m, pair in enumerate(pairs, start=1):
         assert pair.value == pytest.approx(m * m, abs=1e-4)
@@ -64,7 +64,7 @@ def test_dirichlet_laplacian_spectrum():
 
 def test_essential_ends_give_second_difference_stiffness():
     grid = make_grid("polar", 17)
-    A, _ = assemble_callables(grid, ones, zeros, ones, True, True)
+    A, _ = assemble_callables(grid, ones, zeros, ones, True)
     h = np.pi / 18
     assert np.allclose(A.bands[0], 2.0 / h)
     assert np.allclose(A.bands[1, :-1], -1.0 / h)
@@ -72,8 +72,8 @@ def test_essential_ends_give_second_difference_stiffness():
 
 def test_constant_shift_moves_spectrum_exactly():
     grid = make_grid("polar", 300)
-    A0, M = assemble_callables(grid, ones, zeros, ones, True, True)
-    A1, M1 = assemble_callables(grid, ones, lambda x: np.full_like(x, 2.5), ones, True, True)
+    A0, M = assemble_callables(grid, ones, zeros, ones, True)
+    A1, M1 = assemble_callables(grid, ones, lambda x: np.full_like(x, 2.5), ones, True)
     assert np.allclose(M1.bands, M.bands, rtol=0, atol=0)
     ev0 = solve_generalized(A0, M, count=4)
     ev1 = solve_generalized(A1, M, count=4, window=(2.5, 2.5 + 10.0))
@@ -141,7 +141,7 @@ def test_non_finite_coefficient_at_second_gauss_point_reports_cell():
 
     for pinned in (False, True):
         with pytest.raises(ValueError, match=r"at cell 20 \(x = "):
-            assemble_callables(grid, ones, bad_q, ones, pinned, pinned)
+            assemble_callables(grid, ones, bad_q, ones, pinned)
 
 
 @settings(max_examples=15, deadline=None)
@@ -155,8 +155,8 @@ def test_nonnegative_potential_increment_never_lowers_eigenvalues(amplitude, see
     def bump(x):
         return amplitude * np.exp(-((x - center) ** 2) * 8.0)
 
-    A0, M = assemble_callables(grid, ones, zeros, ones, True, True)
-    A1, _ = assemble_callables(grid, ones, bump, ones, True, True)
+    A0, M = assemble_callables(grid, ones, zeros, ones, True)
+    A1, _ = assemble_callables(grid, ones, bump, ones, True)
     ev0 = oracles.pencil_eigs_of_banded(A0, M, 0, 4)
     ev1 = oracles.pencil_eigs_of_banded(A1, M, 0, 4)
     assert np.all(ev1 >= ev0 - 1e-11)
@@ -171,7 +171,6 @@ def test_refinement_second_order():
             lambda x: 1.0 + 0.3 * np.sin(x),
             lambda x: np.cos(x) ** 2,
             lambda x: 1.0 + 0.1 * x,
-            True,
             True,
         )
         return solve_generalized(A, M, count=2)[0].value

@@ -159,12 +159,12 @@ def test_paneitz_bands_match_dense_product(n, ell):
     asm = intrinsic_assemble(covariance_record(op, profile, grid), mode)
 
     pinned = ell != 0
-    r = quadrature_points(grid, pinned, pinned)
+    r = quadrature_points(grid, pinned)
     h = np.sin(r)
     w = h ** (n - 1)
     q = w * mode.angular_eigenvalue / h**2
-    K, M = assemble_weak_form(grid, w, q, w, pinned, pinned)
-    _, weighted = assemble_weak_form(grid, w, q, profile.F(r) ** 4 * w, pinned, pinned)
+    K, M = assemble_weak_form(grid, w, q, w, pinned)
+    _, weighted = assemble_weak_form(grid, w, q, profile.F(r) ** 4 * w, pinned)
     k, m = K.to_dense(), M.to_dense()
     a, q_const = paneitz_constants(n)
     expected = k @ np.diag(1.0 / m.sum(axis=1)) @ k + a * k + (n - 4) / 2.0 * q_const * m
