@@ -54,18 +54,25 @@ that, a small multiple of the evaluation floor.  Where that denominator
 is below its own rounding, as at an exact zero eigenvalue, the residual
 is taken against (||A|| + |lam| ||B||) ||x|| instead.
 A non-finite vector or residual fails that certificate.
+
+Every LAPACK routine is called one way: bound by ``_bind`` from scipy's
+Cython LAPACK table, which is loaded from its extension file, so importing
+this module imports neither ``scipy.linalg`` nor ``scipy.sparse``.  ARPACK
+(``scipy.sparse.linalg``) is imported by the first ``method="iterative"``
+solve, the only route that runs it.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import math
+import pathlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import cython_lapack, lapack
 
 from confspec.grid import BandedSymmetric
 from confspec.operators import ModeSpec
@@ -90,6 +97,88 @@ _INVERSE_ITERATIONS = 3  # per vector; two already reach the residual floor
 # lambda_1^+ moved by at most 1.0e-12 relative.
 _WINDOW_ABSTOL = 1e-8
 RESIDUAL_TOL = 1e-9
+
+
+def _lapack_table():
+    """scipy's Cython LAPACK table, the module ``scipy.linalg.cython_lapack``,
+    loaded from its extension file without importing ``scipy.linalg``.
+
+    The module is registered in ``sys.modules`` under that name, so a later
+    ``import scipy.linalg`` uses this one (an extension is initialized once
+    per process) and one already imported is reused.  A missing file raises
+    ``ImportError`` naming the directory searched."""
+    name = "scipy.linalg.cython_lapack"
+    scipy_spec = importlib.util.find_spec("scipy")
+    roots = scipy_spec.submodule_search_locations if scipy_spec else None
+    directory = pathlib.Path(roots[0] if roots else "scipy") / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"cython_lapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"scipy's cython_lapack extension not found in {directory}")
+    if name in sys.modules:
+        return sys.modules[name]
+    # the extension's init symbol, PyInit_cython_lapack, is named after the
+    # last component of the module name
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader)
+    )
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_LAPACK = _lapack_table()
+
+
+def _bind(name, *argtypes):
+    """LAPACK routine ``name`` from scipy's Cython LAPACK table, the one way
+    this module calls LAPACK.  Its entry points take plain char/int/double
+    pointers and no hidden string lengths.  An int or a scalar double goes in
+    as a ``ctypes.c_int`` or ``ctypes.c_double``, an array as its address
+    (``_P``), taken once per array: the routines check neither dtype nor
+    memory order, so a band array must be Fortran-ordered (or one contiguous
+    row) and every integer array int32."""
+    capsule = _LAPACK.__pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )(capsule, capsule_name)
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_C = ctypes.c_char_p
+_I = ctypes.POINTER(ctypes.c_int)
+_D = ctypes.POINTER(ctypes.c_double)
+_P = ctypes.c_void_p  # an array's data address
+# uplo n kd ab ldab info
+_dpbtrf = _bind("dpbtrf", _C, _I, _I, _P, _I, _I)
+_dpbstf = _bind("dpbstf", _C, _I, _I, _P, _I, _I)
+# vect uplo n ka kb ab ldab bb ldbb x ldx work info
+_dsbgst = _bind("dsbgst", _C, _C, _I, _I, _I, _P, _I, _P, _I, _P, _I, _P, _I)
+# vect uplo n kd ab ldab d e q ldq work info
+_dsbtrd = _bind("dsbtrd", _C, _C, _I, _I, _P, _I, _P, _P, _P, _I, _P, _I)
+# jobz range uplo n kd ab ldab q ldq vl vu il iu abstol m w z ldz work iwork
+# ifail info
+_dsbevx = _bind(
+    "dsbevx", _C, _C, _C, _I, _I, _P, _I, _P, _I, _D, _D, _I, _I, _D, _I, _P, _P, _I, _P, _P,
+    _P, _I,
+)
+# n dl d du du2 ipiv info
+_dgttrf = _bind("dgttrf", _I, _P, _P, _P, _P, _P, _I)
+# trans n nrhs dl d du du2 ipiv b ldb info
+_dgttrs = _bind("dgttrs", _C, _I, _I, _P, _P, _P, _P, _P, _P, _I, _I)
+# m n kl ku ab ldab ipiv info
+_dgbtrf = _bind("dgbtrf", _I, _I, _I, _I, _P, _I, _P, _I)
+# trans n kl ku nrhs ab ldab ipiv b ldb info
+_dgbtrs = _bind("dgbtrs", _C, _I, _I, _I, _I, _P, _I, _P, _P, _I, _I)
+_ONE = ctypes.c_int(1)  # a leading dimension of an unreferenced array
+_UNUSED = np.zeros(1)  # Q, X and Z of the routines that compute no vectors
+_UNUSED_P = _UNUSED.ctypes.data
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -118,9 +207,12 @@ class EigenPair:
 def _cholesky_or_raise(B: BandedSymmetric) -> None:
     if not np.isfinite(B.bands).all():
         raise ValueError("array must not contain infs or NaNs")
-    _, info = lapack.dpbtrf(B.bands, lower=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(info - 1)
+    ab = np.array(B.bands, order="F")  # dpbtrf factors in place
+    n, kd, ld = ctypes.c_int(B.size), ctypes.c_int(B.bandwidth), ctypes.c_int(B.bandwidth + 1)
+    info = ctypes.c_int(0)
+    _dpbtrf(b"L", n, kd, ab.ctypes.data, ld, info)
+    if info.value > 0:
+        raise NotPositiveDefiniteError(info.value - 1)
 
 
 def _inf_norm(A: BandedSymmetric) -> float:
@@ -162,33 +254,6 @@ def _select_nearest(values: np.ndarray, count: int, window) -> tuple[int, int]:
     return int(order.min()), int(order.max())
 
 
-def _bind(name, *argtypes):
-    """LAPACK routine ``name`` from scipy's Cython LAPACK table, which has the
-    band reduction routines ``scipy.linalg.lapack`` does not wrap.  Its entry
-    points take plain char/int/double pointers and no hidden string lengths;
-    an int argument may be passed as a ``ctypes.c_int``, a double array as
-    an ndarray."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi)
-    )(capsule)
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )(capsule, capsule_name)
-    return ctypes.CFUNCTYPE(None, *argtypes)(address)
-
-
-_C = ctypes.c_char_p
-_I = ctypes.POINTER(ctypes.c_int)
-_D = np.ctypeslib.ndpointer(np.float64)  # takes an array's data pointer
-# uplo n kd ab ldab info
-_dpbstf = _bind("dpbstf", _C, _I, _I, _D, _I, _I)
-# vect uplo n ka kb ab ldab bb ldbb x ldx work info
-_dsbgst = _bind("dsbgst", _C, _C, _I, _I, _I, _D, _I, _D, _I, _D, _I, _D, _I)
-# vect uplo n kd ab ldab d e q ldq work info
-_dsbtrd = _bind("dsbtrd", _C, _C, _I, _I, _D, _I, _D, _D, _D, _I, _D, _I)
-
-
 def _lower_storage(M: BandedSymmetric, bw: int) -> np.ndarray:
     """Column-major LAPACK lower band storage of M padded to bandwidth bw."""
     ab = np.zeros((bw + 1, M.size), order="F")
@@ -198,32 +263,69 @@ def _lower_storage(M: BandedSymmetric, bw: int) -> np.ndarray:
 
 def _full_storage(M: BandedSymmetric, bw: int) -> np.ndarray:
     """Both triangles of M in dgbtrf's storage for (bw, bw) bands: bw rows of
-    room for the fill-in, then the diagonals from the bw-th above down."""
+    room for the fill-in, then the diagonals from the bw-th above down.
+    Fortran-ordered, as dgbtrf reads it, except for bandwidth 1: there rows
+    1-3 are the super-, main and sub-diagonal dgttrf reads, each contiguous."""
     m = M.size
-    ab = np.zeros((3 * bw + 1, m))
+    ab = np.zeros((3 * bw + 1, m), order="C" if bw == 1 else "F")
     ab[2 * bw : 2 * bw + M.bandwidth + 1] = M.bands
     for k in range(1, M.bandwidth + 1):
         ab[2 * bw - k, k:] = M.bands[k, : m - k]
     return ab
 
 
-def _shifted_solver(a_full, b_full, bw, sigma, tiny):
-    """Solver of (A - sigma B) y = r, factored once by LU with partial pivoting.
+class _ShiftedSolver:
+    """Solves (A - sigma B) y = r for one shift sigma at a time, each
+    factored once by LU with partial pivoting.
 
     An exactly zero pivot (sigma an eigenvalue to working precision) is set
     to ``tiny``, as LAPACK's tridiagonal inverse iteration perturbs it.
-    Tridiagonal systems take the cheaper dgttrf/dgttrs (gtsv's elimination);
-    scipy's dgttrf wrapper rejects m <= 2."""
-    shifted = b_full * -sigma
-    shifted += a_full
-    if bw == 1 and shifted.shape[1] > 2:
-        dl, d, du, du2, ipiv, _ = lapack.dgttrf(shifted[3, :-1], shifted[2], shifted[1, 1:])
-        d[d == 0.0] = tiny
-        return lambda r: lapack.dgttrs(dl, d, du, du2, ipiv, r)[0]
-    lu, ipiv, _ = lapack.dgbtrf(shifted, bw, bw)
-    pivots = lu[2 * bw]
-    pivots[pivots == 0.0] = tiny
-    return lambda r: lapack.dgbtrs(lu, bw, bw, r, ipiv)[0]
+    Tridiagonal pencils of any size take the cheaper dgttrf/dgttrs (gtsv's
+    elimination), factored in place in rows 1-3 of the shifted storage, the
+    rest dgbtrf/dgbtrs.  The storage, its addresses and the integer
+    arguments are set up once per pencil; each ``factor`` overwrites the
+    previous shift's factors."""
+
+    def __init__(self, A: BandedSymmetric, B: BandedSymmetric):
+        bw = max(A.bandwidth, B.bandwidth)
+        m = A.size
+        self.a_full, self.b_full = _full_storage(A, bw), _full_storage(B, bw)
+        self.lu = np.empty_like(self.a_full)  # in the same memory order
+        self.pivots = self.lu[2 * bw]  # U's diagonal
+        self.n, self.bw, self.info = ctypes.c_int(m), ctypes.c_int(bw), ctypes.c_int(0)
+        self.ipiv = np.empty(m, np.int32)
+        self.tridiagonal = bw == 1
+        if self.tridiagonal:
+            self.du2 = np.empty(max(m - 2, 1))
+            row, step = self.lu.ctypes.data, self.lu.strides[0]
+            # dl is row 3, d row 2 and du row 1 from its second entry on
+            self.factors = (
+                row + 3 * step, row + 2 * step, row + step + self.lu.itemsize,
+                self.du2.ctypes.data, self.ipiv.ctypes.data,
+            )
+        else:
+            ld = ctypes.c_int(3 * bw + 1)
+            self.factors = (self.lu.ctypes.data, ld, self.ipiv.ctypes.data)
+
+    def factor(self, sigma: float, tiny: float) -> None:
+        np.multiply(self.b_full, -sigma, out=self.lu)
+        self.lu += self.a_full
+        if self.tridiagonal:
+            _dgttrf(self.n, *self.factors, self.info)
+        else:
+            _dgbtrf(self.n, self.n, self.bw, self.bw, *self.factors, self.info)
+        self.pivots[self.pivots == 0.0] = tiny
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """y for the current shift, written over r (float64, contiguous)."""
+        if self.tridiagonal:
+            _dgttrs(b"N", self.n, _ONE, *self.factors, r.ctypes.data, self.n, self.info)
+        else:
+            _dgbtrs(
+                b"N", self.n, self.bw, self.bw, _ONE, *self.factors, r.ctypes.data, self.n,
+                self.info,
+            )
+        return r
 
 
 def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
@@ -247,18 +349,16 @@ def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
     """
     eps = np.finfo(float).eps
     m = A.size
-    bw = max(A.bandwidth, B.bandwidth)
-    a_full = _full_storage(A, bw)
-    b_full = _full_storage(B, bw)
+    shifted = _ShiftedSolver(A, B)
     xs = np.empty((len(vals), m))  # rows, so that xs[:j] is contiguous
     quotients = []
     rng = np.random.default_rng(seed)
     for j, lam in enumerate(vals):
         offset = 4.0 * eps * (abs(lam) + eps * scale) or 1.0
-        solve = _shifted_solver(a_full, b_full, bw, lam + offset, eps * (scale + abs(lam)))
+        shifted.factor(lam + offset, eps * (scale + abs(lam)))
         x = rng.standard_normal(m)
         for _ in range(_INVERSE_ITERATIONS):
-            x = solve(B.matvec(x))
+            x = shifted.solve(B.matvec(x))  # a fresh array, solved in place
             x -= (xs[:j] @ B.matvec(x)) @ xs[:j]
             nrm = math.sqrt(max(x @ B.matvec(x), 0.0))
             if not np.isfinite(nrm) or nrm == 0.0:
@@ -272,9 +372,12 @@ def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
     return quotients, list(xs)
 
 
-def _to_sparse(M: BandedSymmetric) -> sp.csc_matrix:
-    """Both triangles of M as a sparse matrix, the form ARPACK's shift-invert
-    takes; no other route leaves band storage."""
+def _to_sparse(M: BandedSymmetric):
+    """Both triangles of M as a sparse CSC matrix, the form ARPACK's
+    shift-invert takes; no other route leaves band storage.  scipy.sparse is
+    imported here and in ``_iterative_path``, the only code that uses it."""
+    import scipy.sparse as sp
+
     m = M.size
     offsets = list(range(M.bandwidth + 1))
     diags = [M.bands[d, : m - d] for d in offsets]
@@ -283,6 +386,8 @@ def _to_sparse(M: BandedSymmetric) -> sp.csc_matrix:
 
 
 def _iterative_path(A, B, count, window, seed):
+    import scipy.sparse.linalg as spla  # ARPACK, loaded on the first iterative solve
+
     center = 0.0 if window is None else 0.5 * (window[0] + window[1])
     v0 = np.random.default_rng(seed).standard_normal(A.size)
     try:
@@ -321,29 +426,47 @@ def _reduced_standard(A, B):
     bb = _lower_storage(B, bw)
     T = np.zeros((2, m))
     work = np.empty(2 * m)
-    dummy = np.zeros(1)  # X and Q are not referenced
-    n, kd, ld, one = (ctypes.c_int(k) for k in (m, bw, bw + 1, 1))
+    ab_p, bb_p, work_p = ab.ctypes.data, bb.ctypes.data, work.ctypes.data
+    n, kd, ld = (ctypes.c_int(k) for k in (m, bw, bw + 1))
     info = ctypes.c_int(0)
-    _dpbstf(b"L", n, kd, bb, ld, info)
+    _dpbstf(b"L", n, kd, bb_p, ld, info)
     if info.value > 0:
         raise NotPositiveDefiniteError(info.value - 1)
-    _dsbgst(b"N", b"L", n, kd, kd, ab, ld, bb, ld, dummy, one, work, info)
-    _dsbtrd(b"N", b"L", n, kd, ab, ld, T[0], T[1], dummy, one, work, info)
+    _dsbgst(b"N", b"L", n, kd, kd, ab_p, ld, bb_p, ld, _UNUSED_P, _ONE, work_p, info)
+    _dsbtrd(
+        b"N", b"L", n, kd, ab_p, ld, T[0].ctypes.data, T[1].ctypes.data, _UNUSED_P, _ONE,
+        work_p, info,
+    )
     return T, _inf_norm(BandedSymmetric(T))
 
 
 def _bisect(T, abstol, lo=0.0, hi=0.0, first=None, stop=None):
     """Eigenvalue estimates of the banded T by dsbevx bisection: those in
     (lo, hi], or with ``first`` and ``stop`` the ascending numbers
-    first..stop-1 (0-based)."""
+    first..stop-1 (0-based).  T itself is left as it was."""
+    kd, m = T.shape[0] - 1, T.shape[1]
     by_index = first is not None
-    il, iu = (first + 1, stop) if by_index else (1, T.shape[1])
-    vals, _, found, _, info = lapack.dsbevx(
-        T, lo, hi, il, iu, compute_v=0, range=2 if by_index else 1, lower=1, abstol=abstol
+    il, iu = (first + 1, stop) if by_index else (1, m)
+    # dsbevx overwrites its band, so it gets a Fortran-ordered copy; row by
+    # row, that copy takes a third of the time of a transposing one
+    ab = np.empty(T.shape, order="F")
+    for k, row in enumerate(T):
+        ab[k] = row
+    # w (m) then work (7m) in one array, iwork (5m) then ifail (m) in another
+    w = np.empty(8 * m)
+    iwork = np.empty(6 * m, np.int32)
+    w_p, iwork_p = w.ctypes.data, iwork.ctypes.data
+    found, info = ctypes.c_int(0), ctypes.c_int(0)
+    _dsbevx(
+        b"N", b"I" if by_index else b"V", b"L", ctypes.c_int(m), ctypes.c_int(kd),
+        ab.ctypes.data, ctypes.c_int(kd + 1), _UNUSED_P, _ONE, ctypes.c_double(lo),
+        ctypes.c_double(hi), ctypes.c_int(il), ctypes.c_int(iu), ctypes.c_double(abstol),
+        found, w_p, _UNUSED_P, _ONE, w_p + w.itemsize * m, iwork_p,
+        iwork_p + iwork.itemsize * 5 * m, info,
     )
-    if info != 0:
+    if info.value != 0:
         raise SolverConvergenceError(math.inf)
-    return vals[:found]
+    return w[: found.value]
 
 
 def _count_at_or_below(T, x, scale):

@@ -1,12 +1,17 @@
 import ast
+import ctypes
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from hypothesis import given, settings, strategies as st
 
 from confspec import eigensolve
@@ -338,6 +343,24 @@ def test_bandwidth_three_matches_dense_eigh(m, count):
     assert np.abs(np.array([p.value for p in pairs]) - expected).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("coupled", [False, True], ids=["diagonal-mass", "coupled-mass"])
+def test_count_solve_on_the_smallest_tridiagonal_pencils(m, coupled):
+    # Toeplitz tridiagonal A = (a; c) and B = (b; d) share the eigenvectors
+    # sin(i t_k), t_k = k pi / (m + 1), so the pencil's eigenvalues are
+    # (a + 2c cos t_k) / (b + 2d cos t_k); every tridiagonal shift, m = 2
+    # included, is factored by dgttrf
+    a, c, b, d = 2.0, -1.0, 1.0, (0.25 if coupled else 0.0)
+    t = np.arange(1, m + 1) * math.pi / (m + 1)
+    exact = (a + 2.0 * c * np.cos(t)) / (b + 2.0 * d * np.cos(t))
+    A = BandedSymmetric.from_tridiagonal(np.full(m, a), np.full(m - 1, c))
+    B = BandedSymmetric.from_tridiagonal(np.full(m, b), np.full(m - 1, d))
+    for count in range(1, m + 1):
+        values = [p.value for p in solve_generalized(A, B, count=count)]
+        nearest = np.sort(exact[np.argsort(np.abs(exact), kind="stable")[:count]])
+        assert np.allclose(values, nearest, rtol=1e-14, atol=0.0)
+
+
 # ------------------------------------------------------------------ window mode
 
 
@@ -599,6 +622,21 @@ def test_window_splits_values_closer_than_its_tolerance():
             assert not np.allclose(np.abs(a.vector), np.abs(b.vector))
 
 
+def duplicate_first_value(monkeypatch):
+    """Make bisection hand back its second value in place of its first, so
+    that one shift comes twice; a Sturm count reads only how many values
+    there are, so it is unchanged."""
+    real = eigensolve._bisect
+
+    def repeated(*args, **kwargs):
+        vals = real(*args, **kwargs)
+        if vals.size > 1:
+            vals[0] = vals[1]
+        return vals
+
+    monkeypatch.setattr(eigensolve, "_bisect", repeated)
+
+
 def test_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch):
     # bisection hands the shift of 2 twice: the second vector, kept
     # B-orthogonal to the first, converges to 2.001 outside the window, with
@@ -608,14 +646,7 @@ def test_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch):
     B = BandedSymmetric.from_diagonal(np.ones(16))
     window = (0.0, 2.0005)
     assert [round(p.value, 6) for p in solve_generalized(A, B, window=window)] == [0.01, 2.0]
-    real = eigensolve.lapack.dsbevx
-
-    def repeated(*args, **kwargs):
-        w, z, found, ifail, info = real(*args, **kwargs)
-        w[0] = w[1]
-        return w, z, found, ifail, info
-
-    monkeypatch.setattr(eigensolve.lapack, "dsbevx", repeated)
+    duplicate_first_value(monkeypatch)
     with pytest.raises(SolverConvergenceError):
         solve_generalized(A, B, window=window)
 
@@ -795,33 +826,174 @@ def test_chiral_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch, 
     values = [round(p.value, 6) for p in solve_generalized(A, B, window=window)]
     assert values == [-2.0, -0.01, 0.01, 2.0]
     assert iterated == [2]
-    real = eigensolve.lapack.dsbevx
-
-    def repeated(*args, **kwargs):
-        w, z, found, ifail, info = real(*args, **kwargs)
-        w[0] = w[1]
-        return w, z, found, ifail, info
-
-    monkeypatch.setattr(eigensolve.lapack, "dsbevx", repeated)
+    duplicate_first_value(monkeypatch)
     with pytest.raises(SolverConvergenceError):
         solve_generalized(A, B, window=window)
+
+
+# ------------------------------------------------------------ LAPACK binding
+
+
+@pytest.mark.parametrize("m", [3, 17, 500])
+@pytest.mark.parametrize("bw", [0, 1, 2, 3])
+def test_bound_lapack_routines_match_scipy_wrappers(bw, m):
+    # every directly bound routine against scipy.linalg.lapack's wrapper, bit
+    # for bit: a band read transposed, a 64-bit pivot array or an input
+    # overwritten and reused would each change a value
+    rng = np.random.default_rng(100 * bw + m)
+    A, B = random_pencil(rng, m, bandwidth=bw)
+    a_bands, b_bands = A.bands.copy(), B.bands.copy()
+
+    factor = np.array(B.bands, order="F")
+    info = ctypes.c_int(0)
+    n, kd, ld = ctypes.c_int(m), ctypes.c_int(bw), ctypes.c_int(bw + 1)
+    eigensolve._dpbtrf(b"L", n, kd, factor.ctypes.data, ld, info)
+    wrapped, wrapped_info = lapack.dpbtrf(B.bands, lower=1)
+    assert info.value == wrapped_info == 0
+    assert np.array_equal(factor, wrapped)
+
+    T, _ = eigensolve._scaled_standard(A, BandedSymmetric.from_diagonal(B.bands[0]))
+    T_before = T.copy()
+    for abstol, lo, hi in [(0.0, -0.3, 0.4), (1e-6, -5.0, 5.0)]:
+        w, _, found, _, info = lapack.dsbevx(
+            T, lo, hi, 1, m, compute_v=0, range=1, lower=1, abstol=abstol
+        )
+        assert info == 0
+        assert np.array_equal(eigensolve._bisect(T, abstol, lo, hi), w[:found])
+    first = m // 3
+    stop = min(first + 4, m)
+    w, _, found, _, info = lapack.dsbevx(
+        T, 0.0, 0.0, first + 1, stop, compute_v=0, range=2, lower=1, abstol=0.0
+    )
+    assert info == 0 and found == stop - first
+    assert np.array_equal(eigensolve._bisect(T, 0.0, first=first, stop=stop), w[:found])
+    assert np.array_equal(T, T_before)
+
+    solver = eigensolve._ShiftedSolver(A, B)
+    for sigma in (0.3, -0.7):  # the second shift overwrites the first's factors
+        solver.factor(sigma, 1e-300)
+        shifted = np.ascontiguousarray(solver.b_full * -sigma + solver.a_full)
+        if bw == 1:
+            dl, d, du, du2, ipiv, _ = lapack.dgttrf(shifted[3, :-1], shifted[2], shifted[1, 1:])
+            assert np.array_equal(solver.lu[3, :-1], dl) and np.array_equal(solver.lu[2], d)
+            assert np.array_equal(solver.lu[1, 1:], du)
+            assert np.array_equal(solver.du2[: m - 2], du2)
+            wrapped_solve = lambda r: lapack.dgttrs(dl, d, du, du2, ipiv, r)[0]  # noqa: E731
+            pivots = ipiv
+        else:
+            lu, ipiv, _ = lapack.dgbtrf(shifted, bw, bw)
+            assert np.array_equal(solver.lu, lu)
+            wrapped_solve = lambda r: lapack.dgbtrs(lu, bw, bw, r, ipiv)[0]  # noqa: E731
+            pivots = ipiv + 1  # this wrapper counts its pivots from 0, LAPACK from 1
+        assert solver.ipiv.dtype == np.int32 and np.array_equal(solver.ipiv, pivots)
+        for _ in range(2):  # the factors serve every solve of their shift
+            r = rng.standard_normal(m)
+            assert np.array_equal(solver.solve(r.copy()), wrapped_solve(r))
+    assert np.array_equal(solver.a_full, eigensolve._full_storage(A, bw))
+    assert np.array_equal(solver.b_full, eigensolve._full_storage(B, bw))
+
+    solve_generalized(A, B, count=min(3, m))
+    assert np.array_equal(A.bands, a_bands) and np.array_equal(B.bands, b_bands)
+
+
+def run_isolated(code):
+    """Run ``code`` in a fresh interpreter that imports confspec from this
+    checkout; the suite's own process has scipy.linalg loaded already."""
+    src = pathlib.Path(eigensolve.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cli_import_loads_neither_scipy_linalg_nor_sparse():
+    # LAPACK comes from scipy's Cython table alone, ARPACK on first use; a
+    # later import of scipy.linalg shares the one table module
+    result = run_isolated(
+        "import sys\n"
+        "import numpy as np\n"
+        "import confspec.cli\n"
+        "from confspec import BandedSymmetric, solve_generalized\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith('scipy'))\n"
+        "assert 'scipy.linalg' not in loaded and 'scipy.sparse' not in loaded, loaded\n"
+        "A = BandedSymmetric.from_tridiagonal(np.arange(1.0, 41.0), np.full(39, 0.1))\n"
+        "B = BandedSymmetric.from_diagonal(np.ones(40))\n"
+        "dense = [p.value for p in solve_generalized(A, B, count=3)]\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+        "lanczos = [p.value for p in solve_generalized(A, B, count=3, method='iterative')]\n"
+        "assert 'scipy.sparse.linalg' in sys.modules\n"
+        "assert np.allclose(lanczos, dense, rtol=1e-12, atol=0.0)\n"
+        "import scipy.linalg\n"
+        "from scipy.linalg import cython_lapack\n"
+        "assert cython_lapack is sys.modules['scipy.linalg.cython_lapack']\n"
+        "assert np.allclose(scipy.linalg.eigh(A.to_dense(), eigvals_only=True)[:3], dense)\n"
+        "print('ok')\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
+
+
+def test_missing_lapack_table_is_an_import_error(tmp_path):
+    # no fallback to another LAPACK binding: the import fails and names the
+    # directory it searched
+    (tmp_path / "linalg").mkdir()
+    result = run_isolated(
+        "import importlib.machinery, importlib.util\n"
+        "real = importlib.util.find_spec\n"
+        "def find_spec(name, *args):\n"
+        "    if name != 'scipy':\n"
+        "        return real(name, *args)\n"
+        "    spec = importlib.machinery.ModuleSpec('scipy', None, is_package=True)\n"
+        f"    spec.submodule_search_locations = [{str(tmp_path)!r}]\n"
+        "    return spec\n"
+        "importlib.util.find_spec = find_spec\n"
+        "try:\n"
+        "    import confspec.eigensolve\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+        "else:\n"
+        "    raise SystemExit('imported without a LAPACK table')\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert str(tmp_path / "linalg") in result.stdout
 
 
 # ------------------------------------------------------------ module boundaries
 
 
+def _imports(nodes):
+    """Dotted names each import statement among ``nodes`` brings in."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            yield [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield [f"{node.module}.{alias.name}" for alias in node.names]
+
+
+def _module_level(tree):
+    """Every node that runs when the module is imported: all but function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def test_only_the_eigensolver_imports_scipy_sparse():
     # every other module keeps its matrices in band storage; scipy.sparse
-    # serves the eigensolver's ARPACK route alone
-    importers = set()
+    # serves the eigensolver's ARPACK route alone and is imported only when
+    # that route runs, and no module imports scipy.linalg, whose LAPACK
+    # table the eigensolver loads without it
+    importers, at_import = set(), set()
     for path in pathlib.Path(eigensolve.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            if any(name.startswith("scipy.sparse") for name in names):
-                importers.add(path.name)
-    assert importers <= {"eigensolve.py"}
+        tree = ast.parse(path.read_text())
+        for names in _imports(ast.walk(tree)):
+            for name in names:
+                if name.startswith(("scipy.sparse", "scipy.linalg")):
+                    importers.add((path.name, name.split(".")[1]))
+        for names in _imports(_module_level(tree)):
+            if any(name.startswith(("scipy.sparse", "scipy.linalg")) for name in names):
+                at_import.add(path.name)
+    assert importers <= {("eigensolve.py", "sparse")}
+    assert not at_import
