@@ -399,13 +399,15 @@ def volume(profile: ConformalProfile, grid: RadialGrid) -> float:
 class WarpedData:
     """Arclength presentation dt^2 + h(t)^2 g_{S^(n-1)} of a profile metric.
 
-    Carries the grid nodes in arclength and h there, plus ``jet``, which
-    returns h, h' and h'' at arbitrary arclengths, so assembly routines can
-    query their quadrature points.
+    Carries the grid nodes in arclength and h there, the total arclength
+    ``span`` (the metric lives on [0, span]), plus ``jet``, which returns h,
+    h' and h'' at arbitrary arclengths, so assembly routines can query their
+    quadrature points.
     """
 
     t_nodes: np.ndarray
     h: np.ndarray
+    span: float
     jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
 
 
@@ -433,6 +435,7 @@ def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedD
     return WarpedData(
         t_nodes=t_nodes,
         h=profile.F(r_nodes) * np.sin(r_nodes),
+        span=profile.total_arclength(),
         jet=lambda t: jet_of_r(profile.r_of_arclength(t)),
     )
 

@@ -332,12 +332,11 @@ def intrinsic_record(op: OperatorKind, warped: WarpedData, grid: RadialGrid) -> 
         raise ValueError("intrinsic Paneitz assembly is not supported")
     if len(warped.t_nodes) != len(grid.nodes):
         raise ValueError("warped data does not match the grid")
-    t_nodes = warped.t_nodes
     if grid.coordinate_kind == "arclength":
         work_grid = grid
     else:
-        span = t_nodes[-1] + (t_nodes[-1] - t_nodes[-2])
-        work_grid = RadialGrid(nodes=t_nodes, coordinate_kind="arclength", span=span)
+        # the walls sit at 0 and the total arclength, the images of 0 and pi
+        work_grid = RadialGrid(nodes=warped.t_nodes, coordinate_kind="arclength", span=warped.span)
     if op.kind == KIND_L:
         n = op.n
         h, dh, d2h = warped.jet(quadrature_points(work_grid, pinned=True))

@@ -243,7 +243,10 @@ def test_arclength_derivative_is_profile():
 
 
 def _warped_from_callables(t_nodes, h, dh, d2h):
-    return WarpedData(t_nodes=t_nodes, h=h(t_nodes), jet=lambda t: (h(t), dh(t), d2h(t)))
+    # the curvature reads only the jet, never the span
+    return WarpedData(
+        t_nodes=t_nodes, h=h(t_nodes), span=math.inf, jet=lambda t: (h(t), dh(t), d2h(t))
+    )
 
 
 def test_curvature_round_sphere():

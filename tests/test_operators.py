@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from confspec.eigensolve import solve_generalized
 from confspec.experiments import nose_resolving_grid
 from confspec.geometry import constant_profile, profile_L, warped_reparametrize
-from confspec.grid import assemble_weak_form, make_grid, quadrature_points
+from confspec.grid import RadialGrid, assemble_weak_form, make_grid, quadrature_points
 from confspec.operators import (
     conformal_laplacian,
     covariance_record,
@@ -210,6 +210,23 @@ def test_intrinsic_conformal_laplacian_samples_geometry_once(monkeypatch):
     assert asm.A.size == grid.nodes.size
 
 
+def test_intrinsic_record_on_a_polar_grid_walls_at_the_total_arclength():
+    # the last polar cell (3.0 to 3.1) is wider than the gap to pi, so a
+    # right wall mirrored from it put the wall cell's Gauss points past the
+    # end of the arclength domain
+    prof = profile_L(3, 2.0)
+    op = conformal_laplacian(3)
+    nodes = np.append(np.linspace(0.01, 3.0, 100), 3.1)
+    grid = RadialGrid(nodes=nodes, coordinate_kind="polar", span=math.pi)
+    record = intrinsic_record(op, warped_reparametrize(prof, grid), grid)
+    assert record.grid.span == prof.total_arclength()
+    t = quadrature_points(record.grid, pinned=True)
+    assert t.min() >= 0.0 and t.max() <= prof.total_arclength()
+    for index in (0, 1):  # free ends, then pinned
+        asm = intrinsic_assemble(record, make_mode(op, index))
+        assert np.isfinite(asm.A.bands).all() and np.isfinite(asm.B.bands).all()
+
+
 def test_intrinsic_dirac_samples_geometry_twice(monkeypatch):
     # h and h' at the cell midpoints; the nodal h comes from WarpedData.h
     prof = profile_L(2, 4.0)
@@ -240,6 +257,7 @@ def test_cylinder_segment_bottom_approaches_gap():
         warped = WarpedData(
             t_nodes=grid.nodes,
             h=np.ones_like(grid.nodes),
+            span=T,
             jet=lambda t: (np.ones_like(t), np.zeros_like(t), np.zeros_like(t)),
         )
         mode = make_mode(op, 1)  # ell >= 1 pins both ends; subtract angular term
