@@ -103,10 +103,11 @@ def _lapack_table():
     """scipy's Cython LAPACK table, the module ``scipy.linalg.cython_lapack``,
     loaded from its extension file without importing ``scipy.linalg``.
 
-    The module is registered in ``sys.modules`` under that name, so a later
-    ``import scipy.linalg`` uses this one (an extension is initialized once
-    per process) and one already imported is reused.  A missing file raises
-    ``ImportError`` naming the directory searched."""
+    One already imported is reused.  A fresh one is left out of
+    ``sys.modules``, so that a later ``import scipy.linalg`` loads it the
+    usual way and binds it as its attribute; the extension is initialized
+    once per process and hands that import this same module.  A missing
+    file raises ``ImportError`` naming the directory searched."""
     name = "scipy.linalg.cython_lapack"
     scipy_spec = importlib.util.find_spec("scipy")
     roots = scipy_spec.submodule_search_locations if scipy_spec else None
@@ -126,7 +127,7 @@ def _lapack_table():
         importlib.util.spec_from_file_location(name, path, loader=loader)
     )
     loader.exec_module(module)
-    sys.modules[name] = module
+    sys.modules.pop(name, None)  # the extension's init put itself there
     return module
 
 
@@ -179,6 +180,16 @@ _dgbtrs = _bind("dgbtrs", _C, _I, _I, _I, _I, _P, _I, _P, _P, _I, _I)
 _ONE = ctypes.c_int(1)  # a leading dimension of an unreferenced array
 _UNUSED = np.zeros(1)  # Q, X and Z of the routines that compute no vectors
 _UNUSED_P = _UNUSED.ctypes.data
+
+# glibc's malloc maps a block at or above its mmap threshold (128 KB at
+# start-up) from fresh pages and hands free heap above twice the threshold
+# back to the system; freeing a mapped block raises the threshold to that
+# block's size (mallopt(3)).  The solver's work arrays (up to 256 KB at
+# m = 4000) would keep the heap top cycling through page faults: an L=1..8,
+# N=2000 sweep pass of CLI rows faulted about 1570 pages, and under 10 once
+# this one 1 MB block has been allocated and freed.  The scipy imports this
+# module no longer makes used to raise the threshold in passing.
+np.empty(1 << 17)
 
 
 class NotPositiveDefiniteError(ValueError):

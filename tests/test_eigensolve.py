@@ -924,8 +924,9 @@ def test_cli_import_loads_neither_scipy_linalg_nor_sparse():
         "assert 'scipy.sparse.linalg' in sys.modules\n"
         "assert np.allclose(lanczos, dense, rtol=1e-12, atol=0.0)\n"
         "import scipy.linalg\n"
-        "from scipy.linalg import cython_lapack\n"
-        "assert cython_lapack is sys.modules['scipy.linalg.cython_lapack']\n"
+        "from confspec import eigensolve\n"
+        "assert scipy.linalg.cython_lapack is eigensolve._LAPACK\n"
+        "assert sys.modules['scipy.linalg.cython_lapack'] is eigensolve._LAPACK\n"
         "assert np.allclose(scipy.linalg.eigh(A.to_dense(), eigvals_only=True)[:3], dense)\n"
         "print('ok')\n"
     )
