@@ -107,19 +107,21 @@ def _lapack_table():
     ``sys.modules``, so that a later ``import scipy.linalg`` loads it the
     usual way and binds it as its attribute; the extension is initialized
     once per process and hands that import this same module.  A missing
-    file raises ``ImportError`` naming the directory searched."""
+    file raises ``ImportError`` naming the directory searched: there is no
+    other binding to fall back to."""
     name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
     scipy_spec = importlib.util.find_spec("scipy")
-    roots = scipy_spec.submodule_search_locations if scipy_spec else None
-    directory = pathlib.Path(roots[0] if roots else "scipy") / "linalg"
+    if scipy_spec is None:
+        raise ImportError("scipy is not installed")
+    directory = pathlib.Path(scipy_spec.submodule_search_locations[0]) / "linalg"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = directory / f"cython_lapack{suffix}"
         if path.is_file():
             break
     else:
         raise ImportError(f"scipy's cython_lapack extension not found in {directory}")
-    if name in sys.modules:
-        return sys.modules[name]
     # the extension's init symbol, PyInit_cython_lapack, is named after the
     # last component of the module name
     loader = importlib.machinery.ExtensionFileLoader(name, str(path))
