@@ -28,11 +28,12 @@ O(m^2 b) time and O(m b) memory with no m x m array.  A Sturm count at each
 window end brackets the candidates' index block, dsbevx locates just those,
 and the nearest ``count`` are inverse-iterated.  ``method`` "auto" and
 "dense" both name this route.  ARPACK runs only when named: shift-invert
-Lanczos (``method="iterative"``, any m) makes one ARPACK call on
-(A - sigma B)^-1 B with a sparse LU of the shifted banded matrix and a
-deterministically seeded start vector; a breakdown or a non-converged call
-(even one that holds enough partial pairs) raises
-``SolverConvergenceError``.
+Lanczos (``method="iterative"``, any m) makes one ARPACK call on the
+standard symmetric operator L^T (A - sigma B)^-1 L, with B = L L^T the
+Cholesky factor every solve computes, the banded LU of A - sigma B that
+inverse iteration uses and a deterministically seeded start vector; a
+breakdown or a non-converged call (even one that holds enough partial
+pairs) raises ``SolverConvergenceError``.
 
 Every route but ARPACK shares one vector step: shifted inverse iteration
 on the banded A - (lam + delta) B from seeded vectors, B-orthogonalized
@@ -47,7 +48,8 @@ second pass touches it.  Inverse iteration B-orthogonalizes each iterate
 against the earlier vectors of the same solve and B-normalizes it.  The
 chiral mirror S x keeps x's B-norm and B-products exactly (S B S = B) and
 is an eigenvector of -lam, hence B-orthogonal to the positive half.
-ARPACK's shift-invert Lanczos basis is B-orthonormal.  Residuals
+ARPACK's Ritz vectors y are orthonormal, so the vectors x = L^-T y that
+its route returns are B-orthonormal.  Residuals
 ||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||) are reported per pair and must
 stay below ``RESIDUAL_TOL`` or, where double precision cannot certify
 that, a small multiple of the evaluation floor.  Where that denominator
@@ -179,6 +181,8 @@ _dgttrs = _bind("dgttrs", _C, _I, _I, _P, _P, _P, _P, _P, _P, _I, _I)
 _dgbtrf = _bind("dgbtrf", _I, _I, _I, _I, _P, _I, _P, _I)
 # trans n kl ku nrhs ab ldab ipiv b ldb info
 _dgbtrs = _bind("dgbtrs", _C, _I, _I, _I, _I, _P, _I, _P, _P, _I, _I)
+# uplo trans diag n kd nrhs ab ldab b ldb info
+_dtbtrs = _bind("dtbtrs", _C, _C, _C, _I, _I, _I, _P, _I, _P, _I, _I)
 _ONE = ctypes.c_int(1)  # a leading dimension of an unreferenced array
 _UNUSED = np.zeros(1)  # Q, X and Z of the routines that compute no vectors
 _UNUSED_P = _UNUSED.ctypes.data
@@ -217,7 +221,9 @@ class EigenPair:
     residual: float
 
 
-def _cholesky_or_raise(B: BandedSymmetric) -> None:
+def _cholesky_or_raise(B: BandedSymmetric) -> np.ndarray:
+    """B's Cholesky factor L (B = L L^T) in Fortran-ordered lower band
+    storage, as dpbtrf leaves it; a diagonal B's is its square root."""
     if not np.isfinite(B.bands).all():
         raise ValueError("array must not contain infs or NaNs")
     ab = np.array(B.bands, order="F")  # dpbtrf factors in place
@@ -226,6 +232,7 @@ def _cholesky_or_raise(B: BandedSymmetric) -> None:
     _dpbtrf(b"L", n, kd, ab.ctypes.data, ld, info)
     if info.value > 0:
         raise NotPositiveDefiniteError(info.value - 1)
+    return ab
 
 
 def _inf_norm(A: BandedSymmetric) -> float:
@@ -385,38 +392,62 @@ def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
     return quotients, list(xs)
 
 
-def _to_sparse(M: BandedSymmetric):
-    """Both triangles of M as a sparse CSC matrix, the form ARPACK's
-    shift-invert takes; no other route leaves band storage.  scipy.sparse is
-    imported here and in ``_iterative_path``, the only code that uses it."""
-    import scipy.sparse as sp
+def _iterative_path(A, B, L, count, window, seed):
+    """The ``count`` pairs nearest the window's centre sigma by Lanczos
+    (ARPACK) on a standard symmetric problem.
 
-    m = M.size
-    offsets = list(range(M.bandwidth + 1))
-    diags = [M.bands[d, : m - d] for d in offsets]
-    upper = [M.bands[d, : m - d] for d in offsets[1:]]
-    return sp.diags(diags + upper, [-d for d in offsets] + offsets[1:], shape=(m, m), format="csc")
-
-
-def _iterative_path(A, B, count, window, seed):
+    With B = L L^T (``L`` its Cholesky factor in lower band storage), the
+    operator y -> L^T (A - sigma B)^-1 L y is symmetric with eigenvalues
+    theta = 1/(lam - sigma), so its ``count`` largest in magnitude are the
+    pencil's nearest sigma.  ARPACK's regular mode asks for this one product
+    per step and for no B-product.  A - sigma B is factored once by
+    ``_ShiftedSolver``, which sets an exactly zero pivot (sigma an
+    eigenvalue) to the rounding of the matrix's entries,
+    eps (||A|| + |sigma| ||B||).  The values returned are sigma + 1/theta and
+    the vectors x = L^-T y, B-orthonormal because the Ritz vectors y are
+    orthonormal."""
     import scipy.sparse.linalg as spla  # ARPACK, loaded on the first iterative solve
 
+    m = A.size
+    kd = L.shape[0] - 1
     center = 0.0 if window is None else 0.5 * (window[0] + window[1])
-    v0 = np.random.default_rng(seed).standard_normal(A.size)
+    shifted = _ShiftedSolver(A, B)
+    eps = np.finfo(float).eps
+    shifted.factor(center, eps * (_inf_norm(A) + abs(center) * _inf_norm(B)))
+
+    def operator(y):
+        r = L[0] * y  # L y into a fresh array, solved in place
+        for k in range(1, kd + 1):
+            r[k:] += L[k, : m - k] * y[: m - k]
+        z = shifted.solve(r)
+        out = L[0] * z  # L^T z
+        for k in range(1, kd + 1):
+            out[: m - k] += L[k, : m - k] * z[k:]
+        return out
+
+    v0 = np.random.default_rng(seed).standard_normal(m)
     try:
-        vals, vecs = spla.eigsh(
-            _to_sparse(A), k=count, M=_to_sparse(B), sigma=center, which="LM", v0=v0, tol=0
+        theta, ys = spla.eigsh(
+            spla.LinearOperator((m, m), matvec=operator, dtype=float),
+            k=count, which="LM", v0=v0, tol=0,
         )
     except (RuntimeError, ValueError) as exc:  # ArpackNoConvergence is a RuntimeError
         raise SolverConvergenceError(math.inf) from exc
-    return list(vals), [vecs[:, j] for j in range(vecs.shape[1])]
+    xs = np.array(ys.T, order="C")  # rows: the column-major right-hand sides of dtbtrs
+    info = ctypes.c_int(0)
+    _dtbtrs(
+        b"L", b"T", b"N", ctypes.c_int(m), ctypes.c_int(kd), ctypes.c_int(count), L.ctypes.data,
+        ctypes.c_int(kd + 1), xs.ctypes.data, ctypes.c_int(m), info,
+    )
+    return list(center + 1.0 / theta), list(xs)
 
 
-def _scaled_standard(A, B):
-    """T = B^-1/2 A B^-1/2 for a diagonal B, in A's lower band storage, and
-    its inf-norm, which bounds the spectrum."""
+def _scaled_standard(A, L):
+    """T = L^-1 A L^-T = B^-1/2 A B^-1/2 for a diagonal B with Cholesky
+    factor ``L``, in A's lower band storage, and its inf-norm, which bounds
+    the spectrum."""
     m = A.size
-    s = 1.0 / np.sqrt(B.bands[0])
+    s = 1.0 / L[0]
     T = A.bands * s
     for k in range(A.bandwidth + 1):
         T[k, : m - k] *= s[k:]
@@ -503,7 +534,7 @@ def _open_window_values(T, lo, hi, abstol, slack):
     return vals
 
 
-def _window_path(A, B, window, seed):
+def _window_path(A, B, L, window, seed):
     """Pairs strictly inside the window of a pencil with diagonal B.
 
     A chiral pencil (tridiagonal A with a zero diagonal, as the interleaved
@@ -522,7 +553,7 @@ def _window_path(A, B, window, seed):
     if not lo < hi:
         return [], []
     m = A.size
-    T, scale = _scaled_standard(A, B)
+    T, scale = _scaled_standard(A, L)
     # the count inside the window is exact (Sturm counts) whatever abstol is
     abstol = _WINDOW_ABSTOL * max(abs(lo), abs(hi))
     # a Rayleigh quotient further from its estimate than the bisection
@@ -543,7 +574,7 @@ def _window_path(A, B, window, seed):
     return [q for q, _ in kept], [x for _, x in kept]
 
 
-def _nearest_path(A, B, count, window, seed, diagonal):
+def _nearest_path(A, B, L, count, window, seed, diagonal):
     """The ``count`` pairs nearest the window.
 
     A diagonal B is scaled into T = B^-1/2 A B^-1/2, any other reduced to a
@@ -556,7 +587,7 @@ def _nearest_path(A, B, count, window, seed, diagonal):
     the scaled T gets the window route's slide check: the reduction's own
     rounding puts its values up to about 20 eps ||T|| from the quotients."""
     lo, hi = (0.0, 0.0) if window is None else window
-    T, scale = _scaled_standard(A, B) if diagonal else _reduced_standard(A, B)
+    T, scale = _scaled_standard(A, L) if diagonal else _reduced_standard(A, B)
     below_lo = _count_at_or_below(T, lo, scale)
     below_hi = below_lo if hi == lo else _count_at_or_below(T, hi, scale)
     first = max(below_lo - count, 0)
@@ -599,13 +630,13 @@ def solve_generalized(
         raise ValueError("count must be at least 1")
     elif method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    _cholesky_or_raise(B)
+    L = _cholesky_or_raise(B)
     if count is None:
-        vals, vecs = _window_path(A, B, window, seed)
+        vals, vecs = _window_path(A, B, L, window, seed)
     elif method == "iterative" and count < m - 1:  # ARPACK needs count < m - 1
-        vals, vecs = _iterative_path(A, B, count, window, seed)
+        vals, vecs = _iterative_path(A, B, L, count, window, seed)
     else:
-        vals, vecs = _nearest_path(A, B, min(count, m), window, seed, diagonal)
+        vals, vecs = _nearest_path(A, B, L, min(count, m), window, seed, diagonal)
 
     pairs = []
     failed = []

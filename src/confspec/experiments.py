@@ -179,7 +179,9 @@ def _snap_to_kinks(t: np.ndarray, profile: ConformalProfile) -> np.ndarray:
     for tk in profile.arclength_of_r(np.asarray(profile.kink_radii)):
         if t[0] < tk < t[-1]:
             t[int(np.argmin(np.abs(t - tk)))] = tk
-    return np.unique(t)
+    # np.unique would import numpy.ma (about 30 ms) inside the first row
+    t.sort()
+    return t[np.concatenate(([True], t[1:] != t[:-1]))]
 
 
 def arclength_grid(profile: ConformalProfile, N: int) -> RadialGrid:

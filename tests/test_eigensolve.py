@@ -303,6 +303,48 @@ def test_count_solve_survives_a_shift_on_an_eigenvalue(seed, m, diagonal):
     assert all(p.residual <= 1e-9 for p in pairs)
 
 
+@pytest.mark.parametrize(
+    "mass, window",
+    [
+        (BandedSymmetric.from_tridiagonal(np.full(50, 2.0), np.full(49, 0.5)), (0.0, 0.0)),
+        (BandedSymmetric.from_diagonal(np.ones(50)), (3.0, 3.0)),
+    ],
+    ids=["coupled-mass", "diagonal-mass"],
+)
+def test_iterative_route_survives_a_shift_on_an_eigenvalue(mass, window):
+    # A - sigma B is exactly singular at the window's centre: its LU meets an
+    # exactly zero pivot, which the shifted solver perturbs as inverse
+    # iteration does
+    A = BandedSymmetric.from_tridiagonal(np.arange(50.0), np.zeros(49))
+    dense = solve_generalized(A, mass, count=3, window=window, method="dense")
+    pairs = solve_generalized(A, mass, count=3, window=window, method="iterative")
+    assert np.allclose(
+        [p.value for p in pairs], [p.value for p in dense], rtol=1e-12, atol=1e-12
+    )
+    assert all(p.residual <= 1e-9 for p in pairs)
+
+
+def test_iterative_route_hands_arpack_a_standard_problem(monkeypatch):
+    # the iterative route runs Lanczos on L^T (A - sigma B)^-1 L: one ARPACK
+    # call on an operator, with neither a mass matrix nor a shift, so ARPACK
+    # never asks for a B-product
+    A, B = random_pencil(np.random.default_rng(17), 400, bandwidth=2)
+    calls = []
+    eigsh = spla.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    pairs = solve_generalized(A, B, count=4, method="iterative", seed=2)
+    assert len(pairs) == 4
+    assert len(calls) == 1
+    (operator, *rest), kwargs = calls[0]
+    assert isinstance(operator, spla.LinearOperator)
+    assert not rest and kwargs.get("M") is None and kwargs.get("sigma") is None
+
+
 def test_count_solve_bisects_only_the_wanted_block(monkeypatch):
     # the count route reduces a coupled mass to a tridiagonal T and bisects
     # the 2 count values around the window, never the whole spectrum
@@ -851,8 +893,20 @@ def test_bound_lapack_routines_match_scipy_wrappers(bw, m):
     wrapped, wrapped_info = lapack.dpbtrf(B.bands, lower=1)
     assert info.value == wrapped_info == 0
     assert np.array_equal(factor, wrapped)
+    rhs = rng.standard_normal((2, m))  # rows: two column-major right-hand sides
+    solved = rhs.copy()
+    eigensolve._dtbtrs(
+        b"L", b"T", b"N", n, kd, ctypes.c_int(2), factor.ctypes.data, ld, solved.ctypes.data,
+        n, info,
+    )
+    wrapped_x, wrapped_info = lapack.dtbtrs(wrapped, rhs.T, uplo=b"L", trans=b"T")
+    assert info.value == wrapped_info == 0
+    assert np.array_equal(solved, wrapped_x.T)
 
-    T, _ = eigensolve._scaled_standard(A, BandedSymmetric.from_diagonal(B.bands[0]))
+    # a diagonal B's Cholesky factor is its IEEE square root, bit for bit
+    root = eigensolve._cholesky_or_raise(BandedSymmetric.from_diagonal(B.bands[0]))
+    assert np.array_equal(root[0], np.sqrt(B.bands[0]))
+    T, _ = eigensolve._scaled_standard(A, root)
     T_before = T.copy()
     for abstol, lo, hi in [(0.0, -0.3, 0.4), (1e-6, -5.0, 5.0)]:
         w, _, found, _, info = lapack.dsbevx(

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -305,3 +309,23 @@ def test_covariance_row_samples_the_factor_once(monkeypatch, op):
     (row,) = pinocchio_sweep(op, [2.0], N=400, path="covariance")
     assert row.error is None and row.n_modes_used > 1
     assert len(row_calls) == (2 if op.kind == "dirac" else 1)
+
+
+def test_nose_grid_does_not_import_numpy_ma():
+    # the first sweep row builds a kink-snapped grid; np.unique would import
+    # numpy.ma there, about 30 ms of a fresh process's first row
+    src = pathlib.Path(experiments.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "from confspec.experiments import nose_resolving_grid\n"
+        "from confspec.geometry import profile_L\n"
+        "nose_resolving_grid(profile_L(3, 2), 400)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "print('ok')\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"
