@@ -3,30 +3,37 @@
 ``solve_generalized`` solves A x = lambda B x (A symmetric banded, B
 symmetric positive definite banded) in one of two ways.
 
+Every route but ARPACK bisects one symmetric tridiagonal T with the
+pencil's eigenvalues, by LAPACK dstebz on its diagonal and sub-diagonal as
+they stand.  A diagonal B is scaled away, T = B^-1/2 A B^-1/2, and a scaled
+T wider than tridiagonal (the pentadiagonal Paneitz pencil) is reduced once
+per solve by dsbtrd; any other B is reduced once by the band reduction
+inside LAPACK dsbgvx (Crawford's split-Cholesky reduction, then band
+tridiagonalization), in O(m^2 b) time and O(m b) memory with no m x m
+array.  A Sturm count is a dstebz call whose tolerance is wider than the
+spectrum.
+
 Window solve (``count`` left out, B diagonal): every pair strictly inside a
 value window.  This is the route of the radial operators, whose mass is
-lumped.  The pencil is scaled to the standard banded problem
-T = B^-1/2 A B^-1/2.  LAPACK bisection (dsbevx, values only) counts the
-eigenvalues inside the window exactly, by Sturm counts at its ends, but
-locates each one only to ``_WINDOW_ABSTOL`` times the window's half-width:
-those values are shifts for inverse iteration, and the values returned are
-the Rayleigh quotients of its vectors.  A chiral pencil (tridiagonal A with
-a zero diagonal, the interleaved Dirac mode system) has a spectrum
-symmetric about 0, pair by pair: (lam, x) and (-lam, S x) with
-S = diag((-1)^i).  For it and a symmetric window only the positive half is
-bisected and inverse-iterated and the negative half is mirrored, unless a
-Sturm count at 0 shows a zero eigenvalue, which has no mirror; then the
-whole window is solved.
+lumped.  Bisection counts the eigenvalues inside the window exactly, by
+Sturm counts at its ends, but locates each one only to ``_WINDOW_ABSTOL``
+times the window's half-width: those values are shifts for inverse
+iteration, and the values returned are the Rayleigh quotients of its
+vectors.  With ``lowest`` = k only the k lowest above the kernel threshold
+are wanted: Sturm counts at the threshold and at the top end size the
+window, an empty one ends the solve without bisection, and a fuller one is
+halved by value until it holds exactly k, which are then bisected.  A
+chiral pencil (tridiagonal A with a zero diagonal, the interleaved Dirac
+mode system) has a spectrum symmetric about 0, pair by pair: (lam, x) and
+(-lam, S x) with S = diag((-1)^i).  For it and a symmetric window only the
+positive half is bisected and inverse-iterated and the negative half is
+mirrored, unless its sub-diagonal shows a zero eigenvalue, which has no
+mirror; then the whole window is solved.
 
 Count solve (``count`` given, any banded B): the ``count`` eigenvalues
-nearest a window (default: nearest 0).  The pencil becomes a standard band
-problem T with its eigenvalues: a diagonal B, the mass of every pencil the
-program assembles, is scaled as above, and any other B is reduced once to a
-symmetric tridiagonal T by the band reduction inside LAPACK dsbgvx
-(Crawford's split-Cholesky reduction, then band tridiagonalization), in
-O(m^2 b) time and O(m b) memory with no m x m array.  A Sturm count at each
-window end brackets the candidates' index block, dsbevx locates just those,
-and the nearest ``count`` are inverse-iterated.  ``method`` "auto" and
+nearest a window (default: nearest 0).  A Sturm count at each window end
+brackets the candidates' index block, dstebz locates just those, and the
+nearest ``count`` are inverse-iterated.  ``method`` "auto" and
 "dense" both name this route.  ARPACK runs only when named: shift-invert
 Lanczos (``method="iterative"``, any m) makes one ARPACK call on the
 standard symmetric operator L^T (A - sigma B)^-1 L, with B = L L^T the
@@ -167,11 +174,9 @@ _dpbstf = _bind("dpbstf", _C, _I, _I, _P, _I, _I)
 _dsbgst = _bind("dsbgst", _C, _C, _I, _I, _I, _P, _I, _P, _I, _P, _I, _P, _I)
 # vect uplo n kd ab ldab d e q ldq work info
 _dsbtrd = _bind("dsbtrd", _C, _C, _I, _I, _P, _I, _P, _P, _P, _I, _P, _I)
-# jobz range uplo n kd ab ldab q ldq vl vu il iu abstol m w z ldz work iwork
-# ifail info
-_dsbevx = _bind(
-    "dsbevx", _C, _C, _C, _I, _I, _P, _I, _P, _I, _D, _D, _I, _I, _D, _I, _P, _P, _I, _P, _P,
-    _P, _I,
+# range order n vl vu il iu abstol d e m nsplit w iblock isplit work iwork info
+_dstebz = _bind(
+    "dstebz", _C, _C, _I, _D, _D, _I, _I, _D, _P, _P, _I, _I, _P, _P, _P, _P, _P, _I
 )
 # n dl d du du2 ipiv info
 _dgttrf = _bind("dgttrf", _I, _P, _P, _P, _P, _P, _I)
@@ -468,7 +473,6 @@ def _reduced_standard(A, B):
     bw = max(A.bandwidth, B.bandwidth)
     ab = _lower_storage(A, bw)
     bb = _lower_storage(B, bw)
-    T = np.zeros((2, m))
     work = np.empty(2 * m)
     ab_p, bb_p, work_p = ab.ctypes.data, bb.ctypes.data, work.ctypes.data
     n, kd, ld = (ctypes.c_int(k) for k in (m, bw, bw + 1))
@@ -477,47 +481,70 @@ def _reduced_standard(A, B):
     if info.value > 0:
         raise NotPositiveDefiniteError(info.value - 1)
     _dsbgst(b"N", b"L", n, kd, kd, ab_p, ld, bb_p, ld, _UNUSED_P, _ONE, work_p, info)
-    _dsbtrd(
-        b"N", b"L", n, kd, ab_p, ld, T[0].ctypes.data, T[1].ctypes.data, _UNUSED_P, _ONE,
-        work_p, info,
-    )
+    T = _tridiagonal(ab)
     return T, _inf_norm(BandedSymmetric(T))
 
 
-def _bisect(T, abstol, lo=0.0, hi=0.0, first=None, stop=None):
-    """Eigenvalue estimates of the banded T by dsbevx bisection: those in
-    (lo, hi], or with ``first`` and ``stop`` the ascending numbers
-    first..stop-1 (0-based).  T itself is left as it was."""
+def _tridiagonal(T):
+    """A symmetric tridiagonal matrix with the eigenvalues of the banded T,
+    as a C-ordered (2, m) lower band storage: diagonal, then sub-diagonal.
+    A tridiagonal T is returned as it stands; a wider one is reduced by
+    dsbtrd (no transformation accumulated), as dsbevx reduces it."""
     kd, m = T.shape[0] - 1, T.shape[1]
+    if kd == 1:
+        return np.ascontiguousarray(T)
+    out = np.zeros((2, m))
+    if kd == 0:
+        out[0] = T[0]
+        return out
+    ab = np.array(T, order="F")  # dsbtrd overwrites its band
+    work = np.empty(m)
+    n, bw, ld, info = ctypes.c_int(m), ctypes.c_int(kd), ctypes.c_int(kd + 1), ctypes.c_int(0)
+    _dsbtrd(
+        b"N", b"L", n, bw, ab.ctypes.data, ld, out[0].ctypes.data, out[1].ctypes.data,
+        _UNUSED_P, _ONE, work.ctypes.data, info,
+    )
+    return out
+
+
+def _stebz(T, abstol, lo, hi, first, stop):
+    """dstebz bisection of the banded T, the one bisection this module runs:
+    the eigenvalues in (lo, hi], or with ``first`` the ascending numbers
+    first..stop-1 (0-based), to ``abstol``.  dstebz reads the diagonal and
+    sub-diagonal of a tridiagonal T in place; a wider T is reduced first."""
+    T = _tridiagonal(T)
+    m = T.shape[1]
     by_index = first is not None
     il, iu = (first + 1, stop) if by_index else (1, m)
-    # dsbevx overwrites its band, so it gets a Fortran-ordered copy; row by
-    # row, that copy takes a third of the time of a transposing one
-    ab = np.empty(T.shape, order="F")
-    for k, row in enumerate(T):
-        ab[k] = row
-    # w (m) then work (7m) in one array, iwork (5m) then ifail (m) in another
-    w = np.empty(8 * m)
-    iwork = np.empty(6 * m, np.int32)
-    w_p, iwork_p = w.ctypes.data, iwork.ctypes.data
-    found, info = ctypes.c_int(0), ctypes.c_int(0)
-    _dsbevx(
-        b"N", b"I" if by_index else b"V", b"L", ctypes.c_int(m), ctypes.c_int(kd),
-        ab.ctypes.data, ctypes.c_int(kd + 1), _UNUSED_P, _ONE, ctypes.c_double(lo),
+    # w (m) then work (4m) in one array; iblock (m), isplit (m) then iwork
+    # (3m) in another
+    w = np.empty(5 * m)
+    iwork = np.empty(5 * m, np.int32)
+    w_p, iwork_p, step = w.ctypes.data, iwork.ctypes.data, iwork.itemsize * m
+    found, nsplit, info = ctypes.c_int(0), ctypes.c_int(0), ctypes.c_int(0)
+    _dstebz(
+        b"I" if by_index else b"V", b"E", ctypes.c_int(m), ctypes.c_double(lo),
         ctypes.c_double(hi), ctypes.c_int(il), ctypes.c_int(iu), ctypes.c_double(abstol),
-        found, w_p, _UNUSED_P, _ONE, w_p + w.itemsize * m, iwork_p,
-        iwork_p + iwork.itemsize * 5 * m, info,
+        T[0].ctypes.data, T[1].ctypes.data, found, nsplit, w_p, iwork_p, iwork_p + step,
+        w_p + w.itemsize * m, iwork_p + 2 * step, info,
     )
     if info.value != 0:
         raise SolverConvergenceError(math.inf)
     return w[: found.value]
 
 
+def _bisect(T, abstol, lo=0.0, hi=0.0, first=None, stop=None):
+    """Eigenvalue estimates of the banded T: those in (lo, hi], or with
+    ``first`` and ``stop`` the ascending numbers first..stop-1 (0-based).
+    T itself is left as it was.  Sturm counts do not come through here."""
+    return _stebz(T, abstol, lo, hi, first, stop)
+
+
 def _count_at_or_below(T, x, scale):
     """Number of eigenvalues of T at or below x: a Sturm count, since a
-    tolerance wider than the whole spectrum leaves dsbevx nothing to bisect."""
+    tolerance wider than the whole spectrum leaves dstebz nothing to bisect."""
     wide = 2.0 * scale + abs(x) + 1.0
-    return _bisect(T, wide, -wide, x).size
+    return _stebz(T, wide, -wide, x, None, None).size
 
 
 def _open_window_values(T, lo, hi, abstol, slack):
@@ -534,60 +561,101 @@ def _open_window_values(T, lo, hi, abstol, slack):
     return vals
 
 
-def _window_path(A, B, L, window, seed):
-    """Pairs strictly inside the window of a pencil with diagonal B.
+def _lowest_values(T, lower, below, hi, k, abstol, slack, scale):
+    """Estimates of the ``k`` lowest eigenvalues of the tridiagonal T in
+    (lower, hi), ``below`` being the number at or below lower; fewer when
+    the window holds fewer.
+
+    One Sturm count at hi sizes the window, and an empty one ends the solve
+    there.  A window holding more than k is halved by value, a Sturm count
+    per step, until (lower, top] holds exactly k, so that one bisection
+    locates just those: an index range would start dstebz from the
+    Gershgorin interval of T, which is up to 1e6 times wider than the
+    window on the lab's pencils.  Halving stops at the bisection tolerance,
+    which is as far as a cluster at the k-th value can be split anyway."""
+    inside = _count_at_or_below(T, hi, scale) - below
+    if inside == 0:
+        return np.empty(0)
+    if inside <= k:
+        return _open_window_values(T, lower, hi, abstol, slack)
+    short, top = lower, hi  # (lower, short] holds fewer than k, (lower, top] more
+    while top - short > abstol:
+        mid = 0.5 * (short + top)
+        held = _count_at_or_below(T, mid, scale) - below
+        if held == k:
+            return _bisect(T, abstol, lower, mid)
+        if held < k:
+            short = mid
+        else:
+            top = mid
+    return _bisect(T, abstol, lower, top)[:k]
+
+
+def _window_path(A, B, L, window, seed, lowest):
+    """Pairs strictly inside the window of a pencil with diagonal B: all of
+    them, or with ``lowest`` = k the k lowest above the kernel threshold
+    1e-8 max(|lo|, |hi|).
 
     A chiral pencil (tridiagonal A with a zero diagonal, as the interleaved
     Dirac mode system is) satisfies S A S = -A and S B S = B with
     S = diag((-1)^i), so each pair (lam, x) comes with (-lam, S x).  For such
     a pencil and a symmetric window only the half (0, hi) is bisected and
-    inverse-iterated, and each pair is returned with its mirror.  A zero
-    eigenvalue (odd m, or a zero even off-diagonal) has no mirror: unless one
-    Sturm count at 0 finds exactly m/2 eigenvalues at or below it, the whole
-    window is solved as for any pencil.  The count is taken at 0, not at the
-    window's ends, because a Sturm count at hi includes an eigenvalue equal
-    to hi and would let one at hi stand in for a zero.  On both routes a
-    pair is kept only if its Rayleigh quotient q satisfies lo < q < hi.
+    inverse-iterated (with ``lowest``, its k lowest), and each pair is
+    returned with its mirror.  A zero eigenvalue has no mirror.  The zero
+    diagonal of T makes its determinant (-1)^(m/2) prod sub[0::2]^2 for even
+    m, so T holds a zero eigenvalue exactly when m is odd or one of those
+    sub-diagonal entries is zero; then the whole window is solved as for any
+    pencil.  ``solve_generalized`` drops a pair whose quotient lies on or
+    outside the window's ends.
     """
     lo, hi = window
     if not lo < hi:
         return [], []
     m = A.size
     T, scale = _scaled_standard(A, L)
+    T = _tridiagonal(T)
     # the count inside the window is exact (Sturm counts) whatever abstol is
     abstol = _WINDOW_ABSTOL * max(abs(lo), abs(hi))
     # a Rayleigh quotient further from its estimate than the bisection
     # interval plus rounding in ||T|| belongs to a neighbouring eigenvalue
     slack = abstol + 8.0 * np.finfo(float).eps * scale
     chiral = A.bandwidth == 1 and lo == -hi and not A.bands[0].any()
-    # the spectrum is symmetric, so it holds no zero exactly when half of it
-    # lies at or below 0
-    chiral = chiral and 2 * _count_at_or_below(T, 0.0, scale) == m
-    vals = _open_window_values(T, 0.0 if chiral else lo, hi, abstol, slack)
+    chiral = chiral and m % 2 == 0 and T[1, 0 : m - 1 : 2].all()
+    if lowest is None:
+        vals = _open_window_values(T, 0.0 if chiral else lo, hi, abstol, slack)
+    elif chiral:
+        # a symmetric spectrum with no zero has half its values below 0
+        vals = _lowest_values(T, 0.0, m // 2, hi, lowest, abstol, slack, scale)
+    else:
+        lower = max(lo, 1e-8 * max(abs(lo), abs(hi)))
+        below = _count_at_or_below(T, lower, scale)
+        vals = _lowest_values(T, lower, below, hi, lowest, abstol, slack, scale)
     if vals.size == 0:
         return [], []
-    pairs = zip(*_inverse_iteration(A, B, vals, scale, seed, slack))
-    kept = [(q, x) for q, x in pairs if lo < q < hi]
+    quotients, vectors = _inverse_iteration(A, B, vals, scale, seed, slack)
     if chiral:
         sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-        kept += [(-q, sign * x) for q, x in kept]
-    return [q for q, _ in kept], [x for _, x in kept]
+        quotients += [-q for q in quotients]
+        vectors += [sign * x for x in vectors]
+    return quotients, vectors
 
 
 def _nearest_path(A, B, L, count, window, seed, diagonal):
     """The ``count`` pairs nearest the window.
 
     A diagonal B is scaled into T = B^-1/2 A B^-1/2, any other reduced to a
-    tridiagonal T; either has the pencil's eigenvalues.  The values at or
+    tridiagonal T; either has the pencil's eigenvalues, and a scaled T wider
+    than tridiagonal is reduced once more, by dsbtrd.  The values at or
     below lo have the indices below the Sturm count at lo, those above hi
     the indices from the count at hi on, so the nearest ``count`` lie among
-    the ``count`` on either side of the window and those inside it.  dsbevx
+    the ``count`` on either side of the window and those inside it.  dstebz
     bisects just that index block of T, to its default tolerance eps ||T||,
     and the nearest ``count`` of it are inverse-iterated on the pencil.  Only
     the scaled T gets the window route's slide check: the reduction's own
     rounding puts its values up to about 20 eps ||T|| from the quotients."""
     lo, hi = (0.0, 0.0) if window is None else window
     T, scale = _scaled_standard(A, L) if diagonal else _reduced_standard(A, B)
+    T = _tridiagonal(T)
     below_lo = _count_at_or_below(T, lo, scale)
     below_hi = below_lo if hi == lo else _count_at_or_below(T, hi, scale)
     first = max(below_lo - count, 0)
@@ -605,12 +673,19 @@ def solve_generalized(
     window: tuple[float, float] | None = None,
     method: str = "auto",
     seed: int = 0,
+    lowest: int | None = None,
 ) -> list[EigenPair]:
     """Eigenpairs of A x = lambda B x, sorted by eigenvalue, each B-normalized
     with its relative residual.
 
     With ``count`` left out: every pair strictly inside ``window = (lo, hi)``
-    (possibly none).  This needs a diagonal B and a window.
+    (possibly none), judged by the quotient returned, which can lie on an end
+    that the bisection estimate lies inside.  This needs a diagonal B and a
+    window.  With
+    ``lowest`` = k as well: only the k lowest pairs inside the window and
+    above the kernel threshold tau = 1e-8 max(|lo|, |hi|), or all of them if
+    there are fewer; a chiral pencil returns the k lowest of (0, hi), each
+    with its mirror.
 
     With ``count``: the ``count`` pairs nearest the window (default: nearest
     0).  ``method`` is "auto" or its synonym "dense" (bisection of the
@@ -626,13 +701,17 @@ def solve_generalized(
             raise ValueError("a solve without count needs a window and a diagonal B")
         if method != "auto":
             raise ValueError("method applies to solves with a count")
+        if lowest is not None and lowest < 1:
+            raise ValueError("lowest must be at least 1")
+    elif lowest is not None:
+        raise ValueError("lowest applies to solves without a count")
     elif count < 1:
         raise ValueError("count must be at least 1")
     elif method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
     L = _cholesky_or_raise(B)
     if count is None:
-        vals, vecs = _window_path(A, B, L, window, seed)
+        vals, vecs = _window_path(A, B, L, window, seed, lowest)
     elif method == "iterative" and count < m - 1:  # ARPACK needs count < m - 1
         vals, vecs = _iterative_path(A, B, L, count, window, seed)
     else:
@@ -644,6 +723,8 @@ def solve_generalized(
     for vec in vecs:
         ax, bx = A.matvec(vec), B.matvec(vec)
         lam = float(vec @ ax) / float(vec @ bx)
+        if count is None and not window[0] < lam < window[1]:
+            continue  # an eigenvalue on a window end, found from inside
         res, floor = _certificate(norm_a, norm_b, ax, bx, lam, vec)
         bound = max(RESIDUAL_TOL, 32.0 * floor)
         if not res <= bound:  # a NaN residual fails too

@@ -221,13 +221,17 @@ def _mode_indices(op: OperatorKind):
 
 
 def _collect_modes(
-    op: OperatorKind, record: RowRecord, bar: float, seed: int
+    op: OperatorKind, record: RowRecord, bar: float, seed: int, lowest: int | None = None
 ) -> tuple[list[tuple[ModeSpec, list[EigenPair]]], int]:
     """Solve angular modes until the mode bottom clears the truncation bar.
 
     Each mode is one windowed solve for every eigenvalue with |lambda| below
-    the bar; an empty window means the mode bottom lies above it.  Every
-    mode assembles from the row's ``record``, on either path."""
+    the bar, or with ``lowest`` = k for its k lowest positive ones (a Dirac
+    mode's with their mirrors); an empty window means the mode bottom lies
+    above the bar.  Both give the same bottom on every operator here: the
+    scalar pencils are congruent to positive definite round operators, and
+    a Dirac spectrum is symmetric.  Every mode assembles from the row's
+    ``record``, on either path."""
     per_mode = []
     n_modes = 0
     for group in _mode_indices(op):
@@ -236,7 +240,7 @@ def _collect_modes(
             mode = make_mode(op, index)
             assembled = intrinsic_assemble(record, mode)
             pairs = eigensolve.solve_generalized(
-                assembled.A, assembled.B, window=(-bar, bar), seed=seed
+                assembled.A, assembled.B, window=(-bar, bar), seed=seed, lowest=lowest
             )
             per_mode.append((mode, pairs))
             n_modes += 1
@@ -252,10 +256,12 @@ def _collect_modes(
 
 
 def _spectrum_for(
-    op: OperatorKind, L: float, N: int, path: str, ceiling: float, seed: int
+    op: OperatorKind, L: float, N: int, path: str, ceiling: float, seed: int,
+    lowest: int | None = None,
 ) -> tuple[SpectrumReport, int, ConformalProfile, RadialGrid]:
     """Spectrum of one nose length on its polar grid, which both paths share:
-    the intrinsic path warps it through the forward map t(r)."""
+    the intrinsic path warps it through the forward map t(r).  ``lowest`` is
+    passed to every mode's solve (see ``_collect_modes``)."""
     profile = profile_L(op.n, L)
     path = resolve_path(op, L, path)
     grid = nose_resolving_grid(profile, N)
@@ -264,14 +270,17 @@ def _spectrum_for(
     else:
         record = covariance_record(op, profile, grid)
     bar = TRUNCATION_FACTOR * ceiling
-    per_mode, n_modes = _collect_modes(op, record, bar, seed)
+    per_mode, n_modes = _collect_modes(op, record, bar, seed, lowest)
     return eigensolve.aggregate(per_mode), n_modes, profile, grid
 
 
 def _sweep_row(op: OperatorKind, L: float, N: int, path: str, seed: int) -> SweepRow:
+    """One sweep row.  It reports lambda_1^+ alone, so each mode is solved
+    for its lowest positive pair only, not for every pair below the bar."""
     sigma = cylinder_threshold(op)
     try:
-        report, n_modes, profile, grid = _spectrum_for(op, L, N, path, 2.0 * sigma, seed)
+        # the last argument is lowest = 1
+        report, n_modes, profile, grid = _spectrum_for(op, L, N, path, 2.0 * sigma, seed, 1)
         lam = report.lambda_1_plus
         if lam is None:
             raise NoPositiveEigenvalueError(f"no positive eigenvalue at L={L:g}")

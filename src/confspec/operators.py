@@ -112,12 +112,17 @@ def dirac_operator(n: int = 2) -> OperatorKind:
 
 
 def cylinder_threshold(op: OperatorKind) -> float:
-    """Bottom of the absolute spectrum on the standard cylinder S^(n-1) x R."""
+    """Bottom of the absolute spectrum on the standard cylinder S^(n-1) x R.
+
+    For Paneitz the l = 0 symbol at frequency xi is
+    (xi^2 + n^2/4)(xi^2 + (n-4)^2/4), whose coefficients are all positive,
+    so the bottom sits at xi = 0: n^2 (n-4)^2 / 16, which is (n-4)/2 times
+    the cylinder's Q-curvature n^2 (n-4)/8."""
     n = op.n
     if op.kind == KIND_L:
         return (n - 2) ** 2 / 4.0
     if op.kind == KIND_PANEITZ:
-        return (n - 4) * n**2 / 8.0
+        return n**2 * (n - 4) ** 2 / 16.0
     return (n - 1) / 2.0
 
 

@@ -179,6 +179,44 @@ def paneitz_level(n: int, j: int) -> float:
     return mu * mu + a * mu + (n - 4) / 2.0 * q_const
 
 
+def paneitz_cylinder_bottom(n: int) -> float:
+    """Bottom of the Paneitz spectrum on the cylinder S^(n-1) x R, by
+    numerical minimization of the l = 0 symbol over the frequency xi >= 0.
+
+    The symbol comes from the Paneitz-Branson form
+    P = Delta^2 + delta (a_n R g + b_n Ric) d + (n-4)/2 Q with
+    a_n = ((n-2)^2 + 4) / (2 (n-1)(n-2)), b_n = -4/(n-2) and
+    Q = Delta R / (2(n-1)) + c_n R^2 - 2 |Ric|^2 / (n-2)^2,
+    c_n = (n^3 - 4n^2 + 16n - 16) / (8 (n-1)^2 (n-2)^2), evaluated on the
+    product metric: R = (n-1)(n-2), Ric_tt = 0, |Ric|^2 = (n-1)(n-2)^2 and
+    Delta R = 0.  On u = e^(i xi t), Delta u = xi^2 u and the tensor term
+    reads (a_n R + b_n Ric_tt) xi^2 u."""
+    R = (n - 1) * (n - 2)
+    ric_tt = 0.0
+    ric_squared = (n - 1) * (n - 2) ** 2
+    a_n = ((n - 2) ** 2 + 4) / (2.0 * (n - 1) * (n - 2))
+    b_n = -4.0 / (n - 2)
+    c_n = (n**3 - 4 * n**2 + 16 * n - 16) / (8.0 * (n - 1) ** 2 * (n - 2) ** 2)
+    q = c_n * R**2 - 2.0 * ric_squared / (n - 2) ** 2
+    second = a_n * R + b_n * ric_tt
+
+    def symbol(xi):
+        return xi**4 + second * xi**2 + (n - 4) / 2.0 * q
+
+    # coarse grid, then golden-section search on the bracket of its minimum
+    xi = np.linspace(0.0, 2.0 * n, 4001)
+    i = int(np.argmin(symbol(xi)))
+    a, b = xi[max(i - 1, 0)], xi[min(i + 1, xi.size - 1)]
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(100):
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        if symbol(c) <= symbol(d):
+            b = d
+        else:
+            a = c
+    return float(min(symbol(a), symbol(b), symbol(xi[i])))
+
+
 def dirac_sphere_level(m: int) -> float:
     return float(m + 1)
 

@@ -57,7 +57,7 @@ def test_criterion_1_cylinder_thresholds():
     cases = [
         (conformal_laplacian(3), 0.25),
         (conformal_laplacian(4), 1.0),
-        (paneitz_operator(5), 3.125),
+        (paneitz_operator(5), 1.5625),
         (dirac_operator(2), 0.5),
     ]
     t0 = time.perf_counter()

@@ -873,6 +873,105 @@ def test_chiral_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch, 
         solve_generalized(A, B, window=window)
 
 
+def test_chiral_window_takes_no_count_at_zero(monkeypatch):
+    # a zero eigenvalue is read off the sub-diagonal, not off a Sturm count
+    counts = []
+    real = eigensolve._count_at_or_below
+
+    def spy(T, x, scale):
+        counts.append(x)
+        return real(T, x, scale)
+
+    monkeypatch.setattr(eigensolve, "_count_at_or_below", spy)
+    A, B = chiral_pencil(np.random.default_rng(2), 300)
+    assert solve_generalized(A, B, window=(-1.2, 1.2), seed=2)
+    assert counts == []
+    assert solve_generalized(A, B, window=(-1.2, 1.2), seed=2, lowest=3)
+    assert counts and 0.0 not in counts
+
+
+# ------------------------------------------------------------ lowest pairs
+
+
+def positive_part(pairs, window):
+    tau = 1e-8 * max(abs(window[0]), abs(window[1]))
+    return [p for p in pairs if p.value > tau]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 3, 8, 1000])
+def test_lowest_matches_the_full_window(seed, k):
+    # many values on either side of 0 inside the window; k = 1000 asks for
+    # more than the window holds and gets all of its positive part
+    rng = np.random.default_rng(seed)
+    A, B = diagonal_mass_pencil(rng, 400, bandwidth=1 + seed % 2)
+    window = (-0.4, 0.5)
+    full = positive_part(solve_generalized(A, B, window=window, seed=seed), window)
+    assert len(full) > 8
+    lowest = solve_generalized(A, B, window=window, seed=seed, lowest=k)
+    assert len(lowest) == min(k, len(full))
+    assert [p.value for p in lowest] == pytest.approx(
+        [p.value for p in full[:k]], rel=1e-12, abs=1e-12
+    )
+    assert all(p.residual <= 1e-9 for p in lowest)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_lowest_on_a_chiral_pencil_mirrors_the_k_lowest(k, iterated):
+    A, B = chiral_pencil(np.random.default_rng(7), 300)
+    window = (-1.2, 1.2)
+    full = solve_generalized(A, B, window=window, seed=1)
+    iterated.clear()
+    pairs = solve_generalized(A, B, window=window, seed=1, lowest=k)
+    assert iterated == [k]
+    values = np.array([p.value for p in pairs])
+    expected = [p.value for p in positive_part(full, window)][:k]
+    assert values[k:] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    assert np.array_equal(values, -values[::-1])
+
+
+@pytest.mark.parametrize(
+    "diag, window",
+    [([1.0, 2.0, 3.0] * 10, (50.0, 60.0)), ([-0.5, -0.2] + [3.0 + k for k in range(14)], (-1, 1))],
+    ids=["beyond-the-spectrum", "negative-values-only"],
+)
+def test_lowest_on_an_empty_window_takes_counts_only(monkeypatch, diag, window):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty window was bisected or iterated")
+
+    monkeypatch.setattr(eigensolve, "_bisect", refuse)
+    monkeypatch.setattr(eigensolve, "_inverse_iteration", refuse)
+    m = len(diag)
+    A = BandedSymmetric.from_tridiagonal(np.array(diag), np.zeros(m - 1))
+    B = BandedSymmetric.from_diagonal(np.full(m, 2.0))
+    assert solve_generalized(A, B, window=window, lowest=1) == []
+
+
+@pytest.mark.parametrize("mass", [1.0, 7.0], ids=["unit-mass", "scaled-mass"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lowest_excludes_an_eigenvalue_on_hi(mass, k):
+    # values 0.25 and 1 (on hi) below, 3 and up above; the chiral pencil
+    # has +-0.5 and +-1
+    diag = np.array([0.25, 1.0] + [3.0 + j for j in range(10)])
+    A = BandedSymmetric.from_tridiagonal(mass * diag, np.zeros(diag.size - 1))
+    B = BandedSymmetric.from_diagonal(np.full(diag.size, mass))
+    assert [p.value for p in solve_generalized(A, B, window=(-1.0, 1.0), lowest=k)] == [0.25]
+    # with mass 7 the scaled value of 1 sits 1 ulp inside the window and the
+    # quotient returned lies on hi; the full window drops it too
+    assert [p.value for p in solve_generalized(A, B, window=(-1.0, 1.0))] == [0.25]
+    A, B = zero_diagonal_pencil([1.0, 0.0, 0.5], mass)
+    values = [p.value for p in solve_generalized(A, B, window=(-1.0, 1.0), lowest=k)]
+    assert values == pytest.approx([-0.5, 0.5], abs=1e-12)
+
+
+def test_lowest_needs_a_window_solve():
+    A, B = diagonal_mass_pencil(np.random.default_rng(3), 50)
+    with pytest.raises(ValueError, match="lowest applies"):
+        solve_generalized(A, B, count=2, lowest=1)
+    with pytest.raises(ValueError, match="at least 1"):
+        solve_generalized(A, B, window=(-1.0, 1.0), lowest=0)
+
+
 # ------------------------------------------------------------ LAPACK binding
 
 
@@ -948,6 +1047,28 @@ def test_bound_lapack_routines_match_scipy_wrappers(bw, m):
 
     solve_generalized(A, B, count=min(3, m))
     assert np.array_equal(A.bands, a_bands) and np.array_equal(B.bands, b_bands)
+
+
+@pytest.mark.parametrize("m", [2, 17, 500])
+def test_dstebz_binding_matches_scipy_wrapper(m):
+    # the bound dstebz reads a tridiagonal T's two rows in place, for value
+    # ranges, index ranges and the wide-tolerance Sturm count alike
+    rng = np.random.default_rng(m)
+    T = np.array([rng.uniform(-1.0, 1.0, m), rng.uniform(-0.5, 0.5, m)])
+    T[1, m - 1] = 0.0
+    before = T.copy()
+    d, e = T[0], T[1, : m - 1]
+    for abstol, lo, hi in [(0.0, -0.3, 0.4), (1e-8, -2.0, 2.0)]:
+        found, w, *_, info = lapack.dstebz(d, e, 1, lo, hi, 0, 0, abstol, "E")
+        assert info == 0
+        assert np.array_equal(eigensolve._bisect(T, abstol, lo, hi), w[:found])
+    first, stop = m // 3, min(m // 3 + 4, m)
+    found, w, *_, info = lapack.dstebz(d, e, 2, 0.0, 0.0, first + 1, stop, 0.0, "E")
+    assert info == 0 and found == stop - first
+    assert np.array_equal(eigensolve._bisect(T, 0.0, first=first, stop=stop), w[:found])
+    below = int(np.sum(np.linalg.eigvalsh(np.diag(d) + np.diag(T[1, : m - 1], -1)) <= 0.1))
+    assert eigensolve._count_at_or_below(T, 0.1, 3.0) == below
+    assert np.array_equal(T, before)
 
 
 def run_isolated(code):

@@ -33,6 +33,23 @@ from confspec.experiments import (
 import oracles
 
 
+@pytest.mark.parametrize("N", [400, 2000])
+@pytest.mark.parametrize("L", [1.0, 8.0, 30.0])
+@pytest.mark.parametrize(
+    "op", [conformal_laplacian(3), dirac_operator(2)], ids=["conformal-laplacian", "dirac"]
+)
+def test_sweep_row_lowest_pairs_match_the_full_window(op, L, N):
+    # a sweep row solves each mode for its lowest positive pair only; the
+    # full window below the truncation bar gives the same lambda_1^+ and
+    # stops the mode loop at the same mode
+    (row,) = pinocchio_sweep(op, [L], N=N, path="intrinsic")
+    sigma = row.sigma
+    report, n_modes, _, _ = experiments._spectrum_for(op, L, N, "intrinsic", 2.0 * sigma, 0)
+    assert row.error is None and row.n_modes_used == n_modes
+    assert row.lambda_1_plus == pytest.approx(report.lambda_1_plus, rel=1e-11)
+    assert row.max_residual <= 1e-9
+
+
 def test_path_resolution_rules():
     op = conformal_laplacian(3)
     assert resolve_path(op, 2.0, "auto") == "covariance"

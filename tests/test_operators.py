@@ -47,8 +47,16 @@ def test_dimension_constraints():
 def test_cylinder_thresholds_closed_form():
     assert cylinder_threshold(conformal_laplacian(3)) == 0.25
     assert cylinder_threshold(conformal_laplacian(4)) == 1.0
-    assert cylinder_threshold(paneitz_operator(5)) == 3.125
+    assert cylinder_threshold(paneitz_operator(5)) == 1.5625
     assert cylinder_threshold(dirac_operator(2)) == 0.5
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_paneitz_cylinder_threshold_matches_symbol_oracle(n):
+    # the oracle minimizes the l = 0 symbol of the Paneitz-Branson form on
+    # S^(n-1) x R; the threshold is its bottom, not the cylinder's Q-curvature
+    bottom = oracles.paneitz_cylinder_bottom(n)
+    assert cylinder_threshold(paneitz_operator(n)) == pytest.approx(bottom, rel=1e-12, abs=1e-12)
 
 
 def test_paneitz_constants():

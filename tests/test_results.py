@@ -1,0 +1,41 @@
+"""The committed sweep results are what the code computes today.
+
+``scripts/run_divergence.py`` writes ``results/sweep_*.csv``; this reruns
+the same two sweeps in process (conformal Laplacian n=3 and Dirac n=2,
+L = 1..8, N = 2000, intrinsic path, seed 0) and compares them row by row.
+"""
+
+import csv
+import pathlib
+
+import pytest
+
+from confspec.experiments import pinocchio_sweep
+from confspec.operators import conformal_laplacian, dirac_operator
+
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
+
+
+@pytest.mark.parametrize(
+    "name, op",
+    [("conformal-laplacian", conformal_laplacian(3)), ("dirac", dirac_operator(2))],
+    ids=["conformal-laplacian", "dirac"],
+)
+def test_committed_sweep_reproduces(name, op):
+    with open(RESULTS / f"sweep_{name}.csv", newline="") as fh:
+        committed = list(csv.DictReader(fh))
+    L_grid = [float(row["L"]) for row in committed]
+    assert L_grid == [float(L) for L in range(1, 9)]
+    rows = pinocchio_sweep(op, L_grid, N=2000, path="intrinsic", seed=0)
+    for want, got in zip(committed, rows, strict=True):
+        assert got.error is None
+        for key, value in (
+            ("lambda1plus", got.lambda_1_plus),
+            ("volume", got.volume),
+            ("invariant", got.invariant),
+        ):
+            assert value == pytest.approx(float(want[key]), rel=1e-9), (got.L, key)
+        assert got.sigma == float(want["sigma"])
+        assert got.n_modes_used == int(want["modes"])
+        assert got.max_residual <= 1e-9
+        assert float(want["max_residual"]) <= 1e-9
