@@ -3,14 +3,15 @@
 numeric ``summary`` field of every results/*.json sidecar, against a git
 revision (default HEAD).  Rows are matched by position; text columns report
 the number of rows that differ, and a text or boolean summary field (a
-dichotomy flag, ``pass``) reports whether it differs.  Run from anywhere
-inside the repository:
+dichotomy flag, ``pass``) reports whether it differs.  Each sidecar's
+``config`` block is compared key by key: keys only in REV, keys only now,
+and keys whose values changed.  Run from anywhere inside the repository:
 
     python scripts/diff_results.py [REV]
 
-Exits 1 when a file is not in REV or its CSV header, row count or summary
-fields changed, so a regeneration that drops rows, columns or fields does
-not pass unnoticed.
+Exits 1 when a file is not in REV or its CSV header, row count, config keys
+or summary fields changed, so a regeneration that drops rows, columns,
+options or fields does not pass unnoticed.
 """
 
 import csv
@@ -77,9 +78,21 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def diff_summary(name: str, old_text: str, path: pathlib.Path, rev: str) -> int:
-    old = flatten(json.loads(old_text).get("summary", {}))
-    new = flatten(json.loads(path.read_text()).get("summary", {}))
+def diff_config(name: str, old: dict, new: dict, rev: str) -> int:
+    only_old, only_new = sorted(old.keys() - new.keys()), sorted(new.keys() - old.keys())
+    if only_old:
+        print(f"{name}: config keys only in {rev}: {only_old}")
+    if only_new:
+        print(f"{name}: config keys only now: {only_new}")
+    for key in sorted(old.keys() & new.keys()):
+        if old[key] != new[key]:
+            print(f"{name}  config.{key}: {json.dumps(old[key])} in {rev}, "
+                  f"{json.dumps(new[key])} now")
+    return 1 if only_old or only_new else 0
+
+
+def diff_summary(name: str, old: dict, new: dict, rev: str) -> int:
+    old, new = flatten(old), flatten(new)
     status = 0
     if old.keys() != new.keys():
         print(f"{name}: summary fields {sorted(old)} in {rev}, {sorted(new)} now")
@@ -95,6 +108,14 @@ def diff_summary(name: str, old_text: str, path: pathlib.Path, rev: str) -> int:
     return status
 
 
+def diff_sidecar(name: str, old_text: str, path: pathlib.Path, rev: str) -> int:
+    old, new = json.loads(old_text), json.loads(path.read_text())
+    return max(
+        diff_config(name, old.get("config", {}), new.get("config", {}), rev),
+        diff_summary(name, old.get("summary", {}), new.get("summary", {}), rev),
+    )
+
+
 def main(rev: str = "HEAD") -> int:
     status = 0
     paths = sorted((ROOT / "results").glob("*.csv")) + sorted((ROOT / "results").glob("*.json"))
@@ -105,7 +126,7 @@ def main(rev: str = "HEAD") -> int:
             print(f"{name}: not in {rev}")
             status = 1
             continue
-        differ = diff_csv if path.suffix == ".csv" else diff_summary
+        differ = diff_csv if path.suffix == ".csv" else diff_sidecar
         status = max(status, differ(name, old_text, path, rev))
     return status
 

@@ -3,8 +3,8 @@
 Every flag can also be set through an environment variable with the
 ``CONFSPEC_`` prefix (e.g. ``CONFSPEC_N=1000``); explicit flags win.  Reports
 are RFC-4180 CSV with LF line endings and 17-significant-digit floats, plus a
-JSON sidecar echoing the full effective config, so identical config and seed
-reproduce byte-identical outputs.
+JSON sidecar echoing the options its command took, after defaults and
+overrides, so identical config and seed reproduce byte-identical outputs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 a failed internal
 check or numerical step (eigensolver, arclength inverse, mode cap, lambda_1^+).
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -23,7 +22,7 @@ import platform
 import re
 import sys
 import weakref
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy
@@ -63,24 +62,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the contract wants 1
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    operator: str
-    n: int
-    N: int | None = None  # scaling-check picks N per operator kind
-    L_grid: list[float] = field(default_factory=list)
-    path: str = "auto"
-    seed: int = 0
-    ell_max: int = 8
-    j_index: int = 1
-    c_values: list[float] = field(default_factory=list)
-    N_grid: list[int] = field(default_factory=list)
-    cylinder_lengths: list[float] = field(default_factory=list)
-    validation_tol: float = 1e-3
-    out: str | None = None
 
 
 def fmt(x) -> str:
@@ -208,7 +189,7 @@ def _apply_env_overrides(parser: argparse.ArgumentParser) -> None:
                 action.default = action.type(raw) if action.type else raw
 
 
-def _make_operator(cfg: RunConfig) -> OperatorKind:
+def _make_operator(cfg: SimpleNamespace) -> OperatorKind:
     return _OPERATORS[cfg.operator](cfg.n)
 
 
@@ -221,7 +202,7 @@ def _versions() -> dict:
     }
 
 
-def _write_report(cfg: RunConfig, header: list[str], rows: list[list], summary: dict):
+def _write_report(cfg: SimpleNamespace, header: list[str], rows: list[list], summary: dict):
     lines = [header] + [[fmt(v) for v in row] for row in rows]
     if cfg.out:
         with open(cfg.out, "w", newline="") as fh:
@@ -229,7 +210,7 @@ def _write_report(cfg: RunConfig, header: list[str], rows: list[list], summary: 
             writer.writerows(lines)
         sidecar = os.path.splitext(cfg.out)[0] + ".json"
         payload = {
-            "config": dataclasses.asdict(cfg),
+            "config": vars(cfg),
             "versions": _versions(),
             "summary": summary,
         }
@@ -241,7 +222,7 @@ def _write_report(cfg: RunConfig, header: list[str], rows: list[list], summary: 
         writer.writerows(lines)
 
 
-def _cmd_cylinder_thresholds(cfg: RunConfig) -> int:
+def _cmd_cylinder_thresholds(cfg: SimpleNamespace) -> int:
     sigma = cylinder_threshold(_make_operator(cfg))
     print(f"sigma,{fmt(sigma)}")
     if cfg.out:
@@ -249,7 +230,7 @@ def _cmd_cylinder_thresholds(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_validate_sphere(cfg: RunConfig) -> int:
+def _cmd_validate_sphere(cfg: SimpleNamespace) -> int:
     op = _make_operator(cfg)
     report = experiments.validate_sphere(
         op, N=cfg.N, ell_max=cfg.ell_max, tolerance=cfg.validation_tol, seed=cfg.seed
@@ -271,7 +252,7 @@ def _cmd_validate_sphere(cfg: RunConfig) -> int:
     return 0 if report.passed else 2
 
 
-def _cmd_pinocchio_sweep(cfg: RunConfig) -> int:
+def _cmd_pinocchio_sweep(cfg: SimpleNamespace) -> int:
     op = _make_operator(cfg)
     rows = experiments.pinocchio_sweep(op, cfg.L_grid, N=cfg.N, path=cfg.path, seed=cfg.seed)
     table = [
@@ -292,8 +273,9 @@ def _cmd_pinocchio_sweep(cfg: RunConfig) -> int:
     return 2 if failures else 0
 
 
-def _cmd_convergence(cfg: RunConfig) -> int:
-    if cfg.cylinder_lengths:
+def _cmd_convergence(cfg: SimpleNamespace) -> int:
+    summary = {"pass": True}
+    if hasattr(cfg, "cylinder_lengths"):
         if cfg.operator != "conformal-laplacian":
             raise ValueError(
                 "--cylinder-lengths runs the conformal-Laplacian surrogate only, "
@@ -303,8 +285,8 @@ def _cmd_convergence(cfg: RunConfig) -> int:
             cfg.cylinder_lengths, N=cfg.N, n=cfg.n, seed=cfg.seed
         )
         trajectories = [trajectory]
-        sigma = (cfg.n - 2) ** 2 / 4.0
-        summary_extra = {"max_law_deviation": worst}
+        sigma = cylinder_threshold(conformal_laplacian(cfg.n))
+        summary["max_law_deviation"] = worst
     else:
         op = _make_operator(cfg)
         report = experiments.convergence_study(
@@ -312,19 +294,17 @@ def _cmd_convergence(cfg: RunConfig) -> int:
         )
         trajectories = list(report.trajectories)
         sigma = report.sigma
-        summary_extra = {}
     rows = []
     for tr in trajectories:
         for i, (L, v) in enumerate(zip(tr.L_values, tr.values)):
             diff = math.nan if i == 0 else tr.diffs[i - 1]
             rows.append([tr.sector, L, v, diff])
-    summary = {
-        "pass": True,
-        "sigma": sigma,
-        "flags": {tr.sector: tr.flag for tr in trajectories},
-        "extrapolated_limits": {tr.sector: tr.extrapolated_limit for tr in trajectories},
-    }
-    summary.update(summary_extra)
+    summary.update(
+        sigma=sigma,
+        flags={tr.sector: tr.flag for tr in trajectories},
+        extrapolated_limits={tr.sector: tr.extrapolated_limit for tr in trajectories},
+        law_fits={tr.sector: tr.law_fit for tr in trajectories},
+    )
     _write_report(cfg, ["sector", "L", "lambda", "diff"], rows, summary)
     for tr in trajectories:
         print(f"sector {tr.sector}: flag={tr.flag} "
@@ -339,7 +319,7 @@ def _cmd_convergence(cfg: RunConfig) -> int:
 _DISCREPANCY_ROUNDOFF = 1e-10
 
 
-def _cmd_covariance_check(cfg: RunConfig) -> int:
+def _cmd_covariance_check(cfg: SimpleNamespace) -> int:
     if len(cfg.L_grid) != 1:
         raise ValueError(f"covariance-check takes one nose length, got {len(cfg.L_grid)}")
     op = _make_operator(cfg)
@@ -362,7 +342,7 @@ def _cmd_covariance_check(cfg: RunConfig) -> int:
     return 0 if decreasing and final_ok else 2
 
 
-def _cmd_scaling_check(cfg: RunConfig) -> int:
+def _cmd_scaling_check(cfg: SimpleNamespace) -> int:
     op = _make_operator(cfg)
     reports = [experiments.scaling_check(op, c, seed=cfg.seed) for c in cfg.c_values]
     table = [
@@ -394,40 +374,39 @@ _COMMANDS = {
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    n = args.dimension if args.dimension is not None else _DEFAULT_N[args.operator]
-    cfg = RunConfig(command=args.command, operator=args.operator, n=n)
-    if hasattr(args, "N"):
-        cfg.N = args.N
-    if hasattr(args, "seed"):
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        cfg.seed = args.seed
-    cfg.out = args.out
-    if getattr(args, "cylinder_lengths", None) is not None:
-        unused = [flag for flag, dest in (("--L", "L"), ("--j", "j_index"), ("--path", "path"))
-                  if getattr(args, dest) is not None]
-        if unused:
-            raise ValueError(
-                f"--cylinder-lengths runs the exact-cylinder surrogate, which takes no "
-                f"{', '.join(unused)}"
-            )
-    if getattr(args, "path", None) is not None:
-        cfg.path = args.path
-    if hasattr(args, "L"):
-        cfg.L_grid = parse_range("2:10:2" if args.L is None else args.L)
-    if hasattr(args, "ell_max"):
-        cfg.ell_max = args.ell_max
-    if hasattr(args, "tolerance"):
-        cfg.validation_tol = args.tolerance
-    if getattr(args, "j_index", None) is not None:
-        cfg.j_index = args.j_index
-    if hasattr(args, "c_values"):
-        cfg.c_values = parse_range(args.c_values)
-    if hasattr(args, "N_grid"):
-        cfg.N_grid = parse_int_list(args.N_grid)
-    if getattr(args, "cylinder_lengths", None) is not None:
-        cfg.cylinder_lengths = parse_range(args.cylinder_lengths)
+# dests that argparse or the CONFSPEC_* names fix, under their config names
+_CONFIG_NAMES = {"dimension": "n", "L": "L_grid", "tolerance": "validation_tol"}
+# convergence's nose-family options: config name, flag, default
+_NOSE_OPTIONS = (("L_grid", "--L", "2:10:2"), ("j_index", "--j", 1), ("path", "--path", "auto"))
+
+
+def _config_from_args(args: argparse.Namespace) -> SimpleNamespace:
+    """The options the command's subparser took, under their config names,
+    lists parsed and defaults filled in: what the sidecar echoes."""
+    cfg = SimpleNamespace(**{_CONFIG_NAMES.get(k, k): v for k, v in vars(args).items()})
+    if cfg.n is None:
+        cfg.n = _DEFAULT_N[cfg.operator]
+    if getattr(cfg, "seed", 0) < 0:
+        raise ValueError(f"--seed must be non-negative, got {cfg.seed}")
+    if cfg.command == "convergence":
+        if cfg.cylinder_lengths is None:
+            del cfg.cylinder_lengths
+            for name, _, default in _NOSE_OPTIONS:
+                if getattr(cfg, name) is None:
+                    setattr(cfg, name, default)
+        else:
+            unused = [flag for name, flag, _ in _NOSE_OPTIONS if getattr(cfg, name) is not None]
+            if unused:
+                raise ValueError(
+                    f"--cylinder-lengths runs the exact-cylinder surrogate, which takes no "
+                    f"{', '.join(unused)}"
+                )
+            del cfg.L_grid, cfg.j_index, cfg.path
+    for name in ("L_grid", "c_values", "cylinder_lengths"):
+        if hasattr(cfg, name):
+            setattr(cfg, name, parse_range(getattr(cfg, name)))
+    if hasattr(cfg, "N_grid"):
+        cfg.N_grid = parse_int_list(cfg.N_grid)
     return cfg
 
 

@@ -44,11 +44,16 @@ pairs) raises ``SolverConvergenceError``.
 
 Every route but ARPACK shares one vector step: shifted inverse iteration
 on the banded A - (lam + delta) B from seeded vectors, B-orthogonalized
-against the earlier vectors of the same solve, returning each vector's
-Rayleigh quotient.  Where T is the scaled one (B diagonal), a quotient
-further from its bisection estimate than the bisection tolerance plus
-rounding means the iteration slid to a neighbouring eigenvalue, which
-raises ``SolverConvergenceError`` rather than returning a duplicate.
+against the earlier vectors of the same solve.  Each route returns its
+value estimates, its vectors and a slack, and every pair passes one gate
+in ``solve_generalized``: the value is the vector's Rayleigh quotient,
+formed once, and a quotient further than the slack from its estimate
+means the iteration slid to a neighbouring eigenvalue, which raises
+``SolverConvergenceError`` rather than returning a duplicate or a stranger.
+The slack is 8 eps ||T|| (plus the window's bisection tolerance) on a
+scaled T (B diagonal) and 64 eps ||T|| on a reduced T (any other B),
+whose band reduction rounds its values further from the quotients;
+ARPACK's Ritz values are held to none.
 
 Every returned vector is B-orthonormal as its route returns it, and no
 second pass touches it.  Inverse iteration B-orthogonalizes each iterate
@@ -269,12 +274,10 @@ def _certificate(norm_a: float, norm_b: float, ax, bx, lam: float, x) -> tuple[f
 
 
 def _select_nearest(values: np.ndarray, count: int, window) -> tuple[int, int]:
-    """Contiguous index block of the ``count`` eigenvalues nearest the window."""
-    if window is None:
-        dist = np.abs(values)
-    else:
-        lo, hi = window
-        dist = np.maximum.reduce([lo - values, values - hi, np.zeros_like(values)])
+    """Contiguous index block of the ``count`` eigenvalues nearest the
+    window (lo, hi)."""
+    lo, hi = window
+    dist = np.maximum.reduce([lo - values, values - hi, np.zeros_like(values)])
     order = np.argsort(dist, kind="stable")[:count]
     return int(order.min()), int(order.max())
 
@@ -353,8 +356,8 @@ class _ShiftedSolver:
         return r
 
 
-def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
-    """Rayleigh quotients and vectors of the pencil at the estimates ``vals``.
+def _inverse_iteration(A, B, vals, scale, seed):
+    """B-orthonormal vectors of the pencil at the estimates ``vals``.
 
     Shifted inverse iteration (A - (lam + offset) B) x' = B x with one banded
     LU per shift, each vector from its own seeded start.  ``scale`` is the
@@ -368,15 +371,13 @@ def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
     repeated or clustered values get distinct vectors.  The starts differ
     because a shared one leaves the later members of a cluster nothing of
     their own eigenvectors but rounding, which three steps at a shift as
-    coarse as ``slack`` cannot amplify.  A Rayleigh quotient further than
-    ``slack`` from its estimate means the iteration slid to another
-    eigenvalue, and raises ``SolverConvergenceError``.
+    coarse as a bisection estimate cannot amplify.  Whether a vector slid
+    to another eigenvalue is judged by ``solve_generalized``.
     """
     eps = np.finfo(float).eps
     m = A.size
     shifted = _ShiftedSolver(A, B)
     xs = np.empty((len(vals), m))  # rows, so that xs[:j] is contiguous
-    quotients = []
     rng = np.random.default_rng(seed)
     for j, lam in enumerate(vals):
         offset = 4.0 * eps * (abs(lam) + eps * scale) or 1.0
@@ -390,16 +391,13 @@ def _inverse_iteration(A, B, vals, scale, seed, slack=math.inf):
                 raise SolverConvergenceError(math.inf)
             x /= nrm
         xs[j] = x
-        rq = float(x @ A.matvec(x))  # x is B-normalized
-        if not abs(rq - lam) <= slack:
-            raise SolverConvergenceError(math.inf)
-        quotients.append(rq)
-    return quotients, list(xs)
+    return list(xs)
 
 
 def _iterative_path(A, B, L, count, window, seed):
-    """The ``count`` pairs nearest the window's centre sigma by Lanczos
-    (ARPACK) on a standard symmetric problem.
+    """Estimates of the ``count`` eigenvalues nearest the window's centre
+    sigma, their vectors and an infinite slack, by Lanczos (ARPACK) on a
+    standard symmetric problem.
 
     With B = L L^T (``L`` its Cholesky factor in lower band storage), the
     operator y -> L^T (A - sigma B)^-1 L y is symmetric with eigenvalues
@@ -408,14 +406,14 @@ def _iterative_path(A, B, L, count, window, seed):
     per step and for no B-product.  A - sigma B is factored once by
     ``_ShiftedSolver``, which sets an exactly zero pivot (sigma an
     eigenvalue) to the rounding of the matrix's entries,
-    eps (||A|| + |sigma| ||B||).  The values returned are sigma + 1/theta and
-    the vectors x = L^-T y, B-orthonormal because the Ritz vectors y are
-    orthonormal."""
+    eps (||A|| + |sigma| ||B||).  The estimates are sigma + 1/theta and the
+    vectors x = L^-T y, B-orthonormal because the Ritz vectors y are
+    orthonormal.  Ritz values have no bisection bound to hold them to."""
     import scipy.sparse.linalg as spla  # ARPACK, loaded on the first iterative solve
 
     m = A.size
     kd = L.shape[0] - 1
-    center = 0.0 if window is None else 0.5 * (window[0] + window[1])
+    center = 0.5 * (window[0] + window[1])
     shifted = _ShiftedSolver(A, B)
     eps = np.finfo(float).eps
     shifted.factor(center, eps * (_inf_norm(A) + abs(center) * _inf_norm(B)))
@@ -444,7 +442,7 @@ def _iterative_path(A, B, L, count, window, seed):
         b"L", b"T", b"N", ctypes.c_int(m), ctypes.c_int(kd), ctypes.c_int(count), L.ctypes.data,
         ctypes.c_int(kd + 1), xs.ctypes.data, ctypes.c_int(m), info,
     )
-    return list(center + 1.0 / theta), list(xs)
+    return center + 1.0 / theta, list(xs), math.inf
 
 
 def _scaled_standard(A, L):
@@ -605,12 +603,12 @@ def _window_path(A, B, L, window, seed, lowest):
     diagonal of T makes its determinant (-1)^(m/2) prod sub[0::2]^2 for even
     m, so T holds a zero eigenvalue exactly when m is odd or one of those
     sub-diagonal entries is zero; then the whole window is solved as for any
-    pencil.  ``solve_generalized`` drops a pair whose quotient lies on or
-    outside the window's ends.
+    pencil.  Returns the estimates, their vectors and the slack within
+    which each vector's quotient must stay of its estimate.
     """
     lo, hi = window
     if not lo < hi:
-        return [], []
+        return [], [], 0.0
     m = A.size
     T, scale = _scaled_standard(A, L)
     T = _tridiagonal(T)
@@ -631,17 +629,18 @@ def _window_path(A, B, L, window, seed, lowest):
         below = _count_at_or_below(T, lower, scale)
         vals = _lowest_values(T, lower, below, hi, lowest, abstol, slack, scale)
     if vals.size == 0:
-        return [], []
-    quotients, vectors = _inverse_iteration(A, B, vals, scale, seed, slack)
+        return vals, [], slack
+    vectors = _inverse_iteration(A, B, vals, scale, seed)
     if chiral:
         sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-        quotients += [-q for q in quotients]
+        vals = np.concatenate([vals, -vals])
         vectors += [sign * x for x in vectors]
-    return quotients, vectors
+    return vals, vectors, slack
 
 
 def _nearest_path(A, B, L, count, window, seed, diagonal):
-    """The ``count`` pairs nearest the window.
+    """Estimates of the ``count`` eigenvalues nearest the window (lo, hi),
+    their vectors and the slack of the estimates.
 
     A diagonal B is scaled into T = B^-1/2 A B^-1/2, any other reduced to a
     tridiagonal T; either has the pencil's eigenvalues, and a scaled T wider
@@ -650,10 +649,10 @@ def _nearest_path(A, B, L, count, window, seed, diagonal):
     the indices from the count at hi on, so the nearest ``count`` lie among
     the ``count`` on either side of the window and those inside it.  dstebz
     bisects just that index block of T, to its default tolerance eps ||T||,
-    and the nearest ``count`` of it are inverse-iterated on the pencil.  Only
-    the scaled T gets the window route's slide check: the reduction's own
-    rounding puts its values up to about 20 eps ||T|| from the quotients."""
-    lo, hi = (0.0, 0.0) if window is None else window
+    and the nearest ``count`` of it are inverse-iterated on the pencil.  The
+    slack is 8 eps ||T|| on the scaled T and 64 eps ||T|| on the reduced
+    one, whose reduction rounds its values further from the quotients."""
+    lo, hi = window
     T, scale = _scaled_standard(A, L) if diagonal else _reduced_standard(A, B)
     T = _tridiagonal(T)
     below_lo = _count_at_or_below(T, lo, scale)
@@ -662,8 +661,12 @@ def _nearest_path(A, B, L, count, window, seed, diagonal):
     stop = min(below_hi + count, A.size)
     vals = _bisect(T, 0.0, first=first, stop=stop)
     i0, i1 = _select_nearest(vals, count, window)
-    slack = 8.0 * np.finfo(float).eps * scale if diagonal else math.inf
-    return _inverse_iteration(A, B, vals[i0 : i1 + 1], scale, seed, slack)
+    vals = vals[i0 : i1 + 1]
+    # a reduced T's quotients were measured up to 18.3 eps ||T|| from their
+    # estimates (criterion 7's m=4000 pencil), 9.7 over 226 seeds of the
+    # perfbench pencil ladder
+    slack = (8.0 if diagonal else 64.0) * np.finfo(float).eps * scale
+    return vals, _inverse_iteration(A, B, vals, scale, seed), slack
 
 
 def solve_generalized(
@@ -710,19 +713,23 @@ def solve_generalized(
     elif method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
     L = _cholesky_or_raise(B)
+    window = (0.0, 0.0) if window is None else window  # count solves: nearest 0
     if count is None:
-        vals, vecs = _window_path(A, B, L, window, seed, lowest)
+        estimates, vecs, slack = _window_path(A, B, L, window, seed, lowest)
     elif method == "iterative" and count < m - 1:  # ARPACK needs count < m - 1
-        vals, vecs = _iterative_path(A, B, L, count, window, seed)
+        estimates, vecs, slack = _iterative_path(A, B, L, count, window, seed)
     else:
-        vals, vecs = _nearest_path(A, B, L, min(count, m), window, seed, diagonal)
+        estimates, vecs, slack = _nearest_path(A, B, L, min(count, m), window, seed, diagonal)
 
     pairs = []
     failed = []
     norm_a, norm_b = _inf_norm(A), _inf_norm(B)
-    for vec in vecs:
+    for estimate, vec in zip(estimates, vecs):
         ax, bx = A.matvec(vec), B.matvec(vec)
         lam = float(vec @ ax) / float(vec @ bx)
+        if not abs(lam - estimate) <= slack:  # a NaN quotient fails too
+            # the iteration slid to a neighbouring eigenvalue
+            raise SolverConvergenceError(math.inf)
         if count is None and not window[0] < lam < window[1]:
             continue  # an eigenvalue on a window end, found from inside
         res, floor = _certificate(norm_a, norm_b, ax, bx, lam, vec)

@@ -117,7 +117,8 @@ class Trajectory:
     values: tuple[float, ...]
     diffs: tuple[float, ...]
     flag: str  # "cauchy" | "escape"
-    extrapolated_limit: float
+    extrapolated_limit: float  # the law fit's s, or the last value without one
+    law_fit: dict[str, float] | None
 
 
 @dataclass(frozen=True)
@@ -407,14 +408,52 @@ def validate_sphere(
 # convergence along the family (the dichotomy experiment)
 
 
-def _aitken_limit(values: list[float]) -> float:
-    if len(values) >= 3:
-        d1 = values[-2] - values[-3]
-        d2 = values[-1] - values[-2]
-        denom = d1 - d2
-        if denom != 0.0 and abs(d2) < abs(d1):
-            return values[-1] + d2 * d2 / denom
-    return values[-1]
+# the law fit's bracket grows to at most 2^64 (L_3 - L_1); a root further
+# out means the data barely decay faster than the law's limit allows
+_LAW_FIT_DOUBLINGS = 64
+
+
+def _law_fit(L_values, values) -> dict[str, float] | None:
+    """The law v = s + C/(L + c)^2 through the last three points, as
+    {"s", "C", "c"}, or None when there are fewer points or no root.
+
+    With u_i = 1/(L_i + c)^2 the law is linear in s and C, so c solves
+    (u_1 - u_2)/(u_2 - u_3) = (v_1 - v_2)/(v_2 - v_3).  For L_1 < L_2 < L_3
+    the left side, written without cancellation, falls from +inf at
+    c = -L_1 to (L_2 - L_1)/(L_3 - L_2) as c grows, so there is one root
+    exactly when the right side exceeds that limit.  It is found by
+    bisection: an end doubles until it brackets the root, and the bracket
+    is halved until it is one ulp wide."""
+    if len(values) < 3:
+        return None
+    (L1, L2, L3), (v1, v2, v3) = L_values[-3:], values[-3:]
+    if not (L1 < L2 < L3 and v2 != v3):
+        return None
+    target = (v1 - v2) / (v2 - v3)
+    if not target > (L2 - L1) / (L3 - L2):  # a NaN has no root either
+        return None
+
+    def ratio(c):
+        return ((L2 - L1) * (L1 + L2 + 2 * c) * (L3 + c) ** 2
+                / ((L3 - L2) * (L2 + L3 + 2 * c) * (L1 + c) ** 2))
+
+    lo, hi = -L1, L3 - L1
+    for _ in range(_LAW_FIT_DOUBLINGS):
+        if ratio(hi) < target:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        return None
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if ratio(mid) < target:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    c = hi
+    C = (v2 - v3) * (L2 + c) ** 2 * (L3 + c) ** 2 / ((L3 - L2) * (L2 + L3 + 2 * c))
+    return {"s": v3 - C / (L3 + c) ** 2, "C": C, "c": c}
 
 
 def _make_trajectory(sector: str, L_values, values, sigma: float) -> Trajectory:
@@ -423,13 +462,15 @@ def _make_trajectory(sector: str, L_values, values, sigma: float) -> Trajectory:
     final = values[-1]
     escaped = final >= threshold if sector == "+" else final <= -threshold
     flag = "escape" if escaped else "cauchy"
+    fit = _law_fit(L_values, values)
     return Trajectory(
         sector=sector,
         L_values=tuple(L_values),
         values=tuple(values),
         diffs=diffs,
         flag=flag,
-        extrapolated_limit=_aitken_limit(list(values)),
+        extrapolated_limit=values[-1] if fit is None else fit["s"],
+        law_fit=fit,
     )
 
 
@@ -481,7 +522,7 @@ def cylinder_surrogate_study(
     conformal-Laplacian bottom follows
     (n-2)^2/4 + (pi/T)^2; returns the trajectory and the worst deviation
     from that law."""
-    sigma = (n - 2) ** 2 / 4.0
+    sigma = cylinder_threshold(operators.conformal_laplacian(n))
     values = []
     worst = 0.0
     for T in T_grid:

@@ -423,3 +423,51 @@ def test_env_override_ends_with_its_variable(tmp_path, capsys, monkeypatch, args
     code, _, _ = run(capsys, *args, "--operator", "conformal-laplacian", "--out", str(out))
     assert code == 0
     assert json.loads((tmp_path / "x.json").read_text())["config"]["N"] == 2000
+
+
+# per command: arguments of a passing run, and the options it took besides
+# command, operator, n and out, under their config names; convergence runs
+# the nose family, which takes no --cylinder-lengths
+_SIDECAR_RUNS = {
+    "validate-sphere": (("--N", "200", "--ell-max", "1"), {"N", "seed", "ell_max", "validation_tol"}),
+    "cylinder-thresholds": ((), set()),
+    "pinocchio-sweep": (("--L", "1", "--N", "200", "--path", "covariance"),
+                        {"N", "seed", "L_grid", "path"}),
+    "convergence": (("--L", "1,2", "--N", "200"), {"N", "seed", "L_grid", "j_index", "path"}),
+    "covariance-check": (("--L", "0", "--N-grid", "100,200"), {"N", "seed", "L_grid", "N_grid"}),
+    "scaling-check": (("--c", "2"), {"seed", "c_values"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SIDECAR_RUNS))
+def test_sidecar_echoes_the_options_its_command_took(tmp_path, capsys, command):
+    args, options = _SIDECAR_RUNS[command]
+    out = tmp_path / "report.csv"
+    code, _, _ = run(capsys, command, "--operator", "conformal-laplacian", *args, "--out", str(out))
+    assert code == 0
+    config = json.loads(out.with_suffix(".json").read_text())["config"]
+    assert set(config) == {"command", "operator", "n", "out"} | options
+
+
+def test_surrogate_sidecar_echoes_no_nose_options(tmp_path, capsys):
+    out = tmp_path / "conv.csv"
+    code, _, _ = run(
+        capsys, "convergence", "--operator", "conformal-laplacian",
+        "--cylinder-lengths", "5,10", "--N", "200", "--out", str(out),
+    )
+    assert code == 0
+    config = json.loads(out.with_suffix(".json").read_text())["config"]
+    assert config["cylinder_lengths"] == [5.0, 10.0]
+    assert not {"L_grid", "j_index", "path"} & set(config)
+
+
+def test_sidecar_ignores_overrides_of_options_its_command_lacks(tmp_path, capsys, monkeypatch):
+    # CONFSPEC_ELL_MAX sets validate-sphere's --ell-max; a sweep has none
+    monkeypatch.setenv("CONFSPEC_ELL_MAX", "3")
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        capsys, "pinocchio-sweep", "--operator", "conformal-laplacian", "--L", "1",
+        "--N", "200", "--path", "covariance", "--out", str(out),
+    )
+    assert code == 0
+    assert "ell_max" not in json.loads(out.with_suffix(".json").read_text())["config"]

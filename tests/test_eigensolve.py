@@ -693,6 +693,18 @@ def test_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch):
         solve_generalized(A, B, window=window)
 
 
+def test_count_rejects_iteration_that_lands_on_a_neighbour(monkeypatch):
+    # the same slide on the reduced T of a non-diagonal B: the second shift
+    # of 2 converges to 2.001, which would come back in place of 0.01
+    diag = np.array([0.01, 2.0, 2.001] + [5.0 + k for k in range(13)])
+    A = BandedSymmetric.from_tridiagonal(diag, np.zeros(15))
+    B = BandedSymmetric.from_tridiagonal(np.ones(16), np.full(15, 1e-7))
+    assert [round(p.value, 6) for p in solve_generalized(A, B, count=2)] == [0.01, 2.0]
+    duplicate_first_value(monkeypatch)
+    with pytest.raises(SolverConvergenceError):
+        solve_generalized(A, B, count=2)
+
+
 @pytest.fixture
 def no_arpack(monkeypatch):
     """Make any shift-invert Lanczos call fail the test."""

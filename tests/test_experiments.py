@@ -218,6 +218,41 @@ def test_cylinder_surrogate_reproduces_gap_law():
     assert traj.values[-1] == pytest.approx(0.25 + (math.pi / 30.0) ** 2, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "L, law",
+    [((6.0, 8.0, 10.0), (0.25, 8.8, 4.5)), ((2.0, 5.0, 9.0), (-0.5, -10.4, 4.7)),
+     ((2.0, 3.0, 4.0), (1.5, 3.0, -1.5)), ((20.0, 25.0, 30.0), (0.25, math.pi**2, 0.0))],
+    ids=["conformal-laplacian", "minus-sector", "negative-c", "cylinder"],
+)
+def test_law_fit_recovers_an_exact_law(L, law):
+    s, C, c = law
+    values = [s + C / (x + c) ** 2 for x in L]
+    fit = experiments._law_fit([1.0, *L], [0.0, *values])  # the last three points
+    assert fit == pytest.approx({"s": s, "C": C, "c": c}, rel=0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "L, values",
+    [([2.0, 4.0], [0.3, 0.26]), ([2.0, 4.0, 6.0], [0.3, 0.28, 0.26]),
+     ([2.0, 4.0, 6.0], [0.3, 0.28, 0.28])],
+    ids=["two-points", "linear", "flat-end"],
+)
+def test_law_fit_falls_back_to_the_last_value(L, values):
+    # too few points, or differences that do not shrink as the law's do
+    assert experiments._law_fit(L, values) is None
+    traj = experiments._make_trajectory("+", L, values, 0.25)
+    assert traj.law_fit is None and traj.extrapolated_limit == values[-1]
+
+
+def test_cylinder_surrogate_law_fit_finds_the_gap():
+    # the exact cylinder follows sigma + (pi/T)^2: s is sigma, C is pi^2, c is 0
+    traj, _ = cylinder_surrogate_study([5.0, 10.0, 15.0, 20.0, 25.0, 30.0], N=2000)
+    assert traj.extrapolated_limit == traj.law_fit["s"]
+    assert traj.law_fit["s"] == pytest.approx(0.25, rel=0, abs=1e-6)
+    assert traj.law_fit["C"] == pytest.approx(math.pi**2, rel=1e-6)
+    assert abs(traj.law_fit["c"]) <= 1e-6
+
+
 def test_crosscheck_identity_factor_is_tight():
     rows = covariance_crosscheck(conformal_laplacian(3), 0.0, [300, 600])
     assert all(r.discrepancy <= 1e-10 for r in rows)
