@@ -407,6 +407,14 @@ def _config_from_args(args: argparse.Namespace) -> SimpleNamespace:
             setattr(cfg, name, parse_range(getattr(cfg, name)))
     if hasattr(cfg, "N_grid"):
         cfg.N_grid = parse_int_list(cfg.N_grid)
+    if cfg.command == "convergence":
+        # the law fit and the escape flag read the lengths in order
+        flag, lengths = (
+            ("--cylinder-lengths", cfg.cylinder_lengths) if hasattr(cfg, "cylinder_lengths")
+            else ("--L", cfg.L_grid)
+        )
+        if any(b <= a for a, b in zip(lengths, lengths[1:])):
+            raise ValueError(f"{flag} must be strictly increasing, got {lengths}")
     return cfg
 
 

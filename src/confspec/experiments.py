@@ -22,10 +22,9 @@ from confspec.geometry import (
     constant_profile,
     profile_L,
     volume,
-    warped_reparametrize,
 )
 from confspec.grid import (
-    BandedSymmetric, RadialGrid, assemble_weak_form, make_grid, quadrature_points,
+    MIN_NODES, BandedSymmetric, RadialGrid, assemble_weak_form, make_grid, quadrature_points,
 )
 from confspec.operators import (
     KIND_DIRAC,
@@ -185,11 +184,22 @@ def _snap_to_kinks(t: np.ndarray, profile: ConformalProfile) -> np.ndarray:
     return t[np.concatenate(([True], t[1:] != t[:-1]))]
 
 
+def _arclength_nodes(profile: ConformalProfile, N: int, exponent: float = 1.0) -> np.ndarray:
+    """The N arclength nodes T (i/(N+1))^exponent, i = 1..N, snapped onto the
+    profile kinks: the nodes of both grids below, so a polar grid is the
+    image of the arclength grid with the same N bit for bit."""
+    if N < MIN_NODES:
+        raise ValueError("node count too small")
+    T = profile.total_arclength()
+    return _snap_to_kinks(T * (np.arange(1, N + 1) / (N + 1)) ** exponent, profile)
+
+
 def arclength_grid(profile: ConformalProfile, N: int) -> RadialGrid:
     """Uniform arclength grid with nodes snapped onto the profile kinks."""
-    T = profile.total_arclength()
-    t = _snap_to_kinks(T * np.arange(1, N + 1) / (N + 1), profile)
-    return RadialGrid(nodes=t, coordinate_kind="arclength", span=T)
+    return RadialGrid(
+        nodes=_arclength_nodes(profile, N), coordinate_kind="arclength",
+        span=profile.total_arclength(),
+    )
 
 
 def nose_resolving_grid(
@@ -202,9 +212,7 @@ def nose_resolving_grid(
     with N.  ``exponent`` > 1 shifts resolution from the round part toward
     the blowup point; the dual-path cross-check uses it to keep the two
     discretizations' error constants apart."""
-    T = profile.total_arclength()
-    t = T * (np.arange(1, N + 1) / (N + 1)) ** exponent
-    nodes = profile.r_of_arclength(_snap_to_kinks(t, profile))
+    nodes = profile.r_of_arclength(_arclength_nodes(profile, N, exponent))
     return RadialGrid(nodes=nodes, coordinate_kind="polar", span=math.pi)
 
 
@@ -260,15 +268,20 @@ def _spectrum_for(
     op: OperatorKind, L: float, N: int, path: str, ceiling: float, seed: int,
     lowest: int | None = None,
 ) -> tuple[SpectrumReport, int, ConformalProfile, RadialGrid]:
-    """Spectrum of one nose length on its polar grid, which both paths share:
-    the intrinsic path warps it through the forward map t(r).  ``lowest`` is
-    passed to every mode's solve (see ``_collect_modes``)."""
+    """Spectrum of one nose length, and the polar grid its volume is read on.
+
+    Both paths start from the same snapped arclength nodes.  The intrinsic
+    path assembles on them, and its record's one arclength inverse also
+    gives the polar grid; the covariance path assembles on their polar
+    image.  ``lowest`` is passed to every mode's solve (see
+    ``_collect_modes``)."""
     profile = profile_L(op.n, L)
     path = resolve_path(op, L, path)
-    grid = nose_resolving_grid(profile, N)
     if path == "intrinsic":
-        record = intrinsic_record(op, warped_reparametrize(profile, grid), grid)
+        record = intrinsic_record(op, profile, arclength_grid(profile, N))
+        grid = RadialGrid(nodes=record.r_nodes, coordinate_kind="polar", span=math.pi)
     else:
+        grid = nose_resolving_grid(profile, N)
         record = covariance_record(op, profile, grid)
     bar = TRUNCATION_FACTOR * ceiling
     per_mode, n_modes = _collect_modes(op, record, bar, seed, lowest)
@@ -320,6 +333,8 @@ def pinocchio_sweep(
     lambda_1^+ * vol^(k/n).  Per-row failures are recorded in the row."""
     if list(L_grid) != sorted(L_grid):
         raise ValueError("L grid must be increasing")
+    if N < MIN_NODES:  # up front: a row records a ValueError as its own failure
+        raise ValueError("node count too small")
     for L in L_grid:
         resolve_path(op, L, path)  # validate conditioning limits up front
     return [_sweep_row(op, L, N, path, seed) for L in L_grid]
@@ -581,10 +596,11 @@ def covariance_crosscheck(
             cov_grid = nose_resolving_grid(profile, N, exponent=2.0)
             int_grid = arclength_grid(profile, N)
         else:
+            # t = r on the unit sphere, so both paths share the nodes
             cov_grid = make_grid("polar", N)
-            int_grid = cov_grid
+            int_grid = make_grid("arclength", N, length=math.pi)
         cov_record = covariance_record(op, profile, cov_grid)
-        int_record = intrinsic_record(op, warped_reparametrize(profile, int_grid), int_grid)
+        int_record = intrinsic_record(op, profile, int_grid)
         worst = 0.0
         for index in _crosscheck_modes(op):
             mode = make_mode(op, index)

@@ -16,16 +16,19 @@ the arclength map t(r) = int F dr is evaluated piecewise exactly except
 across the two smoothstep windows.  Their speeds do not depend on L, so
 each window is tabulated once per process (arclength and slope at uniform
 knots): t(r) is the nearest knot's value plus a short Gauss rule, and the
-inverse is a safeguarded Newton solve with the closed-form slope dt/dr = F,
-started from a cubic-Hermite inverse of the table.
+inverse is a safeguarded Newton solve on that window's own forward map and
+closed-form slope dt/dr = F, started from a cubic-Hermite inverse of the
+table.
 
 In arclength the metric is dt^2 + h(t)^2 g_{S^{n-1}} with h = F sin r, and
 
     Scal = (n-1) [ (n-2)(1 - h'^2)/h^2 - 2 h''/h ].
 
-``WarpedData.jet`` returns h, h' and h'' at arbitrary arclengths from one
-arclength inverse, which is how the intrinsic assembly samples a whole
-sweep row's geometry at once (the per-row record in ``operators``).
+``warped_jet`` returns h, h' and h'' at polar distances.  The intrinsic
+assembly (``operators.intrinsic_record``) maps a row's arclength nodes and
+sample points to polar distances with one ``r_of_arclength`` call and
+reads the whole row's geometry from there; ``warped_reparametrize`` gives
+the same data for an arbitrary grid.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "profile_L",
     "constant_profile",
     "volume",
+    "warped_jet",
     "warped_reparametrize",
     "warped_curvature",
     "sphere_volume_constant",
@@ -66,24 +70,23 @@ class ArclengthInversionError(RuntimeError):
     """The Newton inverse of t(r) left points above its residual tolerance."""
 
 
+# The smoothstep helpers take x in [0, 1] as they are: every caller passes
+# points of a window (a masked region of the profile or a bracketed Newton
+# iterate), so no clip is needed on the hot paths.
 def _smoothstep(x):
-    x = np.clip(x, 0.0, 1.0)
     return x * x * x * (10.0 + x * (6.0 * x - 15.0))
 
 
 def _dsmoothstep(x):
-    x = np.clip(x, 0.0, 1.0)
     return 30.0 * x * x * (1.0 - x) ** 2
 
 
 def _d2smoothstep(x):
-    x = np.clip(x, 0.0, 1.0)
     return 60.0 * x * (1.0 - x) * (1.0 - 2.0 * x)
 
 
 def _smoothstep_antiderivative(x):
     # S(0) = 0, S(1) = 1/2
-    x = np.clip(x, 0.0, 1.0)
     return x**4 * (2.5 + x * (x - 3.0))
 
 
@@ -134,7 +137,8 @@ class _WindowTable:
         return self.t[k] + half * (vals @ _LOCAL_WEIGHTS)
 
     def u_guess(self, t):
-        j = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, _WINDOW_KNOTS - 1)
+        j = np.searchsorted(self.t, t, side="right") - 1
+        j = np.minimum(np.maximum(j, 0), _WINDOW_KNOTS - 1)
         dt = self.t[j + 1] - self.t[j]
         s = (t - self.t[j]) / dt
         s2, s3 = s * s, s * s * s
@@ -147,7 +151,8 @@ _TRANSITION_WINDOW = _WindowTable(_transition_F, 0.5, 1.0)  # u = r
 
 
 class _ProfileEvaluator:
-    """Piecewise closed-form F, F', F'' for the blowup profile."""
+    """Piecewise closed-form F, F', F'' for the blowup profile: ``F`` alone,
+    or all three from ``jet``."""
 
     def __init__(self, L: float):
         self.b = math.exp(-L)
@@ -172,43 +177,36 @@ class _ProfileEvaluator:
         out[m] = _transition_F(r[m])
         return out
 
-    def dF(self, r):
+    def jet(self, r):
+        """F, F' and F'' at r, sharing the region masks and window terms."""
         r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        m = (r >= self.a) & (r < self.b)
-        q, rho = self._cap_q(r[m])
-        out[m] = -_smoothstep(rho) / q**2
-        m = (r >= self.b) & (r < 0.5)
-        out[m] = -1.0 / r[m] ** 2
-        m = (r >= 0.5) & (r < 1.0)
-        rm = r[m]
-        lg = np.log(1.0 / rm)
-        sv = _smoothstep(2.0 * (1.0 - rm))
-        dsv = _dsmoothstep(2.0 * (1.0 - rm))
-        gp = -2.0 * dsv * lg - sv / rm
-        out[m] = np.exp(sv * lg) * gp
-        return out
-
-    def d2F(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
+        F, dF, d2F = np.ones_like(r), np.zeros_like(r), np.zeros_like(r)
+        m = r < self.a
+        F[m] = 1.0 / (0.75 * self.b)
         m = (r >= self.a) & (r < self.b)
         q, rho = self._cap_q(r[m])
         qp = _smoothstep(rho)
         qpp = _dsmoothstep(rho) / (self.b - self.a)
-        out[m] = (2.0 * qp**2 - q * qpp) / q**3
+        F[m] = 1.0 / q
+        dF[m] = -qp / q**2
+        d2F[m] = (2.0 * qp**2 - q * qpp) / q**3
         m = (r >= self.b) & (r < 0.5)
-        out[m] = 2.0 / r[m] ** 3
+        rm = r[m]
+        F[m] = 1.0 / rm
+        dF[m] = -1.0 / rm**2
+        d2F[m] = 2.0 / rm**3
         m = (r >= 0.5) & (r < 1.0)
         rm = r[m]
         lg = np.log(1.0 / rm)
-        sv = _smoothstep(2.0 * (1.0 - rm))
-        dsv = _dsmoothstep(2.0 * (1.0 - rm))
-        d2sv = _d2smoothstep(2.0 * (1.0 - rm))
+        x = 2.0 * (1.0 - rm)
+        sv, dsv, d2sv = _smoothstep(x), _dsmoothstep(x), _d2smoothstep(x)
+        e = np.exp(sv * lg)
         gp = -2.0 * dsv * lg - sv / rm
         gpp = 4.0 * d2sv * lg + 4.0 * dsv / rm + sv / rm**2
-        out[m] = np.exp(sv * lg) * (gpp + gp * gp)
-        return out
+        F[m] = e
+        dF[m] = e * gp
+        d2F[m] = e * (gpp + gp * gp)
+        return F, dF, d2F
 
 
 class _ArclengthMap:
@@ -242,17 +240,31 @@ class _ArclengthMap:
         out[m] = self.t_one + (r[m] - 1.0)
         return out
 
-    def _invert_window(self, t, r, lo, hi):
-        """Safeguarded Newton solve of t_of_r(r) = t for r in [lo, hi] from the
-        starting points r; the slope dt/dr is F in closed form."""
-        r = np.clip(r, lo, hi)
+    def _cap_forward(self, r):
+        """t(r) and the slope dt/dr = F = 1/q across the cap window [a, b]."""
+        ev = self.ev
+        rho = (r - ev.a) / (ev.b - ev.a)
+        q = ev.b * (0.75 + 0.5 * _smoothstep_antiderivative(rho))
+        return self.t_a + _CAP_WINDOW.t_of_u(rho), 1.0 / q
+
+    def _transition_forward(self, r):
+        """t(r) and the slope dt/dr = F across the transition window [1/2, 1]."""
+        return self.t_half + _TRANSITION_WINDOW.t_of_u(r), _transition_F(r)
+
+    def _invert_window(self, t, r, lo, hi, forward):
+        """Safeguarded Newton solve of t(r) = t for r in [lo, hi] from the
+        starting points r.  ``forward`` is the window's own closed-form map
+        and slope, which agree with ``t_of_r`` and F bit for bit on the
+        window, its ends included, so no step reads the other regions."""
+        r = np.minimum(np.maximum(r, lo), hi)
         tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(t), 1.0)
         for _ in range(_NEWTON_MAX_ITER):
-            f = self.t_of_r(r) - t
+            t_r, slope = forward(r)
+            f = t_r - t
             lo = np.where(f < 0.0, r, lo)
             hi = np.where(f < 0.0, hi, r)
             done = np.abs(f) <= tol
-            step = r - f / self.ev.F(r)
+            step = r - f / slope
             # converged points take their last step too unless it leaves the
             # bracket: the tolerance spans several ulps of t, the step does not
             r = np.where((step > lo) & (step < hi), step, np.where(done, r, 0.5 * (lo + hi)))
@@ -272,13 +284,14 @@ class _ArclengthMap:
         m = (t >= self.t_a) & (t < self.t_b)
         if np.any(m):
             rho = _CAP_WINDOW.u_guess(t[m] - self.t_a)
-            out[m] = self._invert_window(t[m], ev.a + (ev.b - ev.a) * rho, ev.a, ev.b)
+            r0 = ev.a + (ev.b - ev.a) * rho
+            out[m] = self._invert_window(t[m], r0, ev.a, ev.b, self._cap_forward)
         m = (t >= self.t_b) & (t < self.t_half)
         out[m] = ev.b * np.exp(t[m] - self.t_b)
         m = (t >= self.t_half) & (t < self.t_one)
         if np.any(m):
             r0 = _TRANSITION_WINDOW.u_guess(t[m] - self.t_half)
-            out[m] = self._invert_window(t[m], r0, 0.5, 1.0)
+            out[m] = self._invert_window(t[m], r0, 0.5, 1.0, self._transition_forward)
         m = t >= self.t_one
         out[m] = 1.0 + (t[m] - self.t_one)
         return out
@@ -291,7 +304,8 @@ class _ArclengthMap:
 class ConformalProfile:
     """Rotationally symmetric conformal factor r -> F(r) > 0 on (0, pi].
 
-    F, dF, d2F are vectorized closed-form evaluators.  The arclength map
+    ``F`` and ``jet`` are vectorized closed-form evaluators; ``jet``
+    returns F, F' and F'' together.  The arclength map
     t(r) = int_0^r F and its inverse are exposed through the method API,
     which raises ``ValueError`` for a NaN or a value outside [0, pi] (for
     t(r)) or [0, total_arclength()] (for the inverse).  ``kink_radii`` lists
@@ -302,8 +316,7 @@ class ConformalProfile:
     n: int
     L: float
     F: Callable[[np.ndarray], np.ndarray]
-    dF: Callable[[np.ndarray], np.ndarray]
-    d2F: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     kink_radii: tuple[float, ...] = ()
     _arc: object = field(repr=False, default=None)
 
@@ -335,7 +348,7 @@ def profile_L(n: int, L: float) -> ConformalProfile:
         raise ValueError(f"nose length L must be finite and at least 1, got {L:g}")
     ev = _ProfileEvaluator(float(L))
     return ConformalProfile(
-        n=n, L=float(L), F=ev.F, dF=ev.dF, d2F=ev.d2F,
+        n=n, L=float(L), F=ev.F, jet=ev.jet,
         kink_radii=(ev.a, ev.b, 0.5, 1.0), _arc=_ArclengthMap(ev),
     )
 
@@ -362,10 +375,11 @@ def constant_profile(c: float, n: int = 3) -> ConformalProfile:
     def F(r):
         return np.full_like(np.asarray(r, dtype=float), c)
 
-    def zero(r):
-        return np.zeros_like(np.asarray(r, dtype=float))
+    def jet(r):
+        zero = np.zeros_like(np.asarray(r, dtype=float))
+        return F(r), zero, zero
 
-    return ConformalProfile(n=n, L=0.0, F=F, dF=zero, d2F=zero, _arc=_ConstantArc(c))
+    return ConformalProfile(n=n, L=0.0, F=F, jet=jet, _arc=_ConstantArc(c))
 
 
 def sphere_volume_constant(n: int) -> float:
@@ -411,21 +425,24 @@ class WarpedData:
     jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]] = field(repr=False)
 
 
+def warped_jet(profile: ConformalProfile, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h = F sin r and its arclength derivatives h' and h'' at polar distances r."""
+    (F, dF, d2F), sin, cos = profile.jet(r), np.sin(r), np.cos(r)
+    h = F * sin
+    dh = (dF * sin + F * cos) / F
+    d2h = (F * d2F * sin + F * dF * cos - F * F * sin - dF * dF * sin) / F**3
+    return h, dh, d2h
+
+
 def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedData:
     """Warped-product data of the profile metric on a grid.
 
     Polar grids are pushed forward through t(r); arclength grids are used
     as-is (nodal h obtained through the inverse map).  Each ``jet`` call
-    runs the arclength inverse once.
+    runs the arclength inverse once.  A sweep row does not go through
+    here: ``operators.intrinsic_record`` samples nodes and quadrature
+    points with one inverse of its own.
     """
-
-    def jet_of_r(r):
-        F, dF, sin = profile.F(r), profile.dF(r), np.sin(r)
-        h = F * sin
-        dh = (dF * sin + F * np.cos(r)) / F
-        d2h = (F * profile.d2F(r) * sin + F * dF * np.cos(r) - F * F * sin - dF * dF * sin) / F**3
-        return h, dh, d2h
-
     if grid.coordinate_kind == "polar":
         r_nodes = grid.nodes
         t_nodes = profile.arclength_of_r(r_nodes)
@@ -436,7 +453,7 @@ def warped_reparametrize(profile: ConformalProfile, grid: RadialGrid) -> WarpedD
         t_nodes=t_nodes,
         h=profile.F(r_nodes) * np.sin(r_nodes),
         span=profile.total_arclength(),
-        jet=lambda t: jet_of_r(profile.r_of_arclength(t)),
+        jet=lambda t: warped_jet(profile, profile.r_of_arclength(t)),
     )
 
 

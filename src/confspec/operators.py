@@ -8,9 +8,10 @@ conformal factor enters only through the f^k-weighted mass, so the same
 machinery validates against the exact round spectra.
 
 Intrinsic path.  The operator is assembled directly in the warped metric
-dt^2 + h^2 g_{S^(n-1)}, with h, h' and h'' sampled through the arclength
-inverse, the scalar curvature (n-2)/(4(n-1)) Scal(t) as the conformal
-Laplacian's curvature term and a unit mass weight.
+dt^2 + h^2 g_{S^(n-1)} on an arclength grid, with h, h' and h'' sampled
+through one arclength inverse of the nodes and sample points together,
+the scalar curvature (n-2)/(4(n-1)) Scal(t) as the conformal Laplacian's
+curvature term and a unit mass weight.
 
 Both paths sample the geometry of a row once, into one ``RowRecord``
 (``covariance_record`` or ``intrinsic_record``), and every mode of the row
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from confspec.geometry import ConformalProfile, WarpedData, warped_curvature
+from confspec.geometry import ConformalProfile, warped_curvature, warped_jet
 from confspec.grid import BandedSymmetric, RadialGrid, assemble_weak_form, quadrature_points
 
 __all__ = [
@@ -293,7 +294,9 @@ class RowRecord:
     2(m-1) points are the natural layout, so pinned and free modes read the
     same samples.  For Dirac ``h``, ``dh`` and ``weight`` sit at the cell
     midpoints, and ``h_nodes`` and ``weight_nodes`` hold h and the weight at
-    the nodes.  Fields a kind does not read are None.
+    the nodes.  An intrinsic record also keeps ``r_nodes``, the polar
+    distances of its nodes, from which a row builds the polar grid its
+    volume is read on.  Fields a kind or path does not read are None.
     """
 
     op: OperatorKind
@@ -304,6 +307,7 @@ class RowRecord:
     dh: np.ndarray | None = None
     h_nodes: np.ndarray | None = None
     weight_nodes: np.ndarray | None = None
+    r_nodes: np.ndarray | None = None
 
 
 def covariance_record(op: OperatorKind, profile: ConformalProfile, grid: RadialGrid) -> RowRecord:
@@ -328,30 +332,34 @@ def covariance_record(op: OperatorKind, profile: ConformalProfile, grid: RadialG
     )
 
 
-def intrinsic_record(op: OperatorKind, warped: WarpedData, grid: RadialGrid) -> RowRecord:
-    """Sample the warped geometry every mode of ``op`` needs, in one
-    ``WarpedData.jet`` call (one arclength inverse for a profile metric).
-    The scalar curvature enters once per row through ``potential``, and the
-    mass weight is 1."""
+def intrinsic_record(op: OperatorKind, profile: ConformalProfile, grid: RadialGrid) -> RowRecord:
+    """Sample the warped geometry of ``profile`` that every mode of ``op``
+    needs on an arclength grid over the whole profile, with one arclength
+    inverse: the nodes and the sample points (Gauss points for the
+    conformal Laplacian, cell midpoints for Dirac) are mapped to polar
+    distances together, and the nodes' images are kept as ``r_nodes``.
+    The scalar curvature enters once per row through ``potential``, and
+    the mass weight is 1."""
     if op.kind == KIND_PANEITZ:
         raise ValueError("intrinsic Paneitz assembly is not supported")
-    if len(warped.t_nodes) != len(grid.nodes):
-        raise ValueError("warped data does not match the grid")
-    if grid.coordinate_kind == "arclength":
-        work_grid = grid
-    else:
+    if grid.coordinate_kind != "arclength" or grid.span != profile.total_arclength():
         # the walls sit at 0 and the total arclength, the images of 0 and pi
-        work_grid = RadialGrid(nodes=warped.t_nodes, coordinate_kind="arclength", span=warped.span)
-    if op.kind == KIND_L:
-        n = op.n
-        h, dh, d2h = warped.jet(quadrature_points(work_grid, pinned=True))
-        potential = (n - 2) / (4.0 * (n - 1)) * warped_curvature(h, dh, d2h, n)
-        return RowRecord(op, work_grid, h, np.ones_like(h), potential=potential)
-    h, dh, _ = warped.jet(_midpoints(work_grid.nodes))
-    return RowRecord(
-        op, work_grid, h, np.ones_like(h), dh=dh,
-        h_nodes=warped.h, weight_nodes=np.ones_like(warped.h),
-    )
+        raise ValueError("intrinsic path assembles on an arclength grid over the whole profile")
+    nodes = grid.nodes
+    m = nodes.size
+    if op.kind == KIND_DIRAC:
+        r = profile.r_of_arclength(np.concatenate([nodes, _midpoints(nodes)]))
+        h, dh, _ = warped_jet(profile, r)
+        return RowRecord(
+            op, grid, h[m:], np.ones(m - 1), dh=dh[m:],
+            h_nodes=h[:m], weight_nodes=np.ones(m), r_nodes=r[:m],
+        )
+    n = op.n
+    samples = quadrature_points(grid, pinned=True)
+    r = profile.r_of_arclength(np.concatenate([nodes, samples]))
+    h, dh, d2h = warped_jet(profile, r[m:])
+    potential = (n - 2) / (4.0 * (n - 1)) * warped_curvature(h, dh, d2h, n)
+    return RowRecord(op, grid, h, np.ones(samples.size), potential=potential, r_nodes=r[:m])
 
 
 def intrinsic_assemble(record: RowRecord, mode: ModeSpec) -> AssembledOperator:

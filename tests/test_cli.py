@@ -361,6 +361,57 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, args, so
     assert not out.exists()
 
 
+def _forbid_solves(monkeypatch):
+    def no_solve(*_, **__):
+        raise AssertionError("a pencil was solved for an invalid config")
+
+    monkeypatch.setattr(eigensolve, "solve_generalized", no_solve)
+
+
+@pytest.mark.parametrize("N", ["0", "-3", "15"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("pinocchio-sweep", "--operator", "dirac", "--L", "1,2"),
+        ("convergence", "--operator", "conformal-laplacian", "--L", "1,2,3"),
+        ("convergence", "--operator", "conformal-laplacian", "--cylinder-lengths", "5,10"),
+    ],
+    ids=["sweep", "convergence", "surrogate"],
+)
+def test_node_count_below_the_grid_minimum_is_a_config_error(
+    tmp_path, capsys, monkeypatch, args, N
+):
+    # fewer than grid.MIN_NODES = 16 nodes: exit 1 before any row, never a
+    # traceback or a NaN row
+    _forbid_solves(monkeypatch)
+    out = tmp_path / "report.csv"
+    code, _, err = run(capsys, *args, "--N", N, "--out", str(out))
+    assert code == 1
+    assert err == "error: node count too small\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, lengths",
+    [("--L", "2,2,4"), ("--cylinder-lengths", "30,20,10")],
+    ids=["L", "cylinder-lengths"],
+)
+def test_convergence_rejects_lengths_not_strictly_increasing(
+    tmp_path, capsys, monkeypatch, flag, lengths
+):
+    # the law fit needs L_1 < L_2 < L_3, and the escape flag reads the last value
+    _forbid_solves(monkeypatch)
+    out = tmp_path / "conv.csv"
+    code, _, err = run(
+        capsys, "convergence", "--operator", "conformal-laplacian", flag, lengths,
+        "--N", "200", "--out", str(out),
+    )
+    assert code == 1
+    expected = [float(v) for v in lengths.split(",")]
+    assert err == f"error: {flag} must be strictly increasing, got {expected}\n"
+    assert not out.exists()
+
+
 def test_covariance_check_rejects_unordered_grid_sizes(tmp_path, capsys):
     out = tmp_path / "cc.csv"
     for grid in ("400,200", "200,200"):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from confspec import eigensolve, experiments
-from confspec.geometry import profile_L, volume, warped_reparametrize
+from confspec.geometry import profile_L, volume
 from confspec.operators import (
     conformal_laplacian,
     dirac_operator,
@@ -135,9 +135,7 @@ def test_single_point_sweep_matches_standalone_solve():
     assert row.error is None
 
     prof = profile_L(3, L)
-    grid = arclength_grid(prof, N)
-    warped = warped_reparametrize(prof, grid)
-    asm = intrinsic_assemble(intrinsic_record(op, warped, grid), make_mode(op, 0))
+    asm = intrinsic_assemble(intrinsic_record(op, prof, arclength_grid(prof, N)), make_mode(op, 0))
     lam = eigensolve.solve_generalized(asm.A, asm.B, count=1)[0].value
     assert row.lambda_1_plus == pytest.approx(lam, rel=1e-12)
 
@@ -312,22 +310,32 @@ def test_scaling_check_rejects_nonpositive():
 @pytest.mark.parametrize(
     "op", [conformal_laplacian(3), dirac_operator(2)], ids=["conformal-laplacian", "dirac"]
 )
-def test_intrinsic_row_inverts_arclength_twice(monkeypatch, op):
-    # one inverse places the grid, one samples the geometry record that every
-    # mode of the row assembles from
-    prof = profile_L(op.n, 8.0)
+def test_intrinsic_row_inverts_arclength_once(monkeypatch, op):
+    # one inverse maps the snapped arclength nodes and the record's sample
+    # points together; the row assembles on those nodes, and its volume is
+    # read on their polar images, which are the nose-resolving grid's nodes
+    L, N = 8.0, 400
+    prof = profile_L(op.n, L)
     cls = type(prof)
     inverse = cls.r_of_arclength
-    calls = []
+    calls, records = [], []
 
     def counted(self, t):
         calls.append(np.size(t))
         return inverse(self, t)
 
+    def recorded(*args):
+        records.append(intrinsic_record(*args))
+        return records[-1]
+
     monkeypatch.setattr(cls, "r_of_arclength", counted)
-    (row,) = pinocchio_sweep(op, [8.0], N=400, path="intrinsic")
+    monkeypatch.setattr(experiments, "intrinsic_record", recorded)
+    (row,) = pinocchio_sweep(op, [L], N=N, path="intrinsic")
     assert row.error is None and row.n_modes_used > 1
-    assert len(calls) <= 2
+    assert len(calls) == 1
+    (record,) = records
+    assert np.array_equal(record.grid.nodes, arclength_grid(prof, N).nodes)
+    assert row.volume == volume(prof, nose_resolving_grid(prof, N))
 
 
 @pytest.mark.parametrize(

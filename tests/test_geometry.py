@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confspec import geometry
 from confspec.experiments import nose_resolving_grid
 from confspec.geometry import (
     WarpedData,
@@ -101,10 +102,10 @@ def test_profile_derivatives_match_finite_differences():
             F = prof.F(r)
             fd1 = (F[2] - F[0]) / (2 * eps)
             fd2 = (F[2] - 2 * F[1] + F[0]) / eps**2
-            assert prof.dF(np.array([r0]))[0] == pytest.approx(fd1, rel=2e-4, abs=1e-6)
-            assert prof.d2F(np.array([r0]))[0] == pytest.approx(
-                fd2, rel=2e-2, abs=2e-2 * abs(fd2) + 1e-3
-            )
+            F0, dF, d2F = prof.jet(np.array([r0]))
+            assert F0[0] == F[1]
+            assert dF[0] == pytest.approx(fd1, rel=2e-4, abs=1e-6)
+            assert d2F[0] == pytest.approx(fd2, rel=2e-2, abs=2e-2 * abs(fd2) + 1e-3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -308,20 +309,26 @@ def test_arclength_roundtrip_inside_smoothstep_windows(L):
 
 
 def test_arclength_inverse_evaluations_are_few(monkeypatch):
+    # each window's Newton solve evaluates that window's own forward map, at
+    # most twice (the tabulated start is one step from the root), and never
+    # the piecewise map over all regions
     prof = profile_L(3, 8.0)
-    arc = type(prof._arc)
-    forward = arc.t_of_r
-    calls = []
+    window = type(geometry._CAP_WINDOW)
+    forward = window.t_of_u
+    calls = {id(geometry._CAP_WINDOW): 0, id(geometry._TRANSITION_WINDOW): 0}
 
-    def counted(self, r):
-        calls.append(len(r))
-        return forward(self, r)
+    def counted(self, u):
+        calls[id(self)] += 1
+        return forward(self, u)
 
-    monkeypatch.setattr(arc, "t_of_r", counted)
+    def piecewise(self, r):
+        raise AssertionError("the inverse evaluated the piecewise forward map")
+
+    monkeypatch.setattr(window, "t_of_u", counted)
+    monkeypatch.setattr(type(prof._arc), "t_of_r", piecewise)
     t = np.linspace(0.0, prof.total_arclength(), 20001)
     prof.r_of_arclength(t)
-    # two per window: the tabulated start is one Newton step from the root
-    assert len(calls) <= 4
+    assert all(1 <= count <= 2 for count in calls.values()), calls
 
 
 @pytest.mark.parametrize("L", [1.0, 8.0, 30.0])

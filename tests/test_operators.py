@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confspec.eigensolve import solve_generalized
-from confspec.experiments import nose_resolving_grid
-from confspec.geometry import constant_profile, profile_L, warped_reparametrize
-from confspec.grid import RadialGrid, assemble_weak_form, make_grid, quadrature_points
+from confspec.experiments import arclength_grid, nose_resolving_grid
+from confspec.geometry import constant_profile, profile_L, warped_curvature
+from confspec.grid import assemble_weak_form, make_grid, quadrature_points
 from confspec.operators import (
+    RowRecord,
     conformal_laplacian,
     covariance_record,
     covariance_reduce,
@@ -136,10 +137,11 @@ def test_constant_factor_scales_mass_only():
 
 def test_intrinsic_rejects_paneitz():
     op = paneitz_operator(5)
-    grid = make_grid("polar", 64)
-    warped = warped_reparametrize(constant_profile(1.0, 5), grid)
+    grid = make_grid("arclength", 64, length=math.pi)
     with pytest.raises(ValueError, match="intrinsic Paneitz"):
-        intrinsic_assemble(intrinsic_record(op, warped, grid), make_mode(op, 0))
+        intrinsic_assemble(
+            intrinsic_record(op, constant_profile(1.0, 5), grid), make_mode(op, 0)
+        )
 
 
 def test_paneitz_round_ladder():
@@ -189,21 +191,21 @@ def test_paneitz_bands_match_dense_product(n, ell):
 
 def test_intrinsic_round_sphere_matches_ladder():
     op = conformal_laplacian(3)
-    grid = make_grid("polar", 2000)
-    warped = warped_reparametrize(constant_profile(1.0, 3), grid)
-    asm = intrinsic_assemble(intrinsic_record(op, warped, grid), make_mode(op, 0))
+    grid = make_grid("arclength", 2000, length=math.pi)  # t = r on the unit sphere
+    asm = intrinsic_assemble(
+        intrinsic_record(op, constant_profile(1.0, 3), grid), make_mode(op, 0)
+    )
     pairs = solve_generalized(asm.A, asm.B, count=3)
     for pair, ref in zip(pairs, [0.75, 3.75, 8.75]):
         assert pair.value == pytest.approx(ref, rel=1e-3)
 
 
 def test_intrinsic_conformal_laplacian_samples_geometry_once(monkeypatch):
-    # h, h' and h'' are each taken once at the quadrature points of a mode
-    # with pinned ends; p, q, w and the curvature reuse those samples
+    # the nodes and the Gauss points of a mode with pinned ends go through
+    # one arclength inverse; p, q, w and the curvature reuse those samples
     prof = profile_L(3, 4.0)
     op = conformal_laplacian(3)
     grid = make_grid("arclength", 400, length=prof.total_arclength())
-    warped = warped_reparametrize(prof, grid)
     cls = type(prof)
     inverse = cls.r_of_arclength
     calls = []
@@ -213,34 +215,39 @@ def test_intrinsic_conformal_laplacian_samples_geometry_once(monkeypatch):
         return inverse(self, t)
 
     monkeypatch.setattr(cls, "r_of_arclength", counted)
-    asm = intrinsic_assemble(intrinsic_record(op, warped, grid), make_mode(op, 1))
-    assert len(calls) <= 3
+    record = intrinsic_record(op, prof, grid)
+    asm = intrinsic_assemble(record, make_mode(op, 1))
+    assert calls == [grid.nodes.size + quadrature_points(grid, pinned=True).size]
     assert asm.A.size == grid.nodes.size
+    assert np.array_equal(record.r_nodes, inverse(prof, grid.nodes))
 
 
-def test_intrinsic_record_on_a_polar_grid_walls_at_the_total_arclength():
-    # the last polar cell (3.0 to 3.1) is wider than the gap to pi, so a
-    # right wall mirrored from it put the wall cell's Gauss points past the
-    # end of the arclength domain
+def test_intrinsic_record_needs_an_arclength_grid_over_the_profile():
+    # the walls of the record's grid are the images of the poles: a polar
+    # grid, or an arclength grid shorter or longer than the profile, is refused
     prof = profile_L(3, 2.0)
     op = conformal_laplacian(3)
-    nodes = np.append(np.linspace(0.01, 3.0, 100), 3.1)
-    grid = RadialGrid(nodes=nodes, coordinate_kind="polar", span=math.pi)
-    record = intrinsic_record(op, warped_reparametrize(prof, grid), grid)
-    assert record.grid.span == prof.total_arclength()
+    T = prof.total_arclength()
+    for grid in (
+        make_grid("polar", 100),
+        make_grid("arclength", 100, length=0.9 * T),
+        make_grid("arclength", 100, length=1.1 * T),
+    ):
+        with pytest.raises(ValueError, match="arclength grid over the whole profile"):
+            intrinsic_record(op, prof, grid)
+    record = intrinsic_record(op, prof, make_grid("arclength", 100, length=T))
     t = quadrature_points(record.grid, pinned=True)
-    assert t.min() >= 0.0 and t.max() <= prof.total_arclength()
+    assert t.min() >= 0.0 and t.max() <= T
     for index in (0, 1):  # free ends, then pinned
         asm = intrinsic_assemble(record, make_mode(op, index))
         assert np.isfinite(asm.A.bands).all() and np.isfinite(asm.B.bands).all()
 
 
-def test_intrinsic_dirac_samples_geometry_twice(monkeypatch):
-    # h and h' at the cell midpoints; the nodal h comes from WarpedData.h
+def test_intrinsic_dirac_samples_geometry_once(monkeypatch):
+    # h at the nodes and h, h' at the cell midpoints from one inverse
     prof = profile_L(2, 4.0)
     op = dirac_operator(2)
     grid = make_grid("arclength", 400, length=prof.total_arclength())
-    warped = warped_reparametrize(prof, grid)
     cls = type(prof)
     inverse = cls.r_of_arclength
     calls = []
@@ -250,26 +257,24 @@ def test_intrinsic_dirac_samples_geometry_twice(monkeypatch):
         return inverse(self, t)
 
     monkeypatch.setattr(cls, "r_of_arclength", counted)
-    asm = intrinsic_assemble(intrinsic_record(op, warped, grid), make_mode(op, 1.5))
-    assert len(calls) <= 2
+    record = intrinsic_record(op, prof, grid)
+    asm = intrinsic_assemble(record, make_mode(op, 1.5))
+    assert calls == [2 * grid.nodes.size - 1]
     assert asm.A.size == 2 * (grid.nodes.size - 1)
+    r = inverse(prof, grid.nodes)
+    assert np.array_equal(record.h_nodes, prof.F(r) * np.sin(r))
 
 
 def test_cylinder_segment_bottom_approaches_gap():
     # h == 1 on [0, T] with pinned ends: bottom is (n-2)^2/4 + (pi/T)^2
-    from confspec.geometry import WarpedData
-
     n, op = 3, conformal_laplacian(3)
     for T in (10.0, 30.0):
         grid = make_grid("arclength", 2000, length=T)
-        warped = WarpedData(
-            t_nodes=grid.nodes,
-            h=np.ones_like(grid.nodes),
-            span=T,
-            jet=lambda t: (np.ones_like(t), np.zeros_like(t), np.zeros_like(t)),
-        )
+        ones = np.ones(quadrature_points(grid, pinned=True).size)
+        scal = warped_curvature(ones, 0.0 * ones, 0.0 * ones, n)
+        record = RowRecord(op, grid, ones, ones, potential=(n - 2) / (4.0 * (n - 1)) * scal)
         mode = make_mode(op, 1)  # ell >= 1 pins both ends; subtract angular term
-        asm = intrinsic_assemble(intrinsic_record(op, warped, grid), mode)
+        asm = intrinsic_assemble(record, mode)
         shift = mode.angular_eigenvalue  # l(l+1)/h^2 with h=1
         lam = solve_generalized(asm.A, asm.B, count=1)[0].value - shift
         assert lam == pytest.approx(0.25 + (math.pi / T) ** 2, abs=1e-4)
@@ -330,11 +335,10 @@ def test_dirac_spectral_symmetry_per_mode():
 def test_dual_path_agreement_on_blowup_metric():
     op = conformal_laplacian(3)
     prof = profile_L(3, 1.0)
-    grid = nose_grid(1.0)
-    warped = warped_reparametrize(prof, grid)
+    grid = nose_grid(1.0)  # the polar image of arclength_grid(prof, 2000)
     mode = make_mode(op, 0)
     cov = covariance_reduce(op, prof, mode, grid)
-    intr = intrinsic_assemble(intrinsic_record(op, warped, grid), mode)
+    intr = intrinsic_assemble(intrinsic_record(op, prof, arclength_grid(prof, 2000)), mode)
     ev_cov = solve_generalized(cov.A, cov.B, count=1)[0].value
     ev_int = solve_generalized(intr.A, intr.B, count=1)[0].value
     assert ev_int == pytest.approx(ev_cov, rel=1e-3)
