@@ -29,23 +29,11 @@ import scipy
 
 import confspec
 from confspec import experiments
-from confspec.operators import (
-    OperatorKind,
-    conformal_laplacian,
-    cylinder_threshold,
-    dirac_operator,
-    paneitz_operator,
-)
+from confspec.operators import OPERATORS, OperatorKind, conformal_laplacian, cylinder_threshold
 
 ENV_PREFIX = "CONFSPEC_"
-
-_OPERATORS = {
-    "conformal-laplacian": conformal_laplacian,
-    "paneitz": paneitz_operator,
-    "dirac": dirac_operator,
-}
-
-_DEFAULT_N = {"conformal-laplacian": 3, "paneitz": 5, "dirac": 2}
+# the most values a start:stop:step range may select
+MAX_RANGE_VALUES = 10_000
 
 
 class _UsageError(Exception):
@@ -81,9 +69,14 @@ def parse_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
             raise ValueError("range step must be positive")
+        too_many = f"range {text!r} selects more than {MAX_RANGE_VALUES} values"
+        if (stop - start) / step >= MAX_RANGE_VALUES:  # inf too; NaN selects none
+            raise ValueError(too_many)
         values = []
         x = start
         while x <= stop + 1e-12 * max(1.0, abs(stop)):
+            if len(values) == MAX_RANGE_VALUES:  # a step too small to move x
+                raise ValueError(too_many)
             values.append(round(x, 12))
             x += step
     else:
@@ -98,7 +91,7 @@ def parse_int_list(text: str) -> list[int]:
 
 
 def _add_operator(p: argparse.ArgumentParser):
-    p.add_argument("--operator", required=True, choices=sorted(_OPERATORS))
+    p.add_argument("--operator", required=True, choices=sorted(OPERATORS))
     # distinct dest so the CONFSPEC_N override cannot collide with --n
     p.add_argument("--n", type=int, default=None, dest="dimension", help="sphere dimension")
     p.add_argument("--out", default=None, help="CSV output path (JSON sidecar beside it)")
@@ -168,16 +161,19 @@ def _shared_parser() -> argparse.ArgumentParser:
 _BUILT_DEFAULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _apply_env_overrides(parser: argparse.ArgumentParser) -> None:
+def _apply_env_overrides(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Set each option's default to its CONFSPEC_* value when that variable
     is set and to its build-time default otherwise, so a reused parser never
-    keeps an override its environment has dropped (explicit flags win)."""
-    stack = [parser]
-    while stack:
-        p = stack.pop()
+    keeps an override its environment has dropped (explicit flags win).
+    Only the top-level parser and the subparser of the command ``argv``
+    names are set: the only ones its parse reads."""
+    command = next((a for a in argv if not a.startswith("-")), None)
+    parsers = [parser]
+    for p in parsers:
         for action in p._actions:
             if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
+                if command in action.choices:
+                    parsers.append(action.choices[command])
                 continue
             if not action.option_strings or action.dest == "help":
                 continue
@@ -190,7 +186,7 @@ def _apply_env_overrides(parser: argparse.ArgumentParser) -> None:
 
 
 def _make_operator(cfg: SimpleNamespace) -> OperatorKind:
-    return _OPERATORS[cfg.operator](cfg.n)
+    return OperatorKind(cfg.operator, cfg.n)
 
 
 def _versions() -> dict:
@@ -385,7 +381,7 @@ def _config_from_args(args: argparse.Namespace) -> SimpleNamespace:
     lists parsed and defaults filled in: what the sidecar echoes."""
     cfg = SimpleNamespace(**{_CONFIG_NAMES.get(k, k): v for k, v in vars(args).items()})
     if cfg.n is None:
-        cfg.n = _DEFAULT_N[cfg.operator]
+        cfg.n = OPERATORS[cfg.operator].n_min
     if getattr(cfg, "seed", 0) < 0:
         raise ValueError(f"--seed must be non-negative, got {cfg.seed}")
     if cfg.command == "convergence":
@@ -422,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _shared_parser()
     try:
-        _apply_env_overrides(parser)
+        _apply_env_overrides(parser, argv)
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
         _make_operator(cfg)  # dimension constraints checked up front

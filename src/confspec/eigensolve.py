@@ -505,11 +505,12 @@ def _tridiagonal(T):
     return out
 
 
-def _stebz(T, abstol, lo, hi, first, stop):
+def _bisect(T, abstol, lo=0.0, hi=0.0, first=None, stop=None):
     """dstebz bisection of the banded T, the one bisection this module runs:
-    the eigenvalues in (lo, hi], or with ``first`` the ascending numbers
-    first..stop-1 (0-based), to ``abstol``.  dstebz reads the diagonal and
-    sub-diagonal of a tridiagonal T in place; a wider T is reduced first."""
+    the eigenvalue estimates in (lo, hi], or with ``first`` and ``stop`` the
+    ascending numbers first..stop-1 (0-based), to ``abstol``.  dstebz reads
+    the diagonal and sub-diagonal of a tridiagonal T in place, leaving T as
+    it was; a wider T is reduced first."""
     T = _tridiagonal(T)
     m = T.shape[1]
     by_index = first is not None
@@ -531,18 +532,16 @@ def _stebz(T, abstol, lo, hi, first, stop):
     return w[: found.value]
 
 
-def _bisect(T, abstol, lo=0.0, hi=0.0, first=None, stop=None):
-    """Eigenvalue estimates of the banded T: those in (lo, hi], or with
-    ``first`` and ``stop`` the ascending numbers first..stop-1 (0-based).
-    T itself is left as it was.  Sturm counts do not come through here."""
-    return _stebz(T, abstol, lo, hi, first, stop)
+# Sturm counts call the same dstebz wrapper under a name of their own, which
+# keeps them apart from the value bisections that go through _bisect
+_sturm_stebz = _bisect
 
 
 def _count_at_or_below(T, x, scale):
     """Number of eigenvalues of T at or below x: a Sturm count, since a
     tolerance wider than the whole spectrum leaves dstebz nothing to bisect."""
     wide = 2.0 * scale + abs(x) + 1.0
-    return _stebz(T, wide, -wide, x, None, None).size
+    return _sturm_stebz(T, wide, -wide, x).size
 
 
 def _open_window_values(T, lo, hi, abstol, slack):

@@ -9,6 +9,7 @@ the cylinder gap (-sigma, sigma).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,9 +28,6 @@ from confspec.grid import (
     MIN_NODES, BandedSymmetric, RadialGrid, assemble_weak_form, make_grid, quadrature_points,
 )
 from confspec.operators import (
-    KIND_DIRAC,
-    KIND_L,
-    KIND_PANEITZ,
     ModeSpec,
     OperatorKind,
     RowRecord,
@@ -37,8 +35,8 @@ from confspec.operators import (
     cylinder_threshold,
     intrinsic_assemble,
     intrinsic_record,
-    make_mode,
-    paneitz_constants,
+    mode_groups,
+    sphere_level,
 )
 
 __all__ = [
@@ -150,13 +148,10 @@ def resolve_path(op: OperatorKind, L: float, path: str) -> str:
     if not (math.isfinite(L) and L >= 1.0):
         raise ValueError(f"nose length L must be finite and at least 1, got {L:g}")
     if path == "auto":
-        if op.kind == KIND_PANEITZ:
-            path = "covariance"
-        else:
-            path = "intrinsic" if L > 4.0 else "covariance"
+        path = "intrinsic" if op.intrinsic and L > 4.0 else "covariance"
     if path == "intrinsic":
-        if op.kind == KIND_PANEITZ:
-            raise ValueError("intrinsic Paneitz assembly is not supported")
+        if not op.intrinsic:
+            raise ValueError(f"intrinsic {op.label} assembly is not supported")
         if L > INTRINSIC_L_LIMIT:
             raise ValueError(f"intrinsic path is limited to L <= {INTRINSIC_L_LIMIT}")
     elif path == "covariance":
@@ -173,10 +168,10 @@ def resolve_path(op: OperatorKind, L: float, path: str) -> str:
 def _snap_to_kinks(t: np.ndarray, profile: ConformalProfile) -> np.ndarray:
     """Move the nearest node onto each arclength position where the profile
     is only C2, so no quadrature cell straddles a derivative jump."""
-    if not profile.kink_radii:
+    if not profile.kink_arclengths:
         return t
     t = t.copy()
-    for tk in profile.arclength_of_r(np.asarray(profile.kink_radii)):
+    for tk in profile.kink_arclengths:
         if t[0] < tk < t[-1]:
             t[int(np.argmin(np.abs(t - tk)))] = tk
     # np.unique would import numpy.ma (about 30 ms) inside the first row
@@ -216,19 +211,6 @@ def nose_resolving_grid(
     return RadialGrid(nodes=nodes, coordinate_kind="polar", span=math.pi)
 
 
-def _mode_indices(op: OperatorKind):
-    if op.kind == KIND_DIRAC:
-        k = 0.5
-        while True:
-            yield (k, -k)
-            k += 1.0
-    else:
-        ell = 0
-        while True:
-            yield (float(ell),)
-            ell += 1
-
-
 def _collect_modes(
     op: OperatorKind, record: RowRecord, bar: float, seed: int, lowest: int | None = None
 ) -> tuple[list[tuple[ModeSpec, list[EigenPair]]], int]:
@@ -243,10 +225,9 @@ def _collect_modes(
     ``record``, on either path."""
     per_mode = []
     n_modes = 0
-    for group in _mode_indices(op):
+    for group in mode_groups(op):
         bottom = math.inf
-        for index in group:
-            mode = make_mode(op, index)
+        for mode in group:
             assembled = intrinsic_assemble(record, mode)
             pairs = eigensolve.solve_generalized(
                 assembled.A, assembled.B, window=(-bar, bar), seed=seed, lowest=lowest
@@ -351,30 +332,15 @@ def _sphere_ladder(
     checked level, and the truncation bar halfway between the top checked
     level and the next one.
 
-    Scalar operators: levels j = 0..min(7, ell_max) of total degree j, with
-    mu_j = j(j + n - 1) on C(n+j, n) - C(n+j-2, n) harmonics and value
-    mu_j + n(n-2)/4 (conformal Laplacian) or mu_j^2 + a mu_j + (n-4)/2 Q
-    (Paneitz).  Dirac: +-(n/2 + m) for m = 0..min(5, ell_max), each sign with
-    multiplicity 2^floor(n/2) C(n+m-1, m)."""
-    n = op.n
-    dirac = op.kind == KIND_DIRAC
-    top = min(5 if dirac else 7, ell_max)
-    levels = []
-    for j in range(top + 2):
-        if dirac:
-            levels.append((n / 2.0 + j, 2 ** (n // 2) * math.comb(n + j - 1, j)))
-            continue
-        mu = j * (j + n - 1)
-        if op.kind == KIND_L:
-            value = mu + n * (n - 2) / 4.0
-        else:
-            a, q_const = paneitz_constants(n)
-            value = mu * mu + a * mu + (n - 4) / 2.0 * q_const
-        levels.append((value, math.comb(n + j, n) - math.comb(n + j - 2, n)))
+    The levels are ``sphere_level``'s: j = 0..min(7, ell_max) for a scalar
+    kind, and for a spinor kind both signs of m = 0..min(5, ell_max)."""
+    spinor = op.spinor
+    top = min(5 if spinor else 7, ell_max)
+    levels = [sphere_level(op, j) for j in range(top + 2)]
     rows = [
-        (f"dirac m={j} sign={sign}" if dirac else f"{op.kind} j={j}", sign * value, mult)
+        (f"{op.kind} m={j} sign={sign}" if spinor else f"{op.kind} j={j}", sign * value, mult)
         for j, (value, mult) in enumerate(levels[:-1])
-        for sign in ((1, -1) if dirac else (1,))
+        for sign in ((1, -1) if spinor else (1,))
     ]
     return rows, 0.5 * (levels[top][0] + levels[top + 1][0])
 
@@ -507,7 +473,7 @@ def convergence_study(
     if path == "auto":
         # one discretization for the whole trajectory, so successive
         # differences see a consistent O(h^2) bias
-        path = "covariance" if op.kind == KIND_PANEITZ else "intrinsic"
+        path = "intrinsic" if op.intrinsic else "covariance"
     sigma = cylinder_threshold(op)
     ceiling = 2.0 * sigma * j
     plus: list[float] = []
@@ -557,17 +523,6 @@ def cylinder_surrogate_study(
 # dual-path cross-check and exact scaling
 
 
-def _crosscheck_modes(op: OperatorKind):
-    if op.kind == KIND_DIRAC:
-        return (0.5, -0.5)
-    return (0.0, 1.0)
-
-
-# eigenvalues compared per mode; Dirac compares an even number so that its
-# near-symmetric +- pairs stay balanced across paths
-_CROSSCHECK_COUNT = {KIND_L: 3, KIND_DIRAC: 4}
-
-
 def covariance_crosscheck(
     op: OperatorKind, L: float, N_grid: list[int], seed: int = 0
 ) -> list[CrosscheckRow]:
@@ -576,11 +531,15 @@ def covariance_crosscheck(
     L = 0 checks the round sphere.  A row's ratio is the previous discrepancy
     over its own: inf when only its own is 0, nan on the first row or when
     both are 0."""
-    if op.kind == KIND_PANEITZ:
-        raise ValueError("cross-check needs both paths; Paneitz has only one")
+    if not op.intrinsic:
+        raise ValueError(f"cross-check needs both paths; the {op.label} has only one")
     if any(b <= a for a, b in zip(N_grid, N_grid[1:])):
         raise ValueError(f"N grid must be strictly increasing, got {list(N_grid)}")
-    count = _CROSSCHECK_COUNT[op.kind]
+    # the two lowest modes (l = 0 and 1, or k = +-1/2); a spinor mode
+    # compares an even number of eigenvalues so that its near-symmetric
+    # +- pairs stay balanced across paths
+    modes = list(itertools.islice(itertools.chain.from_iterable(mode_groups(op)), 2))
+    count = 4 if op.spinor else 3
     if L == 0.0:
         profile = constant_profile(1.0, op.n)
     else:
@@ -602,8 +561,7 @@ def covariance_crosscheck(
         cov_record = covariance_record(op, profile, cov_grid)
         int_record = intrinsic_record(op, profile, int_grid)
         worst = 0.0
-        for index in _crosscheck_modes(op):
-            mode = make_mode(op, index)
+        for mode in modes:
             cov = intrinsic_assemble(cov_record, mode)
             intr = intrinsic_assemble(int_record, mode)
             ev_cov = eigensolve.solve_generalized(cov.A, cov.B, count=count, seed=seed)
@@ -623,8 +581,9 @@ def covariance_crosscheck(
 
 # The scaling law holds at any resolution; the grid size only sets how much
 # double-precision solver noise enters the comparison, and the squared
-# fourth-order pencil accumulates it like N^4, so the Paneitz grid stays small.
-_SCALING_CHECK_N = {KIND_L: 600, KIND_PANEITZ: 32, KIND_DIRAC: 600}
+# fourth-order pencil accumulates it like N^4, so its grid stays small.  Keyed
+# by operator order.
+_SCALING_CHECK_N = {1: 600, 2: 600, 4: 32}
 
 
 def scaling_check(op: OperatorKind, c: float, seed: int = 0) -> ScalingReport:
@@ -635,31 +594,30 @@ def scaling_check(op: OperatorKind, c: float, seed: int = 0) -> ScalingReport:
     """
     if c <= 0.0:
         raise ValueError("scaling factor must be positive")
-    N = _SCALING_CHECK_N[op.kind]
+    N = _SCALING_CHECK_N[op.order]
     k = op.order
-    index = 0.5 if op.kind == KIND_DIRAC else 0.0
-    mode = make_mode(op, index)
+    mode = next(mode_groups(op))[0]
     grid = make_grid("polar", N)
     one = constant_profile(1.0, op.n)
     base = intrinsic_assemble(covariance_record(op, one, grid), mode)
     count = 4
     ev_base = eigensolve.solve_generalized(base.A, base.B, count=count, seed=seed)
 
+    def scaling_error(pairs):
+        """Worst relative departure of ``pairs`` from c^-k times the base."""
+        return max(
+            abs(s.value - b.value * c**-k) / abs(b.value) / c**-k
+            for s, b in zip(pairs, ev_base)
+            if b.value != 0.0
+        )
+
     scaled_mass = base.B.scaled(c**k)
     ev_scaled = eigensolve.solve_generalized(base.A, scaled_mass, count=count, seed=seed)
-    eig_rel_err = max(
-        abs(s.value - b.value * c**-k) / abs(b.value) / c**-k
-        for s, b in zip(ev_scaled, ev_base)
-        if b.value != 0.0
-    )
+    eig_rel_err = scaling_error(ev_scaled)
 
     pointwise = intrinsic_assemble(covariance_record(op, constant_profile(c, op.n), grid), mode)
     ev_point = eigensolve.solve_generalized(pointwise.A, pointwise.B, count=count, seed=seed)
-    pointwise_rel_err = max(
-        abs(s.value - b.value * c**-k) / abs(b.value) / c**-k
-        for s, b in zip(ev_point, ev_base)
-        if b.value != 0.0
-    )
+    pointwise_rel_err = scaling_error(ev_point)
 
     lam_base = next(p.value for p in ev_base if p.value > 0)
     lam_scaled = next(p.value for p in ev_scaled if p.value > 0)

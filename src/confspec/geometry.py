@@ -308,16 +308,17 @@ class ConformalProfile:
     returns F, F' and F'' together.  The arclength map
     t(r) = int_0^r F and its inverse are exposed through the method API,
     which raises ``ValueError`` for a NaN or a value outside [0, pi] (for
-    t(r)) or [0, total_arclength()] (for the inverse).  ``kink_radii`` lists
-    the radii where F is only C2 (region boundaries); quadrature grids
-    should place nodes there so no cell straddles a derivative jump.
+    t(r)) or [0, total_arclength()] (for the inverse).
+    ``kink_arclengths`` lists the arclengths where F is only C2 (the images
+    of the region boundaries); quadrature grids should place nodes there so
+    no cell straddles a derivative jump.
     """
 
     n: int
     L: float
     F: Callable[[np.ndarray], np.ndarray]
     jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    kink_radii: tuple[float, ...] = ()
+    kink_arclengths: tuple[float, ...] = ()
     _arc: object = field(repr=False, default=None)
 
     def arclength_of_r(self, r):
@@ -347,9 +348,11 @@ def profile_L(n: int, L: float) -> ConformalProfile:
     if not (math.isfinite(L) and L >= 1.0):
         raise ValueError(f"nose length L must be finite and at least 1, got {L:g}")
     ev = _ProfileEvaluator(float(L))
+    arc = _ArclengthMap(ev)
+    # t(r) at the radii a, b, 1/2 and 1, bit for bit
     return ConformalProfile(
         n=n, L=float(L), F=ev.F, jet=ev.jet,
-        kink_radii=(ev.a, ev.b, 0.5, 1.0), _arc=_ArclengthMap(ev),
+        kink_arclengths=(arc.t_a, arc.t_b, arc.t_half, arc.t_one), _arc=arc,
     )
 
 

@@ -1,5 +1,14 @@
 """The three conformally covariant operators, assembled per angular mode.
 
+Every fact about an operator kind apart from its assembly sits in one
+frozen table, ``OPERATORS``: its order, the dimensions it supports (the
+smallest is what the CLI's ``--n`` defaults to: 3 for the conformal
+Laplacian, 5 for Paneitz, 2 for Dirac), its cylinder bottom sigma, its
+round-sphere levels, whether its modes are spinor modes and whether it has
+an intrinsic path.  ``OperatorKind`` reads its properties there, the mode
+groups a row solves come from ``mode_groups``, and the experiments and the
+CLI branch on these, never on a kind's name.
+
 Covariance path.  A conformal rescaling g -> f^2 g conjugates an operator of
 order k by powers of f: u is an eigensection for f^2 g with eigenvalue lam
 iff w = f^((n-k)/2) u solves P_round w = lam f^k w.  The operator is the
@@ -45,8 +54,11 @@ banded standard problem.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,6 +66,8 @@ from confspec.geometry import ConformalProfile, warped_curvature, warped_jet
 from confspec.grid import BandedSymmetric, RadialGrid, assemble_weak_form, quadrature_points
 
 __all__ = [
+    "OPERATORS",
+    "KindFacts",
     "OperatorKind",
     "ModeSpec",
     "AssembledOperator",
@@ -61,9 +75,11 @@ __all__ = [
     "paneitz_operator",
     "dirac_operator",
     "cylinder_threshold",
+    "sphere_level",
     "paneitz_constants",
     "mode_multiplicity",
     "make_mode",
+    "mode_groups",
     "covariance_reduce",
     "RowRecord",
     "covariance_record",
@@ -75,29 +91,92 @@ KIND_L = "conformal-laplacian"
 KIND_PANEITZ = "paneitz"
 KIND_DIRAC = "dirac"
 
-_ORDERS = {KIND_L: 2, KIND_PANEITZ: 4, KIND_DIRAC: 1}
+
+class KindFacts(NamedTuple):
+    """What the lab knows of one operator kind apart from its assembly: a
+    row of ``OPERATORS``.  A named tuple, not a dataclass, because it is
+    about 1 ms cheaper to build at import."""
+
+    label: str  # the kind's name in messages
+    order: int
+    n_min: int  # the smallest supported dimension, the CLI's default --n
+    n_max: float  # the largest, inf when every n >= n_min is supported
+    sigma: Callable[[int], float]  # bottom of the cylinder spectrum at n
+    level: Callable[[int, int], tuple[float, int]]  # level j of the round S^n
+    spinor: bool  # half-integer Fourier modes in +-k pairs, not harmonics
+    intrinsic: bool  # assembles on the intrinsic path too
+
+
+def _harmonics(n: int, j: int) -> int:
+    """Dimension of the degree-j spherical harmonics on S^n."""
+    return math.comb(n + j, n) - (math.comb(n + j - 2, n) if j >= 2 else 0)
+
+
+def _paneitz_level(n: int, j: int) -> tuple[float, int]:
+    a, q_const = paneitz_constants(n)
+    mu = j * (j + n - 1)
+    return mu * mu + a * mu + (n - 4) / 2.0 * q_const, _harmonics(n, j)
+
+
+# The cylinder bottoms are those of S^(n-1) x R.  For Paneitz the l = 0
+# symbol at frequency xi is (xi^2 + n^2/4)(xi^2 + (n-4)^2/4), whose
+# coefficients are all positive, so the bottom sits at xi = 0:
+# n^2 (n-4)^2 / 16, which is (n-4)/2 times the cylinder's Q-curvature
+# n^2 (n-4)/8.  Round S^n levels: mu_j = j(j + n - 1) plus n(n-2)/4, or
+# mu_j^2 + a mu_j + (n-4)/2 Q for Paneitz, on the degree-j harmonics; Dirac
+# +-(n/2 + j), each sign with multiplicity 2^floor(n/2) C(n+j-1, j).
+OPERATORS = MappingProxyType({
+    KIND_L: KindFacts(
+        "conformal Laplacian", order=2, n_min=3, n_max=math.inf,
+        sigma=lambda n: (n - 2) ** 2 / 4.0, spinor=False, intrinsic=True,
+        level=lambda n, j: (j * (j + n - 1) + n * (n - 2) / 4.0, _harmonics(n, j)),
+    ),
+    KIND_PANEITZ: KindFacts(
+        "Paneitz operator", order=4, n_min=5, n_max=math.inf,
+        sigma=lambda n: n**2 * (n - 4) ** 2 / 16.0, spinor=False, intrinsic=False,
+        level=_paneitz_level,
+    ),
+    KIND_DIRAC: KindFacts(
+        "Dirac operator", order=1, n_min=2, n_max=2,
+        sigma=lambda n: (n - 1) / 2.0, spinor=True, intrinsic=True,
+        level=lambda n, j: (n / 2.0 + j, 2 ** (n // 2) * math.comb(n + j - 1, j)),
+    ),
+})
 
 
 @dataclass(frozen=True)
 class OperatorKind:
-    """One of the implemented conformally covariant operators on S^n."""
+    """One of the implemented conformally covariant operators on S^n; its
+    facts are read from ``OPERATORS``."""
 
     kind: str
     n: int
 
     def __post_init__(self):
-        if self.kind not in _ORDERS:
+        facts = OPERATORS.get(self.kind)
+        if facts is None:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind == KIND_L and self.n < 3:
-            raise ValueError("conformal Laplacian requires dimension n >= 3")
-        if self.kind == KIND_PANEITZ and self.n < 5:
-            raise ValueError("Paneitz operator requires dimension n >= 5")
-        if self.kind == KIND_DIRAC and self.n != 2:
-            raise ValueError("Dirac operator is implemented for n = 2 only")
+        if not facts.n_min <= self.n <= facts.n_max:
+            span = "=" if facts.n_max == facts.n_min else ">="
+            raise ValueError(f"{facts.label} requires dimension n {span} {facts.n_min}")
 
     @property
     def order(self) -> int:
-        return _ORDERS[self.kind]
+        return OPERATORS[self.kind].order
+
+    @property
+    def label(self) -> str:
+        return OPERATORS[self.kind].label
+
+    @property
+    def spinor(self) -> bool:
+        """Whether the angular modes are half-integer spinor modes."""
+        return OPERATORS[self.kind].spinor
+
+    @property
+    def intrinsic(self) -> bool:
+        """Whether the intrinsic path can assemble this kind."""
+        return OPERATORS[self.kind].intrinsic
 
 
 def conformal_laplacian(n: int) -> OperatorKind:
@@ -113,18 +192,14 @@ def dirac_operator(n: int = 2) -> OperatorKind:
 
 
 def cylinder_threshold(op: OperatorKind) -> float:
-    """Bottom of the absolute spectrum on the standard cylinder S^(n-1) x R.
+    """Bottom of the absolute spectrum on the standard cylinder S^(n-1) x R."""
+    return OPERATORS[op.kind].sigma(op.n)
 
-    For Paneitz the l = 0 symbol at frequency xi is
-    (xi^2 + n^2/4)(xi^2 + (n-4)^2/4), whose coefficients are all positive,
-    so the bottom sits at xi = 0: n^2 (n-4)^2 / 16, which is (n-4)/2 times
-    the cylinder's Q-curvature n^2 (n-4)/8."""
-    n = op.n
-    if op.kind == KIND_L:
-        return (n - 2) ** 2 / 4.0
-    if op.kind == KIND_PANEITZ:
-        return n**2 * (n - 4) ** 2 / 16.0
-    return (n - 1) / 2.0
+
+def sphere_level(op: OperatorKind, j: int) -> tuple[float, int]:
+    """Level j = 0, 1, ... of the round S^n spectrum, as its value and its
+    multiplicity (for a spinor kind, that of each sign)."""
+    return OPERATORS[op.kind].level(op.n, j)
 
 
 def paneitz_constants(n: int) -> tuple[float, float]:
@@ -160,29 +235,30 @@ class ModeSpec:
 
 def mode_multiplicity(op: OperatorKind, index: float) -> int:
     """Multiplicity an eigenvalue of this radial mode carries globally."""
-    n = op.n
-    if op.kind == KIND_DIRAC:
+    if op.spinor:
         if float(2 * index) != int(2 * index) or int(2 * index) % 2 == 0:
-            raise ValueError("Dirac modes are half-integers")
+            raise ValueError("spinor modes are half-integers")
         return 1
     ell = int(index)
     if ell != index or ell < 0:
         raise ValueError("harmonic degree must be a nonnegative integer")
-    # dim of degree-l spherical harmonics on S^(n-1)
-    if ell == 0:
-        return 1
-    if ell == 1:
-        return n
-    return math.comb(n + ell - 1, ell) - math.comb(n + ell - 3, ell - 2)
+    return _harmonics(op.n - 1, ell)
 
 
 def make_mode(op: OperatorKind, index: float) -> ModeSpec:
     mult = mode_multiplicity(op, index)
-    if op.kind == KIND_DIRAC:
-        angular = float(index)
-    else:
-        angular = float(index * (index + op.n - 2))
+    angular = float(index if op.spinor else index * (index + op.n - 2))
     return ModeSpec(index=float(index), angular_eigenvalue=angular, multiplicity=mult)
+
+
+def mode_groups(op: OperatorKind):
+    """The angular modes of ``op`` in the order a row solves them, in groups
+    whose common bottom decides whether higher modes still matter: each
+    harmonic degree l = 0, 1, ... alone, each spinor pair +-k for
+    k = 1/2, 3/2, ... together."""
+    for j in itertools.count():
+        indices = (j + 0.5, -(j + 0.5)) if op.spinor else (float(j),)
+        yield tuple(make_mode(op, index) for index in indices)
 
 
 @dataclass(frozen=True)
@@ -318,7 +394,7 @@ def covariance_record(op: OperatorKind, profile: ConformalProfile, grid: RadialG
     Dirac at the cell midpoints and the nodes."""
     if grid.coordinate_kind != "polar":
         raise ValueError("covariance path assembles on a polar grid")
-    if op.kind == KIND_DIRAC:
+    if op.spinor:
         # k = 1, so the mass weight is F itself
         r = _midpoints(grid.nodes)
         return RowRecord(
@@ -340,14 +416,14 @@ def intrinsic_record(op: OperatorKind, profile: ConformalProfile, grid: RadialGr
     distances together, and the nodes' images are kept as ``r_nodes``.
     The scalar curvature enters once per row through ``potential``, and
     the mass weight is 1."""
-    if op.kind == KIND_PANEITZ:
-        raise ValueError("intrinsic Paneitz assembly is not supported")
+    if not op.intrinsic:
+        raise ValueError(f"intrinsic {op.label} assembly is not supported")
     if grid.coordinate_kind != "arclength" or grid.span != profile.total_arclength():
         # the walls sit at 0 and the total arclength, the images of 0 and pi
         raise ValueError("intrinsic path assembles on an arclength grid over the whole profile")
     nodes = grid.nodes
     m = nodes.size
-    if op.kind == KIND_DIRAC:
+    if op.spinor:
         r = profile.r_of_arclength(np.concatenate([nodes, _midpoints(nodes)]))
         h, dh, _ = warped_jet(profile, r)
         return RowRecord(
@@ -375,7 +451,7 @@ def intrinsic_assemble(record: RowRecord, mode: ModeSpec) -> AssembledOperator:
     is the staggered system with the record's weights.
     """
     op, grid = record.op, record.grid
-    if op.kind == KIND_DIRAC:
+    if op.spinor:
         A, B = _dirac_staggered(
             grid.nodes, record.h_nodes, record.h, record.dh, mode.index,
             record.weight_nodes, record.weight,

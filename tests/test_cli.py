@@ -22,6 +22,31 @@ def test_range_syntax():
         parse_range("1:2:3:4")
 
 
+@pytest.mark.parametrize("text", ["1:1e6:1e-6", "1:inf:1", "-inf:1:1", "1e6:1e6:1e-12"])
+def test_range_selecting_too_many_values_is_refused(text):
+    # the last step is too small to move 1e6 at all
+    with pytest.raises(ValueError, match="more than"):
+        parse_range(text)
+
+
+def test_range_with_too_many_values_exits_one(capsys):
+    code, _, err = run(
+        capsys, "pinocchio-sweep", "--operator", "conformal-laplacian", "--L", "1:1e6:1e-6"
+    )
+    assert code == 1
+    assert "selects more than" in err
+
+
+@pytest.mark.parametrize(
+    "operator, sigma", [("conformal-laplacian", "0.25"), ("paneitz", "1.5625"), ("dirac", "0.5")]
+)
+def test_dimension_defaults_to_the_smallest_supported(capsys, operator, sigma):
+    # n = 3, 5 and 2
+    code, out, _ = run(capsys, "cylinder-thresholds", "--operator", operator)
+    assert code == 0
+    assert out.splitlines()[0] == f"sigma,{sigma}"
+
+
 def test_cylinder_thresholds_stdout(capsys):
     code, out, _ = run(capsys, "cylinder-thresholds", "--operator", "conformal-laplacian", "--n", "3")
     assert code == 0

@@ -976,6 +976,16 @@ def test_lowest_excludes_an_eigenvalue_on_hi(mass, k):
     assert values == pytest.approx([-0.5, 0.5], abs=1e-12)
 
 
+def test_lowest_keeps_the_lowest_of_an_unsplit_cluster():
+    # 2 and 2 + 1e-10 sit closer than the bisection tolerance, so halving the
+    # window stops with three values below its top; the lowest two are kept
+    diag = np.array([1.0, 2.0, 2.0 + 1e-10, 5.0, 7.0])
+    A = BandedSymmetric.from_tridiagonal(diag, np.zeros(diag.size - 1))
+    B = BandedSymmetric.from_diagonal(np.ones(diag.size))
+    values = [p.value for p in solve_generalized(A, B, window=(-10.0, 10.0), lowest=2)]
+    assert values == pytest.approx([1.0, 2.0], abs=1e-12)
+
+
 def test_lowest_needs_a_window_solve():
     A, B = diagonal_mass_pencil(np.random.default_rng(3), 50)
     with pytest.raises(ValueError, match="lowest applies"):

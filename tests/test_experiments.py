@@ -190,6 +190,15 @@ def test_sweep_row_without_positive_eigenvalue_names_the_cause(monkeypatch):
     assert math.isnan(row.invariant)
 
 
+def test_paneitz_sweep_row_finds_a_bottom_above_twice_sigma():
+    # at L = 1 the Paneitz bottom (4.449 at N = 200) lies above the sweep's
+    # ceiling 2 sigma = 3.125 but below its truncation bar, 1.5 times that
+    (row,) = pinocchio_sweep(paneitz_operator(5), [1.0], N=200)
+    assert row.error is None
+    assert row.lambda_1_plus == pytest.approx(4.449, abs=1e-3)
+    assert math.isfinite(row.invariant)
+
+
 def test_convergence_constant_ladder_has_zero_differences():
     report = convergence_study(conformal_laplacian(3), 1, [1.0, 1.0, 1.0], N=400)
     (traj,) = report.trajectories

@@ -232,6 +232,15 @@ def test_arclength_maps_reject_points_outside_their_domain(prof, bad):
     assert ends[0] == 0.0 and ends[1] == pytest.approx(math.pi, rel=1e-14)
 
 
+@pytest.mark.parametrize("L", [1.0, 2.5, 4.0, 8.0, 17.3, 30.0])
+def test_kink_arclengths_are_the_forward_map_at_the_kinks(L):
+    prof = profile_L(3, L)
+    b = math.exp(-L)
+    kinks = prof.arclength_of_r(np.array([0.5 * b, b, 0.5, 1.0]))
+    assert prof.kink_arclengths == tuple(kinks)  # bit for bit
+    assert constant_profile(2.0).kink_arclengths == ()
+
+
 def test_arclength_derivative_is_profile():
     prof = profile_L(2, 2.5)
     r = np.array([0.01, 0.04, 0.1, 0.3, 0.6, 0.9, 1.5, 3.0])

@@ -9,6 +9,8 @@ from confspec.experiments import arclength_grid, nose_resolving_grid
 from confspec.geometry import constant_profile, profile_L, warped_curvature
 from confspec.grid import assemble_weak_form, make_grid, quadrature_points
 from confspec.operators import (
+    OPERATORS,
+    OperatorKind,
     RowRecord,
     conformal_laplacian,
     covariance_record,
@@ -18,6 +20,7 @@ from confspec.operators import (
     intrinsic_assemble,
     intrinsic_record,
     make_mode,
+    mode_groups,
     mode_multiplicity,
     paneitz_constants,
     paneitz_operator,
@@ -43,6 +46,25 @@ def test_dimension_constraints():
     assert conformal_laplacian(3).order == 2
     assert paneitz_operator(5).order == 4
     assert dirac_operator(2).order == 1
+
+
+@pytest.mark.parametrize("kind", sorted(OPERATORS))
+def test_every_table_row_starts_at_its_smallest_dimension(kind):
+    facts = OPERATORS[kind]
+    op = OperatorKind(kind, facts.n_min)
+    assert (op.order, op.spinor, op.intrinsic) == (facts.order, facts.spinor, facts.intrinsic)
+    with pytest.raises(ValueError, match=f"n [>]?= {facts.n_min}"):
+        OperatorKind(kind, facts.n_min - 1)
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        OperatorKind("laplacian", 3)
+
+
+def test_mode_groups_open_with_the_lowest_modes():
+    groups = mode_groups(conformal_laplacian(4))
+    assert [[m.index for m in next(groups)] for _ in range(3)] == [[0.0], [1.0], [2.0]]
+    assert next(mode_groups(paneitz_operator(5))) == (make_mode(paneitz_operator(5), 0),)
+    groups = mode_groups(dirac_operator(2))
+    assert [[m.index for m in next(groups)] for _ in range(2)] == [[0.5, -0.5], [1.5, -1.5]]
 
 
 def test_cylinder_thresholds_closed_form():
