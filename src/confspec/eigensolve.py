@@ -14,28 +14,32 @@ array.  A Sturm count is a dstebz call whose tolerance is wider than the
 spectrum.
 
 Window solve (``count`` left out, B diagonal): every pair strictly inside a
-value window.  This is the route of the radial operators, whose mass is
-lumped.  Bisection counts the eigenvalues inside the window exactly, by
-Sturm counts at its ends, but locates each one only to ``_WINDOW_ABSTOL``
-times the window's half-width: those values are shifts for inverse
-iteration, and the values returned are the Rayleigh quotients of its
-vectors.  With ``lowest`` = k only the k lowest above the kernel threshold
-are wanted: Sturm counts at the threshold and at the top end size the
-window, an empty one ends the solve without bisection, and a fuller one is
-halved by value until it holds exactly k, which are then bisected.  A
-chiral pencil (tridiagonal A with a zero diagonal, the interleaved Dirac
-mode system) has a spectrum symmetric about 0, pair by pair: (lam, x) and
-(-lam, S x) with S = diag((-1)^i).  For it and a symmetric window only the
-positive half is bisected and inverse-iterated and the negative half is
-mirrored, unless its sub-diagonal shows a zero eigenvalue, which has no
-mirror; then the whole window is solved.
+value window (lo, hi).  This is the route of the radial operators, whose
+mass is lumped.  Bisection counts the eigenvalues inside the window
+exactly, by Sturm counts at its ends, but locates each one only to
+``_WINDOW_ABSTOL`` times the window's half-width: those values are shifts
+for inverse iteration, and the values returned are the Rayleigh quotients
+of its vectors.  Every count and bisection of the window stops at the top
+end nextafter(hi, -inf): dstebz takes the half-open (vl, vu], so that end
+alone leaves out an eigenvalue on hi.  With ``lowest`` = k only the k
+lowest above the kernel threshold are wanted: Sturm counts at the threshold
+and at the top end size the window, an empty one ends the solve without
+bisection, and a fuller one is halved by value until it holds exactly k,
+which are then bisected.  A chiral pencil (tridiagonal A with a zero
+diagonal, the interleaved Dirac mode system) has a spectrum symmetric about
+0, pair by pair: (lam, x) and (-lam, S x) with S = diag((-1)^i).  For it and
+a symmetric window only the positive half is bisected and inverse-iterated
+and the negative half is mirrored, unless its sub-diagonal shows a zero
+eigenvalue, which has no mirror; then the whole window is solved.
 
 Count solve (``count`` given, any banded B): the ``count`` eigenvalues
 nearest a window (default: nearest 0).  A Sturm count at each window end
 brackets the candidates' index block, dstebz locates just those, and the
 nearest ``count`` are inverse-iterated.  ``method`` "auto" and
 "dense" both name this route.  ARPACK runs only when named: shift-invert
-Lanczos (``method="iterative"``, any m) makes one ARPACK call on the
+Lanczos (``method="iterative"``, any m, and ``count`` < m - 1 as ARPACK
+requires; a larger count is a ``ValueError``, never a quiet switch to
+bisection) makes one ARPACK call on the
 standard symmetric operator L^T (A - sigma B)^-1 L, with B = L L^T the
 Cholesky factor every solve computes, the banded LU of A - sigma B that
 inverse iteration uses and a deterministically seeded start vector; a
@@ -486,15 +490,13 @@ def _reduced_standard(A, B):
 def _tridiagonal(T):
     """A symmetric tridiagonal matrix with the eigenvalues of the banded T,
     as a C-ordered (2, m) lower band storage: diagonal, then sub-diagonal.
-    A tridiagonal T is returned as it stands; a wider one is reduced by
-    dsbtrd (no transformation accumulated), as dsbevx reduces it."""
+    A tridiagonal T is returned as it stands; any other is reduced by dsbtrd
+    (no transformation accumulated), as dsbevx reduces it, which copies a
+    diagonal T with a zero sub-diagonal."""
     kd, m = T.shape[0] - 1, T.shape[1]
     if kd == 1:
         return np.ascontiguousarray(T)
     out = np.zeros((2, m))
-    if kd == 0:
-        out[0] = T[0]
-        return out
     ab = np.array(T, order="F")  # dsbtrd overwrites its band
     work = np.empty(m)
     n, bw, ld, info = ctypes.c_int(m), ctypes.c_int(kd), ctypes.c_int(kd + 1), ctypes.c_int(0)
@@ -544,47 +546,29 @@ def _count_at_or_below(T, x, scale):
     return _sturm_stebz(T, wide, -wide, x).size
 
 
-def _open_window_values(T, lo, hi, abstol, slack):
-    """Eigenvalue estimates of the banded T strictly inside (lo, hi).
-
-    The Sturm count at hi includes an eigenvalue equal to hi, whose estimate
-    sits up to ``slack`` below it; when the top estimate is that close, one
-    more count over (hi - 1 ulp, hi] says how many of the top estimates are
-    such values."""
-    vals = _bisect(T, abstol, lo, hi)
-    if vals.size and vals[-1] > hi - slack:
-        at_hi = _bisect(T, abstol, np.nextafter(hi, -np.inf), hi).size
-        vals = vals[: vals.size - at_hi]
-    return vals
-
-
-def _lowest_values(T, lower, below, hi, k, abstol, slack, scale):
+def _lowest_values(T, lower, below, top, k, abstol, scale):
     """Estimates of the ``k`` lowest eigenvalues of the tridiagonal T in
-    (lower, hi), ``below`` being the number at or below lower; fewer when
+    (lower, top], ``below`` being the number at or below lower; fewer when
     the window holds fewer.
 
-    One Sturm count at hi sizes the window, and an empty one ends the solve
+    One Sturm count at top sizes the window, and an empty one ends the solve
     there.  A window holding more than k is halved by value, a Sturm count
     per step, until (lower, top] holds exactly k, so that one bisection
     locates just those: an index range would start dstebz from the
     Gershgorin interval of T, which is up to 1e6 times wider than the
     window on the lab's pencils.  Halving stops at the bisection tolerance,
     which is as far as a cluster at the k-th value can be split anyway."""
-    inside = _count_at_or_below(T, hi, scale) - below
-    if inside == 0:
+    inside = _count_at_or_below(T, top, scale) - below
+    if inside <= 0:
         return np.empty(0)
-    if inside <= k:
-        return _open_window_values(T, lower, hi, abstol, slack)
-    short, top = lower, hi  # (lower, short] holds fewer than k, (lower, top] more
-    while top - short > abstol:
+    short = lower  # (lower, short] holds fewer than k, (lower, top] holds `inside`
+    while inside > k and top - short > abstol:
         mid = 0.5 * (short + top)
         held = _count_at_or_below(T, mid, scale) - below
-        if held == k:
-            return _bisect(T, abstol, lower, mid)
         if held < k:
             short = mid
         else:
-            top = mid
+            top, inside = mid, held
     return _bisect(T, abstol, lower, top)[:k]
 
 
@@ -606,7 +590,10 @@ def _window_path(A, B, L, window, seed, lowest):
     which each vector's quotient must stay of its estimate.
     """
     lo, hi = window
-    if not lo < hi:
+    # every count and bisection stops 1 ulp below hi: dstebz takes (vl, vu],
+    # so an eigenvalue on hi is left out by the counts themselves
+    top = np.nextafter(hi, -np.inf)
+    if not lo < top:
         return [], [], 0.0
     m = A.size
     T, scale = _scaled_standard(A, L)
@@ -619,14 +606,14 @@ def _window_path(A, B, L, window, seed, lowest):
     chiral = A.bandwidth == 1 and lo == -hi and not A.bands[0].any()
     chiral = chiral and m % 2 == 0 and T[1, 0 : m - 1 : 2].all()
     if lowest is None:
-        vals = _open_window_values(T, 0.0 if chiral else lo, hi, abstol, slack)
+        vals = _bisect(T, abstol, 0.0 if chiral else lo, top)
     elif chiral:
         # a symmetric spectrum with no zero has half its values below 0
-        vals = _lowest_values(T, 0.0, m // 2, hi, lowest, abstol, slack, scale)
+        vals = _lowest_values(T, 0.0, m // 2, top, lowest, abstol, scale)
     else:
         lower = max(lo, 1e-8 * max(abs(lo), abs(hi)))
         below = _count_at_or_below(T, lower, scale)
-        vals = _lowest_values(T, lower, below, hi, lowest, abstol, slack, scale)
+        vals = _lowest_values(T, lower, below, top, lowest, abstol, scale)
     if vals.size == 0:
         return vals, [], slack
     vectors = _inverse_iteration(A, B, vals, scale, seed)
@@ -692,7 +679,8 @@ def solve_generalized(
     With ``count``: the ``count`` pairs nearest the window (default: nearest
     0).  ``method`` is "auto" or its synonym "dense" (bisection of the
     scaled or band-reduced pencil, then inverse iteration) or "iterative"
-    (shift-invert Lanczos).
+    (shift-invert Lanczos), which needs ``count`` < m - 1 and raises
+    ``ValueError`` otherwise.
     """
     m = A.size
     if B.size != m:
@@ -711,11 +699,13 @@ def solve_generalized(
         raise ValueError("count must be at least 1")
     elif method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
+    elif method == "iterative" and count >= m - 1:
+        raise ValueError(f"method 'iterative' needs count < m - 1 = {m - 1}, got {count}")
     L = _cholesky_or_raise(B)
     window = (0.0, 0.0) if window is None else window  # count solves: nearest 0
     if count is None:
         estimates, vecs, slack = _window_path(A, B, L, window, seed, lowest)
-    elif method == "iterative" and count < m - 1:  # ARPACK needs count < m - 1
+    elif method == "iterative":
         estimates, vecs, slack = _iterative_path(A, B, L, count, window, seed)
     else:
         estimates, vecs, slack = _nearest_path(A, B, L, min(count, m), window, seed, diagonal)

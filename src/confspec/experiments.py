@@ -5,6 +5,10 @@ The sweep experiment tracks the scale-invariant product
 lambda_1^+ * vol^(k/n) while the cylindrical nose grows; the theory predicts
 this diverges through volume growth, with lambda_1^+ pinned near (or inside)
 the cylinder gap (-sigma, sigma).
+
+Every nose-length experiment takes its assembly path through
+``resolve_path``, the one place the path "auto" is resolved: intrinsic for
+a kind that has that path, covariance otherwise.
 """
 
 from __future__ import annotations
@@ -144,11 +148,16 @@ class ScalingReport:
 
 def resolve_path(op: OperatorKind, L: float, path: str) -> str:
     """Validate one nose length (``profile_L``'s rule) and pick and validate
-    its assembly path."""
+    its assembly path.
+
+    This is the one place "auto" is resolved: to the intrinsic path where
+    ``OPERATORS`` gives the kind one and to the covariance path otherwise,
+    whatever L is, so that a sweep or a trajectory sees one discretization
+    and its successive values one O(h^2) bias."""
     if not (math.isfinite(L) and L >= 1.0):
         raise ValueError(f"nose length L must be finite and at least 1, got {L:g}")
     if path == "auto":
-        path = "intrinsic" if op.intrinsic and L > 4.0 else "covariance"
+        path = "intrinsic" if op.intrinsic else "covariance"
     if path == "intrinsic":
         if not op.intrinsic:
             raise ValueError(f"intrinsic {op.label} assembly is not supported")
@@ -465,15 +474,12 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Trajectories L -> lambda_j^+- with the dichotomy flag per sector:
     either the values settle (cauchy) or they end up pinned at the cylinder
-    gap edge (escape)."""
+    gap edge (escape).  ``path`` is resolved per length by ``resolve_path``,
+    whose "auto" picks one path for the whole trajectory."""
     if j < 1:
         raise ValueError(f"eigenvalue index j must be at least 1, got {j}")
     if list(L_grid) != sorted(L_grid):
         raise ValueError("L grid must be increasing")
-    if path == "auto":
-        # one discretization for the whole trajectory, so successive
-        # differences see a consistent O(h^2) bias
-        path = "intrinsic" if op.intrinsic else "covariance"
     sigma = cylinder_threshold(op)
     ceiling = 2.0 * sigma * j
     plus: list[float] = []

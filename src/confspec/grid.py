@@ -32,10 +32,13 @@ __all__ = [
     "BandedSymmetric",
     "make_grid",
     "quadrature_points",
+    "assemble_mass",
     "assemble_weak_form",
 ]
 
 _GAUSS_OFFSETS = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
+# (left hat, right hat) of a cell at each Gauss point
+_HATS = tuple((1.0 - g, g) for g in _GAUSS_OFFSETS)
 
 MIN_NODES = 16
 
@@ -171,11 +174,50 @@ def quadrature_points(grid: RadialGrid, pinned: bool = False) -> np.ndarray:
     return np.concatenate(points)
 
 
+def _samples(grid: RadialGrid, pinned: bool, **coefficients):
+    """Each coefficient, checked to hold one finite value per point of
+    ``quadrature_points(grid, pinned)``, as its samples split into one row
+    per Gauss point and one row per wall cell."""
+    m = grid.nodes.size
+    shape = (2 * (m - 1) + 2 * len(_wall_cells(grid, pinned)),)  # the points' shape
+    for name, vals in coefficients.items():
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != shape:
+            raise ValueError(f"coefficient {name!r} has shape {vals.shape}, expected {shape}")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            k = int(bad[0])  # name the cell, not the position in the point array
+            where = f"cell {k % (m - 1)}" if k < 2 * (m - 1) else "a wall cell"
+            x = quadrature_points(grid, pinned)[k]
+            raise ValueError(f"non-finite coefficient {name!r} at {where} (x = {x:.6g})")
+        yield vals[: 2 * (m - 1)].reshape(2, -1), vals[2 * (m - 1) :].reshape(-1, 2)
+
+
+def assemble_mass(grid: RadialGrid, w, pinned: bool = False) -> BandedSymmetric:
+    """Assemble the tridiagonal mass M of m(u, v) = int w u v dx from w
+    sampled at ``quadrature_points(grid, pinned)``, the boundary cells of
+    pinned ends included as in ``assemble_weak_form``."""
+    ((interior, at_walls),) = _samples(grid, pinned, w=w)
+    m = grid.nodes.size
+    wq = 0.5 * np.diff(grid.nodes)
+    m_diag = np.zeros(m)
+    m_sub = np.zeros(m - 1)
+    for (phi0, phi1), wv in zip(_HATS, interior):
+        m_diag[:-1] += wq * wv * phi0 * phi0
+        m_diag[1:] += wq * wv * phi1 * phi1
+        m_sub += wq * wv * phi0 * phi1
+    for (_, hb, idx), samples in zip(_wall_cells(grid, pinned), at_walls):
+        for (phi0, phi1), wv in zip(_HATS, samples):
+            phi = phi1 if idx == 0 else phi0  # rises toward the interior
+            m_diag[idx] += 0.5 * hb * wv * phi * phi
+    return BandedSymmetric.from_tridiagonal(m_diag, m_sub)
+
+
 def assemble_weak_form(
     grid: RadialGrid, p, q, w, pinned: bool = False
 ) -> tuple[BandedSymmetric, BandedSymmetric]:
     """Assemble the tridiagonal pair (A, M) from p, q, w sampled at
-    ``quadrature_points(grid, pinned)``.
+    ``quadrature_points(grid, pinned)``; M is ``assemble_mass``'s.
 
     Pinned ends hold the solution to zero at both domain walls: the boundary
     cell between each wall and its first node is included, with the wall
@@ -185,47 +227,22 @@ def assemble_weak_form(
 
     Both returned matrices are exactly symmetric by construction.
     """
-    nodes = grid.nodes
-    m = nodes.size
-    he = np.diff(nodes)
-    x = quadrature_points(grid, pinned)
-    p, q, w = (np.asarray(v, dtype=float) for v in (p, q, w))
-    for name, vals in (("p", p), ("q", q), ("w", w)):
-        if vals.shape != x.shape:
-            raise ValueError(f"coefficient {name!r} has shape {vals.shape}, expected {x.shape}")
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            k = int(bad[0])  # name the cell, not the position in the point array
-            where = f"cell {k % (m - 1)}" if k < 2 * (m - 1) else "a wall cell"
-            raise ValueError(f"non-finite coefficient {name!r} at {where} (x = {x[k]:.6g})")
-    interior = [v[: 2 * (m - 1)].reshape(2, -1) for v in (p, q, w)]  # one row per Gauss point
-    at_walls = [v[2 * (m - 1) :].reshape(-1, 2) for v in (p, q, w)]  # one row per wall cell
-
+    (p_in, p_walls), (q_in, q_walls) = _samples(grid, pinned, p=p, q=q)
+    M = assemble_mass(grid, w, pinned)
+    m = grid.nodes.size
+    he = np.diff(grid.nodes)
+    wq = 0.5 * he
     a_diag = np.zeros(m)
     a_sub = np.zeros(m - 1)
-    m_diag = np.zeros(m)
-    m_sub = np.zeros(m - 1)
-    for g, pv, qv, wv in zip(_GAUSS_OFFSETS, *interior):
-        wq = 0.5 * he
-        phi0 = 1.0 - g
-        phi1 = g
+    for (phi0, phi1), pv, qv in zip(_HATS, p_in, q_in):
         stiff = wq * pv / he**2
         a_diag[:-1] += stiff + wq * qv * phi0 * phi0
         a_diag[1:] += stiff + wq * qv * phi1 * phi1
         a_sub += -stiff + wq * qv * phi0 * phi1
-        m_diag[:-1] += wq * wv * phi0 * phi0
-        m_diag[1:] += wq * wv * phi1 * phi1
-        m_sub += wq * wv * phi0 * phi1
 
     # boundary cells of pinned ends (the hat rises from 0 at the wall)
-    walls = _wall_cells(grid, pinned)
-    for (_, hb, idx), *samples in zip(walls, *at_walls):
-        for g, pv, qv, wv in zip(_GAUSS_OFFSETS, *samples):
-            wq = 0.5 * hb
-            phi = g if idx == 0 else 1.0 - g  # rises toward the interior
-            a_diag[idx] += wq * (pv / hb**2 + qv * phi * phi)
-            m_diag[idx] += wq * wv * phi * phi
-
-    A = BandedSymmetric.from_tridiagonal(a_diag, a_sub)
-    M = BandedSymmetric.from_tridiagonal(m_diag, m_sub)
-    return A, M
+    for (_, hb, idx), *samples in zip(_wall_cells(grid, pinned), p_walls, q_walls):
+        for (phi0, phi1), pv, qv in zip(_HATS, *samples):
+            phi = phi1 if idx == 0 else phi0
+            a_diag[idx] += 0.5 * hb * (pv / hb**2 + qv * phi * phi)
+    return BandedSymmetric.from_tridiagonal(a_diag, a_sub), M

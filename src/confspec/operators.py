@@ -63,7 +63,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from confspec.geometry import ConformalProfile, warped_curvature, warped_jet
-from confspec.grid import BandedSymmetric, RadialGrid, assemble_weak_form, quadrature_points
+from confspec.grid import (
+    BandedSymmetric, RadialGrid, assemble_mass, assemble_weak_form, quadrature_points,
+)
 
 __all__ = [
     "OPERATORS",
@@ -447,7 +449,8 @@ def intrinsic_assemble(record: RowRecord, mode: ModeSpec) -> AssembledOperator:
     ``weight * w``; a free mode reads the leading natural layout of the
     pinned samples.  One assembly gives a scalar kind its stiffness K and B,
     the lumped weighted mass; K is the conformal Laplacian's A, and Paneitz
-    adds the unit mass M for K D^-1 K + a K + c M, D the lumped M.  Dirac
+    adds the unit mass M (``assemble_mass`` alone) for K D^-1 K + a K + c M,
+    D the lumped M.  Dirac
     is the staggered system with the record's weights.
     """
     op, grid = record.op, record.grid
@@ -465,8 +468,7 @@ def intrinsic_assemble(record: RowRecord, mode: ModeSpec) -> AssembledOperator:
     A, M = assemble_weak_form(grid, w, q, record.weight[:size] * w, pinned)
     if op.kind == KIND_PANEITZ:
         # the stiffness bands do not read the mass weight, so A is K
-        _, unit_mass = assemble_weak_form(grid, w, q, w, pinned)
-        A = _paneitz_bands(A, unit_mass, op.n)
+        A = _paneitz_bands(A, assemble_mass(grid, w, pinned), op.n)
     return AssembledOperator(A=A, B=BandedSymmetric.from_diagonal(_lumped(M)))
 
 

@@ -217,6 +217,26 @@ def paneitz_cylinder_bottom(n: int) -> float:
     return float(min(symbol(a), symbol(b), symbol(xi[i])))
 
 
+def sphere_volume(n: int) -> float:
+    """omega_n, the volume of the round unit S^n: 2 pi^((n+1)/2) / Gamma((n+1)/2)."""
+    import math
+
+    return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
+
+
+def conformal_lower_bound(kind: str, n: int) -> float:
+    """The infimum of lambda_1^+ vol^(k/n) over the conformal class of the
+    round S^n, which the round metric attains: the Yamabe/Sobolev constant
+    n(n-2)/4 omega_n^(2/n) for the conformal Laplacian (k = 2), and Hijazi's
+    (n/2) omega_n^(1/n) for Dirac (k = 1; Baer's lambda^2 area >= 4 pi on
+    S^2)."""
+    if kind == "conformal-laplacian":
+        return n * (n - 2) / 4.0 * sphere_volume(n) ** (2.0 / n)
+    if kind == "dirac":
+        return n / 2.0 * sphere_volume(n) ** (1.0 / n)
+    raise ValueError(f"no conformal lower bound for {kind!r}")
+
+
 def dirac_sphere_level(m: int) -> float:
     return float(m + 1)
 

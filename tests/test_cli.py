@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confspec import eigensolve, experiments, geometry
 from confspec.cli import main, parse_range
@@ -547,3 +550,59 @@ def test_sidecar_ignores_overrides_of_options_its_command_lacks(tmp_path, capsys
     )
     assert code == 0
     assert "ell_max" not in json.loads(out.with_suffix(".json").read_text())["config"]
+
+
+# ------------------------------------------------- exit codes for any argument
+
+# edge values of every kind: zero, negatives, NaN, inf, text, unordered and
+# repeated lists, zero and negative steps, kept to small grids (N <= 40) and
+# a few nose lengths; no range comes near MAX_RANGE_VALUES
+_NUMBER = ["0", "-1", "-0.5", "nan", "inf", "-inf", "1", "2", "text", ""]
+_LENGTHS = _NUMBER + ["4", "30", "31", "1,2", "2,1", "2,2", "1,,3", "1:3:1", "3:1:1",
+                      "1:3:0", "1:3:-1", "1:2:3:4"]
+_NODES = ["0", "-16", "15", "16", "24", "40", "nan", "text"]
+_NODE_LISTS = ["16,24", "24,16", "16,16", "0,16", "-1", "16:40:8", "16:40:0", "16.5", "text"]
+_CYLINDERS = ["5,10", "10,5", "5,5", "0", "-5", "nan", "inf", "5:15:5", "5:15:0", "text"]
+_DIMENSION = ["0", "-1", "2", "3", "4", "5", "6", "text"]
+_SEED = ["0", "-1", "3", "text"]
+_PATH = ["auto", "intrinsic", "covariance", "sideways"]
+# per command: (flag, values, always given); --N and --N-grid are always
+# given so that no run falls back to the 2000-node default
+_FLAGS = {
+    "validate-sphere": [("--N", _NODES, True), ("--n", _DIMENSION, False),
+                        ("--ell-max", ["0", "-1", "3", "text"], False),
+                        ("--tolerance", _NUMBER, False), ("--seed", _SEED, False)],
+    "cylinder-thresholds": [("--n", _DIMENSION, False)],
+    "pinocchio-sweep": [("--N", _NODES, True), ("--L", _LENGTHS, True),
+                        ("--n", _DIMENSION, False), ("--path", _PATH, False),
+                        ("--seed", _SEED, False)],
+    "convergence": [("--N", _NODES, True), ("--n", _DIMENSION, False),
+                    ("--L", _LENGTHS, False), ("--j", ["0", "-1", "1", "2", "text"], False),
+                    ("--path", _PATH, False), ("--cylinder-lengths", _CYLINDERS, False),
+                    ("--seed", _SEED, False)],
+    "covariance-check": [("--N", _NODES, True), ("--N-grid", _NODE_LISTS, True),
+                         ("--L", ["0", "1", "2", "-1", "nan", "20", "1,2", "text"], False),
+                         ("--n", _DIMENSION, False), ("--seed", _SEED, False)],
+    "scaling-check": [("--c", ["0.5", "0", "-1", "nan", "inf", "0.5,2", "2,2", "text"], False),
+                      ("--n", _DIMENSION, False), ("--seed", _SEED, False)],
+}
+
+
+@st.composite
+def _cli_arguments(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    operator = draw(st.sampled_from(["conformal-laplacian", "dirac", "paneitz", "laplace"]))
+    args = [command, "--operator", operator]
+    for flag, values, given_always in _FLAGS[command]:
+        if given_always or draw(st.booleans()):
+            args += [flag, draw(st.sampled_from(values))]
+    return args
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(args=_cli_arguments())
+def test_every_argument_list_ends_in_a_documented_exit_code(args):
+    # 0 success, 1 configuration error, 2 a failed check: never an exception
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(args)
+    assert code in (0, 1, 2), args

@@ -79,6 +79,18 @@ def test_diagonal_pencil_is_exact():
     assert [p.value for p in pairs] == [1.0, 2.0, 3.0]
 
 
+def test_diagonal_operator_on_every_route():
+    # a bandwidth-0 A: dsbtrd hands back its diagonal with a zero sub-diagonal
+    A = BandedSymmetric.from_diagonal(np.array([3.0, 1.0, 2.0, -4.0] + [9.0] * 20))
+    B = BandedSymmetric.from_diagonal(np.full(24, 2.0))
+    for pairs, expected in (
+        (solve_generalized(A, B, count=3), [0.5, 1.0, 1.5]),
+        (solve_generalized(A, B, window=(-3.0, 1.6)), [-2.0, 0.5, 1.0, 1.5]),
+        (solve_generalized(A, B, window=(-3.0, 1.6), lowest=2), [0.5, 1.0]),
+    ):
+        assert [p.value for p in pairs] == pytest.approx(expected, rel=1e-15)
+
+
 def test_second_difference_dirichlet():
     A, M = unit_laplacian(make_grid("polar", 2000), pinned=True)
     pairs = solve_generalized(A, M, count=3)
@@ -198,6 +210,16 @@ def test_singular_shift_recovers():
     # natural ends truncate the domain to [h, pi - h]; Neumann mode cos(x)
     h = grid.nodes[0]
     assert pairs[1].value == pytest.approx((math.pi / (math.pi - 2 * h)) ** 2, abs=1e-4)
+
+
+@pytest.mark.parametrize("m, count", [(3, 2), (50, 49), (50, 50), (50, 80)])
+def test_iterative_route_rejects_a_count_arpack_cannot_take(m, count):
+    # Lanczos needs count < m - 1: a larger count is refused with the limit
+    # named, not handed to the bisection route in its place
+    A, B = random_pencil(np.random.default_rng(m), m)
+    with pytest.raises(ValueError, match=rf"count < m - 1 = {m - 1}"):
+        solve_generalized(A, B, count=count, method="iterative")
+    assert len(solve_generalized(A, B, count=m - 2, method="iterative")) == m - 2
 
 
 def test_arpack_no_convergence_is_an_error_even_with_enough_pairs(monkeypatch):
@@ -703,6 +725,31 @@ def test_count_rejects_iteration_that_lands_on_a_neighbour(monkeypatch):
     duplicate_first_value(monkeypatch)
     with pytest.raises(SolverConvergenceError):
         solve_generalized(A, B, count=2)
+
+
+def test_slack_rejects_a_slide_to_a_neighbour_1e_10_away(monkeypatch):
+    # the slide of the two tests above, to a neighbour 1e-10 away: on a
+    # scaled T (diagonal B) the slack's rounding term 8 eps ||T|| is 3e-14,
+    # and in a window near 1e-3 the bisection tolerance 1e-8 * 1e-3 stays
+    # below the gap too, so the gate itself must hold near its size
+    gap = 1e-10
+    B = BandedSymmetric.from_diagonal(np.ones(16))
+
+    def pencil(low, value):
+        diag = np.array([low, value, value + gap] + [5.0 + k for k in range(13)])
+        return BandedSymmetric.from_tridiagonal(diag, np.zeros(15))
+
+    count_A, window_A = pencil(0.01, 2.0), pencil(1e-5, 1e-3)
+    window = (0.0, 1e-3 + 0.5 * gap)
+    counted = [p.value for p in solve_generalized(count_A, B, count=2)]
+    windowed = [p.value for p in solve_generalized(window_A, B, window=window)]
+    assert counted == pytest.approx([0.01, 2.0], rel=1e-14)
+    assert windowed == pytest.approx([1e-5, 1e-3], rel=1e-12)
+    duplicate_first_value(monkeypatch)
+    with pytest.raises(SolverConvergenceError):
+        solve_generalized(count_A, B, count=2)
+    with pytest.raises(SolverConvergenceError):
+        solve_generalized(window_A, B, window=window)
 
 
 @pytest.fixture

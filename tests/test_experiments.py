@@ -52,7 +52,7 @@ def test_sweep_row_lowest_pairs_match_the_full_window(op, L, N):
 
 def test_path_resolution_rules():
     op = conformal_laplacian(3)
-    assert resolve_path(op, 2.0, "auto") == "covariance"
+    assert resolve_path(op, 2.0, "auto") == "intrinsic"
     assert resolve_path(op, 6.0, "auto") == "intrinsic"
     assert resolve_path(paneitz_operator(5), 3.0, "auto") == "covariance"
     # Paneitz beyond the conditioning limit has no valid path at all
@@ -216,6 +216,17 @@ def test_convergence_dichotomy_flags_are_exclusive():
             assert final >= edge if traj.sector == "+" else final <= -edge
         else:
             assert abs(traj.values[-1]) < report.sigma
+
+
+@pytest.mark.parametrize("sector", ["+", "-"])
+@pytest.mark.parametrize("fraction, flag", [(0.9, "cauchy"), (0.96, "escape")])
+def test_escape_band_is_the_last_five_percent_below_sigma(sector, fraction, flag):
+    # the escape band is |lambda| >= 0.95 sigma: a trajectory ending at
+    # 0.9 sigma has settled short of the gap edge, one at 0.96 sigma is in it
+    sigma = 0.25
+    sign = 1.0 if sector == "+" else -1.0
+    values = [sign * sigma * v for v in (0.5, 0.8, fraction)]
+    assert experiments._make_trajectory(sector, [2.0, 4.0, 6.0], values, sigma).flag == flag
 
 
 def test_cylinder_surrogate_reproduces_gap_law():

@@ -8,6 +8,7 @@ from confspec.eigensolve import solve_generalized
 from confspec.grid import (
     BandedSymmetric,
     RadialGrid,
+    assemble_mass,
     assemble_weak_form,
     make_grid,
     quadrature_points,
@@ -142,6 +143,25 @@ def test_non_finite_coefficient_at_second_gauss_point_reports_cell():
     for pinned in (False, True):
         with pytest.raises(ValueError, match=r"at cell 20 \(x = "):
             assemble_callables(grid, ones, bad_q, ones, pinned)
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+def test_mass_alone_is_the_weak_form_mass(pinned):
+    # the mass half of the weak form, wall cells included, bit for bit, and
+    # its weight checked as the weak form checks it
+    nodes = math.pi * (np.arange(1, 101) / 101) ** 1.5
+    grid = RadialGrid(nodes=nodes, coordinate_kind="polar", span=math.pi)
+    x = quadrature_points(grid, pinned)
+    w = 1.0 + np.sin(x) ** 2
+    _, M = assemble_weak_form(grid, np.ones_like(x), np.cos(x), w, pinned)
+    assert np.array_equal(assemble_mass(grid, w, pinned).bands, M.bands)
+    with pytest.raises(ValueError, match=r"coefficient 'w' has shape \(7,\)"):
+        assemble_mass(grid, np.ones(7), pinned)
+    bad = w.copy()
+    bad[-1] = np.nan
+    where = "a wall cell" if pinned else "cell 98"
+    with pytest.raises(ValueError, match=f"non-finite coefficient 'w' at {where}"):
+        assemble_mass(grid, bad, pinned)
 
 
 @settings(max_examples=15, deadline=None)
