@@ -340,6 +340,8 @@ def _cmd_covariance_check(cfg: SimpleNamespace) -> int:
 
 def _cmd_scaling_check(cfg: SimpleNamespace) -> int:
     op = _make_operator(cfg)
+    for c in cfg.c_values:  # every factor, before the first solve
+        experiments.check_scaling_factor(op, c)
     reports = [experiments.scaling_check(op, c, seed=cfg.seed) for c in cfg.c_values]
     table = [
         [r.operator, r.c, r.eig_rel_err, r.pointwise_rel_err, r.invariant_rel_err,

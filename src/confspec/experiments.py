@@ -58,6 +58,7 @@ __all__ = [
     "convergence_study",
     "cylinder_surrogate_study",
     "covariance_crosscheck",
+    "check_scaling_factor",
     "scaling_check",
 ]
 
@@ -592,14 +593,31 @@ def covariance_crosscheck(
 _SCALING_CHECK_N = {1: 600, 2: 600, 4: 32}
 
 
+def check_scaling_factor(op: OperatorKind, c: float) -> None:
+    """Raise ``ValueError`` unless the constant factor c is positive and
+    c^k and c^n lie in [1e-100, 1e100].
+
+    The scaled mass is c^k times the base one and the volume c^n times.
+    Inverse iteration forms B-products near c^(2k) / eps^2, which leave
+    double range long before c^k does: on Dirac n = 2 a factor with c^k
+    near 1e138 overflowed inside the check and one near 1e-139 underflowed,
+    while every operator passes at both ends of this range."""
+    if not c > 0.0:  # NaN too
+        raise ValueError(f"scaling factor must be positive, got {c}")
+    if not max(op.order, op.n) * abs(math.log10(c)) <= 100.0:
+        raise ValueError(
+            f"scaling factor {c} is out of range: c^{op.order} and c^{op.n} must lie "
+            "in [1e-100, 1e100]"
+        )
+
+
 def scaling_check(op: OperatorKind, c: float, seed: int = 0) -> ScalingReport:
     """Machine-level check of the covariance law for constant factors.
 
     Scaling the metric by c^2 multiplies the mass by exactly c^k, so every
     eigenvalue scales by c^-k and lambda_1^+ * vol^(k/n) is unchanged.
     """
-    if c <= 0.0:
-        raise ValueError("scaling factor must be positive")
+    check_scaling_factor(op, c)
     N = _SCALING_CHECK_N[op.order]
     k = op.order
     mode = next(mode_groups(op))[0]

@@ -40,18 +40,19 @@ def tridiag_pencil_eigs(da, ea, db, eb, first: int, last: int, tol=1e-13) -> np.
     ea = np.asarray(ea, dtype=float)
     db = np.asarray(db, dtype=float)
     eb = np.asarray(eb, dtype=float)
-    m = len(da)
+    # (-radius, radius) brackets the wanted eigenvalues, not the whole
+    # spectrum, whose top can lie many doublings further out
     radius = 1.0
-    while tridiag_pencil_count_below(da, ea, db, eb, -radius)[0] > 0 or (
-        tridiag_pencil_count_below(da, ea, db, eb, radius)[0] < m
-    ):
+    while True:
+        low, high = tridiag_pencil_count_below(da, ea, db, eb, [-radius, radius])
+        if low <= first and high > last:
+            break
         radius *= 2.0
         if radius > 1e300:
-            raise RuntimeError("failed to bracket the pencil spectrum")
+            raise RuntimeError("failed to bracket the wanted eigenvalues")
     targets = np.arange(first, last + 1)
     lo = np.full(targets.shape, -radius)
     hi = np.full(targets.shape, radius)
-    scale = radius
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         cnt = tridiag_pencil_count_below(da, ea, db, eb, mid)
@@ -60,7 +61,6 @@ def tridiag_pencil_eigs(da, ea, db, eb, first: int, last: int, tol=1e-13) -> np.
         hi = np.where(below, hi, mid)
         if np.all(hi - lo <= tol * np.maximum(1.0, np.abs(mid))):
             break
-        scale = max(scale * 0.5, tol)
     return 0.5 * (lo + hi)
 
 

@@ -163,6 +163,26 @@ def test_scaling_check_cli(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("c", ["1e200", "1e-200", "0.5,1e60"])
+def test_scaling_check_rejects_a_factor_out_of_range(tmp_path, capsys, monkeypatch, c):
+    # c^k and c^n past [1e-100, 1e100] overflow or underflow inside the
+    # solver (1e200 left a traceback under -W error::RuntimeWarning); every
+    # factor of the list is checked before the first solve
+    _forbid_solves(monkeypatch)
+    out = tmp_path / "scale.csv"
+    code, _, err = run(capsys, "scaling-check", "--operator", "dirac", "--c", c, "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: scaling factor ") and "out of range" in err
+    assert not out.exists()
+
+
+def test_scaling_check_accepts_the_ends_of_its_range(capsys):
+    # Dirac n = 2: c^2 = 1e100 and 1e-100 still check the law
+    code, out, _ = run(capsys, "scaling-check", "--operator", "dirac", "--c", "1e50,1e-50")
+    assert code == 0
+    assert out.count("PASS") == 2
+
+
 def test_scaling_check_rejects_grid_size(tmp_path, capsys):
     # scaling_check picks N per operator kind, so --N would do nothing
     out = tmp_path / "scale.csv"

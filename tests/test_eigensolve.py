@@ -686,11 +686,31 @@ def test_window_splits_values_closer_than_its_tolerance():
             assert not np.allclose(np.abs(a.vector), np.abs(b.vector))
 
 
-def duplicate_first_value(monkeypatch):
-    """Make bisection hand back its second value in place of its first, so
-    that one shift comes twice; a Sturm count reads only how many values
-    there are, so it is unchanged."""
-    real = eigensolve._bisect
+def test_chiral_window_splits_values_closer_than_its_tolerance(iterated):
+    # the same split on the half-size bidiagonal: the coupling sits on an
+    # odd sub-diagonal entry, so the joined pencil stays chiral, and an
+    # interval that converges holding two values gives two shifts
+    A, B = chiral_pencil(np.random.default_rng(13), 150)
+    window = (-1.2, 1.2)
+    single = solve_generalized(A, B, window=window, seed=1)
+    A2, B2 = _joined_copies(A, B, 1e-10)
+    iterated.clear()
+    pairs = solve_generalized(A2, B2, window=window, seed=1)
+    assert len(pairs) == 2 * len(single) > 0
+    assert iterated == [len(single)]
+    expected = np.repeat([p.value for p in single], 2)
+    assert np.allclose([p.value for p in pairs], expected, rtol=0, atol=1e-9)
+    V = np.array([p.vector for p in pairs])
+    gram = V @ np.array([B2.matvec(v) for v in V]).T
+    assert np.abs(gram - np.eye(len(pairs))).max() <= 1e-8
+    assert all(p.residual <= 1e-9 for p in pairs)
+
+
+def duplicate_first_value(monkeypatch, owner=eigensolve, name="_bisect"):
+    """Make the bisection ``owner.name`` (dstebz's by default) hand back its
+    second value in place of its first, so that one shift comes twice; a
+    count reads only how many values there are, so it is unchanged."""
+    real = getattr(owner, name)
 
     def repeated(*args, **kwargs):
         vals = real(*args, **kwargs)
@@ -698,7 +718,7 @@ def duplicate_first_value(monkeypatch):
             vals[0] = vals[1]
         return vals
 
-    monkeypatch.setattr(eigensolve, "_bisect", repeated)
+    monkeypatch.setattr(owner, name, repeated)
 
 
 def test_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch):
@@ -821,6 +841,58 @@ def chiral_pencil(rng, m):
     return A, BandedSymmetric.from_diagonal(rng.uniform(1.0, 2.0, m))
 
 
+def half_bidiagonal(A, B):
+    """The half-size bidiagonal of the chiral pencil (A, B), built from its
+    scaled T as a window solve builds it."""
+    T, scale = eigensolve._scaled_standard(A, eigensolve._cholesky_or_raise(B))
+    return eigensolve._HalfBidiagonal(T, scale)
+
+
+# powers of 2 near 1e+-163 scale T and its eigenvalues exactly; T's squared
+# entries overflow or underflow unless T is divided by its norm first
+_EXTREME_FACTORS = pytest.mark.parametrize(
+    "factor", [1.0, 2.0**540, 2.0**-540], ids=["unit", "times-1e163", "times-1e-163"]
+)
+
+
+@_EXTREME_FACTORS
+@pytest.mark.parametrize("m", [2, 4, 10, 64, 300])
+def test_half_size_count_matches_the_full_pencil_oracle(m, factor):
+    # the half-size count of (0, x) is the full chiral pencil's count below
+    # x less its m/2 negative values
+    rng = np.random.default_rng(m)
+    A, B = chiral_pencil(rng, m)
+    da, ea = oracles.banded_to_tridiag(A)
+    xs = rng.uniform(0.0, 3.0, 64)  # the spectrum lies within (-2.5, 2.5)
+    below = oracles.tridiag_pencil_count_below(
+        da, ea, np.asarray(B.bands[0]), np.zeros(m - 1), xs
+    )
+    half = half_bidiagonal(BandedSymmetric(A.bands * factor), B)
+    assert [half.count_below(factor * x) for x in xs] == list(below - m // 2)
+
+
+@_EXTREME_FACTORS
+def test_half_size_count_leaves_out_a_value_it_sits_on(factor):
+    # 2x2 blocks [[0, a], [a, 0]] with dyadic a, so that a^2 and a^2 / a are
+    # exact: the oracle's pivot at x = |a| is exactly 0, which it counts as
+    # below, while dlaneg counts the values strictly below its shift
+    rng = np.random.default_rng(4)
+    p = 40
+    a = rng.choice(np.arange(512, 2048), p, replace=False) / 1024.0
+    sub = np.zeros(2 * p - 1)
+    sub[0::2] = a * rng.choice([-1.0, 1.0], p)
+    A = BandedSymmetric.from_tridiagonal(np.zeros(2 * p), sub)
+    B = BandedSymmetric.from_diagonal(np.ones(2 * p))
+    da, ea = oracles.banded_to_tridiag(A)
+    at_or_below = oracles.tridiag_pencil_count_below(
+        da, ea, np.ones(2 * p), np.zeros(2 * p - 1), a
+    )
+    half = half_bidiagonal(BandedSymmetric(A.bands * factor), B)
+    counts = [half.count_below(factor * x) for x in a]
+    assert counts == list(at_or_below - p - 1)
+    assert sorted(counts) == list(range(p))
+
+
 @pytest.fixture
 def iterated(monkeypatch):
     """Number of values each window or count solve inverse-iterates."""
@@ -927,26 +999,32 @@ def test_chiral_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch, 
     values = [round(p.value, 6) for p in solve_generalized(A, B, window=window)]
     assert values == [-2.0, -0.01, 0.01, 2.0]
     assert iterated == [2]
-    duplicate_first_value(monkeypatch)
+    duplicate_first_value(monkeypatch, eigensolve._HalfBidiagonal, "values")
     with pytest.raises(SolverConvergenceError):
         solve_generalized(A, B, window=window)
 
 
 def test_chiral_window_takes_no_count_at_zero(monkeypatch):
-    # a zero eigenvalue is read off the sub-diagonal, not off a Sturm count
+    # a zero eigenvalue is read off the sub-diagonal, not off a count; every
+    # count and bisection runs on the half-size bidiagonal, none on T
     counts = []
-    real = eigensolve._count_at_or_below
+    real = eigensolve._HalfBidiagonal.count_below
 
-    def spy(T, x, scale):
+    def spy(half, x):
         counts.append(x)
-        return real(T, x, scale)
+        return real(half, x)
 
-    monkeypatch.setattr(eigensolve, "_count_at_or_below", spy)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a chiral window was counted or bisected on T")
+
+    monkeypatch.setattr(eigensolve._HalfBidiagonal, "count_below", spy)
+    monkeypatch.setattr(eigensolve, "_count_at_or_below", refuse)
+    monkeypatch.setattr(eigensolve, "_bisect", refuse)
     A, B = chiral_pencil(np.random.default_rng(2), 300)
-    assert solve_generalized(A, B, window=(-1.2, 1.2), seed=2)
-    assert counts == []
-    assert solve_generalized(A, B, window=(-1.2, 1.2), seed=2, lowest=3)
-    assert counts and 0.0 not in counts
+    for lowest in (None, 3):
+        counts.clear()
+        assert solve_generalized(A, B, window=(-1.2, 1.2), seed=2, lowest=lowest)
+        assert counts and 0.0 not in counts
 
 
 # ------------------------------------------------------------ lowest pairs
