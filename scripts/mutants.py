@@ -3,9 +3,10 @@
 
 Each mutant in ``scripts/mutants.txt`` replaces one exact piece of text in
 one file of ``src/``.  For each, this copies the repository's ``src/``,
-``tests/``, ``results/`` and ``pyproject.toml`` into a fresh temporary
-directory, applies the mutant there and runs tier-1 with ``-x`` (criterion 5,
-the known failure, deselected).  It prints one line per mutant: "killed" with
+``tests/``, ``results/``, ``perfbench/`` (whose tracer a test loads) and
+``pyproject.toml`` into a fresh temporary directory, applies the mutant
+there and runs tier-1 with ``-x`` (criterion 5, the known failure,
+deselected).  It prints one line per mutant: "killed" with
 the first failing test, or "survived".  The working tree is never touched.
 
     python scripts/mutants.py                 # every mutant
@@ -29,7 +30,7 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 MUTANTS = ROOT / "scripts" / "mutants.txt"
-COPIED = ("src", "tests", "results", "pyproject.toml")
+COPIED = ("src", "tests", "results", "perfbench", "pyproject.toml")
 KNOWN_FAILURE = "tests/test_acceptance.py::test_criterion_5_invariant_doubles"
 KEYS = ("name", "file", "old", "new", "why")
 

@@ -3,49 +3,52 @@
 ``solve_generalized`` solves A x = lambda B x (A symmetric banded, B
 symmetric positive definite banded) in one of two ways.
 
-Every route but ARPACK bisects one symmetric tridiagonal T with the
+Every route but ARPACK works on one symmetric tridiagonal T with the
 pencil's eigenvalues.  A diagonal B is scaled away, T = B^-1/2 A B^-1/2,
 and a scaled T wider than tridiagonal (the pentadiagonal Paneitz pencil) is
 reduced once per solve by dsbtrd; any other B is reduced once by the band
 reduction inside LAPACK dsbgvx (Crawford's split-Cholesky reduction, then
 band tridiagonalization), in O(m^2 b) time and O(m b) memory with no m x m
-array.  LAPACK dstebz bisects T on its diagonal and sub-diagonal as they
-stand, and a Sturm count is a dstebz call whose tolerance is wider than the
-spectrum.  The one exception is the positive half of a chiral T (below),
-which is counted by LAPACK dlaneg and bisected in this module, on a
-bidiagonal of half T's size.
+array.
 
 Window solve (``count`` left out, B diagonal): every pair strictly inside a
 value window (lo, hi).  This is the route of the radial operators, whose
-mass is lumped.  Bisection counts the eigenvalues inside the window
-exactly, by Sturm counts at its ends, but locates each one only to
-``_WINDOW_ABSTOL`` times the window's half-width: those values are shifts
-for inverse iteration, and the values returned are the Rayleigh quotients
-of its vectors.  Every count and bisection of the window stops at the top
-end nextafter(hi, -inf): dstebz takes the half-open (vl, vu], so that end
-alone leaves out an eigenvalue on hi.  With ``lowest`` = k only the k
-lowest above the kernel threshold are wanted: Sturm counts at the threshold
-and at the top end size the window, an empty one ends the solve without
-bisection, and a fuller one is halved by value until it holds exactly k,
-which are then bisected.  A chiral pencil (tridiagonal A with a zero
-diagonal, the interleaved Dirac mode system) has a spectrum symmetric about
-0, pair by pair: (lam, x) and (-lam, S x) with S = diag((-1)^i).  For it and
-a symmetric window only the positive half is counted, bisected and
-inverse-iterated and the negative half is mirrored, unless its sub-diagonal
-shows a zero eigenvalue, which has no mirror; then the whole window is
-solved.  The positive half is the set of singular values of the m/2 x m/2
-bidiagonal that T's sub-diagonal forms (Golub and Kahan), and dlaneg counts
-those below x from its squared entries with relative accuracy: one pass
-over m/2 entries, where a dstebz Sturm count of T passes over m and sets up
-work arrays besides (17-20 against 136-159 microseconds at m = 3998,
-N = 2000, on 2 cores).  The halving and the bisection to the window's
-tolerance run on that count, and a converged interval holding c values
-gives c copies, as in dstebz.
+mass is lumped.  One L D L^T of T serves the whole solve (Dhillon and
+Parlett, LAA 387, 2004): T - tau I by dpttrf, with tau = 0 where T is
+positive definite, as every scalar mode pencil is, and -2 ||T||inf
+otherwise.  LAPACK dlaneg counts its eigenvalues below a shift; counts at
+the window's ends size the window, which is open at both (the count at lo
+is taken below the next double up), and bisection on counts isolates each
+wanted value in an interval that holds it alone.  LAPACK dlar1v then runs
+Rayleigh quotient iteration on twisted factorizations from the interval's
+midpoint, safeguarded by the counts each step returns, and its last twisted
+vector z gives the pair's, B^-1/2 z / ||z||.  An interval narrower than
+``_WINDOW_ABSTOL`` times the window's half-width that still holds c >= 2
+values is a cluster: c copies of its midpoint, inverse-iterated on the
+pencil, as is every value of a T that dsbtrd reduced.  With ``lowest`` = k
+only the k lowest above the kernel threshold are wanted: counts at the
+threshold and at hi size the window, an empty one ends the solve with no
+refinement, and a fuller one is halved by value until it holds exactly k.
+The window route calls no dstebz.
+
+A chiral pencil (tridiagonal A with a zero diagonal, the interleaved Dirac
+mode system) has a spectrum symmetric about 0, pair by pair: (lam, x) and
+(-lam, S x) with S = diag((-1)^i).  For it and a symmetric window only the
+positive half is counted and refined and the negative half is mirrored,
+unless its sub-diagonal shows a zero eigenvalue, which has no mirror; then
+the whole window is solved.  The positive half is the set of singular
+values s of the m/2 x m/2 bidiagonal C that T's sub-diagonal forms (Golub
+and Kahan), and C C^T = L D L^T with d = a^2 and l = b / a on C's diagonal
+a and sub-diagonal b (Grosser and Lang, LAA 358, 2003): counts pass over
+m/2 entries (17-20 against 136-159 microseconds for a dstebz Sturm count
+of T at m = 3998, N = 2000, on 2 cores), and a twisted vector u of C C^T
+gives v = s C^-1 u by one bidiagonal solve and the pair's vector from
+(u, v) / sqrt 2.
 
 Count solve (``count`` given, any banded B): the ``count`` eigenvalues
-nearest a window (default: nearest 0).  A Sturm count at each window end
-brackets the candidates' index block, dstebz locates just those, and the
-nearest ``count`` are inverse-iterated.  ``method`` "auto" and
+nearest a window (default: nearest 0).  A dstebz Sturm count at each window
+end brackets the candidates' index block, dstebz locates just those, and
+the nearest ``count`` are inverse-iterated.  ``method`` "auto" and
 "dense" both name this route.  ARPACK runs only when named: shift-invert
 Lanczos (``method="iterative"``, any m, and ``count`` < m - 1 as ARPACK
 requires; a larger count is a ``ValueError``, never a quiet switch to
@@ -56,26 +59,30 @@ inverse iteration uses and a deterministically seeded start vector; a
 breakdown or a non-converged call (even one that holds enough partial
 pairs) raises ``SolverConvergenceError``.
 
-Every route but ARPACK shares one vector step: shifted inverse iteration
-on the banded A - (lam + delta) B from seeded vectors, B-orthogonalized
-against the earlier vectors of the same solve.  Each route returns its
-value estimates, its vectors and a slack, and every pair passes one gate
-in ``solve_generalized``: the value is the vector's Rayleigh quotient,
-formed once, and a quotient further than the slack from its estimate
-means the iteration slid to a neighbouring eigenvalue, which raises
-``SolverConvergenceError`` rather than returning a duplicate or a stranger.
-The slack is 8 eps ||T|| (plus the window's bisection tolerance) on a
-scaled T (B diagonal) and 64 eps ||T|| on a reduced T (any other B),
-whose band reduction rounds its values further from the quotients;
-ARPACK's Ritz values are held to none.
+Inverse iteration, where it runs, is shifted inverse iteration on the
+banded A - (lam + delta) B from seeded vectors, B-orthogonalized against
+the earlier vectors of the same call.  Each route returns its value
+estimates, its vectors and a slack, and every pair passes one gate in
+``solve_generalized``: the value is the vector's Rayleigh quotient, formed
+once (in extended precision where it lies within 16 ulps of a window end,
+which it then decides), and a quotient further than the slack from its
+estimate means the vector belongs to a neighbouring eigenvalue, which
+raises ``SolverConvergenceError`` rather than returning a duplicate or a
+stranger.  The slack is 8 eps ||T|| for a value of a scaled T, refined by
+Rayleigh iteration or located by the count route, plus the window's
+bisection tolerance for a cluster's copy, and 64 eps ||T|| for a value of
+a reduced T (any other B, or a window's dsbtrd-reduced T), whose band
+reduction rounds its values further from the quotients; ARPACK's Ritz
+values are held to none.
 
 Every returned vector is B-orthonormal as its route returns it, and no
-second pass touches it.  Inverse iteration B-orthogonalizes each iterate
-against the earlier vectors of the same solve and B-normalizes it.  The
-chiral mirror S x keeps x's B-norm and B-products exactly (S B S = B) and
-is an eigenvector of -lam, hence B-orthogonal to the positive half.
-ARPACK's Ritz vectors y are orthonormal, so the vectors x = L^-T y that
-its route returns are B-orthonormal.  Residuals
+second pass touches it.  A twisted vector is B-normal by construction and
+accurate to rounding over its value's relative gap.  Inverse iteration
+B-orthogonalizes each iterate against the earlier vectors of its call and
+B-normalizes it.  The chiral mirror S x keeps x's B-norm and B-products
+exactly (S B S = B) and is an eigenvector of -lam, hence B-orthogonal to
+the positive half.  ARPACK's Ritz vectors y are orthonormal, so the vectors
+x = L^-T y that its route returns are B-orthonormal.  Residuals
 ||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||) are reported per pair and must
 stay below ``RESIDUAL_TOL`` or, where double precision cannot certify
 that, a small multiple of the evaluation floor.  Where that denominator
@@ -116,14 +123,19 @@ __all__ = [
 ]
 
 _INVERSE_ITERATIONS = 3  # per vector; two already reach the residual floor
-# window bisection stops at this fraction of the window's half-width: the
-# values only shift inverse iteration, whose Rayleigh quotients are what is
-# returned.  Measured on 2 cores with OpenBLAS: the 48 value calls of an
-# L=1..8, N=2000 intrinsic sweep of both radial operators take 0.066 s
-# against 0.126 s bisecting to full precision; over intrinsic sweeps of
-# both at L up to 30 (N=400 and 2000) the worst residual was 4.8e-11 and
-# lambda_1^+ moved by at most 1.0e-12 relative.
+# a window interval narrower than this fraction of the window's half-width
+# that still holds two or more eigenvalues is a cluster (copies of its
+# midpoint, inverse-iterated), and the halving of a ``lowest`` window stops
+# there; every isolated value is refined to rounding by Rayleigh iteration.
+# Measured on 2 cores over intrinsic sweeps of both radial operators at
+# L = 1..30, N = 400 and 2000: no interval reached it, the worst residual
+# was 5.7e-11 (1.2e-10 with values bisected to this tolerance and
+# inverse-iterated), and lambda_1^+ moved by at most 2.1e-12 relative.
 _WINDOW_ABSTOL = 1e-8
+_RQI_STEPS = 64  # Rayleigh steps per value before a SolverConvergenceError; 4-10 are taken
+# a Rayleigh correction below this fraction of the shift leaves the next
+# shift within rounding of the eigenvalue: its step is the last
+_LAST_STEP = 2.0**-36
 RESIDUAL_TOL = 1e-9
 
 
@@ -200,6 +212,14 @@ _dstebz = _bind(
 )
 # n d lld sigma pivmin r; returns the count of eigenvalues below sigma
 _dlaneg = _bind("dlaneg", _I, _P, _P, _D, _D, _I, restype=ctypes.c_int)
+# n d e info
+_dpttrf = _bind("dpttrf", _I, _P, _P, _I)
+# n b1 bn lambda d l ld lld pivmin gaptol z wantnc negcnt ztz mingma r isuppz
+# nrminv resid rqcorr work
+_dlar1v = _bind(
+    "dlar1v", _I, _I, _I, _D, _P, _P, _P, _P, _D, _D, _P, _I, _I, _D, _D, _I, _P, _D, _D,
+    _D, _P,
+)
 # n dl d du du2 ipiv info
 _dgttrf = _bind("dgttrf", _I, _P, _P, _P, _P, _P, _I)
 # trans n nrhs dl d du du2 ipiv b ldb info
@@ -210,8 +230,12 @@ _dgbtrf = _bind("dgbtrf", _I, _I, _I, _I, _P, _I, _P, _I)
 _dgbtrs = _bind("dgbtrs", _C, _I, _I, _I, _I, _P, _I, _P, _P, _I, _I)
 # uplo trans diag n kd nrhs ab ldab b ldb info
 _dtbtrs = _bind("dtbtrs", _C, _C, _C, _I, _I, _I, _P, _I, _P, _I, _I)
-_ONE = ctypes.c_int(1)  # a leading dimension of an unreferenced array
-_PIVMIN = ctypes.c_double(np.finfo(float).tiny)  # dlaneg's pivmin, which it leaves unread
+_ONE = ctypes.c_int(1)  # also a leading dimension of an unreferenced array
+_TWO = ctypes.c_int(2)
+# the pivot dlar1v's NaN-safe pass puts for a tinier one; dlaneg leaves it unread
+_PIVMIN = ctypes.c_double(np.finfo(float).tiny)
+_NO_GAPTOL = ctypes.c_double(0.0)  # dlar1v then computes every entry of its vector
+_TRUE = ctypes.c_int(1)  # a Fortran LOGICAL
 _UNUSED = np.zeros(1)  # Q, X and Z of the routines that compute no vectors
 _UNUSED_P = _UNUSED.ctypes.data
 
@@ -264,7 +288,13 @@ def _cholesky_or_raise(B: BandedSymmetric) -> np.ndarray:
 
 
 def _inf_norm(A: BandedSymmetric) -> float:
-    rows = BandedSymmetric(np.abs(A.bands)).matvec(np.ones(A.size))
+    """max_i sum_j |A_ij|, summed in the order of A's matvec."""
+    bands = np.abs(A.bands)
+    rows = bands[0]  # summed in place: bands is this function's own copy
+    m = A.size
+    for k in range(1, A.bandwidth + 1):
+        rows[k:] += bands[k, : m - k]
+        rows[: m - k] += bands[k, : m - k]
     return float(rows.max(initial=0.0))
 
 
@@ -385,6 +415,12 @@ def _inverse_iteration(A, B, vals, scale, seed):
     ||T||, off it: three steps certify even where ||T|| is 1e11 times lam.
     A zero offset (A = 0 at lam = 0) becomes 1, where any shift serves; a
     pivot the offset still leaves exactly zero becomes eps (scale + |lam|).
+    Each solve's iterate grows like ||B|| over the shift's distance, so it is
+    scaled by the power of 2 that brings its largest entry into [0.5, 1)
+    before it is B-multiplied: exact, so results in range keep every bit,
+    while a pencil whose entries lie near the ends of double range no longer
+    overflows or underflows in x B x.  The iterate that starts a step is
+    B-normal, of size about ||B||^-1/2, and its B-product is in range.
     Each iterate is B-orthogonalized against the earlier vectors so that
     repeated or clustered values get distinct vectors.  The starts differ
     because a shared one leaves the later members of a cluster nothing of
@@ -403,6 +439,7 @@ def _inverse_iteration(A, B, vals, scale, seed):
         x = rng.standard_normal(m)
         for _ in range(_INVERSE_ITERATIONS):
             x = shifted.solve(B.matvec(x))  # a fresh array, solved in place
+            np.ldexp(x, -math.frexp(np.abs(x).max())[1], out=x)
             x -= (xs[:j] @ B.matvec(x)) @ xs[:j]
             nrm = math.sqrt(max(x @ B.matvec(x), 0.0))
             if not np.isfinite(nrm) or nrm == 0.0:
@@ -466,13 +503,17 @@ def _iterative_path(A, B, L, count, window, seed):
 def _scaled_standard(A, L):
     """T = L^-1 A L^-T = B^-1/2 A B^-1/2 for a diagonal B with Cholesky
     factor ``L``, in A's lower band storage, and its inf-norm, which bounds
-    the spectrum."""
+    the spectrum.  A T that is not finite (A holds a NaN or an inf, or its
+    scaling overflows) is a ``ValueError``, as for a reduced T."""
     m = A.size
     s = 1.0 / L[0]
     T = A.bands * s
     for k in range(A.bandwidth + 1):
         T[k, : m - k] *= s[k:]
-    return T, _inf_norm(BandedSymmetric(T))
+    scale = _inf_norm(BandedSymmetric(T))
+    if not math.isfinite(scale):
+        raise ValueError("array must not contain infs or NaNs")
+    return T, scale
 
 
 def _reduced_standard(A, B):
@@ -522,7 +563,7 @@ def _tridiagonal(T):
 
 
 def _bisect(T, abstol, lo=0.0, hi=0.0, first=None, stop=None):
-    """dstebz bisection of the banded T, the one bisection this module runs:
+    """dstebz bisection of the banded T, the count route's bisection:
     the eigenvalue estimates in (lo, hi], or with ``first`` and ``stop`` the
     ascending numbers first..stop-1 (0-based), to ``abstol``.  dstebz reads
     the diagonal and sub-diagonal of a tridiagonal T in place, leaving T as
@@ -560,95 +601,264 @@ def _count_at_or_below(T, x, scale):
     return _sturm_stebz(T, wide, -wide, x).size
 
 
-class _HalfBidiagonal:
-    """The positive half of a chiral T's spectrum, counted and bisected on a
-    bidiagonal of half T's size.
+class _Twisted:
+    """One L D L^T of a tridiagonal matrix, which serves all of a window
+    solve: its counts, its values and its vectors (Dhillon and Parlett,
+    LAA 387, 2004).
+
+    ``d`` holds the pivots D, all positive, ``l`` the sub-diagonal of the
+    unit lower bidiagonal L, and ``ld`` = l d and ``lld`` = l^2 d are what
+    LAPACK dlaneg and dlar1v read besides.  A positive definite L D L^T
+    determines its eigenvalues to high relative accuracy, and both routines
+    work on it with relative accuracy.  Subclasses map a value x of T to the
+    eigenvalue ``rep(x)`` of L D L^T that stands for it, back by ``value``,
+    and a unit eigenvector of L D L^T to the pencil's (``vector``).
+
+    An exactly 0 pivot next to lld_i = 0 makes dlaneg's next step inf * 0, a
+    NaN that loses the next pivot's sign (a 2x2-block pencil counted at a
+    block's value read one low).  So the matrix is counted and refined in
+    pieces, cut where lld_i is 0 (exactly or by underflow), which decouples
+    them; a radial mode pencil has one piece."""
+
+    def __init__(self, d, l):
+        self.d, self.l = d, l
+        self.ld = l * d[:-1]
+        self.lld = self.ld * l
+        cuts = [0, *(np.flatnonzero(self.lld == 0.0) + 1).tolist(), d.size]
+        self.pieces = [
+            (start, stop, ctypes.c_int(stop - start),
+             *(v.ctypes.data + v.itemsize * start for v in (d, l, self.ld, self.lld)))
+            for start, stop in zip(cuts, cuts[1:])
+        ]
+
+    def count(self, mu):
+        """Number of eigenvalues of L D L^T below mu: a dlaneg count per
+        piece, with the twist index at the piece's end, which is the plain
+        top-down pass.  A pivot that is exactly 0 counts as positive, so an
+        eigenvalue on mu is left out."""
+        mu = ctypes.c_double(mu)
+        return sum(_dlaneg(n, d, lld, mu, _PIVMIN, n) for _, _, n, d, _, _, lld in self.pieces)
+
+    def _piece(self, left, right, n_left):
+        """The piece that holds the one eigenvalue of L D L^T in
+        [left, right), and the number of that piece's eigenvalues below left."""
+        if len(self.pieces) == 1:
+            return self.pieces[0], n_left
+        for piece in self.pieces:
+            _, _, n, d, _, _, lld = piece
+            k = _dlaneg(n, d, lld, ctypes.c_double(left), _PIVMIN, n)
+            if _dlaneg(n, d, lld, ctypes.c_double(right), _PIVMIN, n) > k:
+                return piece, k
+        raise SolverConvergenceError(math.inf)  # the counts of T and its pieces disagree
+
+    def refine(self, left, right, n_left):
+        """The one eigenvalue of L D L^T in [left, right), with ``n_left``
+        below left, as the value of T it stands for, and its unit
+        eigenvector.
+
+        Rayleigh quotient iteration on twisted factorizations, from the
+        interval's midpoint.  Each dlar1v step at a shift mu returns the
+        twisted vector z, the correction that takes mu to z's Rayleigh
+        quotient and the count of eigenvalues below mu, which moves one end
+        of the interval to mu.  An iterate that would leave the interval is
+        replaced by its midpoint, a bisection step, so the iteration keeps
+        to the value its counts isolated.  It stops when the correction or
+        the interval is within 2 eps of mu, or one step after a correction
+        below ``_LAST_STEP`` of mu, which leaves the next shift within
+        rounding of the eigenvalue; ``SolverConvergenceError`` ends
+        ``_RQI_STEPS`` steps without that."""
+        (start, stop, n, d, l, ld, lld), k = self._piece(left, right, n_left)
+        z, work, support = np.empty(n.value), np.empty(4 * n.value), np.empty(2, np.int32)
+        negcnt, r = ctypes.c_int(0), ctypes.c_int(0)
+        ztz, mingma, nrminv, resid, rqcorr = (ctypes.c_double(0.0) for _ in range(5))
+        tol = 2.0 * np.finfo(float).eps
+        mu = 0.5 * (left + right)
+        last = False
+        for _ in range(_RQI_STEPS):
+            r.value = 0  # dlar1v twists where the inverse's diagonal is largest
+            _dlar1v(
+                n, _ONE, n, ctypes.c_double(mu), d, l, ld, lld, _PIVMIN, _NO_GAPTOL,
+                z.ctypes.data, _TRUE, negcnt, ztz, mingma, r, support.ctypes.data, nrminv,
+                resid, rqcorr, work.ctypes.data,
+            )
+            if negcnt.value > k:
+                right = mu
+            else:
+                left = mu
+            step = rqcorr.value
+            if last or abs(step) <= tol * mu or right - left <= tol * mu:
+                y = np.zeros(self.d.size)
+                y[start:stop] = z * nrminv.value
+                return self.value(mu + step), y
+            if left < mu + step < right:
+                # the error of the next shift is about this correction squared
+                last = abs(step) <= _LAST_STEP * mu
+                mu += step
+            else:
+                last = False
+                mu = 0.5 * (left + right)
+        raise SolverConvergenceError(math.inf)
+
+
+class _HalfBidiagonal(_Twisted):
+    """The positive half of a chiral T's spectrum, on a bidiagonal of half
+    T's size.
 
     A tridiagonal T of even size m = 2p with a zero diagonal and sub-diagonal
     e is, with its even rows and columns ordered first, [[0, C], [C^T, 0]]
     for the p x p lower bidiagonal C with diagonal a = e[0::2] and
     sub-diagonal b = e[1::2], so its eigenvalues are +- the singular values
-    of C (Golub and Kahan 1965).  C C^T = L D L^T with D = diag(a^2) and L
-    unit lower bidiagonal with sub-diagonal b_i / a_i, so the number of
-    singular values below x is the number of negative pivots of
-    L D L^T - x^2 I, which LAPACK dlaneg counts from D and L^2 D = b^2 with
-    relative accuracy (Demmel and Kahan 1990), in one pass over p entries
-    where a Sturm count of T takes m.  T is divided by ``scale``, a bound on
-    its entries, first, so that no square overflows; ``d`` holds a^2, and a
-    square that underflows to 0 reads as a zero singular value.
+    of C (Golub and Kahan 1965), and C C^T = L D L^T with d = a^2 and
+    l = b / a (Grosser and Lang, LAA 358, 2003).  An eigenvalue x of T
+    stands as (x / scale)^2: T is divided by ``scale``, a bound on its
+    entries, first, so that no square overflows.  A unit eigenvector u of
+    C C^T for sigma^2 is a left singular vector; the right one is
+    v = sigma C^-1 u, one bidiagonal solve, and the interleaved (u, v) / sqrt 2
+    is T's eigenvector.  v = C^T u / sigma would amplify the rounding of u by
+    ||C|| / sigma; sigma C^-1 u damps the parts of u along larger singular
+    values, which hold the rounding near the bottom of the spectrum."""
 
-    A pivot that is exactly 0 makes dlaneg's next step inf * b_i^2, which it
-    carries through as the limit of a pivot +0 where b_i^2 > 0 but which is
-    a NaN where b_i^2 = 0, losing the next pivot's sign.  So C is counted in
-    pieces, split where b_i^2 is 0 (exactly or by underflow), which
-    decouples them; the Dirac pencils have no such split and one piece."""
+    def __init__(self, d, a, b, scale):
+        super().__init__(d, b[:-1] / a[:-1])
+        self.a, self.b, self.scale = a, b, scale
+
+    def rep(self, x):
+        return (x / self.scale) ** 2
+
+    def value(self, mu):
+        return self.scale * math.sqrt(mu)
+
+    def vector(self, u, value, s):
+        """The pencil's B-unit eigenvector for +value, from u, with s = B^-1/2."""
+        v = u * (value / self.scale)
+        band = np.array([self.a, self.b], order="F")  # C in dtbtrs's lower band storage
+        p, info = ctypes.c_int(u.size), ctypes.c_int(0)
+        _dtbtrs(b"L", b"N", b"N", p, _ONE, _ONE, band.ctypes.data, _TWO, v.ctypes.data, p, info)
+        y = np.empty(2 * u.size)
+        y[0::2], y[1::2] = u, v
+        y *= s
+        y *= math.sqrt(0.5)
+        return y
+
+
+def _chiral_half(T, scale):
+    """The ``_HalfBidiagonal`` of a chiral T, or None where an even
+    sub-diagonal entry is zero or its scaled square underflows to 0: then T
+    has a zero eigenvalue, which has no mirror (its determinant is
+    (-1)^(m/2) prod e[0::2]^2)."""
+    a = T[1, 0::2] / scale
+    d = a * a
+    if not d.all():
+        return None
+    return _HalfBidiagonal(d, a, T[1, 1::2] / scale, scale)
+
+
+class _ShiftedTridiagonal(_Twisted):
+    """T - tau I = L D L^T by LAPACK dpttrf, with tau = 0 where T is positive
+    definite (every scalar mode pencil of the lab) and tau = -2 ||T||inf
+    otherwise, which keeps T - tau I at least ||T||inf from singular.  An
+    eigenvalue x of T stands as x - tau, and a unit eigenvector y of
+    L D L^T gives the pencil's B^-1/2 y."""
 
     def __init__(self, T, scale):
-        self.scale = scale
-        self.d = (T[1, 0::2] / scale) ** 2
-        self.lld = (T[1, 1::2] / scale) ** 2  # dlaneg reads a piece's first size - 1
-        cuts = [0, *(np.flatnonzero(self.lld[:-1] == 0.0) + 1).tolist(), self.d.size]
-        step = self.d.itemsize
-        self.pieces = [
-            (ctypes.c_int(stop - start), self.d.ctypes.data + step * start,
-             self.lld.ctypes.data + step * start)
-            for start, stop in zip(cuts, cuts[1:])
-        ]
+        m = ctypes.c_int(T.shape[1])
+        info = ctypes.c_int(0)
+        # the second shift always factors: T - tau I then has its
+        # eigenvalues in [||T||inf, 3 ||T||inf] (or is I where T = 0)
+        for tau in (0.0, -2.0 * scale or -1.0):
+            d, e = T[0] - tau, T[1, :-1].copy()  # dpttrf factors in place
+            _dpttrf(m, d.ctypes.data, e.ctypes.data, info)
+            if info.value == 0:
+                break
+        super().__init__(d, e)
+        self.tau = tau
 
-    def count_below(self, x):
-        """Number of eigenvalues of T in (0, x), for x > 0: a dlaneg count
-        per piece with the twist index at its end, which is the plain
-        top-down qd pass; a pivot that is exactly 0 counts as positive."""
-        sigma = ctypes.c_double((x / self.scale) ** 2)
-        return sum(_dlaneg(n, d, lld, sigma, _PIVMIN, n) for n, d, lld in self.pieces)
+    def rep(self, x):
+        return x - self.tau
 
-    def values(self, lower, upper, abstol):
-        """Estimates of T's eigenvalues in (lower, upper), 0 <= lower < upper,
-        ascending, by bisection on ``count_below``.  An interval narrower
-        than ``abstol`` that holds c values gives c copies of its midpoint,
-        as dstebz does, and a count that falls outside its interval's two
-        end counts is clamped to them, as dstebz's dlaebz does."""
-        found = []
-        below = self.count_below(lower) if lower > 0.0 else 0
-        todo = [(lower, upper, below, self.count_below(upper))]
-        while todo:
-            a, b, n_a, n_b = todo.pop()  # the lowest interval left
-            if n_a == n_b:
-                continue
-            mid = 0.5 * (a + b)
-            if b - a <= abstol or not a < mid < b:
-                found += [mid] * (n_b - n_a)
-                continue
-            n_mid = min(max(self.count_below(mid), n_a), n_b)
-            todo += [(mid, b, n_mid, n_b), (a, mid, n_a, n_mid)]
-        return np.array(found)
+    def value(self, mu):
+        return mu + self.tau
+
+    def vector(self, y, value, s):
+        return y * s
 
 
-def _lowest_values(count, bisect, lower, below, top, k, abstol):
-    """Estimates of the ``k`` lowest eigenvalues in (lower, top]; fewer when
-    the window holds fewer.  ``count(x)`` is the number at or below x (below
-    x on a chiral T's half), ``below`` the number at or below lower and
-    ``bisect(lower, upper)`` the estimates in (lower, upper].
+def _lowest_window(count, lower, below, top, inside, k, narrow):
+    """The window (lower, top) narrowed until it holds the ``k`` lowest of
+    its ``inside`` eigenvalues, and how many it then holds.  ``count(x)`` is
+    the number below x and ``below`` the number at or below lower.
 
-    One count at top sizes the window, and an empty one ends the solve
-    there.  A window holding more than k is halved by value, a count per
-    step, until (lower, top] holds exactly k, so that one bisection locates
-    just those: an index range would start dstebz from the Gershgorin
-    interval of T, which is up to 1e6 times wider than the window on the
-    lab's pencils.  Halving stops at the bisection tolerance, which is as
-    far as a cluster at the k-th value can be split anyway."""
-    inside = count(top) - below
-    if inside <= 0:
-        return np.empty(0)
-    short = lower  # (lower, short] holds fewer than k, (lower, top] holds `inside`
-    while inside > k and top - short > abstol:
+    The window is halved by value, a count per step, until it holds exactly
+    k: an index range would start from the Gershgorin interval of T, which
+    is up to 1e6 times wider than the window on the lab's pencils.  Halving
+    stops where ``narrow`` says the window is within the bisection
+    tolerance, which is as far as a cluster at the k-th value can be split
+    anyway."""
+    short = lower  # (lower, short) holds fewer than k
+    while inside > k and not narrow(short, top):
         mid = 0.5 * (short + top)
         held = count(mid) - below
         if held < k:
             short = mid
         else:
             top, inside = mid, held
-    return bisect(lower, top)[:k]
+    return top, inside
+
+
+def _isolate(count, a, b, n_a, n_b, narrow):
+    """Intervals (x, y, n_x, n_y) of the eigenvalues in [a, b), ascending,
+    by bisection on ``count``: n_x is count(x), the number below x, and each
+    interval holds one eigenvalue or is a cluster, which ``narrow(x, y)``
+    says is within the bisection tolerance, with c >= 2.  A count that falls
+    outside its interval's two end counts is clamped to them, as dstebz's
+    dlaebz does."""
+    found = []
+    todo = [(a, b, n_a, n_b)]
+    while todo:
+        x, y, n_x, n_y = todo.pop()  # the lowest interval left
+        if n_x >= n_y:
+            continue
+        mid = 0.5 * (x + y)
+        if n_y - n_x == 1 or narrow(x, y) or not x < mid < y:
+            found.append((x, y, n_x, n_y))
+            continue
+        n_mid = min(max(count(mid), n_x), n_y)
+        todo += [(mid, y, n_mid, n_y), (x, mid, n_x, n_mid)]
+    return found
+
+
+def _refined_pairs(rep, intervals, A, B, seed, reduced, abstol, scale):
+    """Values, B-unit vectors and slacks of the eigenvalues that
+    ``intervals`` isolate (see ``_isolate``).
+
+    An isolated value is refined by ``rep.refine``.  Where T is the scaled
+    pencil itself, its twisted vector gives the pencil's and its slack is
+    8 eps ||T||.  Where dsbtrd ``reduced`` T, whose vectors are not the
+    pencil's, the value is inverse-iterated on the pencil, and its slack is
+    64 eps ||T||, as for the count route's reduced T: the reduction moves
+    the values off the pencil's quotients by up to 28.3 eps ||T|| (114,525
+    values of random bandwidth-2 pencils, m = 20..598).  A cluster of c
+    gives c copies of its interval's midpoint, with the bisection tolerance
+    added to its slack, and is inverse-iterated on the pencil too."""
+    eps = np.finfo(float).eps
+    s = 1.0 / np.sqrt(B.bands[0])  # B^-1/2
+    vals, vectors, slack = [], [], []
+    for a, b, n_a, n_b in intervals:
+        if n_b - n_a == 1:
+            value, y = rep.refine(a, b, n_a)
+            vals.append(value)
+            vectors.append(None if reduced else rep.vector(y, value, s))
+            slack.append((64.0 if reduced else 8.0) * eps * scale)
+        else:
+            vals += [rep.value(0.5 * (a + b))] * (n_b - n_a)
+            vectors += [None] * (n_b - n_a)
+            slack += [abstol + 8.0 * eps * scale] * (n_b - n_a)
+    todo = [j for j, x in enumerate(vectors) if x is None]
+    if todo:
+        iterated = _inverse_iteration(A, B, [vals[j] for j in todo], scale, seed)
+        for j, x in zip(todo, iterated):
+            vectors[j] = x
+    return np.array(vals), vectors, np.array(slack)
 
 
 def _window_path(A, B, L, window, seed, lowest):
@@ -659,61 +869,66 @@ def _window_path(A, B, L, window, seed, lowest):
     A chiral pencil (tridiagonal A with a zero diagonal, as the interleaved
     Dirac mode system is) satisfies S A S = -A and S B S = B with
     S = diag((-1)^i), so each pair (lam, x) comes with (-lam, S x).  For such
-    a pencil and a symmetric window only the half (0, hi) is counted,
-    bisected (on ``_HalfBidiagonal``) and inverse-iterated (with ``lowest``,
-    its k lowest), and each pair is returned with its mirror.  A zero
-    eigenvalue has no mirror.  The zero diagonal of T makes its determinant
-    (-1)^(m/2) prod sub[0::2]^2 for even m, so T holds a zero eigenvalue
-    exactly when m is odd or one of those sub-diagonal entries is zero; then,
-    and where one of their scaled squares underflows to 0, the whole window
-    is solved as for any pencil.  Returns the estimates, their vectors and
-    the slack within which each vector's quotient must stay of its estimate.
+    a pencil and a symmetric window only the half (0, hi) is counted and
+    refined, on ``_HalfBidiagonal`` (with ``lowest``, its k lowest), and
+    each pair is returned with its mirror.  A zero eigenvalue has no mirror:
+    where T holds one (see ``_chiral_half``), the whole window is solved as
+    for any pencil, on ``_ShiftedTridiagonal``.  Returns the estimates,
+    their vectors and the slack within which each vector's quotient must
+    stay of its estimate.
     """
     lo, hi = window
-    # every count and bisection stops 1 ulp below hi: dstebz takes (vl, vu],
-    # so an eigenvalue on hi is left out by the counts themselves
-    top = np.nextafter(hi, -np.inf)
-    if not lo < top:
+    if not lo < hi:
         return [], [], 0.0
     m = A.size
     T, scale = _scaled_standard(A, L)
+    if not math.isfinite(scale):
+        raise ValueError("array must not contain infs or NaNs")
     T = _tridiagonal(T)
-    # the count inside the window is exact (Sturm counts) whatever abstol is
+    # the count inside the window is exact whatever abstol is
     abstol = _WINDOW_ABSTOL * max(abs(lo), abs(hi))
-    # a Rayleigh quotient further from its estimate than the bisection
-    # interval plus rounding in ||T|| belongs to a neighbouring eigenvalue
-    slack = abstol + 8.0 * np.finfo(float).eps * scale
     chiral = A.bandwidth == 1 and lo == -hi and m % 2 == 0 and not A.bands[0].any()
-    half = _HalfBidiagonal(T, scale) if chiral and 0.0 < scale < math.inf else None
-    # an even sub-diagonal entry that is zero, or whose scaled square
-    # underflows to 0, is a zero eigenvalue, which has no mirror
-    chiral = half is not None and half.d.all()
+    rep = _chiral_half(T, scale) if chiral and scale > 0.0 else None
+    chiral = rep is not None
+    # counts, bisection and refinement run on the eigenvalues mu of L D L^T;
+    # the window is open at both ends, so the count at lower is the count
+    # below the next double up, and the count at hi leaves out a value on it
     if chiral:
-        lower, count = 0.0, half.count_below
-
-        def bisect(lower, upper):
-            return half.values(lower, upper, abstol)
+        lower, below = 0.0, 0  # the chiral half counts up from 0
     else:
+        rep = _ShiftedTridiagonal(T, scale)
         lower = lo if lowest is None else max(lo, 1e-8 * max(abs(lo), abs(hi)))
+        lower = np.nextafter(rep.rep(lower), np.inf)
+        below = rep.count(lower)
+    top = rep.rep(hi)
+    inside = rep.count(top) - below
+    if inside <= 0:
+        return [], [], 0.0
 
-        def count(x):
-            return _count_at_or_below(T, x, scale)
+    def narrow(x, y):
+        return rep.value(y) - rep.value(x) <= abstol
 
-        def bisect(lower, upper):
-            return _bisect(T, abstol, lower, upper)
-
-    if lowest is None:
-        vals = bisect(lower, top)
-    else:
-        below = 0 if chiral else count(lower)  # the chiral half counts up from 0
-        vals = _lowest_values(count, bisect, lower, below, top, lowest, abstol)
-    if vals.size == 0:
-        return vals, [], slack
-    vectors = _inverse_iteration(A, B, vals, scale, seed)
+    if lowest is not None:
+        top, inside = _lowest_window(rep.count, lower, below, top, inside, lowest, narrow)
+    intervals = _isolate(rep.count, lower, top, below, below + inside, narrow)
+    if lowest is not None:  # a cluster at the k-th value gives only the copies wanted
+        kept, wanted = [], lowest
+        for a, b, n_a, n_b in intervals:
+            if wanted <= 0:
+                break
+            kept.append((a, b, n_a, min(n_b, n_a + wanted)))
+            wanted -= n_b - n_a
+        intervals = kept
+    vals, vectors, slack = _refined_pairs(
+        rep, intervals, A, B, seed, A.bandwidth > 1, abstol, scale
+    )
     if chiral:
-        sign = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
         vals = np.concatenate([vals, -vals])
-        vectors += [sign * x for x in vectors]
+        for x in vectors[:]:
+            mirror = x.copy()
+            mirror[1::2] *= -1.0  # S x
+            vectors.append(mirror)
+        slack = np.concatenate([slack, slack])
     return vals, vectors, slack
 
 
@@ -762,7 +977,7 @@ def solve_generalized(
 
     With ``count`` left out: every pair strictly inside ``window = (lo, hi)``
     (possibly none), judged by the quotient returned, which can lie on an end
-    that the bisection estimate lies inside.  This needs a diagonal B and a
+    that the estimate lies inside.  This needs a diagonal B and a
     window.  With
     ``lowest`` = k as well: only the k lowest pairs inside the window and
     above the kernel threshold tau = 1e-8 max(|lo|, |hi|), or all of them if
@@ -808,10 +1023,16 @@ def solve_generalized(
     pairs = []
     failed = []
     norm_a, norm_b = _inf_norm(A), _inf_norm(B)
-    for estimate, vec in zip(estimates, vecs):
+    near = 16.0 * np.finfo(float).eps
+    slacks = slack if np.ndim(slack) else [slack] * len(vecs)
+    for estimate, vec, tol in zip(estimates, vecs, slacks):
         ax, bx = A.matvec(vec), B.matvec(vec)
         lam = float(vec @ ax) / float(vec @ bx)
-        if not abs(lam - estimate) <= slack:  # a NaN quotient fails too
+        if count is None and min(abs(lam - end) for end in window) <= near * abs(lam):
+            # the rounding of the quotient decides between inside and on the end
+            wide = vec.astype(np.longdouble)
+            lam = float((wide @ ax) / (wide @ bx))
+        if not abs(lam - estimate) <= tol:  # a NaN quotient fails too
             # the iteration slid to a neighbouring eigenvalue
             raise SolverConvergenceError(math.inf)
         if count is None and not window[0] < lam < window[1]:

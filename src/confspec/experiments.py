@@ -597,11 +597,12 @@ def check_scaling_factor(op: OperatorKind, c: float) -> None:
     """Raise ``ValueError`` unless the constant factor c is positive and
     c^k and c^n lie in [1e-100, 1e100].
 
-    The scaled mass is c^k times the base one and the volume c^n times.
-    Inverse iteration forms B-products near c^(2k) / eps^2, which leave
-    double range long before c^k does: on Dirac n = 2 a factor with c^k
-    near 1e138 overflowed inside the check and one near 1e-139 underflowed,
-    while every operator passes at both ends of this range."""
+    The scaled mass is c^k times the base one and the volume c^n times,
+    and the check compares quantities of both against the unscaled ones;
+    every operator passes at both ends of this range.  Inverse iteration
+    no longer bounds it: it scales each iterate into range before its
+    B-product, so a mass near 1e150 or 1e-150 no longer overflows or
+    underflows there."""
     if not c > 0.0:  # NaN too
         raise ValueError(f"scaling factor must be positive, got {c}")
     if not max(op.order, op.n) * abs(math.log10(c)) <= 100.0:

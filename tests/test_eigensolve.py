@@ -32,12 +32,15 @@ from confspec.experiments import (
     scaling_check,
     validate_sphere,
 )
-from confspec.geometry import profile_L
+from confspec.geometry import constant_profile, profile_L
 from confspec.operators import (
     conformal_laplacian,
+    covariance_record,
     covariance_reduce,
     dirac_operator,
+    intrinsic_assemble,
     make_mode,
+    mode_groups,
     paneitz_operator,
 )
 
@@ -245,6 +248,11 @@ def test_dense_rejects_non_finite_bands():
     A.bands[0, 17] = np.nan
     with pytest.raises(ValueError):
         solve_generalized(A, B, count=3, method="dense")
+    diagonal = BandedSymmetric.from_diagonal(B.bands[0])  # a scaled T, on both routes
+    with pytest.raises(ValueError):
+        solve_generalized(A, diagonal, count=3)
+    with pytest.raises(ValueError):
+        solve_generalized(A, diagonal, window=(-1.0, 1.0))
 
 
 def test_dense_beyond_old_cap_keeps_bands(monkeypatch):
@@ -459,6 +467,24 @@ def test_window_on_bandwidth_two_matches_dense():
     assert pairs
     dense = solve_generalized(A, B, count=len(pairs), window=window, method="dense")
     assert np.allclose([p.value for p in pairs], [p.value for p in dense], rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("shift, window", [(0.0, (-0.5, 0.5)), (3.0, (3.0, 4.0))],
+                         ids=["indefinite", "definite"])
+def test_window_on_a_reduced_T_holds_its_values_to_the_reduction(seed, shift, window):
+    # dsbtrd's reduction moves a definite pencil's values 12-18 eps ||T||
+    # off the quotients of its vectors, which a slack of 8 eps ||T|| took
+    # for slides; a reduced T's refined values get the 64 eps ||T|| of the
+    # count route's reduced T
+    A, B = diagonal_mass_pencil(np.random.default_rng(seed), 400, bandwidth=2)
+    A = A.add_scaled(B, shift)
+    pairs = solve_generalized(A, B, window=window, seed=seed)
+    dense = sla.eigh(A.to_dense(), B.to_dense(), eigvals_only=True)
+    inside = dense[(dense > window[0]) & (dense < window[1])]
+    assert len(pairs) == len(inside) > 10
+    assert [p.value for p in pairs] == pytest.approx(inside, rel=1e-12, abs=1e-12)
+    assert all(p.residual <= 1e-9 for p in pairs)
 
 
 def test_window_separates_a_repeated_eigenvalue():
@@ -706,11 +732,11 @@ def test_chiral_window_splits_values_closer_than_its_tolerance(iterated):
     assert all(p.residual <= 1e-9 for p in pairs)
 
 
-def duplicate_first_value(monkeypatch, owner=eigensolve, name="_bisect"):
-    """Make the bisection ``owner.name`` (dstebz's by default) hand back its
-    second value in place of its first, so that one shift comes twice; a
-    count reads only how many values there are, so it is unchanged."""
-    real = getattr(owner, name)
+def duplicate_first_value(monkeypatch):
+    """Make the count route's dstebz bisection hand back its second value in
+    place of its first, so that one shift comes twice; a count reads only
+    how many values there are, so it is unchanged."""
+    real = eigensolve._bisect
 
     def repeated(*args, **kwargs):
         vals = real(*args, **kwargs)
@@ -718,19 +744,35 @@ def duplicate_first_value(monkeypatch, owner=eigensolve, name="_bisect"):
             vals[0] = vals[1]
         return vals
 
-    monkeypatch.setattr(owner, name, repeated)
+    monkeypatch.setattr(eigensolve, "_bisect", repeated)
+
+
+def slide_to_the_next_value(monkeypatch):
+    """Make a window solve's top refined value come back with the vector of
+    the eigenvalue just above its interval [a, b), as an iteration that
+    slid to that neighbour would; [b, 2b - a) isolates it on the pencils
+    below."""
+    real = eigensolve._refined_pairs
+
+    def slid(rep, intervals, A, B, *args):
+        vals, vectors, slack = real(rep, intervals, A, B, *args)
+        a, b, _, n_b = intervals[-1]
+        neighbour = rep.refine(b, 2.0 * b - a, n_b)[1]
+        vectors[-1] = rep.vector(neighbour, vals[-1], 1.0 / np.sqrt(B.bands[0]))
+        return vals, vectors, slack
+
+    monkeypatch.setattr(eigensolve, "_refined_pairs", slid)
 
 
 def test_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch):
-    # bisection hands the shift of 2 twice: the second vector, kept
-    # B-orthogonal to the first, converges to 2.001 outside the window, with
-    # a residual the certificate alone would accept, while 0.01 is lost
+    # the value 2 comes back with the vector of 2.001, outside the window,
+    # whose residual the certificate alone would accept
     diag = np.array([0.01, 2.0, 2.001] + [5.0 + k for k in range(13)])
     A = BandedSymmetric.from_tridiagonal(diag, np.zeros(15))
     B = BandedSymmetric.from_diagonal(np.ones(16))
     window = (0.0, 2.0005)
     assert [round(p.value, 6) for p in solve_generalized(A, B, window=window)] == [0.01, 2.0]
-    duplicate_first_value(monkeypatch)
+    slide_to_the_next_value(monkeypatch)
     with pytest.raises(SolverConvergenceError):
         solve_generalized(A, B, window=window)
 
@@ -749,9 +791,9 @@ def test_count_rejects_iteration_that_lands_on_a_neighbour(monkeypatch):
 
 def test_slack_rejects_a_slide_to_a_neighbour_1e_10_away(monkeypatch):
     # the slide of the two tests above, to a neighbour 1e-10 away: on a
-    # scaled T (diagonal B) the slack's rounding term 8 eps ||T|| is 3e-14,
-    # and in a window near 1e-3 the bisection tolerance 1e-8 * 1e-3 stays
-    # below the gap too, so the gate itself must hold near its size
+    # scaled T (diagonal B) the slack of a count-route value or of a
+    # Rayleigh-refined window value is 8 eps ||T||, 3e-14, so the gate itself
+    # must hold near its size
     gap = 1e-10
     B = BandedSymmetric.from_diagonal(np.ones(16))
 
@@ -768,6 +810,7 @@ def test_slack_rejects_a_slide_to_a_neighbour_1e_10_away(monkeypatch):
     duplicate_first_value(monkeypatch)
     with pytest.raises(SolverConvergenceError):
         solve_generalized(count_A, B, count=2)
+    slide_to_the_next_value(monkeypatch)
     with pytest.raises(SolverConvergenceError):
         solve_generalized(window_A, B, window=window)
 
@@ -845,7 +888,7 @@ def half_bidiagonal(A, B):
     """The half-size bidiagonal of the chiral pencil (A, B), built from its
     scaled T as a window solve builds it."""
     T, scale = eigensolve._scaled_standard(A, eigensolve._cholesky_or_raise(B))
-    return eigensolve._HalfBidiagonal(T, scale)
+    return eigensolve._chiral_half(T, scale)
 
 
 # powers of 2 near 1e+-163 scale T and its eigenvalues exactly; T's squared
@@ -868,7 +911,7 @@ def test_half_size_count_matches_the_full_pencil_oracle(m, factor):
         da, ea, np.asarray(B.bands[0]), np.zeros(m - 1), xs
     )
     half = half_bidiagonal(BandedSymmetric(A.bands * factor), B)
-    assert [half.count_below(factor * x) for x in xs] == list(below - m // 2)
+    assert [half.count(half.rep(factor * x)) for x in xs] == list(below - m // 2)
 
 
 @_EXTREME_FACTORS
@@ -888,22 +931,167 @@ def test_half_size_count_leaves_out_a_value_it_sits_on(factor):
         da, ea, np.ones(2 * p), np.zeros(2 * p - 1), a
     )
     half = half_bidiagonal(BandedSymmetric(A.bands * factor), B)
-    counts = [half.count_below(factor * x) for x in a]
+    counts = [half.count(half.rep(factor * x)) for x in a]
     assert counts == list(at_or_below - p - 1)
     assert sorted(counts) == list(range(p))
 
 
+def _representation(kind, rng, m):
+    """A random tridiagonal A (with B = I), the L D L^T a window solve builds
+    for it, and two exact eigenvalues at its tail: two decoupled 1x1
+    blocks, or on a chiral A two 2x2 blocks [[0, a], [a, 0]] with dyadic a,
+    whose positive values are a."""
+    sub = rng.uniform(-0.5, 0.5, m - 1)
+    if kind == "chiral-half":
+        sub[0::2] = rng.choice([-1.0, 1.0], m // 2) * rng.uniform(1.0, 2.0, m // 2)
+        exact = [1.25, 1.75]
+        sub[m - 5 :] = [0.0, exact[0], 0.0, exact[1]]
+        diag = np.zeros(m)
+    else:
+        low = 2.0 if kind == "definite" else -1.0
+        diag = rng.uniform(low, low + 2.0, m)
+        exact = [low + 0.5, low + 1.5]
+        diag[m - 2 :], sub[m - 3 :] = exact, 0.0
+    A = BandedSymmetric.from_tridiagonal(diag, sub)
+    B = BandedSymmetric.from_diagonal(np.ones(m))
+    T, scale = eigensolve._scaled_standard(A, eigensolve._cholesky_or_raise(B))
+    if kind == "chiral-half":
+        return A, B, eigensolve._chiral_half(T, scale), exact
+    return A, B, eigensolve._ShiftedTridiagonal(T, scale), exact
+
+
+@pytest.mark.parametrize("kind", ["chiral-half", "definite", "indefinite"])
+def test_window_counts_match_the_oracle(kind):
+    # every count of a window solve is a dlaneg count on its one L D L^T, of
+    # T's eigenvalues below x (in (0, x) on a chiral half), while the oracle
+    # counts those at or below x: an eigenvalue on x is one apart.  The count
+    # at a window's lower end is taken below the next double up from x's
+    # representation value and takes an eigenvalue on x in.
+    rng = np.random.default_rng(len(kind))
+    m = 200
+    A, B, rep, exact = _representation(kind, rng, m)
+    if kind != "chiral-half":
+        assert (rep.tau == 0.0) == (kind == "definite")
+    da, ea = oracles.banded_to_tridiag(A)
+    xs = np.concatenate([rng.uniform(-2.0, 4.0, 64), exact])
+    if kind == "chiral-half":
+        xs = np.abs(xs)
+    at_or_below = oracles.tridiag_pencil_count_below(da, ea, np.ones(m), np.zeros(m - 1), xs)
+    negative = m // 2 if kind == "chiral-half" else 0
+    on_value = np.isin(xs, exact).astype(int)
+    assert [rep.count(rep.rep(x)) for x in xs] == list(at_or_below - negative - on_value)
+    if kind != "chiral-half":
+        lower = [rep.count(np.nextafter(rep.rep(x), np.inf)) for x in xs]
+        assert lower == list(at_or_below)
+    # a window whose ends are the two exact eigenvalues holds neither
+    if kind == "chiral-half":
+        window, inside = (-exact[1], exact[1]), 2 * (at_or_below[-1] - 1 - negative)
+    else:
+        window, inside = tuple(exact), at_or_below[-1] - 1 - at_or_below[-2]
+    assert inside > 0
+    assert len(solve_generalized(A, B, window=window)) == inside
+
+
+def test_intrinsic_dirac_modes_certify_near_roundoff():
+    # the chiral half's vectors: u from the twisted factorization, v = s C^-1 u
+    # by one bidiagonal solve; v = C^T u / s would amplify u's rounding by
+    # ||C|| / s and left these residuals near 2e-11
+    rows = pinocchio_sweep(dirac_operator(2), [1.0, 30.0], N=2000, path="intrinsic")
+    assert all(r.error is None and r.max_residual <= 1e-12 for r in rows)
+
+
+def test_rayleigh_iteration_keeps_to_its_interval():
+    # on this pencil the first Rayleigh step from the midpoint of the
+    # interval that isolates the lowest value heads for 1.29, outside it;
+    # unguarded, the iteration converges there and 0.823 is lost.  A step
+    # that would leave the interval is replaced by a bisection step.
+    rng = np.random.default_rng(18)
+    m = int(rng.integers(4, 12))
+    diag, sub = rng.uniform(0.1, 3.0, m), rng.uniform(-1.0, 1.0, m - 1)
+    window = (0.0, float(rng.uniform(0.5, 3.0)))
+    A = BandedSymmetric.from_tridiagonal(diag, sub)
+    B = BandedSymmetric.from_diagonal(np.ones(m))
+    first, stop = oracles.tridiag_pencil_count_below(diag, sub, np.ones(m), np.zeros(m - 1), window)
+    reference = oracles.pencil_eigs_of_banded(A, B, first, stop - 1)
+    assert stop - first >= 5
+    full = [p.value for p in solve_generalized(A, B, window=window)]
+    lowest = [p.value for p in solve_generalized(A, B, window=window, lowest=1)]
+    assert full == pytest.approx(reference, rel=1e-12)
+    assert lowest == pytest.approx(reference[:1], rel=1e-12)
+
+
+def test_rayleigh_iteration_cap_is_a_solver_failure(monkeypatch):
+    # a value that is still moving when the step cap is reached is not
+    # returned; the certificate never sees it
+    A, B = chiral_pencil(np.random.default_rng(3), 300)
+    assert solve_generalized(A, B, window=(-1.2, 1.2), lowest=1)
+    monkeypatch.setattr(eigensolve, "_RQI_STEPS", 2)
+    with pytest.raises(SolverConvergenceError):
+        solve_generalized(A, B, window=(-1.2, 1.2), lowest=1)
+
+
+def test_window_route_runs_no_dstebz(monkeypatch):
+    # counts, values and vectors of every window solve come from its one
+    # L D L^T (dlaneg and dlar1v) or inverse iteration, never from dstebz
+    def refuse(*args):
+        raise AssertionError("a window solve called dstebz")
+
+    monkeypatch.setattr(eigensolve, "_dstebz", refuse)
+    rng = np.random.default_rng(23)
+    chiral = chiral_pencil(rng, 300)
+    indefinite = diagonal_mass_pencil(rng, 300)
+    definite = (indefinite[0].add_scaled(indefinite[1], 3.0), indefinite[1])
+    wide = diagonal_mass_pencil(rng, 300, bandwidth=2)
+    joined = _joined_copies(*diagonal_mass_pencil(rng, 150), 1e-10)
+    for (A, B), window in [
+        (chiral, (-1.2, 1.2)), (indefinite, (-0.3, 0.3)), (definite, (1.5, 2.5)),
+        (wide, (-0.2, 0.25)), (joined, (-0.3, 0.3)), (indefinite, (50.0, 60.0)),
+    ]:
+        for lowest in (None, 2):
+            for pair in solve_generalized(A, B, window=window, lowest=lowest):
+                assert pair.residual <= 1e-9
+
+
+@pytest.mark.parametrize("factor", [1e150, 1e-150])
+def test_inverse_iteration_keeps_extreme_masses_in_range(factor):
+    # the iterate grows like ||B|| over the shift's distance; scaled by a
+    # power of 2 before each B-product, it neither overflows nor underflows
+    # where the pencil's entries lie near the ends of double range.  The
+    # count route and a window on a dsbtrd-reduced T iterate on the pencil.
+    op = dirac_operator(2)
+    mode = next(mode_groups(op))[0]
+    base = intrinsic_assemble(covariance_record(op, constant_profile(1.0, 2), make_grid("polar", 400)), mode)
+    wide = BandedSymmetric(np.vstack([base.A.bands, np.zeros((1, base.A.size))]))
+
+    def values(A, B, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            count = solve_generalized(A, B, count=4)
+            window = solve_generalized(A, B, window=(-3.0 * scale, 3.0 * scale))
+        return np.array([p.value for p in count + window]) / scale
+
+    reference = values(wide, base.B, 1.0)
+    assert len(reference) == 8
+    for A, B, scale in [
+        (wide, base.B.scaled(factor), 1.0 / factor),  # the values scale by 1 / factor
+        (BandedSymmetric(wide.bands * factor), base.B.scaled(factor), 1.0),
+    ]:
+        assert values(A, B, scale) == pytest.approx(reference, rel=1e-12)
+
+
 @pytest.fixture
 def iterated(monkeypatch):
-    """Number of values each window or count solve inverse-iterates."""
+    """Number of values each window solve refines and finds a vector for
+    (by its twisted factorization or by inverse iteration)."""
     counts = []
-    real = eigensolve._inverse_iteration
+    real = eigensolve._refined_pairs
 
-    def counting(A, B, vals, *args):
-        counts.append(len(vals))
-        return real(A, B, vals, *args)
+    def counting(*args):
+        vals, vectors, slack = real(*args)
+        counts.append(len(vectors))
+        return vals, vectors, slack
 
-    monkeypatch.setattr(eigensolve, "_inverse_iteration", counting)
+    monkeypatch.setattr(eigensolve, "_refined_pairs", counting)
     return counts
 
 
@@ -989,8 +1177,8 @@ def test_intrinsic_dirac_modes_iterate_half_their_pairs(monkeypatch, iterated, o
 
 
 def test_chiral_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch, iterated):
-    # 2x2 blocks [[0, a], [a, 0]] with eigenvalues +-a; bisection hands the
-    # shift of 2 twice, and the second vector converges to 2.001
+    # 2x2 blocks [[0, a], [a, 0]] with eigenvalues +-a; the value 2 comes
+    # back with the vector of 2.001
     sub = np.zeros(31)
     sub[0::2] = [0.01, 2.0, 2.001] + [5.0 + k for k in range(13)]
     A = BandedSymmetric.from_tridiagonal(np.zeros(32), sub)
@@ -999,7 +1187,7 @@ def test_chiral_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch, 
     values = [round(p.value, 6) for p in solve_generalized(A, B, window=window)]
     assert values == [-2.0, -0.01, 0.01, 2.0]
     assert iterated == [2]
-    duplicate_first_value(monkeypatch, eigensolve._HalfBidiagonal, "values")
+    slide_to_the_next_value(monkeypatch)
     with pytest.raises(SolverConvergenceError):
         solve_generalized(A, B, window=window)
 
@@ -1008,16 +1196,17 @@ def test_chiral_window_takes_no_count_at_zero(monkeypatch):
     # a zero eigenvalue is read off the sub-diagonal, not off a count; every
     # count and bisection runs on the half-size bidiagonal, none on T
     counts = []
-    real = eigensolve._HalfBidiagonal.count_below
+    real = eigensolve._HalfBidiagonal.count
 
-    def spy(half, x):
-        counts.append(x)
-        return real(half, x)
+    def spy(half, mu):
+        counts.append(mu)
+        return real(half, mu)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a chiral window was counted or bisected on T")
 
-    monkeypatch.setattr(eigensolve._HalfBidiagonal, "count_below", spy)
+    monkeypatch.setattr(eigensolve._HalfBidiagonal, "count", spy)
+    monkeypatch.setattr(eigensolve._ShiftedTridiagonal, "count", refuse)
     monkeypatch.setattr(eigensolve, "_count_at_or_below", refuse)
     monkeypatch.setattr(eigensolve, "_bisect", refuse)
     A, B = chiral_pencil(np.random.default_rng(2), 300)
@@ -1074,9 +1263,10 @@ def test_lowest_on_a_chiral_pencil_mirrors_the_k_lowest(k, iterated):
 )
 def test_lowest_on_an_empty_window_takes_counts_only(monkeypatch, diag, window):
     def refuse(*args, **kwargs):
-        raise AssertionError("an empty window was bisected or iterated")
+        raise AssertionError("an empty window was bisected, refined or iterated")
 
-    monkeypatch.setattr(eigensolve, "_bisect", refuse)
+    monkeypatch.setattr(eigensolve, "_isolate", refuse)
+    monkeypatch.setattr(eigensolve._Twisted, "refine", refuse)
     monkeypatch.setattr(eigensolve, "_inverse_iteration", refuse)
     m = len(diag)
     A = BandedSymmetric.from_tridiagonal(np.array(diag), np.zeros(m - 1))
@@ -1216,6 +1406,21 @@ def test_dstebz_binding_matches_scipy_wrapper(m):
     below = int(np.sum(np.linalg.eigvalsh(np.diag(d) + np.diag(T[1, : m - 1], -1)) <= 0.1))
     assert eigensolve._count_at_or_below(T, 0.1, 3.0) == below
     assert np.array_equal(T, before)
+
+
+@pytest.mark.parametrize("m", [2, 17, 500])
+def test_dpttrf_binding_matches_scipy_wrapper(m):
+    # the window route's L D L^T of a positive definite tridiagonal T, and
+    # the failure it reports on an indefinite one
+    rng = np.random.default_rng(m)
+    d, e = rng.uniform(2.0, 3.0, m), rng.uniform(-0.5, 0.5, m - 1)
+    for shift in (0.0, 3.0):
+        ours_d, ours_e, info = d - shift, e.copy(), ctypes.c_int(0)
+        eigensolve._dpttrf(ctypes.c_int(m), ours_d.ctypes.data, ours_e.ctypes.data, info)
+        wrapped_d, wrapped_e, wrapped_info = lapack.dpttrf(d - shift, e)
+        assert info.value == wrapped_info == (0 if shift == 0.0 else 1)
+        if shift == 0.0:
+            assert np.array_equal(ours_d, wrapped_d) and np.array_equal(ours_e, wrapped_e)
 
 
 def run_isolated(code):
