@@ -11,25 +11,28 @@ reduction inside LAPACK dsbgvx (Crawford's split-Cholesky reduction, then
 band tridiagonalization), in O(m^2 b) time and O(m b) memory with no m x m
 array.
 
+One value engine serves window and count solves: one L D L^T of T per
+solve (Dhillon and Parlett, LAA 387, 2004), T - tau I by dpttrf, with
+tau = 0 where T is positive definite, as every scalar mode pencil is, and
+-2 ||T||inf otherwise.  LAPACK dlaneg counts its eigenvalues below a
+shift, and bisection on counts isolates each wanted value in an interval
+that holds it alone.  LAPACK dlar1v then runs Rayleigh quotient iteration
+on twisted factorizations from the interval's midpoint, safeguarded by the
+counts each step returns.  An interval narrower than the solve's isolation
+tolerance that still holds c >= 2 values is a cluster: c copies of its
+midpoint, inverse-iterated on the pencil.
+
 Window solve (``count`` left out, B diagonal): every pair strictly inside a
 value window (lo, hi).  This is the route of the radial operators, whose
-mass is lumped.  One L D L^T of T serves the whole solve (Dhillon and
-Parlett, LAA 387, 2004): T - tau I by dpttrf, with tau = 0 where T is
-positive definite, as every scalar mode pencil is, and -2 ||T||inf
-otherwise.  LAPACK dlaneg counts its eigenvalues below a shift; counts at
-the window's ends size the window, which is open at both (the count at lo
-is taken below the next double up), and bisection on counts isolates each
-wanted value in an interval that holds it alone.  LAPACK dlar1v then runs
-Rayleigh quotient iteration on twisted factorizations from the interval's
-midpoint, safeguarded by the counts each step returns, and its last twisted
-vector z gives the pair's, B^-1/2 z / ||z||.  An interval narrower than
-``_WINDOW_ABSTOL`` times the window's half-width that still holds c >= 2
-values is a cluster: c copies of its midpoint, inverse-iterated on the
-pencil, as is every value of a T that dsbtrd reduced.  With ``lowest`` = k
-only the k lowest above the kernel threshold are wanted: counts at the
-threshold and at hi size the window, an empty one ends the solve with no
-refinement, and a fuller one is halved by value until it holds exactly k.
-The window route calls no dstebz.
+mass is lumped.  Counts at the window's ends size the window, which is
+open at both (the count at lo is taken below the next double up), and the
+isolation tolerance is ``_WINDOW_ABSTOL`` times the window's half-width.
+The last twisted vector z of a refined value gives the pair's,
+B^-1/2 z / ||z||; every value of a T that dsbtrd reduced is
+inverse-iterated on the pencil.  With ``lowest`` = k only the k lowest
+above the kernel threshold are wanted: counts at the threshold and at hi
+size the window, an empty one ends the solve with no refinement, and a
+fuller one is halved by value until it holds exactly k.
 
 A chiral pencil (tridiagonal A with a zero diagonal, the interleaved Dirac
 mode system) has a spectrum symmetric about 0, pair by pair: (lam, x) and
@@ -40,24 +43,27 @@ the whole window is solved.  The positive half is the set of singular
 values s of the m/2 x m/2 bidiagonal C that T's sub-diagonal forms (Golub
 and Kahan), and C C^T = L D L^T with d = a^2 and l = b / a on C's diagonal
 a and sub-diagonal b (Grosser and Lang, LAA 358, 2003): counts pass over
-m/2 entries (17-20 against 136-159 microseconds for a dstebz Sturm count
-of T at m = 3998, N = 2000, on 2 cores), and a twisted vector u of C C^T
+m/2 entries (19-21 against 36-38 microseconds for a dlaneg count of the
+whole T at m = 3998, N = 2000, on 2 cores), and a twisted vector u of C C^T
 gives v = s C^-1 u by one bidiagonal solve and the pair's vector from
 (u, v) / sqrt 2.
 
 Count solve (``count`` given, any banded B): the ``count`` eigenvalues
-nearest a window (default: nearest 0).  A dstebz Sturm count at each window
-end brackets the candidates' index block, dstebz locates just those, and
-the nearest ``count`` are inverse-iterated.  ``method`` "auto" and
+nearest a finite window with lo <= hi (default: nearest 0; any other is a
+``ValueError``).  Counts at the window's ends give the candidates' index
+block, the ``count`` on either side of the window and those inside it; a
+bracket grown outward from the window holds the block, only the intervals
+that meet it are isolated, to 4 eps ||T||, and refined, and the nearest
+``count`` values are inverse-iterated on the pencil.  ``method`` "auto" and
 "dense" both name this route.  ARPACK runs only when named: shift-invert
 Lanczos (``method="iterative"``, any m, and ``count`` < m - 1 as ARPACK
 requires; a larger count is a ``ValueError``, never a quiet switch to
-bisection) makes one ARPACK call on the
-standard symmetric operator L^T (A - sigma B)^-1 L, with B = L L^T the
-Cholesky factor every solve computes, the banded LU of A - sigma B that
-inverse iteration uses and a deterministically seeded start vector; a
-breakdown or a non-converged call (even one that holds enough partial
-pairs) raises ``SolverConvergenceError``.
+bisection) makes one ARPACK call on the standard symmetric operator
+L^T (A - sigma B)^-1 L, with B = L L^T the Cholesky factor every solve
+computes, the banded LU of A - sigma B that inverse iteration uses and a
+deterministically seeded start vector; a breakdown or a non-converged call
+(even one that holds enough partial pairs) raises
+``SolverConvergenceError``.
 
 Inverse iteration, where it runs, is shifted inverse iteration on the
 banded A - (lam + delta) B from seeded vectors, B-orthogonalized against
@@ -68,12 +74,11 @@ once (in extended precision where it lies within 16 ulps of a window end,
 which it then decides), and a quotient further than the slack from its
 estimate means the vector belongs to a neighbouring eigenvalue, which
 raises ``SolverConvergenceError`` rather than returning a duplicate or a
-stranger.  The slack is 8 eps ||T|| for a value of a scaled T, refined by
-Rayleigh iteration or located by the count route, plus the window's
-bisection tolerance for a cluster's copy, and 64 eps ||T|| for a value of
-a reduced T (any other B, or a window's dsbtrd-reduced T), whose band
-reduction rounds its values further from the quotients; ARPACK's Ritz
-values are held to none.
+stranger.  The slack of a window or count value is 8 eps ||T|| on a scaled
+tridiagonal T and 64 eps ||T|| on any reduced T (any other B by dsbgst, or
+a scaled T wider than tridiagonal by dsbtrd), whose band reduction rounds
+its values further from the quotients; a cluster's copy adds the
+isolation tolerance.  ARPACK's Ritz values are held to none.
 
 Every returned vector is B-orthonormal as its route returns it, and no
 second pass touches it.  A twisted vector is B-normal by construction and
@@ -206,10 +211,6 @@ _dpbstf = _bind("dpbstf", _C, _I, _I, _P, _I, _I)
 _dsbgst = _bind("dsbgst", _C, _C, _I, _I, _I, _P, _I, _P, _I, _P, _I, _P, _I)
 # vect uplo n kd ab ldab d e q ldq work info
 _dsbtrd = _bind("dsbtrd", _C, _C, _I, _I, _P, _I, _P, _P, _P, _I, _P, _I)
-# range order n vl vu il iu abstol d e m nsplit w iblock isplit work iwork info
-_dstebz = _bind(
-    "dstebz", _C, _C, _I, _D, _D, _I, _I, _D, _P, _P, _I, _I, _P, _P, _P, _P, _P, _I
-)
 # n d lld sigma pivmin r; returns the count of eigenvalues below sigma
 _dlaneg = _bind("dlaneg", _I, _P, _P, _D, _D, _I, restype=ctypes.c_int)
 # n d e info
@@ -562,48 +563,9 @@ def _tridiagonal(T):
     return out
 
 
-def _bisect(T, abstol, lo=0.0, hi=0.0, first=None, stop=None):
-    """dstebz bisection of the banded T, the count route's bisection:
-    the eigenvalue estimates in (lo, hi], or with ``first`` and ``stop`` the
-    ascending numbers first..stop-1 (0-based), to ``abstol``.  dstebz reads
-    the diagonal and sub-diagonal of a tridiagonal T in place, leaving T as
-    it was; a wider T is reduced first."""
-    T = _tridiagonal(T)
-    m = T.shape[1]
-    by_index = first is not None
-    il, iu = (first + 1, stop) if by_index else (1, m)
-    # w (m) then work (4m) in one array; iblock (m), isplit (m) then iwork
-    # (3m) in another
-    w = np.empty(5 * m)
-    iwork = np.empty(5 * m, np.int32)
-    w_p, iwork_p, step = w.ctypes.data, iwork.ctypes.data, iwork.itemsize * m
-    found, nsplit, info = ctypes.c_int(0), ctypes.c_int(0), ctypes.c_int(0)
-    _dstebz(
-        b"I" if by_index else b"V", b"E", ctypes.c_int(m), ctypes.c_double(lo),
-        ctypes.c_double(hi), ctypes.c_int(il), ctypes.c_int(iu), ctypes.c_double(abstol),
-        T[0].ctypes.data, T[1].ctypes.data, found, nsplit, w_p, iwork_p, iwork_p + step,
-        w_p + w.itemsize * m, iwork_p + 2 * step, info,
-    )
-    if info.value != 0:
-        raise SolverConvergenceError(math.inf)
-    return w[: found.value]
-
-
-# Sturm counts call the same dstebz wrapper under a name of their own, which
-# keeps them apart from the value bisections that go through _bisect
-_sturm_stebz = _bisect
-
-
-def _count_at_or_below(T, x, scale):
-    """Number of eigenvalues of T at or below x: a Sturm count, since a
-    tolerance wider than the whole spectrum leaves dstebz nothing to bisect."""
-    wide = 2.0 * scale + abs(x) + 1.0
-    return _sturm_stebz(T, wide, -wide, x).size
-
-
 class _Twisted:
-    """One L D L^T of a tridiagonal matrix, which serves all of a window
-    solve: its counts, its values and its vectors (Dhillon and Parlett,
+    """One L D L^T of a tridiagonal matrix, which serves all of a window or
+    count solve: its counts, its values and its twisted vectors (Dhillon and Parlett,
     LAA 387, 2004).
 
     ``d`` holds the pivots D, all positive, ``l`` the sub-diagonal of the
@@ -805,18 +767,20 @@ def _lowest_window(count, lower, below, top, inside, k, narrow):
     return top, inside
 
 
-def _isolate(count, a, b, n_a, n_b, narrow):
-    """Intervals (x, y, n_x, n_y) of the eigenvalues in [a, b), ascending,
-    by bisection on ``count``: n_x is count(x), the number below x, and each
-    interval holds one eigenvalue or is a cluster, which ``narrow(x, y)``
-    says is within the bisection tolerance, with c >= 2.  A count that falls
-    outside its interval's two end counts is clamped to them, as dstebz's
-    dlaebz does."""
+def _isolate(count, a, b, n_a, n_b, narrow, first, stop):
+    """Intervals (x, y, n_x, n_y), ascending, of the eigenvalues in [a, b)
+    that hold one numbered first..stop-1 (ascending, from 0), by bisection
+    on ``count``: n_x is count(x), the number below x, and each interval
+    holds one eigenvalue or is a cluster, which ``narrow(x, y)`` says is
+    within the bisection tolerance, with c >= 2.  An interval without such a
+    number is dropped unsplit.  A count outside its interval's end counts is
+    clamped to them, as LAPACK's dlaebz does, never to first..stop: that
+    would make an interval of three values look isolated."""
     found = []
     todo = [(a, b, n_a, n_b)]
     while todo:
         x, y, n_x, n_y = todo.pop()  # the lowest interval left
-        if n_x >= n_y:
+        if n_x >= n_y or n_y <= first or n_x >= stop:
             continue
         mid = 0.5 * (x + y)
         if n_y - n_x == 1 or narrow(x, y) or not x < mid < y:
@@ -827,32 +791,44 @@ def _isolate(count, a, b, n_a, n_b, narrow):
     return found
 
 
-def _refined_pairs(rep, intervals, A, B, seed, reduced, abstol, scale):
-    """Values, B-unit vectors and slacks of the eigenvalues that
-    ``intervals`` isolate (see ``_isolate``).
+def _refined_values(rep, intervals, reduced, tol, scale):
+    """Values, unit twisted vectors and slacks of the eigenvalues that
+    ``intervals`` isolate (see ``_isolate``): the value stage of window and
+    count solves alike.
 
-    An isolated value is refined by ``rep.refine``.  Where T is the scaled
-    pencil itself, its twisted vector gives the pencil's and its slack is
-    8 eps ||T||.  Where dsbtrd ``reduced`` T, whose vectors are not the
-    pencil's, the value is inverse-iterated on the pencil, and its slack is
-    64 eps ||T||, as for the count route's reduced T: the reduction moves
-    the values off the pencil's quotients by up to 28.3 eps ||T|| (114,525
-    values of random bandwidth-2 pencils, m = 20..598).  A cluster of c
-    gives c copies of its interval's midpoint, with the bisection tolerance
-    added to its slack, and is inverse-iterated on the pencil too."""
-    eps = np.finfo(float).eps
-    s = 1.0 / np.sqrt(B.bands[0])  # B^-1/2
-    vals, vectors, slack = [], [], []
+    An isolated value is refined by ``rep.refine``.  Its slack is
+    8 eps ||T|| where T is the scaled pencil itself and 64 eps ||T|| where T
+    was ``reduced`` (by dsbgst or dsbtrd): the reduction moves the values
+    off the pencil's quotients by up to 28.3 eps ||T|| (114,525 values of
+    random bandwidth-2 pencils, m = 20..598).  A cluster of c gives c copies
+    of its interval's midpoint, with no twisted vector and the isolation
+    tolerance ``tol`` added to its slack."""
+    base = (64.0 if reduced else 8.0) * np.finfo(float).eps * scale
+    vals, twisted, slack = [], [], []
     for a, b, n_a, n_b in intervals:
         if n_b - n_a == 1:
             value, y = rep.refine(a, b, n_a)
             vals.append(value)
-            vectors.append(None if reduced else rep.vector(y, value, s))
-            slack.append((64.0 if reduced else 8.0) * eps * scale)
+            twisted.append(y)
+            slack.append(base)
         else:
             vals += [rep.value(0.5 * (a + b))] * (n_b - n_a)
-            vectors += [None] * (n_b - n_a)
-            slack += [abstol + 8.0 * eps * scale] * (n_b - n_a)
+            twisted += [None] * (n_b - n_a)
+            slack += [tol + base] * (n_b - n_a)
+    return vals, twisted, slack
+
+
+def _refined_pairs(rep, intervals, A, B, seed, reduced, tol, scale):
+    """``_refined_values`` with B-unit vectors, for a window solve: a
+    refined value's twisted vector gives the pencil's where T is the scaled
+    pencil itself; a cluster's copies, and every value of a T that dsbtrd
+    ``reduced``, are inverse-iterated on the pencil."""
+    vals, twisted, slack = _refined_values(rep, intervals, reduced, tol, scale)
+    s = 1.0 / np.sqrt(B.bands[0])  # B^-1/2
+    vectors = [
+        None if reduced or y is None else rep.vector(y, value, s)
+        for value, y in zip(vals, twisted)
+    ]
     todo = [j for j, x in enumerate(vectors) if x is None]
     if todo:
         iterated = _inverse_iteration(A, B, [vals[j] for j in todo], scale, seed)
@@ -882,8 +858,6 @@ def _window_path(A, B, L, window, seed, lowest):
         return [], [], 0.0
     m = A.size
     T, scale = _scaled_standard(A, L)
-    if not math.isfinite(scale):
-        raise ValueError("array must not contain infs or NaNs")
     T = _tridiagonal(T)
     # the count inside the window is exact whatever abstol is
     abstol = _WINDOW_ABSTOL * max(abs(lo), abs(hi))
@@ -910,7 +884,8 @@ def _window_path(A, B, L, window, seed, lowest):
 
     if lowest is not None:
         top, inside = _lowest_window(rep.count, lower, below, top, inside, lowest, narrow)
-    intervals = _isolate(rep.count, lower, top, below, below + inside, narrow)
+    stop = below + inside
+    intervals = _isolate(rep.count, lower, top, below, stop, narrow, below, stop)
     if lowest is not None:  # a cluster at the k-th value gives only the copies wanted
         kept, wanted = [], lowest
         for a, b, n_a, n_b in intervals:
@@ -934,33 +909,52 @@ def _window_path(A, B, L, window, seed, lowest):
 
 def _nearest_path(A, B, L, count, window, seed, diagonal):
     """Estimates of the ``count`` eigenvalues nearest the window (lo, hi),
-    their vectors and the slack of the estimates.
+    their vectors and the slack of each estimate.
 
     A diagonal B is scaled into T = B^-1/2 A B^-1/2, any other reduced to a
     tridiagonal T; either has the pencil's eigenvalues, and a scaled T wider
-    than tridiagonal is reduced once more, by dsbtrd.  The values at or
-    below lo have the indices below the Sturm count at lo, those above hi
-    the indices from the count at hi on, so the nearest ``count`` lie among
-    the ``count`` on either side of the window and those inside it.  dstebz
-    bisects just that index block of T, to its default tolerance eps ||T||,
-    and the nearest ``count`` of it are inverse-iterated on the pencil.  The
-    slack is 8 eps ||T|| on the scaled T and 64 eps ||T|| on the reduced
-    one, whose reduction rounds its values further from the quotients."""
+    than tridiagonal is reduced once more, by dsbtrd.  Counts of its
+    ``_ShiftedTridiagonal`` at lo and hi give the index block of the
+    ``count`` on either side of the window and those inside it, which holds
+    the nearest ``count``.  A bracket grown outward from the window by
+    doubling steps from ||T|| / m holds the block; it stops at 0, below which
+    L D L^T has no eigenvalue, and at twice the bound ||T|| - tau on them.
+    Only the intervals that meet the block are isolated, to 4 eps ||T||, and
+    refined, and the nearest ``count`` values are inverse-iterated on the
+    pencil: twisted vectors left one of criterion 4's covariance pencils at
+    a residual of 1.38e-9."""
     lo, hi = window
+    m = A.size
     T, scale = _scaled_standard(A, L) if diagonal else _reduced_standard(A, B)
-    T = _tridiagonal(T)
-    below_lo = _count_at_or_below(T, lo, scale)
-    below_hi = below_lo if hi == lo else _count_at_or_below(T, hi, scale)
-    first = max(below_lo - count, 0)
-    stop = min(below_hi + count, A.size)
-    vals = _bisect(T, 0.0, first=first, stop=stop)
-    i0, i1 = _select_nearest(vals, count, window)
+    reduced = not diagonal or A.bandwidth > 1
+    rep = _ShiftedTridiagonal(_tridiagonal(T), scale)
+    mu_lo, mu_hi = rep.rep(lo), rep.rep(hi)
+    n_lo = rep.count(mu_lo)
+    n_hi = n_lo if hi == lo else rep.count(mu_hi)
+    first, stop = max(n_lo - count, 0), min(n_hi + count, m)
+    a, b, n_a, n_b = mu_lo, mu_hi, n_lo, n_hi
+    ceiling = 2.0 * rep.rep(scale)
+    step = (scale or 1.0) / m
+    while n_a > first or n_b < stop:
+        if a == 0.0 and b == ceiling:  # counts no L D L^T of T can give
+            raise SolverConvergenceError(math.inf)
+        if n_a > first:
+            a = max(0.0, mu_lo - step)
+            n_a = rep.count(a)
+        if n_b < stop:
+            b = min(ceiling, mu_hi + step)
+            n_b = rep.count(b)
+        step *= 2.0
+    tol = 4.0 * np.finfo(float).eps * scale
+
+    def narrow(x, y):
+        return rep.value(y) - rep.value(x) <= tol
+
+    intervals = _isolate(rep.count, a, b, n_a, n_b, narrow, first, stop)
+    vals, _, slack = _refined_values(rep, intervals, reduced, tol, scale)
+    i0, i1 = _select_nearest(np.array(vals), count, window)
     vals = vals[i0 : i1 + 1]
-    # a reduced T's quotients were measured up to 18.3 eps ||T|| from their
-    # estimates (criterion 7's m=4000 pencil), 9.7 over 226 seeds of the
-    # perfbench pencil ladder
-    slack = (8.0 if diagonal else 64.0) * np.finfo(float).eps * scale
-    return vals, _inverse_iteration(A, B, vals, scale, seed), slack
+    return vals, _inverse_iteration(A, B, vals, scale, seed), slack[i0 : i1 + 1]
 
 
 def solve_generalized(
@@ -985,10 +979,10 @@ def solve_generalized(
     with its mirror.
 
     With ``count``: the ``count`` pairs nearest the window (default: nearest
-    0).  ``method`` is "auto" or its synonym "dense" (bisection of the
-    scaled or band-reduced pencil, then inverse iteration) or "iterative"
-    (shift-invert Lanczos), which needs ``count`` < m - 1 and raises
-    ``ValueError`` otherwise.
+    0).  ``method`` is "auto" or its synonym "dense" (the value engine on
+    the scaled or band-reduced pencil, then inverse iteration) or
+    "iterative" (shift-invert Lanczos), which needs ``count`` < m - 1 and
+    raises ``ValueError`` otherwise.
     """
     m = A.size
     if B.size != m:
@@ -1005,6 +999,8 @@ def solve_generalized(
         raise ValueError("lowest applies to solves without a count")
     elif count < 1:
         raise ValueError("count must be at least 1")
+    elif window is not None and not -math.inf < window[0] <= window[1] < math.inf:
+        raise ValueError(f"a count solve needs a finite window with lo <= hi, got {window}")
     elif method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
     elif method == "iterative" and count >= m - 1:

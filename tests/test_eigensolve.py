@@ -255,6 +255,20 @@ def test_dense_rejects_non_finite_bands():
         solve_generalized(A, diagonal, window=(-1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "window", [(0.5, -0.5), (math.nan, math.nan), (1.0, math.inf)],
+    ids=["inverted", "nan", "infinite"],
+)
+def test_count_solve_rejects_a_window_without_a_nearest_value(window):
+    # every eigenvalue is infinitely far from an infinite end, and none is
+    # nearest an inverted or NaN window: the count solve names the window
+    # rather than failing inside its value engine or picking by index
+    A, B = random_pencil(np.random.default_rng(5), 60)
+    for mass in (B, BandedSymmetric.from_diagonal(B.bands[0])):
+        with pytest.raises(ValueError, match="finite window with lo <= hi"):
+            solve_generalized(A, mass, count=3, window=window)
+
+
 def test_dense_beyond_old_cap_keeps_bands(monkeypatch):
     # the direct route reduces the bands themselves: no m x m array, no cap
     rng = np.random.default_rng(6000)
@@ -376,21 +390,24 @@ def test_iterative_route_hands_arpack_a_standard_problem(monkeypatch):
 
 
 def test_count_solve_bisects_only_the_wanted_block(monkeypatch):
-    # the count route reduces a coupled mass to a tridiagonal T and bisects
-    # the 2 count values around the window, never the whole spectrum
+    # the count route reduces a coupled mass to a tridiagonal T and isolates
+    # and refines the 2 count values around the window, never the whole
+    # spectrum nor the rest of the bracket that holds them
     A, B = random_pencil(np.random.default_rng(2500), 2500)
-    blocks = []
-    bisect = eigensolve._bisect
+    refined = []
+    refine = eigensolve._Twisted.refine
 
-    def spy(T, abstol, lo=0.0, hi=0.0, first=None, stop=None):
-        if first is not None:
-            blocks.append(stop - first)
-        return bisect(T, abstol, lo, hi, first, stop)
+    def spy(rep, left, right, n_left):
+        refined.append(n_left)
+        return refine(rep, left, right, n_left)
 
-    monkeypatch.setattr(eigensolve, "_bisect", spy)
+    monkeypatch.setattr(eigensolve._Twisted, "refine", spy)
     pairs = solve_generalized(A, B, count=4, method="dense")
     assert len(pairs) == 4
-    assert len(blocks) == 1 and blocks[0] <= 8
+    (below,) = oracles.tridiag_pencil_count_below(
+        *oracles.banded_to_tridiag(A), *oracles.banded_to_tridiag(B), [0.0]
+    )
+    assert sorted(refined) == list(range(below - 4, below + 4))
 
 
 @pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal-mass", "coupled-mass"])
@@ -413,6 +430,23 @@ def test_bandwidth_three_matches_dense_eigh(m, count):
     expected = nearest_dense_values(A, B, count)
     scale = np.abs(expected).max()
     assert np.abs(np.array([p.value for p in pairs]) - expected).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_count_solve_on_a_band_reduced_scaled_pencil(seed):
+    # a diagonal mass and a bandwidth-2 A: dsbtrd reduces the scaled T, and
+    # that moves its values up to 28 eps ||T|| off their quotients, so they
+    # are held to a reduced T's slack; at 8 eps ||T|| every one of these
+    # solves failed as a slide
+    A, B = random_pencil(np.random.default_rng(seed), 400, bandwidth=2)
+    A = A.add_scaled(BandedSymmetric.from_diagonal(np.ones(400)), 3.0)
+    B = BandedSymmetric.from_diagonal(B.bands[0])
+    dense = solve_generalized(A, B, count=40, window=(3.3, 3.3))
+    iterative = solve_generalized(A, B, count=40, window=(3.3, 3.3), method="iterative")
+    assert len(dense) == len(iterative) == 40
+    assert all(p.residual <= 1e-9 for p in dense)
+    for a, b in zip(dense, iterative):
+        assert abs(a.value - b.value) <= 1e-8
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -733,18 +767,18 @@ def test_chiral_window_splits_values_closer_than_its_tolerance(iterated):
 
 
 def duplicate_first_value(monkeypatch):
-    """Make the count route's dstebz bisection hand back its second value in
-    place of its first, so that one shift comes twice; a count reads only
-    how many values there are, so it is unchanged."""
-    real = eigensolve._bisect
+    """Make the count route hand the gate its second estimate in place of its
+    first, with the vectors inverse-iterated at the estimates it hands over:
+    one shift comes twice, and the second vector, B-orthogonal to the first,
+    converges to the neighbouring eigenvalue."""
+    real = eigensolve._nearest_path
 
-    def repeated(*args, **kwargs):
-        vals = real(*args, **kwargs)
-        if vals.size > 1:
-            vals[0] = vals[1]
-        return vals
+    def repeated(A, B, L, count, window, seed, diagonal):
+        vals, _, slack = real(A, B, L, count, window, seed, diagonal)
+        vals = [vals[1], *vals[1:]]
+        return vals, eigensolve._inverse_iteration(A, B, vals, 1.0, seed), slack
 
-    monkeypatch.setattr(eigensolve, "_bisect", repeated)
+    monkeypatch.setattr(eigensolve, "_nearest_path", repeated)
 
 
 def slide_to_the_next_value(monkeypatch):
@@ -1030,13 +1064,21 @@ def test_rayleigh_iteration_cap_is_a_solver_failure(monkeypatch):
         solve_generalized(A, B, window=(-1.2, 1.2), lowest=1)
 
 
-def test_window_route_runs_no_dstebz(monkeypatch):
-    # counts, values and vectors of every window solve come from its one
-    # L D L^T (dlaneg and dlar1v) or inverse iteration, never from dstebz
-    def refuse(*args):
-        raise AssertionError("a window solve called dstebz")
+def test_no_route_calls_dstebz(monkeypatch):
+    # every LAPACK routine the solver calls is one of its module-level
+    # bindings; each is wrapped to record its calls.  Counts, values and
+    # vectors of window, chiral and count solves come from one L D L^T
+    # (dpttrf, dlaneg and dlar1v) or from inverse iteration, and the
+    # iterative route's from ARPACK: no route reaches dstebz
+    called = set()
+    for name, routine in list(vars(eigensolve).items()):
+        if isinstance(routine, ctypes._CFuncPtr):
 
-    monkeypatch.setattr(eigensolve, "_dstebz", refuse)
+            def recording(*args, _name=name, _routine=routine):
+                called.add(_name)
+                return _routine(*args)
+
+            monkeypatch.setattr(eigensolve, name, recording)
     rng = np.random.default_rng(23)
     chiral = chiral_pencil(rng, 300)
     indefinite = diagonal_mass_pencil(rng, 300)
@@ -1050,6 +1092,16 @@ def test_window_route_runs_no_dstebz(monkeypatch):
         for lowest in (None, 2):
             for pair in solve_generalized(A, B, window=window, lowest=lowest):
                 assert pair.residual <= 1e-9
+    coupled = random_pencil(rng, 300, bandwidth=2)
+    for A, B in (indefinite, wide, coupled):
+        for method in ("dense", "iterative"):
+            for pair in solve_generalized(A, B, count=4, window=(0.1, 0.1), method=method):
+                assert pair.residual <= 1e-9
+    assert called == {
+        "_dpbtrf", "_dpbstf", "_dsbgst", "_dsbtrd", "_dlaneg", "_dpttrf", "_dlar1v",
+        "_dgttrf", "_dgttrs", "_dgbtrf", "_dgbtrs", "_dtbtrs",
+    }
+    assert not any("stebz" in name for name in vars(eigensolve))
 
 
 @pytest.mark.parametrize("factor", [1e150, 1e-150])
@@ -1207,8 +1259,6 @@ def test_chiral_window_takes_no_count_at_zero(monkeypatch):
 
     monkeypatch.setattr(eigensolve._HalfBidiagonal, "count", spy)
     monkeypatch.setattr(eigensolve._ShiftedTridiagonal, "count", refuse)
-    monkeypatch.setattr(eigensolve, "_count_at_or_below", refuse)
-    monkeypatch.setattr(eigensolve, "_bisect", refuse)
     A, B = chiral_pencil(np.random.default_rng(2), 300)
     for lowest in (None, 3):
         counts.clear()
@@ -1344,19 +1394,14 @@ def test_bound_lapack_routines_match_scipy_wrappers(bw, m):
     assert np.array_equal(root[0], np.sqrt(B.bands[0]))
     T, _ = eigensolve._scaled_standard(A, root)
     T_before = T.copy()
-    for abstol, lo, hi in [(0.0, -0.3, 0.4), (1e-6, -5.0, 5.0)]:
-        w, _, found, _, info = lapack.dsbevx(
-            T, lo, hi, 1, m, compute_v=0, range=1, lower=1, abstol=abstol
-        )
-        assert info == 0
-        assert np.array_equal(eigensolve._bisect(T, abstol, lo, hi), w[:found])
-    first = m // 3
-    stop = min(first + 4, m)
-    w, _, found, _, info = lapack.dsbevx(
-        T, 0.0, 0.0, first + 1, stop, compute_v=0, range=2, lower=1, abstol=0.0
-    )
-    assert info == 0 and found == stop - first
-    assert np.array_equal(eigensolve._bisect(T, 0.0, first=first, stop=stop), w[:found])
+    # dsbevx finds every value of a banded T, with abstol 0, by dsterf on
+    # dsbtrd's tridiagonal: the one the count and window routes work on
+    w, _, found, _, info = lapack.dsbevx(T, 0.0, 0.0, 1, m, compute_v=0, range=0, lower=1)
+    assert info == 0 and found == m
+    tridiagonal = eigensolve._tridiagonal(T)
+    values, info = lapack.dsterf(tridiagonal[0], tridiagonal[1, :-1])
+    assert info == 0
+    assert np.array_equal(values, w[:found])
     assert np.array_equal(T, T_before)
 
     solver = eigensolve._ShiftedSolver(A, B)
@@ -1384,28 +1429,6 @@ def test_bound_lapack_routines_match_scipy_wrappers(bw, m):
 
     solve_generalized(A, B, count=min(3, m))
     assert np.array_equal(A.bands, a_bands) and np.array_equal(B.bands, b_bands)
-
-
-@pytest.mark.parametrize("m", [2, 17, 500])
-def test_dstebz_binding_matches_scipy_wrapper(m):
-    # the bound dstebz reads a tridiagonal T's two rows in place, for value
-    # ranges, index ranges and the wide-tolerance Sturm count alike
-    rng = np.random.default_rng(m)
-    T = np.array([rng.uniform(-1.0, 1.0, m), rng.uniform(-0.5, 0.5, m)])
-    T[1, m - 1] = 0.0
-    before = T.copy()
-    d, e = T[0], T[1, : m - 1]
-    for abstol, lo, hi in [(0.0, -0.3, 0.4), (1e-8, -2.0, 2.0)]:
-        found, w, *_, info = lapack.dstebz(d, e, 1, lo, hi, 0, 0, abstol, "E")
-        assert info == 0
-        assert np.array_equal(eigensolve._bisect(T, abstol, lo, hi), w[:found])
-    first, stop = m // 3, min(m // 3 + 4, m)
-    found, w, *_, info = lapack.dstebz(d, e, 2, 0.0, 0.0, first + 1, stop, 0.0, "E")
-    assert info == 0 and found == stop - first
-    assert np.array_equal(eigensolve._bisect(T, 0.0, first=first, stop=stop), w[:found])
-    below = int(np.sum(np.linalg.eigvalsh(np.diag(d) + np.diag(T[1, : m - 1], -1)) <= 0.1))
-    assert eigensolve._count_at_or_below(T, 0.1, 3.0) == below
-    assert np.array_equal(T, before)
 
 
 @pytest.mark.parametrize("m", [2, 17, 500])
