@@ -4,12 +4,14 @@
 symmetric positive definite banded) in one of two ways.
 
 Every route but ARPACK works on one symmetric tridiagonal T with the
-pencil's eigenvalues.  A diagonal B is scaled away, T = B^-1/2 A B^-1/2,
-and a scaled T wider than tridiagonal (the pentadiagonal Paneitz pencil) is
-reduced once per solve by dsbtrd; any other B is reduced once by the band
-reduction inside LAPACK dsbgvx (Crawford's split-Cholesky reduction, then
-band tridiagonalization), in O(m^2 b) time and O(m b) memory with no m x m
-array.
+pencil's eigenvalues, which one front end, ``_standard_form``, builds.  A
+diagonal B is scaled away, T = B^-1/2 A B^-1/2, and a scaled T wider than
+tridiagonal (the pentadiagonal Paneitz pencil) is reduced once per solve by
+dsbtrd; any other B is reduced once by the band reduction inside LAPACK
+dsbgvx (Crawford's split-Cholesky reduction, then band tridiagonalization),
+in O(m^2 b) time and O(m b) memory with no m x m array.  The front end also
+says whether T was band-reduced, the one decision that sets a value's slack
+and whether its twisted vector serves.
 
 One value engine serves window and count solves: one L D L^T of T per
 solve (Dhillon and Parlett, LAA 387, 2004), T - tau I by dpttrf, with
@@ -67,18 +69,21 @@ deterministically seeded start vector; a breakdown or a non-converged call
 
 Inverse iteration, where it runs, is shifted inverse iteration on the
 banded A - (lam + delta) B from seeded vectors, B-orthogonalized against
-the earlier vectors of the same call.  Each route returns its value
-estimates, its vectors and a slack, and every pair passes one gate in
-``solve_generalized``: the value is the vector's Rayleigh quotient, formed
-once (in extended precision where it lies within 16 ulps of a window end,
-which it then decides), and a quotient further than the slack from its
-estimate means the vector belongs to a neighbouring eigenvalue, which
-raises ``SolverConvergenceError`` rather than returning a duplicate or a
-stranger.  The slack of a window or count value is 8 eps ||T|| on a scaled
-tridiagonal T and 64 eps ||T|| on any reduced T (any other B by dsbgst, or
-a scaled T wider than tridiagonal by dsbtrd), whose band reduction rounds
-its values further from the quotients; a cluster's copy adds the
-isolation tolerance.  ARPACK's Ritz values are held to none.
+the earlier vectors of the same call.  Every route returns one shape: an
+array of value estimates, a list of as many vectors and an array of as
+many slacks (none of each for an empty window).  Every pair then passes
+one gate, the pure function ``_certify``: the value is the vector's
+Rayleigh quotient, formed once (in extended precision where it lies within
+16 ulps of a window end, which it then decides), and a quotient further
+than the slack from its estimate means the vector belongs to a
+neighbouring eigenvalue, which raises ``SolverConvergenceError`` rather
+than returning a duplicate or a stranger.  The slack of a window or count
+value is 8 eps ||T|| on a scaled tridiagonal T and 64 eps ||T|| on any
+reduced T (any other B by dsbgst, or a scaled T wider than tridiagonal by
+dsbtrd), whose band reduction rounds its values further from the
+quotients; a cluster's copy adds the isolation tolerance.  ARPACK's Ritz
+values have an infinite slack.  A window solve's quotient on an end is
+dropped, and every other pair must pass the residual certificate below.
 
 Every returned vector is B-orthonormal as its route returns it, and no
 second pass touches it.  A twisted vector is B-normal by construction and
@@ -427,7 +432,7 @@ def _inverse_iteration(A, B, vals, scale, seed):
     because a shared one leaves the later members of a cluster nothing of
     their own eigenvectors but rounding, which three steps at a shift as
     coarse as a bisection estimate cannot amplify.  Whether a vector slid
-    to another eigenvalue is judged by ``solve_generalized``.
+    to another eigenvalue is judged by ``_certify``.
     """
     eps = np.finfo(float).eps
     m = A.size
@@ -452,8 +457,8 @@ def _inverse_iteration(A, B, vals, scale, seed):
 
 def _iterative_path(A, B, L, count, window, seed):
     """Estimates of the ``count`` eigenvalues nearest the window's centre
-    sigma, their vectors and an infinite slack, by Lanczos (ARPACK) on a
-    standard symmetric problem.
+    sigma, their vectors and an infinite slack for each, by Lanczos (ARPACK)
+    on a standard symmetric problem.
 
     With B = L L^T (``L`` its Cholesky factor in lower band storage), the
     operator y -> L^T (A - sigma B)^-1 L y is symmetric with eigenvalues
@@ -498,7 +503,7 @@ def _iterative_path(A, B, L, count, window, seed):
         b"L", b"T", b"N", ctypes.c_int(m), ctypes.c_int(kd), ctypes.c_int(count), L.ctypes.data,
         ctypes.c_int(kd + 1), xs.ctypes.data, ctypes.c_int(m), info,
     )
-    return center + 1.0 / theta, list(xs), math.inf
+    return center + 1.0 / theta, list(xs), np.full(count, math.inf)
 
 
 def _scaled_standard(A, L):
@@ -541,6 +546,18 @@ def _reduced_standard(A, B):
     _dsbgst(b"N", b"L", n, kd, kd, ab_p, ld, bb_p, ld, _UNUSED_P, _ONE, work_p, info)
     T = _tridiagonal(ab)
     return T, _inf_norm(BandedSymmetric(T))
+
+
+def _standard_form(A, B, L, diagonal):
+    """The window and count routes' one front end: a tridiagonal T with the
+    pencil's eigenvalues, a bound ``scale`` on them (the inf-norm of the
+    scaled band, or of a general pencil's reduced tridiagonal) and whether
+    T was band-reduced (B not ``diagonal``, or a scaled T wider than
+    tridiagonal), which sets its values' slack and whether their twisted
+    vectors serve.  ``L`` is a diagonal B's Cholesky factor."""
+    T, scale = _scaled_standard(A, L) if diagonal else _reduced_standard(A, B)
+    reduced = not diagonal or A.bandwidth > 1
+    return _tridiagonal(T), scale, reduced
 
 
 def _tridiagonal(T):
@@ -631,6 +648,7 @@ class _Twisted:
         ``_RQI_STEPS`` steps without that."""
         (start, stop, n, d, l, ld, lld), k = self._piece(left, right, n_left)
         z, work, support = np.empty(n.value), np.empty(4 * n.value), np.empty(2, np.int32)
+        z_p, work_p, support_p = z.ctypes.data, work.ctypes.data, support.ctypes.data
         negcnt, r = ctypes.c_int(0), ctypes.c_int(0)
         ztz, mingma, nrminv, resid, rqcorr = (ctypes.c_double(0.0) for _ in range(5))
         tol = 2.0 * np.finfo(float).eps
@@ -639,9 +657,8 @@ class _Twisted:
         for _ in range(_RQI_STEPS):
             r.value = 0  # dlar1v twists where the inverse's diagonal is largest
             _dlar1v(
-                n, _ONE, n, ctypes.c_double(mu), d, l, ld, lld, _PIVMIN, _NO_GAPTOL,
-                z.ctypes.data, _TRUE, negcnt, ztz, mingma, r, support.ctypes.data, nrminv,
-                resid, rqcorr, work.ctypes.data,
+                n, _ONE, n, ctypes.c_double(mu), d, l, ld, lld, _PIVMIN, _NO_GAPTOL, z_p, _TRUE,
+                negcnt, ztz, mingma, r, support_p, nrminv, resid, rqcorr, work_p,
             )
             if negcnt.value > k:
                 right = mu
@@ -802,7 +819,7 @@ def _refined_values(rep, intervals, reduced, tol, scale):
     off the pencil's quotients by up to 28.3 eps ||T|| (114,525 values of
     random bandwidth-2 pencils, m = 20..598).  A cluster of c gives c copies
     of its interval's midpoint, with no twisted vector and the isolation
-    tolerance ``tol`` added to its slack."""
+    tolerance ``tol`` added to its slack.  The values and slacks are arrays."""
     base = (64.0 if reduced else 8.0) * np.finfo(float).eps * scale
     vals, twisted, slack = [], [], []
     for a, b, n_a, n_b in intervals:
@@ -815,7 +832,7 @@ def _refined_values(rep, intervals, reduced, tol, scale):
             vals += [rep.value(0.5 * (a + b))] * (n_b - n_a)
             twisted += [None] * (n_b - n_a)
             slack += [tol + base] * (n_b - n_a)
-    return vals, twisted, slack
+    return np.array(vals), twisted, np.array(slack)
 
 
 def _refined_pairs(rep, intervals, A, B, seed, reduced, tol, scale):
@@ -834,7 +851,7 @@ def _refined_pairs(rep, intervals, A, B, seed, reduced, tol, scale):
         iterated = _inverse_iteration(A, B, [vals[j] for j in todo], scale, seed)
         for j, x in zip(todo, iterated):
             vectors[j] = x
-    return np.array(vals), vectors, np.array(slack)
+    return vals, vectors, slack
 
 
 def _window_path(A, B, L, window, seed, lowest):
@@ -851,14 +868,13 @@ def _window_path(A, B, L, window, seed, lowest):
     where T holds one (see ``_chiral_half``), the whole window is solved as
     for any pencil, on ``_ShiftedTridiagonal``.  Returns the estimates,
     their vectors and the slack within which each vector's quotient must
-    stay of its estimate.
+    stay of its estimate, none of each for an empty window.
     """
     lo, hi = window
     if not lo < hi:
-        return [], [], 0.0
+        return np.empty(0), [], np.empty(0)
     m = A.size
-    T, scale = _scaled_standard(A, L)
-    T = _tridiagonal(T)
+    T, scale, reduced = _standard_form(A, B, L, True)
     # the count inside the window is exact whatever abstol is
     abstol = _WINDOW_ABSTOL * max(abs(lo), abs(hi))
     chiral = A.bandwidth == 1 and lo == -hi and m % 2 == 0 and not A.bands[0].any()
@@ -877,7 +893,7 @@ def _window_path(A, B, L, window, seed, lowest):
     top = rep.rep(hi)
     inside = rep.count(top) - below
     if inside <= 0:
-        return [], [], 0.0
+        return np.empty(0), [], np.empty(0)
 
     def narrow(x, y):
         return rep.value(y) - rep.value(x) <= abstol
@@ -894,9 +910,7 @@ def _window_path(A, B, L, window, seed, lowest):
             kept.append((a, b, n_a, min(n_b, n_a + wanted)))
             wanted -= n_b - n_a
         intervals = kept
-    vals, vectors, slack = _refined_pairs(
-        rep, intervals, A, B, seed, A.bandwidth > 1, abstol, scale
-    )
+    vals, vectors, slack = _refined_pairs(rep, intervals, A, B, seed, reduced, abstol, scale)
     if chiral:
         vals = np.concatenate([vals, -vals])
         for x in vectors[:]:
@@ -911,10 +925,8 @@ def _nearest_path(A, B, L, count, window, seed, diagonal):
     """Estimates of the ``count`` eigenvalues nearest the window (lo, hi),
     their vectors and the slack of each estimate.
 
-    A diagonal B is scaled into T = B^-1/2 A B^-1/2, any other reduced to a
-    tridiagonal T; either has the pencil's eigenvalues, and a scaled T wider
-    than tridiagonal is reduced once more, by dsbtrd.  Counts of its
-    ``_ShiftedTridiagonal`` at lo and hi give the index block of the
+    Counts of the ``_ShiftedTridiagonal`` of the front end's T
+    (``_standard_form``) at lo and hi give the index block of the
     ``count`` on either side of the window and those inside it, which holds
     the nearest ``count``.  A bracket grown outward from the window by
     doubling steps from ||T|| / m holds the block; it stops at 0, below which
@@ -925,9 +937,8 @@ def _nearest_path(A, B, L, count, window, seed, diagonal):
     a residual of 1.38e-9."""
     lo, hi = window
     m = A.size
-    T, scale = _scaled_standard(A, L) if diagonal else _reduced_standard(A, B)
-    reduced = not diagonal or A.bandwidth > 1
-    rep = _ShiftedTridiagonal(_tridiagonal(T), scale)
+    T, scale, reduced = _standard_form(A, B, L, diagonal)
+    rep = _ShiftedTridiagonal(T, scale)
     mu_lo, mu_hi = rep.rep(lo), rep.rep(hi)
     n_lo = rep.count(mu_lo)
     n_hi = n_lo if hi == lo else rep.count(mu_hi)
@@ -952,9 +963,50 @@ def _nearest_path(A, B, L, count, window, seed, diagonal):
 
     intervals = _isolate(rep.count, a, b, n_a, n_b, narrow, first, stop)
     vals, _, slack = _refined_values(rep, intervals, reduced, tol, scale)
-    i0, i1 = _select_nearest(np.array(vals), count, window)
+    i0, i1 = _select_nearest(vals, count, window)
     vals = vals[i0 : i1 + 1]
     return vals, _inverse_iteration(A, B, vals, scale, seed), slack[i0 : i1 + 1]
+
+
+def _certify(A, B, estimates, vectors, slack, window=None):
+    """The pairs of the routes' ``vectors``, sorted by value, or
+    ``SolverConvergenceError``: the one gate of every solve.
+
+    Each pair's value is its vector's Rayleigh quotient, formed once.  A
+    ``window`` is given for window solves alone, whose ends are open: a
+    quotient within 16 ulps of an end is formed again in extended
+    precision, whose rounding decides between inside and on the end.  A
+    quotient further than its ``slack`` from its estimate means the vector
+    slid to a neighbouring eigenvalue, and raises with an infinite
+    residual.  A quotient on or beyond a window end is then dropped.  Every
+    other pair must pass the residual certificate (``_certificate``), below
+    ``RESIDUAL_TOL`` or 32 times its floor; the worst residual that does not
+    is raised."""
+    if not vectors:
+        return []  # an empty window: no pair to certify, so no norm to take
+    pairs = []
+    failed = []
+    norm_a, norm_b = _inf_norm(A), _inf_norm(B)
+    near = 16.0 * np.finfo(float).eps
+    for estimate, vec, tol in zip(estimates, vectors, slack):
+        ax, bx = A.matvec(vec), B.matvec(vec)
+        lam = float(vec @ ax) / float(vec @ bx)
+        if window is not None and min(abs(lam - end) for end in window) <= near * abs(lam):
+            wide = vec.astype(np.longdouble)
+            lam = float((wide @ ax) / (wide @ bx))
+        if not abs(lam - estimate) <= tol:  # a NaN quotient fails too
+            raise SolverConvergenceError(math.inf)
+        if window is not None and not window[0] < lam < window[1]:
+            continue  # an eigenvalue on a window end, found from inside
+        res, floor = _certificate(norm_a, norm_b, ax, bx, lam, vec)
+        bound = max(RESIDUAL_TOL, 32.0 * floor)
+        if not res <= bound:  # a NaN residual fails too
+            failed.append(res)
+        pairs.append(EigenPair(value=lam, vector=vec, residual=res))
+    if failed:
+        raise SolverConvergenceError(max(failed))
+    pairs.sort(key=lambda pr: pr.value)
+    return pairs
 
 
 def solve_generalized(
@@ -970,19 +1022,20 @@ def solve_generalized(
     with its relative residual.
 
     With ``count`` left out: every pair strictly inside ``window = (lo, hi)``
-    (possibly none), judged by the quotient returned, which can lie on an end
-    that the estimate lies inside.  This needs a diagonal B and a
-    window.  With
-    ``lowest`` = k as well: only the k lowest pairs inside the window and
-    above the kernel threshold tau = 1e-8 max(|lo|, |hi|), or all of them if
-    there are fewer; a chiral pencil returns the k lowest of (0, hi), each
-    with its mirror.
+    (possibly none), judged by the quotient returned, which can lie on an
+    end that the estimate lies inside.  This needs a diagonal B and a window.
+    With ``lowest`` = k as well: only the k lowest pairs inside the window
+    and above the kernel threshold tau = 1e-8 max(|lo|, |hi|), or all of
+    them if there are fewer; a chiral pencil returns the k lowest of
+    (0, hi), each with its mirror.
 
     With ``count``: the ``count`` pairs nearest the window (default: nearest
     0).  ``method`` is "auto" or its synonym "dense" (the value engine on
     the scaled or band-reduced pencil, then inverse iteration) or
     "iterative" (shift-invert Lanczos), which needs ``count`` < m - 1 and
     raises ``ValueError`` otherwise.
+
+    Every route's pairs pass one gate, ``_certify``.
     """
     m = A.size
     if B.size != m:
@@ -1006,42 +1059,12 @@ def solve_generalized(
     elif method == "iterative" and count >= m - 1:
         raise ValueError(f"method 'iterative' needs count < m - 1 = {m - 1}, got {count}")
     L = _cholesky_or_raise(B)
-    window = (0.0, 0.0) if window is None else window  # count solves: nearest 0
     if count is None:
-        estimates, vecs, slack = _window_path(A, B, L, window, seed, lowest)
-    elif method == "iterative":
-        estimates, vecs, slack = _iterative_path(A, B, L, count, window, seed)
-    else:
-        estimates, vecs, slack = _nearest_path(A, B, L, min(count, m), window, seed, diagonal)
-
-    if not vecs:
-        return []  # an empty window: no pair to certify, so no norm to take
-    pairs = []
-    failed = []
-    norm_a, norm_b = _inf_norm(A), _inf_norm(B)
-    near = 16.0 * np.finfo(float).eps
-    slacks = slack if np.ndim(slack) else [slack] * len(vecs)
-    for estimate, vec, tol in zip(estimates, vecs, slacks):
-        ax, bx = A.matvec(vec), B.matvec(vec)
-        lam = float(vec @ ax) / float(vec @ bx)
-        if count is None and min(abs(lam - end) for end in window) <= near * abs(lam):
-            # the rounding of the quotient decides between inside and on the end
-            wide = vec.astype(np.longdouble)
-            lam = float((wide @ ax) / (wide @ bx))
-        if not abs(lam - estimate) <= tol:  # a NaN quotient fails too
-            # the iteration slid to a neighbouring eigenvalue
-            raise SolverConvergenceError(math.inf)
-        if count is None and not window[0] < lam < window[1]:
-            continue  # an eigenvalue on a window end, found from inside
-        res, floor = _certificate(norm_a, norm_b, ax, bx, lam, vec)
-        bound = max(RESIDUAL_TOL, 32.0 * floor)
-        if not res <= bound:  # a NaN residual fails too
-            failed.append(res)
-        pairs.append(EigenPair(value=lam, vector=vec, residual=res))
-    if failed:
-        raise SolverConvergenceError(max(failed))
-    pairs.sort(key=lambda pr: pr.value)
-    return pairs
+        return _certify(A, B, *_window_path(A, B, L, window, seed, lowest), window)
+    window = (0.0, 0.0) if window is None else window  # nearest 0
+    if method == "iterative":
+        return _certify(A, B, *_iterative_path(A, B, L, count, window, seed))
+    return _certify(A, B, *_nearest_path(A, B, L, min(count, m), window, seed, diagonal))
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,8 @@ from confspec.operators import (
 
 import oracles
 
+EPS = np.finfo(float).eps
+
 
 def relative_residual(A, B, lam, x):
     """||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||), recomputed from a returned pair."""
@@ -689,21 +691,37 @@ def test_aggregate_sorted_and_extraction_consistent(values):
 # ------------------------------------------------------------ certificates
 
 
-def test_nan_vector_is_not_certified(monkeypatch):
-    # a non-finite vector from an inner solve must fail the certificate, not
-    # come back as a pair with value and residual NaN
-    rng = np.random.default_rng(4)
-    A, B = random_pencil(rng, 700)
-    real = spla.eigsh
-
-    def one_nan(*args, **kwargs):
-        vals, vecs = real(*args, **kwargs)
-        vecs[:, 0] = np.nan
-        return vals, vecs
-
-    monkeypatch.setattr(spla, "eigsh", one_nan)
+def test_nan_vector_is_not_certified():
+    # a non-finite vector from a route must fail the gate, not come back as a
+    # pair with value and residual NaN, even at ARPACK's infinite slack
+    A, B = random_pencil(np.random.default_rng(4), 50)
     with pytest.raises(SolverConvergenceError):
-        solve_generalized(A, B, count=2, method="iterative")
+        eigensolve._certify(A, B, [0.0], [np.full(50, np.nan)], [math.inf])
+
+
+def test_certificate_rejects_a_vector_off_its_eigenvector():
+    # at ARPACK's infinite slack any quotient passes the slide gate; a vector
+    # 1e-6 off the exact eigenvector must then fail the residual certificate,
+    # which raises that pair's residual
+    A, B = random_pencil(np.random.default_rng(4), 50)
+    values, vectors = sla.eigh(A.to_dense(), B.to_dense())
+    off = vectors[:, 1] + 1e-6 * np.random.default_rng(5).standard_normal(50)
+    lam = float(off @ A.matvec(off)) / float(off @ B.matvec(off))
+    with pytest.raises(SolverConvergenceError) as err:
+        eigensolve._certify(A, B, values[:2], [vectors[:, 0], off], [math.inf] * 2)
+    assert err.value.achieved_residual == relative_residual(A, B, lam, off) > 1e-8
+
+
+def test_certify_drops_a_quotient_on_a_window_end():
+    # eigenvalues +-0.5 and +-1, mass 7, window (-0.5, 1): -0.5's exact vector
+    # has its quotient on the lower end; a B-normal vector 8 ulps off 1's has
+    # it 1 ulp inside the upper end in double and on it in extended precision
+    A, B = zero_diagonal_pencil([1.0, 0.0, 0.5], 7.0)
+    near = np.array([1.0, 1.0 - 8.0 * EPS, 0.0, 0.0]) / math.sqrt(14.0)
+    assert float(near @ A.matvec(near)) / float(near @ B.matvec(near)) == 1.0 - EPS / 2
+    vectors = [np.array([0.0, 0.0, 1.0, -1.0]), np.array([0.0, 0.0, 1.0, 1.0]), near]
+    pairs = eigensolve._certify(A, B, [-0.5, 0.5, 1.0], vectors, [8.0 * EPS] * 3, (-0.5, 1.0))
+    assert [p.value for p in pairs] == [0.5]
 
 
 def test_certificate_matches_recomputed_residuals():
@@ -766,87 +784,69 @@ def test_chiral_window_splits_values_closer_than_its_tolerance(iterated):
     assert all(p.residual <= 1e-9 for p in pairs)
 
 
-def duplicate_first_value(monkeypatch):
-    """Make the count route hand the gate its second estimate in place of its
-    first, with the vectors inverse-iterated at the estimates it hands over:
-    one shift comes twice, and the second vector, B-orthogonal to the first,
-    converges to the neighbouring eigenvalue."""
-    real = eigensolve._nearest_path
-
-    def repeated(A, B, L, count, window, seed, diagonal):
-        vals, _, slack = real(A, B, L, count, window, seed, diagonal)
-        vals = [vals[1], *vals[1:]]
-        return vals, eigensolve._inverse_iteration(A, B, vals, 1.0, seed), slack
-
-    monkeypatch.setattr(eigensolve, "_nearest_path", repeated)
-
-
-def slide_to_the_next_value(monkeypatch):
-    """Make a window solve's top refined value come back with the vector of
-    the eigenvalue just above its interval [a, b), as an iteration that
-    slid to that neighbour would; [b, 2b - a) isolates it on the pencils
-    below."""
-    real = eigensolve._refined_pairs
-
-    def slid(rep, intervals, A, B, *args):
-        vals, vectors, slack = real(rep, intervals, A, B, *args)
-        a, b, _, n_b = intervals[-1]
-        neighbour = rep.refine(b, 2.0 * b - a, n_b)[1]
-        vectors[-1] = rep.vector(neighbour, vals[-1], 1.0 / np.sqrt(B.bands[0]))
-        return vals, vectors, slack
-
-    monkeypatch.setattr(eigensolve, "_refined_pairs", slid)
-
-
-def test_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch):
+def test_window_rejects_iteration_that_lands_on_a_neighbour():
     # the value 2 comes back with the vector of 2.001, outside the window,
-    # whose residual the certificate alone would accept
+    # whose residual the certificate alone would accept; ||T|| is 17
     diag = np.array([0.01, 2.0, 2.001] + [5.0 + k for k in range(13)])
     A = BandedSymmetric.from_tridiagonal(diag, np.zeros(15))
     B = BandedSymmetric.from_diagonal(np.ones(16))
     window = (0.0, 2.0005)
     assert [round(p.value, 6) for p in solve_generalized(A, B, window=window)] == [0.01, 2.0]
-    slide_to_the_next_value(monkeypatch)
-    with pytest.raises(SolverConvergenceError):
-        solve_generalized(A, B, window=window)
+    with pytest.raises(SolverConvergenceError):  # at 8 eps ||T||
+        eigensolve._certify(A, B, [0.01, 2.0], list(np.eye(16)[[0, 2]]), [8 * EPS * 17] * 2, window)
 
 
-def test_count_rejects_iteration_that_lands_on_a_neighbour(monkeypatch):
-    # the same slide on the reduced T of a non-diagonal B: the second shift
-    # of 2 converges to 2.001, which would come back in place of 0.01
+def test_count_rejects_iteration_that_lands_on_a_neighbour():
+    # the same slide on the reduced T of a coupled B: the second shift of 2
+    # converges to 2.001, which would come back in place of 0.01
     diag = np.array([0.01, 2.0, 2.001] + [5.0 + k for k in range(13)])
     A = BandedSymmetric.from_tridiagonal(diag, np.zeros(15))
     B = BandedSymmetric.from_tridiagonal(np.ones(16), np.full(15, 1e-7))
     assert [round(p.value, 6) for p in solve_generalized(A, B, count=2)] == [0.01, 2.0]
-    duplicate_first_value(monkeypatch)
-    with pytest.raises(SolverConvergenceError):
-        solve_generalized(A, B, count=2)
+    _, vectors = sla.eigh(A.to_dense(), B.to_dense())
+    with pytest.raises(SolverConvergenceError):  # at a reduced T's 64 eps ||T||
+        eigensolve._certify(A, B, [2.0, 2.0], [vectors[:, 1], vectors[:, 2]], [64 * EPS * 17] * 2)
 
 
-def test_slack_rejects_a_slide_to_a_neighbour_1e_10_away(monkeypatch):
-    # the slide of the two tests above, to a neighbour 1e-10 away: on a
-    # scaled T (diagonal B) the slack of a count-route value or of a
-    # Rayleigh-refined window value is 8 eps ||T||, 3e-14, so the gate itself
-    # must hold near its size
-    gap = 1e-10
+def test_slack_rejects_a_slide_to_a_neighbour_1e_10_away():
+    # the slide of the tests above, to a neighbour 1e-10 away: on a scaled T
+    # (diagonal B) the slack of a count or window value is 8 eps ||T||,
+    # 3e-14, so the gate itself must hold near its size
+    diag = np.array([1e-5, 1e-3, 1e-3 + 1e-10] + [5.0 + k for k in range(13)])
+    A = BandedSymmetric.from_tridiagonal(diag, np.zeros(15))
     B = BandedSymmetric.from_diagonal(np.ones(16))
+    window = (0.0, 1e-3 + 0.5e-10)
+    e, tol = np.eye(16), 8.0 * EPS * 17.0
+    for kw, end in (({"count": 2}, None), ({"window": window}, window)):
+        values = [p.value for p in solve_generalized(A, B, **kw)]
+        assert values == pytest.approx([1e-5, 1e-3], rel=1e-12)
+        assert len(eigensolve._certify(A, B, [1e-5, 1e-3], [e[0], e[1]], [tol, tol], end)) == 2
+        with pytest.raises(SolverConvergenceError):
+            eigensolve._certify(A, B, [1e-5, 1e-3], [e[0], e[2]], [tol, tol], end)
 
-    def pencil(low, value):
-        diag = np.array([low, value, value + gap] + [5.0 + k for k in range(13)])
-        return BandedSymmetric.from_tridiagonal(diag, np.zeros(15))
 
-    count_A, window_A = pencil(0.01, 2.0), pencil(1e-5, 1e-3)
-    window = (0.0, 1e-3 + 0.5 * gap)
-    counted = [p.value for p in solve_generalized(count_A, B, count=2)]
-    windowed = [p.value for p in solve_generalized(window_A, B, window=window)]
-    assert counted == pytest.approx([0.01, 2.0], rel=1e-14)
-    assert windowed == pytest.approx([1e-5, 1e-3], rel=1e-12)
-    duplicate_first_value(monkeypatch)
-    with pytest.raises(SolverConvergenceError):
-        solve_generalized(count_A, B, count=2)
-    slide_to_the_next_value(monkeypatch)
-    with pytest.raises(SolverConvergenceError):
-        solve_generalized(window_A, B, window=window)
+@pytest.mark.parametrize(
+    "bandwidth, diagonal, factor", [(1, True, 8.0), (2, True, 64.0), (1, False, 64.0)],
+    ids=["scaled", "dsbtrd-reduced", "dsbgst-reduced"],
+)
+def test_front_end_sets_the_slack(bandwidth, diagonal, factor):
+    # an isolated value's slack is 8 eps ||T|| on a scaled tridiagonal T and
+    # 64 eps ||T|| on one that dsbtrd or dsbgst reduced, whose values lie up
+    # to 28 eps ||T|| off their quotients; a cluster's copies add the
+    # isolation tolerance
+    A, B = random_pencil(np.random.default_rng(bandwidth), 60, bandwidth)
+    B = BandedSymmetric.from_diagonal(B.bands[0]) if diagonal else B
+    L = eigensolve._cholesky_or_raise(B)
+    T, scale, reduced = eigensolve._standard_form(A, B, L, diagonal)
+    assert T.shape == (2, 60) and reduced == (factor == 64.0)
+    rep = eigensolve._ShiftedTridiagonal(T, scale)
+    a, b = rep.rep(-scale), rep.rep(scale)
+    intervals = eigensolve._isolate(rep.count, a, b, 0, 60, lambda x, y: False, 0, 1)
+    intervals.append((a, b, 0, 2))  # a cluster of two
+    _, twisted, slack = eigensolve._refined_values(rep, intervals, reduced, 1e-6, scale)
+    base = factor * EPS * scale
+    assert list(slack) == [base, 1e-6 + base, 1e-6 + base]
+    assert twisted[0] is not None and twisted[1:] == [None, None]
 
 
 @pytest.fixture
@@ -1133,17 +1133,16 @@ def test_inverse_iteration_keeps_extreme_masses_in_range(factor):
 
 @pytest.fixture
 def iterated(monkeypatch):
-    """Number of values each window solve refines and finds a vector for
-    (by its twisted factorization or by inverse iteration)."""
+    """Number of values each window solve refines and so finds a vector for."""
     counts = []
-    real = eigensolve._refined_pairs
+    real = eigensolve._refined_values
 
     def counting(*args):
-        vals, vectors, slack = real(*args)
-        counts.append(len(vectors))
-        return vals, vectors, slack
+        vals, twisted, slack = real(*args)
+        counts.append(len(vals))
+        return vals, twisted, slack
 
-    monkeypatch.setattr(eigensolve, "_refined_pairs", counting)
+    monkeypatch.setattr(eigensolve, "_refined_values", counting)
     return counts
 
 
@@ -1228,20 +1227,20 @@ def test_intrinsic_dirac_modes_iterate_half_their_pairs(monkeypatch, iterated, o
     assert solved and [ratio * k for k in iterated] == solved
 
 
-def test_chiral_window_rejects_iteration_that_lands_on_a_neighbour(monkeypatch, iterated):
-    # 2x2 blocks [[0, a], [a, 0]] with eigenvalues +-a; the value 2 comes
-    # back with the vector of 2.001
+def test_chiral_window_rejects_iteration_that_lands_on_a_neighbour(iterated):
+    # 2x2 blocks [[0, a], [a, 0]] with eigenvalues +-a and eigenvectors
+    # e_2j +- e_2j+1; the value 2 comes back with the vector of 2.001
     sub = np.zeros(31)
     sub[0::2] = [0.01, 2.0, 2.001] + [5.0 + k for k in range(13)]
-    A = BandedSymmetric.from_tridiagonal(np.zeros(32), sub)
-    B = BandedSymmetric.from_diagonal(np.ones(32))
+    A, B = zero_diagonal_pencil(sub)
     window = (-2.0005, 2.0005)
     values = [round(p.value, 6) for p in solve_generalized(A, B, window=window)]
     assert values == [-2.0, -0.01, 0.01, 2.0]
     assert iterated == [2]
-    slide_to_the_next_value(monkeypatch)
+    e, tol = np.eye(32) * math.sqrt(0.5), 8.0 * EPS * 17.0
+    vectors = [e[0] + e[1], e[4] + e[5], e[0] - e[1], e[4] - e[5]]
     with pytest.raises(SolverConvergenceError):
-        solve_generalized(A, B, window=window)
+        eigensolve._certify(A, B, [0.01, 2.0, -0.01, -2.0], vectors, [tol] * 4, window)
 
 
 def test_chiral_window_takes_no_count_at_zero(monkeypatch):
