@@ -17,24 +17,30 @@ One value engine serves window and count solves: one L D L^T of T per
 solve (Dhillon and Parlett, LAA 387, 2004), T - tau I by dpttrf, with
 tau = 0 where T is positive definite, as every scalar mode pencil is, and
 -2 ||T||inf otherwise.  LAPACK dlaneg counts its eigenvalues below a
-shift, and bisection on counts isolates each wanted value in an interval
-that holds it alone.  LAPACK dlar1v then runs Rayleigh quotient iteration
-on twisted factorizations from the interval's midpoint, safeguarded by the
-counts each step returns.  An interval narrower than the solve's isolation
-tolerance that still holds c >= 2 values is a cluster: c copies of its
-midpoint, inverse-iterated on the pencil.
+shift.  One value stage, ``_refined_values``, serves every solve: given a
+bracket with its counts and the index block of the values wanted
+(ascending, numbered from 0), bisection on counts isolates each wanted
+value in an interval that holds it alone and drops unsplit every interval
+that holds no wanted index.  LAPACK dlar1v then runs Rayleigh quotient
+iteration on twisted factorizations from the interval's midpoint,
+safeguarded by the counts each step returns.  An interval narrower than
+the solve's isolation tolerance that still holds c >= 2 values is a
+cluster: one copy of its midpoint for each wanted index it holds,
+inverse-iterated on the pencil.
 
 Window solve (``count`` left out, B diagonal): every pair strictly inside a
-value window (lo, hi).  This is the route of the radial operators, whose
-mass is lumped.  Counts at the window's ends size the window, which is
-open at both (the count at lo is taken below the next double up), and the
-isolation tolerance is ``_WINDOW_ABSTOL`` times the window's half-width.
-The last twisted vector z of a refined value gives the pair's,
-B^-1/2 z / ||z||; every value of a T that dsbtrd reduced is
-inverse-iterated on the pencil.  With ``lowest`` = k only the k lowest
-above the kernel threshold are wanted: counts at the threshold and at hi
-size the window, an empty one ends the solve with no refinement, and a
-fuller one is halved by value until it holds exactly k.
+finite value window (lo, hi).  This is the route of the radial operators,
+whose mass is lumped.  Counts at the window's ends size the window, which
+is open at both (the count at lo is taken below the next double up), its
+block is every index inside it, and the isolation tolerance is
+``_WINDOW_ABSTOL`` times the window's half-width.  The last twisted vector
+z of a refined value gives the pair's, B^-1/2 z / ||z||; every value of a
+T that dsbtrd reduced is inverse-iterated on the pencil.  With ``lowest``
+= k only the k lowest above the kernel threshold are wanted: counts at the
+threshold and at hi size the window, an empty one ends the solve with no
+refinement, and the block is its lowest min(k, inside) indices, so
+bisection drops the upper half of the window at each count until the
+block is isolated.
 
 A chiral pencil (tridiagonal A with a zero diagonal, the interleaved Dirac
 mode system) has a spectrum symmetric about 0, pair by pair: (lam, x) and
@@ -54,9 +60,9 @@ Count solve (``count`` given, any banded B): the ``count`` eigenvalues
 nearest a finite window with lo <= hi (default: nearest 0; any other is a
 ``ValueError``).  Counts at the window's ends give the candidates' index
 block, the ``count`` on either side of the window and those inside it; a
-bracket grown outward from the window holds the block, only the intervals
-that meet it are isolated, to 4 eps ||T||, and refined, and the nearest
-``count`` values are inverse-iterated on the pencil.  ``method`` "auto" and
+bracket grown outward from the window holds the block, the value stage
+isolates it, to 4 eps ||T||, and refines it, and the nearest ``count``
+values are inverse-iterated on the pencil.  ``method`` "auto" and
 "dense" both name this route.  ARPACK runs only when named: shift-invert
 Lanczos (``method="iterative"``, any m, and ``count`` < m - 1 as ARPACK
 requires; a larger count is a ``ValueError``, never a quiet switch to
@@ -135,8 +141,8 @@ __all__ = [
 _INVERSE_ITERATIONS = 3  # per vector; two already reach the residual floor
 # a window interval narrower than this fraction of the window's half-width
 # that still holds two or more eigenvalues is a cluster (copies of its
-# midpoint, inverse-iterated), and the halving of a ``lowest`` window stops
-# there; every isolated value is refined to rounding by Rayleigh iteration.
+# midpoint, inverse-iterated); every isolated value is refined to rounding
+# by Rayleigh iteration.
 # Measured on 2 cores over intrinsic sweeps of both radial operators at
 # L = 1..30, N = 400 and 2000: no interval reached it, the worst residual
 # was 5.7e-11 (1.2e-10 with values bisected to this tolerance and
@@ -762,28 +768,6 @@ class _ShiftedTridiagonal(_Twisted):
         return y * s
 
 
-def _lowest_window(count, lower, below, top, inside, k, narrow):
-    """The window (lower, top) narrowed until it holds the ``k`` lowest of
-    its ``inside`` eigenvalues, and how many it then holds.  ``count(x)`` is
-    the number below x and ``below`` the number at or below lower.
-
-    The window is halved by value, a count per step, until it holds exactly
-    k: an index range would start from the Gershgorin interval of T, which
-    is up to 1e6 times wider than the window on the lab's pencils.  Halving
-    stops where ``narrow`` says the window is within the bisection
-    tolerance, which is as far as a cluster at the k-th value can be split
-    anyway."""
-    short = lower  # (lower, short) holds fewer than k
-    while inside > k and not narrow(short, top):
-        mid = 0.5 * (short + top)
-        held = count(mid) - below
-        if held < k:
-            short = mid
-        else:
-            top, inside = mid, held
-    return top, inside
-
-
 def _isolate(count, a, b, n_a, n_b, narrow, first, stop):
     """Intervals (x, y, n_x, n_y), ascending, of the eigenvalues in [a, b)
     that hold one numbered first..stop-1 (ascending, from 0), by bisection
@@ -808,50 +792,39 @@ def _isolate(count, a, b, n_a, n_b, narrow, first, stop):
     return found
 
 
-def _refined_values(rep, intervals, reduced, tol, scale):
-    """Values, unit twisted vectors and slacks of the eigenvalues that
-    ``intervals`` isolate (see ``_isolate``): the value stage of window and
-    count solves alike.
+def _refined_values(rep, a, b, n_a, n_b, first, stop, tol, reduced, scale):
+    """Values, unit twisted vectors and slacks of the eigenvalues of
+    ``rep`` numbered first..stop-1 (ascending, from 0) in the bracket
+    [a, b), which has n_a below a and n_b below b: the one value stage of
+    window and count solves.
 
-    An isolated value is refined by ``rep.refine``.  Its slack is
+    ``_isolate`` bisects the bracket to intervals within ``tol`` in values
+    of T.  An isolated value is refined by ``rep.refine``.  Its slack is
     8 eps ||T|| where T is the scaled pencil itself and 64 eps ||T|| where T
     was ``reduced`` (by dsbgst or dsbtrd): the reduction moves the values
     off the pencil's quotients by up to 28.3 eps ||T|| (114,525 values of
-    random bandwidth-2 pencils, m = 20..598).  A cluster of c gives c copies
-    of its interval's midpoint, with no twisted vector and the isolation
-    tolerance ``tol`` added to its slack.  The values and slacks are arrays."""
+    random bandwidth-2 pencils, m = 20..598).  A cluster gives one copy of
+    its interval's midpoint for each index of the block it holds, with no
+    twisted vector and ``tol`` added to its slack.  The values and slacks
+    are arrays."""
+
+    def narrow(x, y):
+        return rep.value(y) - rep.value(x) <= tol
+
     base = (64.0 if reduced else 8.0) * np.finfo(float).eps * scale
     vals, twisted, slack = [], [], []
-    for a, b, n_a, n_b in intervals:
-        if n_b - n_a == 1:
-            value, y = rep.refine(a, b, n_a)
+    for x, y, n_x, n_y in _isolate(rep.count, a, b, n_a, n_b, narrow, first, stop):
+        if n_y - n_x == 1:
+            value, z = rep.refine(x, y, n_x)
             vals.append(value)
-            twisted.append(y)
+            twisted.append(z)
             slack.append(base)
         else:
-            vals += [rep.value(0.5 * (a + b))] * (n_b - n_a)
-            twisted += [None] * (n_b - n_a)
-            slack += [tol + base] * (n_b - n_a)
+            copies = min(n_y, stop) - max(n_x, first)
+            vals += [rep.value(0.5 * (x + y))] * copies
+            twisted += [None] * copies
+            slack += [tol + base] * copies
     return np.array(vals), twisted, np.array(slack)
-
-
-def _refined_pairs(rep, intervals, A, B, seed, reduced, tol, scale):
-    """``_refined_values`` with B-unit vectors, for a window solve: a
-    refined value's twisted vector gives the pencil's where T is the scaled
-    pencil itself; a cluster's copies, and every value of a T that dsbtrd
-    ``reduced``, are inverse-iterated on the pencil."""
-    vals, twisted, slack = _refined_values(rep, intervals, reduced, tol, scale)
-    s = 1.0 / np.sqrt(B.bands[0])  # B^-1/2
-    vectors = [
-        None if reduced or y is None else rep.vector(y, value, s)
-        for value, y in zip(vals, twisted)
-    ]
-    todo = [j for j, x in enumerate(vectors) if x is None]
-    if todo:
-        iterated = _inverse_iteration(A, B, [vals[j] for j in todo], scale, seed)
-        for j, x in zip(todo, iterated):
-            vectors[j] = x
-    return vals, vectors, slack
 
 
 def _window_path(A, B, L, window, seed, lowest):
@@ -866,9 +839,12 @@ def _window_path(A, B, L, window, seed, lowest):
     refined, on ``_HalfBidiagonal`` (with ``lowest``, its k lowest), and
     each pair is returned with its mirror.  A zero eigenvalue has no mirror:
     where T holds one (see ``_chiral_half``), the whole window is solved as
-    for any pencil, on ``_ShiftedTridiagonal``.  Returns the estimates,
-    their vectors and the slack within which each vector's quotient must
-    stay of its estimate, none of each for an empty window.
+    for any pencil, on ``_ShiftedTridiagonal``.  A refined value's twisted
+    vector gives the pencil's where T is the scaled pencil itself; a
+    cluster's copies, and every value of a T that dsbtrd ``reduced``, are
+    inverse-iterated on the pencil.  Returns the estimates, their vectors
+    and the slack within which each vector's quotient must stay of its
+    estimate, none of each for an empty window.
     """
     lo, hi = window
     if not lo < hi:
@@ -894,23 +870,19 @@ def _window_path(A, B, L, window, seed, lowest):
     inside = rep.count(top) - below
     if inside <= 0:
         return np.empty(0), [], np.empty(0)
-
-    def narrow(x, y):
-        return rep.value(y) - rep.value(x) <= abstol
-
-    if lowest is not None:
-        top, inside = _lowest_window(rep.count, lower, below, top, inside, lowest, narrow)
-    stop = below + inside
-    intervals = _isolate(rep.count, lower, top, below, stop, narrow, below, stop)
-    if lowest is not None:  # a cluster at the k-th value gives only the copies wanted
-        kept, wanted = [], lowest
-        for a, b, n_a, n_b in intervals:
-            if wanted <= 0:
-                break
-            kept.append((a, b, n_a, min(n_b, n_a + wanted)))
-            wanted -= n_b - n_a
-        intervals = kept
-    vals, vectors, slack = _refined_pairs(rep, intervals, A, B, seed, reduced, abstol, scale)
+    stop = below + (inside if lowest is None else min(lowest, inside))
+    vals, twisted, slack = _refined_values(
+        rep, lower, top, below, below + inside, below, stop, abstol, reduced, scale
+    )
+    s = 1.0 / np.sqrt(B.bands[0])  # B^-1/2
+    vectors = [
+        None if reduced or z is None else rep.vector(z, value, s)
+        for value, z in zip(vals, twisted)
+    ]
+    todo = [j for j, x in enumerate(vectors) if x is None]
+    if todo:
+        for j, x in zip(todo, _inverse_iteration(A, B, vals[todo], scale, seed)):
+            vectors[j] = x
     if chiral:
         vals = np.concatenate([vals, -vals])
         for x in vectors[:]:
@@ -931,10 +903,10 @@ def _nearest_path(A, B, L, count, window, seed, diagonal):
     the nearest ``count``.  A bracket grown outward from the window by
     doubling steps from ||T|| / m holds the block; it stops at 0, below which
     L D L^T has no eigenvalue, and at twice the bound ||T|| - tau on them.
-    Only the intervals that meet the block are isolated, to 4 eps ||T||, and
-    refined, and the nearest ``count`` values are inverse-iterated on the
-    pencil: twisted vectors left one of criterion 4's covariance pencils at
-    a residual of 1.38e-9."""
+    The value stage isolates the block, to 4 eps ||T||, and refines it, and
+    the nearest ``count`` values are inverse-iterated on the pencil: twisted
+    vectors left one of criterion 4's covariance pencils at a residual of
+    1.38e-9."""
     lo, hi = window
     m = A.size
     T, scale, reduced = _standard_form(A, B, L, diagonal)
@@ -957,12 +929,7 @@ def _nearest_path(A, B, L, count, window, seed, diagonal):
             n_b = rep.count(b)
         step *= 2.0
     tol = 4.0 * np.finfo(float).eps * scale
-
-    def narrow(x, y):
-        return rep.value(y) - rep.value(x) <= tol
-
-    intervals = _isolate(rep.count, a, b, n_a, n_b, narrow, first, stop)
-    vals, _, slack = _refined_values(rep, intervals, reduced, tol, scale)
+    vals, _, slack = _refined_values(rep, a, b, n_a, n_b, first, stop, tol, reduced, scale)
     i0, i1 = _select_nearest(vals, count, window)
     vals = vals[i0 : i1 + 1]
     return vals, _inverse_iteration(A, B, vals, scale, seed), slack[i0 : i1 + 1]
@@ -1023,7 +990,8 @@ def solve_generalized(
 
     With ``count`` left out: every pair strictly inside ``window = (lo, hi)``
     (possibly none), judged by the quotient returned, which can lie on an
-    end that the estimate lies inside.  This needs a diagonal B and a window.
+    end that the estimate lies inside.  This needs a diagonal B and a window
+    with finite ends; one with lo >= hi is empty.
     With ``lowest`` = k as well: only the k lowest pairs inside the window
     and above the kernel threshold tau = 1e-8 max(|lo|, |hi|), or all of
     them if there are fewer; a chiral pencil returns the k lowest of
@@ -1044,6 +1012,8 @@ def solve_generalized(
     if count is None:
         if window is None or not diagonal:
             raise ValueError("a solve without count needs a window and a diagonal B")
+        if not (math.isfinite(window[0]) and math.isfinite(window[1])):
+            raise ValueError(f"a window solve needs a finite window, got {window}")
         if method != "auto":
             raise ValueError("method applies to solves with a count")
         if lowest is not None and lowest < 1:

@@ -271,6 +271,20 @@ def test_count_solve_rejects_a_window_without_a_nearest_value(window):
             solve_generalized(A, mass, count=3, window=window)
 
 
+@pytest.mark.parametrize("lowest", [None, 1])
+@pytest.mark.parametrize(
+    "window", [(math.nan, 1.0), (-1.0, math.nan), (-1.0, math.inf), (-math.inf, 1.0)],
+    ids=["nan-lo", "nan-hi", "infinite-hi", "infinite-lo"],
+)
+def test_window_solve_rejects_a_window_without_finite_ends(window, lowest):
+    # a NaN end would leave every count comparison false and the window
+    # empty, and an infinite one a kernel threshold of 1e-8 * inf: the
+    # window solve names the window rather than returning no pairs
+    A, B = diagonal_mass_pencil(np.random.default_rng(5), 50)
+    with pytest.raises(ValueError, match="finite window"):
+        solve_generalized(A, B, window=window, lowest=lowest)
+
+
 def test_dense_beyond_old_cap_keeps_bands(monkeypatch):
     # the direct route reduces the bands themselves: no m x m array, no cap
     rng = np.random.default_rng(6000)
@@ -840,13 +854,15 @@ def test_front_end_sets_the_slack(bandwidth, diagonal, factor):
     T, scale, reduced = eigensolve._standard_form(A, B, L, diagonal)
     assert T.shape == (2, 60) and reduced == (factor == 64.0)
     rep = eigensolve._ShiftedTridiagonal(T, scale)
-    a, b = rep.rep(-scale), rep.rep(scale)
-    intervals = eigensolve._isolate(rep.count, a, b, 0, 60, lambda x, y: False, 0, 1)
-    intervals.append((a, b, 0, 2))  # a cluster of two
-    _, twisted, slack = eigensolve._refined_values(rep, intervals, reduced, 1e-6, scale)
+    bracket = (rep.rep(-scale), rep.rep(scale), 0, 60)
     base = factor * EPS * scale
-    assert list(slack) == [base, 1e-6 + base, 1e-6 + base]
-    assert twisted[0] is not None and twisted[1:] == [None, None]
+    _, twisted, slack = eigensolve._refined_values(rep, *bracket, 0, 1, 1e-6, reduced, scale)
+    assert list(slack) == [base] and twisted[0] is not None
+    # a tolerance wider than the spectrum leaves one cluster of all 60,
+    # which gives a copy for each of the block's two indices only
+    tol = 4.0 * scale
+    _, twisted, slack = eigensolve._refined_values(rep, *bracket, 0, 2, tol, reduced, scale)
+    assert list(slack) == [tol + base, tol + base] and twisted == [None, None]
 
 
 @pytest.fixture
@@ -1275,15 +1291,18 @@ def positive_part(pairs, window):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("k", [1, 3, 8, 1000])
-def test_lowest_matches_the_full_window(seed, k):
+def test_lowest_matches_the_full_window(seed, k, iterated):
     # many values on either side of 0 inside the window; k = 1000 asks for
-    # more than the window holds and gets all of its positive part
+    # more than the window holds and gets all of its positive part, and no
+    # value above the k lowest is refined
     rng = np.random.default_rng(seed)
     A, B = diagonal_mass_pencil(rng, 400, bandwidth=1 + seed % 2)
     window = (-0.4, 0.5)
     full = positive_part(solve_generalized(A, B, window=window, seed=seed), window)
     assert len(full) > 8
+    iterated.clear()
     lowest = solve_generalized(A, B, window=window, seed=seed, lowest=k)
+    assert iterated == [min(k, len(full))]
     assert len(lowest) == min(k, len(full))
     assert [p.value for p in lowest] == pytest.approx(
         [p.value for p in full[:k]], rel=1e-12, abs=1e-12
@@ -1341,13 +1360,18 @@ def test_lowest_excludes_an_eigenvalue_on_hi(mass, k):
 
 
 def test_lowest_keeps_the_lowest_of_an_unsplit_cluster():
-    # 2 and 2 + 1e-10 sit closer than the bisection tolerance, so halving the
-    # window stops with three values below its top; the lowest two are kept
+    # 2 and 2 + 1e-10 sit closer than the bisection tolerance, so bisection
+    # stops with an interval that holds both, and only one of them is in the
+    # block of the lowest two; its one copy is inverse-iterated in the
+    # cluster's eigenspace, so its quotient can be any value of that span
     diag = np.array([1.0, 2.0, 2.0 + 1e-10, 5.0, 7.0])
     A = BandedSymmetric.from_tridiagonal(diag, np.zeros(diag.size - 1))
     B = BandedSymmetric.from_diagonal(np.ones(diag.size))
     values = [p.value for p in solve_generalized(A, B, window=(-10.0, 10.0), lowest=2)]
-    assert values == pytest.approx([1.0, 2.0], abs=1e-12)
+    assert len(values) == 2
+    assert values[0] == pytest.approx(1.0, abs=1e-12)
+    assert 2.0 - 1e-12 <= values[1] <= 2.0 + 1e-10 + 1e-12
+    assert 5.0 not in values
 
 
 def test_lowest_needs_a_window_solve():
