@@ -232,19 +232,32 @@ def _collect_modes(
     above the bar.  Both give the same bottom on every operator here: the
     scalar pencils are congruent to positive definite round operators, and
     a Dirac spectrum is symmetric.  Every mode assembles from the row's
-    ``record``, on either path."""
+    ``record``, on either path.
+
+    With ``lowest`` = 1 (a sweep row, which reports lambda_1^+ alone) a mode
+    can matter only through a value below ``best``, the row's lowest
+    positive value so far, once its group already has a bottom under the
+    bar: the row then goes on to the next group whatever this mode holds.
+    Such a mode is solved on (-best, best) and returns no pair when it
+    cannot set lambda_1^+; the window stays symmetric, so a Dirac mode keeps
+    its chiral half.  A group's first mode keeps (-bar, bar), which decides the group's
+    bottom, so the modes solved and lambda_1^+ are the same as with every
+    mode on (-bar, bar)."""
     per_mode = []
     n_modes = 0
+    best = bar
     for group in mode_groups(op):
         bottom = math.inf
         for mode in group:
             assembled = intrinsic_assemble(record, mode)
+            cap = best if lowest == 1 and bottom < bar else bar
             pairs = eigensolve.solve_generalized(
-                assembled.A, assembled.B, window=(-bar, bar), seed=seed, lowest=lowest
+                assembled.A, assembled.B, window=(-cap, cap), seed=seed, lowest=lowest
             )
             per_mode.append((mode, pairs))
             n_modes += 1
             bottom = min([bottom] + [abs(p.value) for p in pairs])
+            best = min([best] + [p.value for p in pairs if p.value > 0.0])
         if bottom > bar:
             break
         if n_modes >= MODE_CAP:

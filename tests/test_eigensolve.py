@@ -196,6 +196,28 @@ def test_not_positive_definite_reports_pivot():
     assert err.value.pivot_index == 7
 
 
+@pytest.mark.parametrize("bad", [None, (7, -1.0), (7, 0.0), (0, -0.0), (3, -1e-300)])
+@pytest.mark.parametrize("bandwidth", [0, 1])
+def test_diagonal_mass_factor_matches_dpbtrf(bandwidth, bad):
+    # a diagonal B (a zero sub-diagonal too) is factored by its square root
+    # without dpbtrf: the same factor bit for bit, and the same pivot at the
+    # first entry that is not positive
+    diag = np.random.default_rng(5).uniform(1e-3, 1e3, 20)
+    if bad is not None:
+        diag[bad[0]] = bad[1]
+        diag[bad[0] + 5] = -2.0  # a later bad entry is not the one reported
+    bands = np.zeros((bandwidth + 1, 20))
+    bands[0] = diag
+    factor, info = lapack.dpbtrf(bands, lower=1)
+    if bad is None:
+        assert info == 0
+        assert np.array_equal(eigensolve._cholesky_or_raise(BandedSymmetric(bands))[0], factor[0])
+    else:
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            eigensolve._cholesky_or_raise(BandedSymmetric(bands))
+        assert err.value.pivot_index == info - 1 == bad[0]
+
+
 def test_deterministic_given_seed():
     rng = np.random.default_rng(9)
     A, B = random_pencil(rng, 900)
@@ -851,7 +873,7 @@ def test_front_end_sets_the_slack(bandwidth, diagonal, factor):
     A, B = random_pencil(np.random.default_rng(bandwidth), 60, bandwidth)
     B = BandedSymmetric.from_diagonal(B.bands[0]) if diagonal else B
     L = eigensolve._cholesky_or_raise(B)
-    T, scale, reduced = eigensolve._standard_form(A, B, L, diagonal)
+    T, scale, reduced, _ = eigensolve._standard_form(A, B, L, diagonal)
     assert T.shape == (2, 60) and reduced == (factor == 64.0)
     rep = eigensolve._ShiftedTridiagonal(T, scale)
     bracket = (rep.rep(-scale), rep.rep(scale), 0, 60)
@@ -937,7 +959,7 @@ def chiral_pencil(rng, m):
 def half_bidiagonal(A, B):
     """The half-size bidiagonal of the chiral pencil (A, B), built from its
     scaled T as a window solve builds it."""
-    T, scale = eigensolve._scaled_standard(A, eigensolve._cholesky_or_raise(B))
+    T, scale, _ = eigensolve._scaled_standard(A, eigensolve._cholesky_or_raise(B))
     return eigensolve._chiral_half(T, scale)
 
 
@@ -1004,7 +1026,7 @@ def _representation(kind, rng, m):
         diag[m - 2 :], sub[m - 3 :] = exact, 0.0
     A = BandedSymmetric.from_tridiagonal(diag, sub)
     B = BandedSymmetric.from_diagonal(np.ones(m))
-    T, scale = eigensolve._scaled_standard(A, eigensolve._cholesky_or_raise(B))
+    T, scale, _ = eigensolve._scaled_standard(A, eigensolve._cholesky_or_raise(B))
     if kind == "chiral-half":
         return A, B, eigensolve._chiral_half(T, scale), exact
     return A, B, eigensolve._ShiftedTridiagonal(T, scale), exact
@@ -1078,6 +1100,57 @@ def test_rayleigh_iteration_cap_is_a_solver_failure(monkeypatch):
     monkeypatch.setattr(eigensolve, "_RQI_STEPS", 2)
     with pytest.raises(SolverConvergenceError):
         solve_generalized(A, B, window=(-1.2, 1.2), lowest=1)
+
+
+def test_rayleigh_twist_reuse_keeps_vectors_orthogonal(monkeypatch):
+    # a Rayleigh step after an accepted correction reuses the previous
+    # step's twist; the step whose value and vector refine returns always
+    # searches afresh (r = 0).  A rule that reused the twist through
+    # bisection steps too let B-orthogonality on these pencils fall to
+    # 1.9e-10 and residuals rise to 1.3e-10.  Every pair of full windows of
+    # 33 random indefinite pencils (diagonal B, m = 200..2000) stays within
+    # the worst values measured with a fresh twist at every step:
+    # |x_i^T B x_j| 5.49e-11 and residual 1.59e-11, both at m = 2000.
+    # The worst product always lies between near neighbours in value, so
+    # only those within 8 places are formed.
+    last = {}
+    dlar1v = eigensolve._dlar1v
+
+    def spy(*args):
+        n, mu, z, r, nrminv, rqcorr = (args[i] for i in (0, 3, 10, 15, 17, 19))
+        twist = r.value
+        dlar1v(*args)
+        vector = np.ctypeslib.as_array((ctypes.c_double * n.value).from_address(z))
+        last.update(twist=twist, shift=mu.value + rqcorr.value, vector=vector * nrminv.value)
+
+    refine = eigensolve._Twisted.refine
+    returned = []
+
+    def checked(rep, left, right, n_left):
+        value, y = refine(rep, left, right, n_left)
+        returned.append(
+            last["twist"] == 0 and value == rep.value(last["shift"])
+            and np.array_equal(y, last["vector"])
+        )
+        return value, y
+
+    monkeypatch.setattr(eigensolve, "_dlar1v", spy)
+    monkeypatch.setattr(eigensolve._Twisted, "refine", checked)
+    worst_product = worst_residual = 0.0
+    for seed, m in [(seed, 200) for seed in range(30)] + [(30, 500), (31, 1000), (32, 2000)]:
+        rng = np.random.default_rng(seed)
+        A, B = diagonal_mass_pencil(rng, m)
+        pairs = solve_generalized(A, B, window=(-3.0, 3.0))
+        assert len(pairs) == m
+        X = np.array([p.vector for p in pairs])
+        BX = X * B.bands[0]
+        for k in range(1, 9):
+            products = np.einsum("ij,ij->i", BX[:-k], X[k:])
+            worst_product = max(worst_product, np.abs(products).max())
+        worst_residual = max(worst_residual, max(p.residual for p in pairs))
+    assert len(returned) > 9000 and all(returned)  # of 9500 pairs, all but clusters' copies
+    assert worst_product <= 5.5e-11
+    assert worst_residual <= 1.6e-11
 
 
 def test_no_route_calls_dstebz(monkeypatch):
@@ -1415,7 +1488,7 @@ def test_bound_lapack_routines_match_scipy_wrappers(bw, m):
     # a diagonal B's Cholesky factor is its IEEE square root, bit for bit
     root = eigensolve._cholesky_or_raise(BandedSymmetric.from_diagonal(B.bands[0]))
     assert np.array_equal(root[0], np.sqrt(B.bands[0]))
-    T, _ = eigensolve._scaled_standard(A, root)
+    T, _, _ = eigensolve._scaled_standard(A, root)
     T_before = T.copy()
     # dsbevx finds every value of a banded T, with abstol 0, by dsterf on
     # dsbtrd's tridiagonal: the one the count and window routes work on

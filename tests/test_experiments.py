@@ -12,10 +12,12 @@ from confspec import eigensolve, experiments
 from confspec.geometry import profile_L, volume
 from confspec.operators import (
     conformal_laplacian,
+    cylinder_threshold,
     dirac_operator,
     intrinsic_assemble,
     intrinsic_record,
     make_mode,
+    mode_groups,
     paneitz_operator,
 )
 from confspec.experiments import (
@@ -126,6 +128,64 @@ def test_validate_sphere_counts_a_doubled_mode(monkeypatch):
     assert not report.passed
     assert report.rows[0].multiplicity == 2 * report.rows[0].expected_multiplicity == 2
     assert report.rows[1].multiplicity == report.rows[1].expected_multiplicity + 1
+
+
+def full_window_sweep_row(op, L, N):
+    """lambda_1^+, the modes solved and the bar of an intrinsic sweep row
+    with every mode solved on the full window (-bar, bar): the reference
+    that a row whose later modes are capped must reproduce."""
+    prof = profile_L(op.n, L)
+    record = intrinsic_record(op, prof, arclength_grid(prof, N))
+    bar = experiments.TRUNCATION_FACTOR * 2.0 * cylinder_threshold(op)
+    values, n_modes = [], 0
+    for group in mode_groups(op):
+        bottom = math.inf
+        for mode in group:
+            asm = intrinsic_assemble(record, mode)
+            pairs = eigensolve.solve_generalized(asm.A, asm.B, window=(-bar, bar), lowest=1)
+            n_modes += 1
+            bottom = min([bottom] + [abs(p.value) for p in pairs])
+            values += [p.value for p in pairs if p.value > 0.0]
+        if bottom > bar:
+            return min(values), n_modes, bar
+
+
+@pytest.mark.parametrize("op", [conformal_laplacian(3), dirac_operator(2)], ids=["cl3", "dirac2"])
+@pytest.mark.parametrize("L", [1.0, 2.0, 7.0, 8.0])
+def test_sweep_mode_cap_keeps_the_full_window_answer(monkeypatch, op, L):
+    # a later mode of a group whose bottom is under the bar is solved on
+    # (-best, best), best the row's lowest positive value so far; a group's
+    # first mode keeps (-bar, bar).  At N = 400 the Dirac row's -1/2 mode
+    # sets lambda_1^+ at L = 1 and 8 and the +1/2 mode at L = 2 and 7.
+    N = 400
+    lam, n_modes, bar = full_window_sweep_row(op, L, N)
+    solves = []
+    real = eigensolve.solve_generalized
+
+    def spy(A, B, **kwargs):
+        pairs = real(A, B, **kwargs)
+        solves.append((kwargs["window"], [p.value for p in pairs]))
+        return pairs
+
+    monkeypatch.setattr(eigensolve, "solve_generalized", spy)
+    row = pinocchio_sweep(op, [L], N=N, path="intrinsic")[0]
+    assert row.error is None and row.n_modes_used == n_modes == len(solves)
+    # a capped solve refines on another bracket than the full window's, so
+    # its value can differ by the rounding of its Rayleigh quotient
+    assert row.lambda_1_plus == pytest.approx(lam, rel=1e-14)
+    best, capped = bar, []
+    for j, (window, values) in enumerate(solves):
+        # a Dirac group is the pair +-k; its second mode is capped when the
+        # first has a value under the bar
+        cap = op.spinor and j % 2 == 1 and bool(solves[j - 1][1])
+        assert window == ((-best, best) if cap else (-bar, bar))
+        if cap:
+            capped.append(len(values))
+        best = min([best] + [v for v in values if v > 0.0])
+    if op.spinor:
+        # the -1/2 mode returns its pair and mirror where it sets
+        # lambda_1^+ and no pair elsewhere; a higher mode never wins
+        assert capped == [2 if L in (1.0, 8.0) else 0] + [0] * (len(capped) - 1)
 
 
 def test_single_point_sweep_matches_standalone_solve():
