@@ -176,17 +176,21 @@ def resolve_path(op: OperatorKind, L: float, path: str) -> str:
 
 
 def _snap_to_kinks(t: np.ndarray, profile: ConformalProfile) -> np.ndarray:
-    """Move the nearest node onto each arclength position where the profile
-    is only C2, so no quadrature cell straddles a derivative jump."""
+    """Move a node onto each arclength position where the profile is only
+    C2, so no quadrature cell straddles a derivative jump: each kink takes
+    the nearest node that no earlier kink took, so two kinks that share a
+    nearest node both land on nodes."""
     if not profile.kink_arclengths:
         return t
+    first, last = t[0], t[-1]
     t = t.copy()
+    taken = np.zeros(t.size, dtype=bool)
     for tk in profile.kink_arclengths:
-        if t[0] < tk < t[-1]:
-            t[int(np.argmin(np.abs(t - tk)))] = tk
-    # np.unique would import numpy.ma (about 30 ms) inside the first row
+        if first < tk < last:
+            j = int(np.argmin(np.where(taken, np.inf, np.abs(t - tk))))
+            t[j], taken[j] = tk, True
     t.sort()
-    return t[np.concatenate(([True], t[1:] != t[:-1]))]
+    return t
 
 
 def _arclength_nodes(profile: ConformalProfile, N: int, exponent: float = 1.0) -> np.ndarray:
@@ -561,25 +565,19 @@ def covariance_crosscheck(
     modes = list(itertools.islice(itertools.chain.from_iterable(mode_groups(op)), 2))
     count = 4 if op.spinor else 3
     if L == 0.0:
-        profile = constant_profile(1.0, op.n)
+        # t = r on the unit sphere, so both paths share the nodes
+        profile, exponent = constant_profile(1.0, op.n), 1.0
     else:
         resolve_path(op, L, "covariance")
-        profile = profile_L(op.n, L)
+        # deliberately different refinement families (graded vs uniform in
+        # arclength) so the two paths' O(h^2) constants cannot cancel and
+        # the discrepancy itself decays at second order
+        profile, exponent = profile_L(op.n, L), 2.0
     rows: list[CrosscheckRow] = []
     prev = math.nan
     for N in N_grid:
-        if profile.L > 0:
-            # deliberately different refinement families (graded vs uniform
-            # in arclength) so the two paths' O(h^2) constants cannot cancel
-            # and the discrepancy itself decays at second order
-            cov_grid = nose_resolving_grid(profile, N, exponent=2.0)
-            int_grid = arclength_grid(profile, N)
-        else:
-            # t = r on the unit sphere, so both paths share the nodes
-            cov_grid = make_grid("polar", N)
-            int_grid = make_grid("arclength", N, length=math.pi)
-        cov_record = covariance_record(op, profile, cov_grid)
-        int_record = intrinsic_record(op, profile, int_grid)
+        cov_record = covariance_record(op, profile, nose_resolving_grid(profile, N, exponent))
+        int_record = intrinsic_record(op, profile, arclength_grid(profile, N))
         worst = 0.0
         for mode in modes:
             cov = intrinsic_assemble(cov_record, mode)

@@ -18,7 +18,9 @@ each window is tabulated once per process (arclength and slope at uniform
 knots): t(r) is the nearest knot's value plus a short Gauss rule, and the
 inverse is a safeguarded Newton solve on that window's own forward map and
 closed-form slope dt/dr = F, started from a quintic-Hermite inverse of the
-table.
+table.  Each profile family is one private object that answers ``F``,
+``jet``, ``t_of_r``, ``r_of_t`` and ``total``: ``_Nose`` for ``profile_L``
+and ``_Constant`` for ``constant_profile``; a ``ConformalProfile`` wraps it.
 
 In arclength the metric is dt^2 + h(t)^2 g_{S^{n-1}} with h = F sin r, and
 
@@ -189,18 +191,36 @@ _CAP_WINDOW = _WindowTable(_cap_speed, _cap_dspeed, 0.0, 1.0)  # u = rho = (r - 
 _TRANSITION_WINDOW = _WindowTable(_transition_F, lambda r: _transition_jet(r)[1], 0.5, 1.0)  # u = r
 
 
-class _ProfileEvaluator:
-    """Piecewise closed-form F, F', F'' for the blowup profile: ``F`` alone,
-    or all three from ``jet``."""
+class _Nose:
+    """The blowup profile of nose length L, in closed form: ``F`` alone, or
+    F, F' and F'' from ``jet``, and the arclength map ``t_of_r`` =
+    int_0^r F with its inverse ``r_of_t`` and its ``total``.  t(r) is exact
+    except across the two smoothstep windows, where it is read from the
+    window tables and the inverse is a bracketed Newton solve started from
+    them."""
 
     def __init__(self, L: float):
         self.b = math.exp(-L)
         self.a = 0.5 * self.b
+        # t(r) at the radii a, b, 1/2 and 1, the profile's kinks
+        self.t_a = 2.0 / 3.0
+        self.t_b = self.t_a + _CAP_WINDOW.total
+        self.t_half = self.t_b + math.log(0.5 / self.b)
+        self.t_one = self.t_half + _TRANSITION_WINDOW.total
 
-    def _cap_q(self, r):
+    def _cap(self, r):
+        """rho = (r - a)/(b - a) and q(r) on the cap window [a, b]."""
         rho = (r - self.a) / (self.b - self.a)
-        q = self.b * (0.75 + 0.5 * _smoothstep_antiderivative(rho))
-        return q, rho
+        return rho, self.b * (0.75 + 0.5 * _smoothstep_antiderivative(rho))
+
+    def _cap_forward(self, r):
+        """t(r) and the slope dt/dr = F = 1/q across the cap window [a, b]."""
+        rho, q = self._cap(r)
+        return self.t_a + _CAP_WINDOW.t_of_u(rho), 1.0 / q
+
+    def _transition_forward(self, r):
+        """t(r) and the slope dt/dr = F across the transition window [1/2, 1]."""
+        return self.t_half + _TRANSITION_WINDOW.t_of_u(r), _transition_F(r)
 
     def F(self, r):
         r = np.asarray(r, dtype=float)
@@ -208,8 +228,7 @@ class _ProfileEvaluator:
         m = r < self.a
         out[m] = 1.0 / (0.75 * self.b)
         m = (r >= self.a) & (r < self.b)
-        q, _ = self._cap_q(r[m])
-        out[m] = 1.0 / q
+        out[m] = 1.0 / self._cap(r[m])[1]
         m = (r >= self.b) & (r < 0.5)
         out[m] = 1.0 / r[m]
         m = (r >= 0.5) & (r < 1.0)
@@ -223,7 +242,7 @@ class _ProfileEvaluator:
         m = r < self.a
         F[m] = 1.0 / (0.75 * self.b)
         m = (r >= self.a) & (r < self.b)
-        q, rho = self._cap_q(r[m])
+        rho, q = self._cap(r[m])
         qp = _smoothstep(rho)
         qpp = _dsmoothstep(rho) / (self.b - self.a)
         F[m] = 1.0 / q
@@ -238,48 +257,21 @@ class _ProfileEvaluator:
         F[m], dF[m], d2F[m] = _transition_jet(r[m])
         return F, dF, d2F
 
-
-class _ArclengthMap:
-    """t(r) = int_0^r F and its inverse, piecewise exact except across the
-    two smoothstep windows, where t(r) is read from the window tables and
-    the inverse is a bracketed Newton solve started from them."""
-
-    def __init__(self, ev: _ProfileEvaluator):
-        self.ev = ev
-        self.t_a = 2.0 / 3.0
-        self.t_b = self.t_a + _CAP_WINDOW.total
-        self.t_half = self.t_b + math.log(0.5 / ev.b)
-        self.t_one = self.t_half + _TRANSITION_WINDOW.total
-
     def t_of_r(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        ev = self.ev
         out = np.empty_like(r)
-        m = r < ev.a
-        out[m] = r[m] / (0.75 * ev.b)
-        m = (r >= ev.a) & (r < ev.b)
+        m = r < self.a
+        out[m] = r[m] / (0.75 * self.b)
+        m = (r >= self.a) & (r < self.b)
         if np.any(m):
-            rho = (r[m] - ev.a) / (ev.b - ev.a)
-            out[m] = self.t_a + _CAP_WINDOW.t_of_u(rho)
-        m = (r >= ev.b) & (r < 0.5)
-        out[m] = self.t_b + np.log(r[m] / ev.b)
+            out[m] = self._cap_forward(r[m])[0]
+        m = (r >= self.b) & (r < 0.5)
+        out[m] = self.t_b + np.log(r[m] / self.b)
         m = (r >= 0.5) & (r < 1.0)
         if np.any(m):
-            out[m] = self.t_half + _TRANSITION_WINDOW.t_of_u(r[m])
+            out[m] = self._transition_forward(r[m])[0]
         m = r >= 1.0
         out[m] = self.t_one + (r[m] - 1.0)
         return out
-
-    def _cap_forward(self, r):
-        """t(r) and the slope dt/dr = F = 1/q across the cap window [a, b]."""
-        ev = self.ev
-        rho = (r - ev.a) / (ev.b - ev.a)
-        q = ev.b * (0.75 + 0.5 * _smoothstep_antiderivative(rho))
-        return self.t_a + _CAP_WINDOW.t_of_u(rho), 1.0 / q
-
-    def _transition_forward(self, r):
-        """t(r) and the slope dt/dr = F across the transition window [1/2, 1]."""
-        return self.t_half + _TRANSITION_WINDOW.t_of_u(r), _transition_F(r)
 
     def _invert_window(self, t, r, lo, hi, forward):
         """Safeguarded Newton solve of t(r) = t for r in [lo, hi] from the
@@ -307,18 +299,15 @@ class _ArclengthMap:
         )
 
     def r_of_t(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        ev = self.ev
         out = np.empty_like(t)
         m = t < self.t_a
-        out[m] = 0.75 * ev.b * t[m]
+        out[m] = 0.75 * self.b * t[m]
         m = (t >= self.t_a) & (t < self.t_b)
         if np.any(m):
-            rho = _CAP_WINDOW.u_guess(t[m] - self.t_a)
-            r0 = ev.a + (ev.b - ev.a) * rho
-            out[m] = self._invert_window(t[m], r0, ev.a, ev.b, self._cap_forward)
+            r0 = self.a + (self.b - self.a) * _CAP_WINDOW.u_guess(t[m] - self.t_a)
+            out[m] = self._invert_window(t[m], r0, self.a, self.b, self._cap_forward)
         m = (t >= self.t_b) & (t < self.t_half)
-        out[m] = ev.b * np.exp(t[m] - self.t_b)
+        out[m] = self.b * np.exp(t[m] - self.t_b)
         m = (t >= self.t_half) & (t < self.t_one)
         if np.any(m):
             r0 = _TRANSITION_WINDOW.u_guess(t[m] - self.t_half)
@@ -331,6 +320,29 @@ class _ArclengthMap:
         return self.t_one + (math.pi - 1.0)
 
 
+class _Constant:
+    """F identically c, so t = c r."""
+
+    def __init__(self, c: float):
+        self.c = c
+
+    def F(self, r):
+        return np.full_like(np.asarray(r, dtype=float), self.c)
+
+    def jet(self, r):
+        zero = np.zeros_like(np.asarray(r, dtype=float))
+        return self.F(r), zero, zero
+
+    def t_of_r(self, r):
+        return self.c * r
+
+    def r_of_t(self, t):
+        return t / self.c
+
+    def total(self) -> float:
+        return self.c * math.pi
+
+
 @dataclass(frozen=True)
 class ConformalProfile:
     """Rotationally symmetric conformal factor r -> F(r) > 0 on (0, pi].
@@ -339,7 +351,9 @@ class ConformalProfile:
     returns F, F' and F'' together.  The arclength map
     t(r) = int_0^r F and its inverse are exposed through the method API,
     which raises ``ValueError`` for a NaN or a value outside [0, pi] (for
-    t(r)) or [0, total_arclength()] (for the inverse).
+    t(r)) or [0, total_arclength()] (for the inverse).  Past that check
+    ``_arc``, the profile family's object (``_Nose`` or ``_Constant``),
+    answers them; ``F`` and ``jet`` hold its evaluators.
     ``kink_arclengths`` lists the arclengths where F is only C2 (the images
     of the region boundaries); quadrature grids should place nodes there so
     no cell straddles a derivative jump.
@@ -378,42 +392,19 @@ def profile_L(n: int, L: float) -> ConformalProfile:
         raise ValueError("dimension must be at least 2")
     if not (math.isfinite(L) and L >= 1.0):
         raise ValueError(f"nose length L must be finite and at least 1, got {L:g}")
-    ev = _ProfileEvaluator(float(L))
-    arc = _ArclengthMap(ev)
-    # t(r) at the radii a, b, 1/2 and 1, bit for bit
+    nose = _Nose(float(L))
     return ConformalProfile(
-        n=n, L=float(L), F=ev.F, jet=ev.jet,
-        kink_arclengths=(arc.t_a, arc.t_b, arc.t_half, arc.t_one), _arc=arc,
+        n=n, L=float(L), F=nose.F, jet=nose.jet,
+        kink_arclengths=(nose.t_a, nose.t_b, nose.t_half, nose.t_one), _arc=nose,
     )
-
-
-class _ConstantArc:
-    def __init__(self, c):
-        self.c = c
-
-    def t_of_r(self, r):
-        return self.c * np.atleast_1d(np.asarray(r, dtype=float))
-
-    def r_of_t(self, t):
-        return np.atleast_1d(np.asarray(t, dtype=float)) / self.c
-
-    def total(self):
-        return self.c * math.pi
 
 
 def constant_profile(c: float, n: int = 3) -> ConformalProfile:
     """F identically c: the constant rescaling g -> c^2 g."""
     if c <= 0.0:
         raise ValueError("constant conformal factor must be positive")
-
-    def F(r):
-        return np.full_like(np.asarray(r, dtype=float), c)
-
-    def jet(r):
-        zero = np.zeros_like(np.asarray(r, dtype=float))
-        return F(r), zero, zero
-
-    return ConformalProfile(n=n, L=0.0, F=F, jet=jet, _arc=_ConstantArc(c))
+    const = _Constant(c)
+    return ConformalProfile(n=n, L=0.0, F=const.F, jet=const.jet, _arc=const)
 
 
 def sphere_volume_constant(n: int) -> float:

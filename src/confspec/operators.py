@@ -25,7 +25,10 @@ curvature term and a unit mass weight.
 Both paths sample the geometry of a row once, into one ``RowRecord``
 (``covariance_record`` or ``intrinsic_record``), and every mode of the row
 assembles from it alone through ``intrinsic_assemble(record, mode)``; a
-mode enters only through its angular eigenvalue and its pinned ends.
+mode enters only through its angular eigenvalue and its pinned ends.  A
+scalar record samples the Gauss points, a Dirac record one point set, the
+nodes followed by the cell midpoints, so either path evaluates F (or runs
+the arclength inverse) once per row.
 
   * conformal Laplacian: weak form p = h^(n-1),
     q = h^(n-1) [ l(l+n-2)/h^2 + potential ] and the lumped mass with
@@ -306,28 +309,23 @@ def _midpoints(t: np.ndarray) -> np.ndarray:
 
 
 def _dirac_staggered(
-    t_nodes: np.ndarray,
-    h_nodes: np.ndarray,
-    h_mids: np.ndarray,
-    dh_mids: np.ndarray,
-    k: float,
-    w_nodes: np.ndarray,
-    w_mids: np.ndarray,
+    t_nodes: np.ndarray, h: np.ndarray, dh: np.ndarray, w: np.ndarray, k: float
 ) -> tuple[BandedSymmetric, BandedSymmetric]:
     """Staggered first-order mode system, interleaved to bandwidth 1.
 
     Node component a and midpoint component b; the adjoint difference stencil
     is centered at the midpoints, so the scheme is second order and the block
-    matrix [[0, G^T], [G, 0]] is symmetric by construction.  ``h_nodes``
-    holds h at the nodes, ``h_mids`` and ``dh_mids`` hold h and h' at the
-    cell midpoints, and ``w_nodes`` and ``w_mids`` the mass weight at each
-    (F on the covariance path, 1 on the intrinsic path).
+    matrix [[0, G^T], [G, 0]] is symmetric by construction.  ``h``, ``dh``
+    and the mass weight ``w`` (F on the covariance path, 1 on the intrinsic
+    path) sit on one point set, the m nodes followed by the m - 1 cell
+    midpoints; ``dh`` is read at the midpoints alone.
     """
     t = np.asarray(t_nodes, dtype=float)
+    m = t.size
     mids = _midpoints(t)
     dl = np.diff(t)
-    hm = h_mids
-    ctil = dh_mids / (2.0 * hm) + k / hm
+    hm = h[m:]
+    ctil = dh[m:] / (2.0 * hm) + k / hm
     hb = hm * dl
     g_here = hb * (1.0 / dl - 0.5 * ctil)  # coefficient on a_j
     g_next = -hb * (1.0 / dl + 0.5 * ctil)  # coefficient on a_{j+1}
@@ -336,11 +334,10 @@ def _dirac_staggered(
     delta[1:-1] = mids[1:] - mids[:-1]
     delta[0] = mids[0] - t[0]
     delta[-1] = t[-1] - mids[-1]
-    mass_a = w_nodes * h_nodes * delta
-    mass_b = w_mids * hb
+    mass_a = w[:m] * h[:m] * delta
+    mass_b = w[m:] * hb
 
-    nb = t.size - 1
-    size = 2 * nb
+    size = 2 * (m - 1)
     diag = np.zeros(size)
     sub = np.empty(size - 1)
     bdiag = np.empty(size)
@@ -370,11 +367,11 @@ class RowRecord:
     ``potential`` (the curvature term per unit mass) and ``weight`` (the
     mass weight) sit at ``quadrature_points(grid, pinned=True)``, whose first
     2(m-1) points are the natural layout, so pinned and free modes read the
-    same samples.  For Dirac ``h``, ``dh`` and ``weight`` sit at the cell
-    midpoints, and ``h_nodes`` and ``weight_nodes`` hold h and the weight at
-    the nodes.  An intrinsic record also keeps ``r_nodes``, the polar
-    distances of its nodes, from which a row builds the polar grid its
-    volume is read on.  Fields a kind or path does not read are None.
+    same samples.  For Dirac ``h``, ``dh`` and ``weight`` sit on one point
+    set, the m nodes followed by the m - 1 cell midpoints.  An intrinsic
+    record also keeps ``r_nodes``, the polar distances of its nodes, from
+    which a row builds the polar grid its volume is read on.  Fields a kind
+    or path does not read are None.
     """
 
     op: OperatorKind
@@ -383,8 +380,6 @@ class RowRecord:
     weight: np.ndarray
     potential: np.ndarray | None = None
     dh: np.ndarray | None = None
-    h_nodes: np.ndarray | None = None
-    weight_nodes: np.ndarray | None = None
     r_nodes: np.ndarray | None = None
 
 
@@ -393,16 +388,13 @@ def covariance_record(op: OperatorKind, profile: ConformalProfile, grid: RadialG
     grid, once for every mode of ``op``: the scalar kinds at the Gauss points
     with the constant curvature term n(n-2)/4 (conformal Laplacian) or 0
     (Paneitz, whose curvature terms enter as its Einstein coefficients),
-    Dirac at the cell midpoints and the nodes."""
+    Dirac at the nodes and the cell midpoints together."""
     if grid.coordinate_kind != "polar":
         raise ValueError("covariance path assembles on a polar grid")
     if op.spinor:
         # k = 1, so the mass weight is F itself
-        r = _midpoints(grid.nodes)
-        return RowRecord(
-            op, grid, np.sin(r), profile.F(r), dh=np.cos(r),
-            h_nodes=np.sin(grid.nodes), weight_nodes=profile.F(grid.nodes),
-        )
+        r = np.concatenate([grid.nodes, _midpoints(grid.nodes)])
+        return RowRecord(op, grid, np.sin(r), profile.F(r), dh=np.cos(r))
     r = quadrature_points(grid, pinned=True)
     constant = _scalar_constant_term(op.n) if op.kind == KIND_L else 0.0
     return RowRecord(
@@ -428,10 +420,7 @@ def intrinsic_record(op: OperatorKind, profile: ConformalProfile, grid: RadialGr
     if op.spinor:
         r = profile.r_of_arclength(np.concatenate([nodes, _midpoints(nodes)]))
         h, dh, _ = warped_jet(profile, r)
-        return RowRecord(
-            op, grid, h[m:], np.ones(m - 1), dh=dh[m:],
-            h_nodes=h[:m], weight_nodes=np.ones(m), r_nodes=r[:m],
-        )
+        return RowRecord(op, grid, h, np.ones(r.size), dh=dh, r_nodes=r[:m])
     n = op.n
     samples = quadrature_points(grid, pinned=True)
     r = profile.r_of_arclength(np.concatenate([nodes, samples]))
@@ -455,10 +444,7 @@ def intrinsic_assemble(record: RowRecord, mode: ModeSpec) -> AssembledOperator:
     """
     op, grid = record.op, record.grid
     if op.spinor:
-        A, B = _dirac_staggered(
-            grid.nodes, record.h_nodes, record.h, record.dh, mode.index,
-            record.weight_nodes, record.weight,
-        )
+        A, B = _dirac_staggered(grid.nodes, record.h, record.dh, record.weight, mode.index)
         return AssembledOperator(A=A, B=B)
     pinned = mode.index != 0
     size = None if pinned else 2 * (grid.nodes.size - 1)

@@ -422,8 +422,8 @@ def test_intrinsic_row_inverts_arclength_once(monkeypatch, op):
     "op", [conformal_laplacian(3), dirac_operator(2)], ids=["conformal-laplacian", "dirac"]
 )
 def test_covariance_row_samples_the_factor_once(monkeypatch, op):
-    # the row's record samples F once at the Gauss points (scalar kinds) or
-    # at the midpoints and the nodes (Dirac); no mode samples it again
+    # the row's record samples F once, at the Gauss points (scalar kinds) or
+    # at the nodes and the midpoints together (Dirac); no mode samples it again
     calls, row_calls = [], []
     real_profile = experiments.profile_L
     real_spectrum = experiments._spectrum_for
@@ -448,7 +448,7 @@ def test_covariance_row_samples_the_factor_once(monkeypatch, op):
     monkeypatch.setattr(experiments, "_spectrum_for", spectrum)
     (row,) = pinocchio_sweep(op, [2.0], N=400, path="covariance")
     assert row.error is None and row.n_modes_used > 1
-    assert len(row_calls) == (2 if op.kind == "dirac" else 1)
+    assert len(row_calls) == 1
 
 
 def test_nose_grid_does_not_import_numpy_ma():
@@ -469,3 +469,31 @@ def test_nose_grid_does_not_import_numpy_ma():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"
+
+
+@pytest.mark.parametrize("N, L", [(16, 16.0), (24, 30.0)])
+def test_kinks_sharing_a_nearest_node_all_land_on_nodes(N, L):
+    # the kinks at r = 1/2 and r = 1 share their nearest uniform node here;
+    # both must still be nodes, so no cell straddles either derivative jump
+    prof = profile_L(3, L)
+    T = prof.total_arclength()
+    nodes = arclength_grid(prof, N).nodes
+    inside = [tk for tk in prof.kink_arclengths if T / (N + 1) < tk < T * N / (N + 1)]
+    assert set(prof.kink_arclengths[2:]) <= set(inside)  # r = 1/2 and r = 1
+    assert all(tk in nodes for tk in inside)
+
+
+@pytest.mark.parametrize("L", [float(L) for L in range(1, 11)])
+def test_canonical_row_nodes_are_uniform_with_kinks_on_their_nearest_nodes(L):
+    # the canonical rows (sweeps over L = 1..8, trajectories over L = 2..10,
+    # N = 2000) have a distinct nearest uniform node for every kink, so their
+    # nodes are the uniform ones with exactly those nodes moved, bit for bit
+    N = 2000
+    prof = profile_L(3, L)
+    uniform = prof.total_arclength() * (np.arange(1, N + 1) / (N + 1))
+    nearest = [int(np.argmin(np.abs(uniform - tk))) for tk in prof.kink_arclengths]
+    assert len(set(nearest)) == len(nearest)
+    expected = uniform.copy()
+    expected[nearest] = prof.kink_arclengths
+    assert np.array_equal(arclength_grid(prof, N).nodes, expected)
+    assert np.array_equal(arclength_grid(profile_L(2, L), N).nodes, expected)

@@ -266,7 +266,7 @@ def test_intrinsic_record_needs_an_arclength_grid_over_the_profile():
 
 
 def test_intrinsic_dirac_samples_geometry_once(monkeypatch):
-    # h at the nodes and h, h' at the cell midpoints from one inverse
+    # h and h' on one point set, the nodes then the cell midpoints, from one inverse
     prof = profile_L(2, 4.0)
     op = dirac_operator(2)
     grid = make_grid("arclength", 400, length=prof.total_arclength())
@@ -284,7 +284,7 @@ def test_intrinsic_dirac_samples_geometry_once(monkeypatch):
     assert calls == [2 * grid.nodes.size - 1]
     assert asm.A.size == 2 * (grid.nodes.size - 1)
     r = inverse(prof, grid.nodes)
-    assert np.array_equal(record.h_nodes, prof.F(r) * np.sin(r))
+    assert np.array_equal(record.h[: grid.nodes.size], prof.F(r) * np.sin(r))
 
 
 def test_cylinder_segment_bottom_approaches_gap():
