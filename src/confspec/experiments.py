@@ -175,38 +175,10 @@ def resolve_path(op: OperatorKind, L: float, path: str) -> str:
     return path
 
 
-def _snap_to_kinks(t: np.ndarray, profile: ConformalProfile) -> np.ndarray:
-    """Move a node onto each arclength position where the profile is only
-    C2, so no quadrature cell straddles a derivative jump: each kink takes
-    the nearest node that no earlier kink took, so two kinks that share a
-    nearest node both land on nodes."""
-    if not profile.kink_arclengths:
-        return t
-    first, last = t[0], t[-1]
-    t = t.copy()
-    taken = np.zeros(t.size, dtype=bool)
-    for tk in profile.kink_arclengths:
-        if first < tk < last:
-            j = int(np.argmin(np.where(taken, np.inf, np.abs(t - tk))))
-            t[j], taken[j] = tk, True
-    t.sort()
-    return t
-
-
-def _arclength_nodes(profile: ConformalProfile, N: int, exponent: float = 1.0) -> np.ndarray:
-    """The N arclength nodes T (i/(N+1))^exponent, i = 1..N, snapped onto the
-    profile kinks: the nodes of both grids below, so a polar grid is the
-    image of the arclength grid with the same N bit for bit."""
-    if N < MIN_NODES:
-        raise ValueError("node count too small")
-    T = profile.total_arclength()
-    return _snap_to_kinks(T * (np.arange(1, N + 1) / (N + 1)) ** exponent, profile)
-
-
 def arclength_grid(profile: ConformalProfile, N: int) -> RadialGrid:
-    """Uniform arclength grid with nodes snapped onto the profile kinks."""
+    """Uniform arclength grid on ``profile.arclength_nodes``."""
     return RadialGrid(
-        nodes=_arclength_nodes(profile, N), coordinate_kind="arclength",
+        nodes=profile.arclength_nodes(N), coordinate_kind="arclength",
         span=profile.total_arclength(),
     )
 
@@ -214,14 +186,14 @@ def arclength_grid(profile: ConformalProfile, N: int) -> RadialGrid:
 def nose_resolving_grid(
     profile: ConformalProfile, N: int, exponent: float = 1.0
 ) -> RadialGrid:
-    """Polar image of a (possibly graded) arclength grid.
+    """Polar image of ``profile.arclength_nodes``, possibly graded.
 
     Node spacing is dt/F, so the nose is resolved geometrically (ratio
     e^(T/(N+1)) where F = 1/r) and the refinement family scales smoothly
     with N.  ``exponent`` > 1 shifts resolution from the round part toward
     the blowup point; the dual-path cross-check uses it to keep the two
     discretizations' error constants apart."""
-    nodes = profile.r_of_arclength(_arclength_nodes(profile, N, exponent))
+    nodes = profile.r_of_arclength(profile.arclength_nodes(N, exponent))
     return RadialGrid(nodes=nodes, coordinate_kind="polar", span=math.pi)
 
 
@@ -278,7 +250,7 @@ def _spectrum_for(
 ) -> tuple[SpectrumReport, int, ConformalProfile, RadialGrid]:
     """Spectrum of one nose length, and the polar grid its volume is read on.
 
-    Both paths start from the same snapped arclength nodes.  The intrinsic
+    Both paths start from the profile's arclength nodes.  The intrinsic
     path assembles on them, and its record's one arclength inverse also
     gives the polar grid; the covariance path assembles on their polar
     image.  ``lowest`` is passed to every mode's solve (see

@@ -18,9 +18,13 @@ each window is tabulated once per process (arclength and slope at uniform
 knots): t(r) is the nearest knot's value plus a short Gauss rule, and the
 inverse is a safeguarded Newton solve on that window's own forward map and
 closed-form slope dt/dr = F, started from a quintic-Hermite inverse of the
-table.  Each profile family is one private object that answers ``F``,
-``jet``, ``t_of_r``, ``r_of_t`` and ``total``: ``_Nose`` for ``profile_L``
-and ``_Constant`` for ``constant_profile``; a ``ConformalProfile`` wraps it.
+table.  Each profile family is one private subclass of ``ConformalProfile``
+that answers ``F``, ``jet``, ``t_of_r``, ``r_of_t`` and ``total`` and lists
+its kinks: ``_Nose`` for ``profile_L`` and ``_Constant`` for
+``constant_profile``.  The kinks are the one rule for what a grid must
+resolve: ``ConformalProfile.arclength_nodes`` puts a node on each, and
+``volume`` rejects a polar grid that does not reach from the first to the
+last.
 
 In arclength the metric is dt^2 + h(t)^2 g_{S^{n-1}} with h = F sin r, and
 
@@ -41,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from confspec.grid import _GAUSS_OFFSETS, RadialGrid
+from confspec.grid import _GAUSS_OFFSETS, MIN_NODES, RadialGrid
 
 __all__ = [
     "ConformalProfile",
@@ -191,7 +195,64 @@ _CAP_WINDOW = _WindowTable(_cap_speed, _cap_dspeed, 0.0, 1.0)  # u = rho = (r - 
 _TRANSITION_WINDOW = _WindowTable(_transition_F, lambda r: _transition_jet(r)[1], 0.5, 1.0)  # u = r
 
 
-class _Nose:
+class ConformalProfile:
+    """Rotationally symmetric conformal factor r -> F(r) > 0 on (0, pi] of
+    the round S^n, one subclass per profile family.
+
+    A family answers ``F`` and ``jet`` (F, F' and F'' together), vectorized
+    and in closed form, and the arclength map ``t_of_r`` = int_0^r F with
+    its inverse ``r_of_t`` and its ``total``.  The checked public methods
+    ``arclength_of_r`` and ``r_of_arclength`` raise ``ValueError`` for a NaN
+    or a value outside [0, pi] (for t(r)) or [0, total_arclength()] (for
+    the inverse) before they call the family's map.
+    ``kink_radii`` lists the polar distances where F is only C2, in
+    increasing order, and ``kink_arclengths`` their images under t(r).
+    ``arclength_nodes`` places a node on every kink, so no quadrature cell
+    straddles a derivative jump, and ``volume`` asks a polar grid to reach
+    from the first kink radius to the last.
+    """
+
+    kink_radii: tuple[float, ...] = ()
+    kink_arclengths: tuple[float, ...] = ()
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def arclength_of_r(self, r):
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        bad = ~((r >= 0.0) & (r <= math.pi))  # a NaN is outside too
+        if bad.any():
+            raise ValueError(f"polar distance {r[bad][0]:g} outside [0, pi]")
+        return self.t_of_r(r)
+
+    def r_of_arclength(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        total = self.total_arclength()
+        bad = ~((t >= 0.0) & (t <= total))
+        if bad.any():
+            raise ValueError(f"arclength {t[bad][0]:g} outside [0, {total:g}]")
+        return self.r_of_t(t)
+
+    def total_arclength(self) -> float:
+        return self.total()
+
+    def arclength_nodes(self, N: int, exponent: float = 1.0) -> np.ndarray:
+        """The N arclength nodes T (i/(N+1))^exponent, i = 1..N, with every
+        kink snapped onto the nearest node that no earlier kink took, so two
+        kinks that share a nearest node both land on nodes.  A polar grid
+        built from them is their image, bit for bit."""
+        if N < MIN_NODES:
+            raise ValueError("node count too small")
+        t = self.total_arclength() * (np.arange(1, N + 1) / (N + 1)) ** exponent
+        taken = np.zeros(N, dtype=bool)
+        for tk in self.kink_arclengths:
+            j = int(np.argmin(np.where(taken, np.inf, np.abs(t - tk))))
+            t[j], taken[j] = tk, True
+        t.sort()
+        return t
+
+
+class _Nose(ConformalProfile):
     """The blowup profile of nose length L, in closed form: ``F`` alone, or
     F, F' and F'' from ``jet``, and the arclength map ``t_of_r`` =
     int_0^r F with its inverse ``r_of_t`` and its ``total``.  t(r) is exact
@@ -199,14 +260,17 @@ class _Nose:
     window tables and the inverse is a bracketed Newton solve started from
     them."""
 
-    def __init__(self, L: float):
+    def __init__(self, n: int, L: float):
+        super().__init__(n)
         self.b = math.exp(-L)
         self.a = 0.5 * self.b
-        # t(r) at the radii a, b, 1/2 and 1, the profile's kinks
+        # t(r) at the kinks a, b, 1/2 and 1
         self.t_a = 2.0 / 3.0
         self.t_b = self.t_a + _CAP_WINDOW.total
         self.t_half = self.t_b + math.log(0.5 / self.b)
         self.t_one = self.t_half + _TRANSITION_WINDOW.total
+        self.kink_radii = (self.a, self.b, 0.5, 1.0)
+        self.kink_arclengths = (self.t_a, self.t_b, self.t_half, self.t_one)
 
     def _cap(self, r):
         """rho = (r - a)/(b - a) and q(r) on the cap window [a, b]."""
@@ -320,10 +384,11 @@ class _Nose:
         return self.t_one + (math.pi - 1.0)
 
 
-class _Constant:
-    """F identically c, so t = c r."""
+class _Constant(ConformalProfile):
+    """F identically c, so t = c r; it has no kinks."""
 
-    def __init__(self, c: float):
+    def __init__(self, n: int, c: float):
+        super().__init__(n)
         self.c = c
 
     def F(self, r):
@@ -343,48 +408,6 @@ class _Constant:
         return self.c * math.pi
 
 
-@dataclass(frozen=True)
-class ConformalProfile:
-    """Rotationally symmetric conformal factor r -> F(r) > 0 on (0, pi].
-
-    ``F`` and ``jet`` are vectorized closed-form evaluators; ``jet``
-    returns F, F' and F'' together.  The arclength map
-    t(r) = int_0^r F and its inverse are exposed through the method API,
-    which raises ``ValueError`` for a NaN or a value outside [0, pi] (for
-    t(r)) or [0, total_arclength()] (for the inverse).  Past that check
-    ``_arc``, the profile family's object (``_Nose`` or ``_Constant``),
-    answers them; ``F`` and ``jet`` hold its evaluators.
-    ``kink_arclengths`` lists the arclengths where F is only C2 (the images
-    of the region boundaries); quadrature grids should place nodes there so
-    no cell straddles a derivative jump.
-    """
-
-    n: int
-    L: float
-    F: Callable[[np.ndarray], np.ndarray]
-    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    kink_arclengths: tuple[float, ...] = ()
-    _arc: object = field(repr=False, default=None)
-
-    def arclength_of_r(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        bad = ~((r >= 0.0) & (r <= math.pi))  # a NaN is outside too
-        if bad.any():
-            raise ValueError(f"polar distance {r[bad][0]:g} outside [0, pi]")
-        return self._arc.t_of_r(r)
-
-    def r_of_arclength(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        total = self.total_arclength()
-        bad = ~((t >= 0.0) & (t <= total))
-        if bad.any():
-            raise ValueError(f"arclength {t[bad][0]:g} outside [0, {total:g}]")
-        return self._arc.r_of_t(t)
-
-    def total_arclength(self) -> float:
-        return self._arc.total()
-
-
 def profile_L(n: int, L: float) -> ConformalProfile:
     """Nose-length-L profile: 1/r on the nose [e^-L, 1/2], a smooth bounded
     cap below it and the fixed transition to 1 above."""
@@ -392,19 +415,14 @@ def profile_L(n: int, L: float) -> ConformalProfile:
         raise ValueError("dimension must be at least 2")
     if not (math.isfinite(L) and L >= 1.0):
         raise ValueError(f"nose length L must be finite and at least 1, got {L:g}")
-    nose = _Nose(float(L))
-    return ConformalProfile(
-        n=n, L=float(L), F=nose.F, jet=nose.jet,
-        kink_arclengths=(nose.t_a, nose.t_b, nose.t_half, nose.t_one), _arc=nose,
-    )
+    return _Nose(n, float(L))
 
 
 def constant_profile(c: float, n: int = 3) -> ConformalProfile:
     """F identically c: the constant rescaling g -> c^2 g."""
     if c <= 0.0:
         raise ValueError("constant conformal factor must be positive")
-    const = _Constant(c)
-    return ConformalProfile(n=n, L=0.0, F=const.F, jet=const.jet, _arc=const)
+    return _Constant(n, c)
 
 
 def sphere_volume_constant(n: int) -> float:
@@ -416,13 +434,16 @@ def volume(profile: ConformalProfile, grid: RadialGrid) -> float:
     """vol(S^n, F^2 g0) = omega_{n-1} int_0^pi F^n sin^(n-1) r dr.
 
     Second-order composite Gauss quadrature on the grid cells, extended by
-    the two end cells so the full interval (0, pi) is covered.
+    the two end cells so the full interval (0, pi) is covered.  The grid
+    must reach from the profile's first kink radius to its last, so that
+    neither end cell holds a kink; the first node, a kink's image under
+    the arclength inverse, may lie a rounding above it.
     """
     if grid.coordinate_kind != "polar":
         raise ValueError("volume quadrature expects a polar grid")
-    cap = math.exp(-profile.L)
-    if grid.nodes[0] > cap * (1.0 + 1e-12) or grid.nodes[-1] < 1.0:
-        raise ValueError("grid does not resolve the nose interval [e^-L, 1]")
+    kinks = profile.kink_radii
+    if kinks and (grid.nodes[0] > kinks[0] * (1.0 + 1e-12) or grid.nodes[-1] < kinks[-1]):
+        raise ValueError(f"grid does not resolve the kinks [{kinks[0]:g}, {kinks[-1]:g}]")
     n = profile.n
     edges = np.concatenate([[0.0], grid.nodes, [math.pi]])
     he = np.diff(edges)

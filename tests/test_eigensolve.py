@@ -624,6 +624,26 @@ def test_window_solve_needs_diagonal_mass_and_window():
 
 
 @pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda A, D: solve_generalized(A, BandedSymmetric.from_diagonal(np.ones(99)), count=1),
+         "sizes differ"),
+        (lambda A, D: solve_generalized(A, D, window=(-1.0, 1.0), method="dense"),
+         "method applies to solves with a count"),
+        (lambda A, D: solve_generalized(A, D, count=0), "count must be at least 1"),
+        (lambda A, D: solve_generalized(A, D, count=2, method="lanczos"),
+         "unknown method 'lanczos'"),
+    ],
+    ids=["sizes-differ", "method-on-window", "count-0", "unknown-method"],
+)
+def test_solve_generalized_rejects_malformed_requests(call, match):
+    rng = np.random.default_rng(6)
+    A, B = random_pencil(rng, 100)
+    with pytest.raises(ValueError, match=match):
+        call(A, BandedSymmetric.from_diagonal(B.bands[0]))
+
+
+@pytest.mark.parametrize(
     "op", [conformal_laplacian(3), dirac_operator(2)], ids=["conformal-laplacian", "dirac"]
 )
 def test_collect_modes_solves_each_mode_once(monkeypatch, op):

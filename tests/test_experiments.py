@@ -430,12 +430,14 @@ def test_covariance_row_samples_the_factor_once(monkeypatch, op):
 
     def counted_profile(n, L):
         prof = real_profile(n, L)
+        real_F = prof.F
 
         def F(r):
             calls.append(np.size(r))
-            return prof.F(r)
+            return real_F(r)
 
-        return dataclasses.replace(prof, F=F)
+        prof.F = F
+        return prof
 
     def spectrum(*args):
         # count the row's spectrum only; the volume quadrature samples F too
@@ -473,14 +475,23 @@ def test_nose_grid_does_not_import_numpy_ma():
 
 @pytest.mark.parametrize("N, L", [(16, 16.0), (24, 30.0)])
 def test_kinks_sharing_a_nearest_node_all_land_on_nodes(N, L):
-    # the kinks at r = 1/2 and r = 1 share their nearest uniform node here;
-    # both must still be nodes, so no cell straddles either derivative jump
+    # the kinks at r = 1/2 and r = 1 share their nearest uniform node here,
+    # and at N=24, L=30 the cap kinks lie below the first uniform node; every
+    # kink must still be a node, so no cell straddles a derivative jump
     prof = profile_L(3, L)
-    T = prof.total_arclength()
     nodes = arclength_grid(prof, N).nodes
-    inside = [tk for tk in prof.kink_arclengths if T / (N + 1) < tk < T * N / (N + 1)]
-    assert set(prof.kink_arclengths[2:]) <= set(inside)  # r = 1/2 and r = 1
-    assert all(tk in nodes for tk in inside)
+    assert all(tk in nodes for tk in prof.kink_arclengths)
+
+
+@pytest.mark.parametrize(
+    "op", [conformal_laplacian(3), dirac_operator(2)], ids=["conformal-laplacian", "dirac"]
+)
+def test_sweep_row_with_cap_kinks_below_the_first_uniform_node(op):
+    # at N=24, L=30 the uniform node T/(N+1) lies past t(e^-L); the row's
+    # grid still holds every kink, so its volume is defined and the row solves
+    (row,) = pinocchio_sweep(op, [30.0], N=24)
+    assert row.error is None
+    assert row.lambda_1_plus > 0.0 and row.volume > 0.0
 
 
 @pytest.mark.parametrize("L", [float(L) for L in range(1, 11)])

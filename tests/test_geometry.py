@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confspec import geometry
-from confspec.experiments import nose_resolving_grid
+from confspec.experiments import arclength_grid, nose_resolving_grid
 from confspec.geometry import (
     WarpedData,
     constant_profile,
@@ -17,7 +17,7 @@ from confspec.geometry import (
     warped_curvature,
     warped_reparametrize,
 )
-from confspec.grid import make_grid
+from confspec.grid import RadialGrid, make_grid
 
 import oracles
 
@@ -166,6 +166,38 @@ def test_volume_rejects_infinite_and_unresolved():
         volume(profile_L(3, math.inf), polar_grid())
     with pytest.raises(ValueError, match="resolve"):
         volume(profile_L(3, 8.0), make_grid("polar", 100))
+
+
+def _volume_grid(case, prof):
+    """A grid that misses ``prof``'s kinks in the way ``case`` names."""
+    a, b, _, one = prof.kink_radii
+    nodes = nose_resolving_grid(prof, 400).nodes
+    if case == "arclength":
+        return arclength_grid(prof, 400)
+    if case == "first-node-inside-cap":
+        nodes = np.concatenate([[math.sqrt(a * b)], nodes[nodes >= b]])
+    else:  # "last-node-below-one"
+        nodes = nodes[nodes < 0.9 * one]
+    return RadialGrid(nodes=nodes, coordinate_kind="polar", span=math.pi)
+
+
+@pytest.mark.parametrize(
+    "case, match",
+    [
+        ("arclength", "volume quadrature expects a polar grid"),
+        ("first-node-inside-cap", "does not resolve the kinks"),
+        ("last-node-below-one", "does not resolve the kinks"),
+    ],
+)
+def test_volume_rejects_a_grid_that_misses_a_kink(case, match):
+    # the grid must reach from the first kink radius a = e^-L/2 to the last,
+    # r = 1: a first node strictly between a and b = e^-L leaves the kink a
+    # inside the end cell, though the grid resolves the nose [b, 1]
+    prof = profile_L(3, 8.0)
+    grid = _volume_grid(case, prof)
+    with pytest.raises(ValueError, match=match):
+        volume(prof, grid)
+    assert volume(prof, nose_resolving_grid(prof, 400)) > 0.0
 
 
 # ------------------------------------------------------- warped reparametrization
@@ -335,7 +367,7 @@ def test_arclength_inverse_evaluations_are_few(monkeypatch):
         raise AssertionError("the inverse evaluated the piecewise forward map")
 
     monkeypatch.setattr(window, "t_of_u", counted)
-    monkeypatch.setattr(type(prof._arc), "t_of_r", piecewise)
+    monkeypatch.setattr(type(prof), "t_of_r", piecewise)
     t = np.linspace(0.0, prof.total_arclength(), 20001)
     prof.r_of_arclength(t)
     assert all(count == 1 for count in calls.values()), calls

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from confspec.eigensolve import solve_generalized
 from confspec.grid import (
+    MIN_NODES,
     BandedSymmetric,
     RadialGrid,
     assemble_mass,
@@ -50,6 +51,28 @@ def test_arclength_needs_length():
     grid = make_grid("arclength", 100, length=7.5)
     assert grid.span == 7.5
     assert grid.nodes[0] > 0 and grid.nodes[-1] < 7.5
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: RadialGrid(np.linspace(0.1, 3.0, MIN_NODES - 1), "polar", math.pi),
+         "node count too small"),
+        (lambda: RadialGrid(np.linspace(3.0, 0.1, MIN_NODES), "polar", math.pi),
+         "strictly increasing"),
+        (lambda: RadialGrid(np.linspace(0.0, 3.0, MIN_NODES), "polar", math.pi),
+         r"strictly inside \(0, span\)"),
+        (lambda: RadialGrid(np.linspace(0.1, math.pi, MIN_NODES), "polar", math.pi),
+         r"strictly inside \(0, span\)"),
+        (lambda: make_grid("polar", 100, length=2.0), "length applies to arclength grids only"),
+        (lambda: make_grid("spherical", 100), "unknown coordinate kind 'spherical'"),
+    ],
+    ids=["too-few-nodes", "decreasing", "node-at-0", "node-at-span", "polar-length",
+         "unknown-kind"],
+)
+def test_grid_constructors_reject_malformed_input(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 # ------------------------------------------------------------- assembly

@@ -265,6 +265,16 @@ def test_intrinsic_record_needs_an_arclength_grid_over_the_profile():
         assert np.isfinite(asm.A.bands).all() and np.isfinite(asm.B.bands).all()
 
 
+@pytest.mark.parametrize(
+    "op", [conformal_laplacian(3), dirac_operator(2), paneitz_operator(5)],
+    ids=["conformal-laplacian", "dirac", "paneitz"],
+)
+def test_covariance_record_rejects_an_arclength_grid(op):
+    prof = profile_L(op.n, 2.0)
+    with pytest.raises(ValueError, match="covariance path assembles on a polar grid"):
+        covariance_record(op, prof, arclength_grid(prof, 400))
+
+
 def test_intrinsic_dirac_samples_geometry_once(monkeypatch):
     # h and h' on one point set, the nodes then the cell midpoints, from one inverse
     prof = profile_L(2, 4.0)
