@@ -70,10 +70,10 @@ values are inverse-iterated on the pencil.  ``method`` "auto" and
 Lanczos (``method="iterative"``, any m, and ``count`` < m - 1 as ARPACK
 requires; a larger count is a ``ValueError``, never a quiet switch to
 bisection) makes one ARPACK call on the standard symmetric operator
-L^T (A - sigma B)^-1 L, with B = L L^T the Cholesky factor every solve
-computes, the banded LU of A - sigma B that inverse iteration uses and a
-deterministically seeded start vector; a breakdown or a non-converged call
-(even one that holds enough partial pairs) raises
+L^T (A - sigma B)^-1 L, with B = L L^T the Cholesky factor that only this
+route computes, the banded LU of A - sigma B that inverse iteration uses
+and a deterministically seeded start vector; a breakdown or a non-converged
+call (even one that holds enough partial pairs) raises
 ``SolverConvergenceError``.
 
 Inverse iteration, where it runs, is shifted inverse iteration on the
@@ -266,7 +266,10 @@ np.empty(1 << 17)
 
 
 class NotPositiveDefiniteError(ValueError):
-    """B failed its Cholesky factorization; ``pivot_index`` is 0-based."""
+    """B failed its route's factorization; ``pivot_index`` is 0-based.  A
+    diagonal B names its first entry that is not positive, as dpbtrf does;
+    another B the pivot of dpbtrf (ARPACK route) or of dpbstf (count route),
+    which factors the bottom half first and may name a later row."""
 
     def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
@@ -289,17 +292,8 @@ class EigenPair:
 
 
 def _cholesky_or_raise(B: BandedSymmetric) -> np.ndarray:
-    """B's Cholesky factor L (B = L L^T) in Fortran-ordered lower band
-    storage, as dpbtrf leaves it.  A diagonal B's is the square root of its
-    diagonal, one row, which is what dpbtrf computes for it bit for bit."""
-    if not np.isfinite(B.bands).all():
-        raise ValueError("array must not contain infs or NaNs")
-    if not B.bands[1:].any():
-        diag = B.bands[:1]
-        bad = np.flatnonzero(diag[0] <= 0.0)
-        if bad.size:
-            raise NotPositiveDefiniteError(int(bad[0]))
-        return np.sqrt(diag)
+    """B's Cholesky factor L (B = L L^T) by dpbtrf, in Fortran-ordered lower
+    band storage, as dpbtrf leaves it."""
     ab = np.array(B.bands, order="F")  # dpbtrf factors in place
     n, kd, ld = ctypes.c_int(B.size), ctypes.c_int(B.bandwidth), ctypes.c_int(B.bandwidth + 1)
     info = ctypes.c_int(0)
@@ -471,7 +465,7 @@ def _inverse_iteration(A, B, vals, scale, seed):
     return list(xs)
 
 
-def _iterative_path(A, B, L, count, window, seed):
+def _iterative_path(A, B, count, window, seed):
     """Estimates of the ``count`` eigenvalues nearest the window's centre
     sigma, their vectors and an infinite slack for each, by Lanczos (ARPACK)
     on a standard symmetric problem.
@@ -489,6 +483,7 @@ def _iterative_path(A, B, L, count, window, seed):
     import scipy.sparse.linalg as spla  # ARPACK, loaded on the first iterative solve
 
     m = A.size
+    L = _cholesky_or_raise(B)
     kd = L.shape[0] - 1
     center = 0.5 * (window[0] + window[1])
     shifted = _ShiftedSolver(A, B)
@@ -522,21 +517,20 @@ def _iterative_path(A, B, L, count, window, seed):
     return center + 1.0 / theta, list(xs), np.full(count, math.inf)
 
 
-def _scaled_standard(A, L):
-    """T = L^-1 A L^-T = B^-1/2 A B^-1/2 for a diagonal B with Cholesky
-    factor ``L``, in A's lower band storage, its inf-norm, which bounds the
-    spectrum, and the diagonal of B^-1/2.  A T that is not finite (A holds a
-    NaN or an inf, or its scaling overflows) is a ``ValueError``, as for a
-    reduced T."""
+def _scaled_standard(A, B):
+    """For a diagonal B: a tridiagonal T with the eigenvalues of
+    B^-1/2 A B^-1/2, the inf-norm of that scaled band, which bounds them,
+    and the diagonal of B^-1/2.  B's first entry that is not positive raises
+    ``NotPositiveDefiniteError`` at its index, as dpbtrf would."""
     m = A.size
-    s = 1.0 / L[0]
+    bad = np.flatnonzero(B.bands[0] <= 0.0)
+    if bad.size:
+        raise NotPositiveDefiniteError(int(bad[0]))
+    s = 1.0 / np.sqrt(B.bands[0])
     T = A.bands * s
     for k in range(A.bandwidth + 1):
         T[k, : m - k] *= s[k:]
-    scale = _inf_norm(BandedSymmetric(T))
-    if not math.isfinite(scale):
-        raise ValueError("array must not contain infs or NaNs")
-    return T, scale, s
+    return _tridiagonal(T), _inf_norm(BandedSymmetric(T)), s
 
 
 def _reduced_standard(A, B):
@@ -547,8 +541,6 @@ def _reduced_standard(A, B):
     Cholesky factorization (dpbstf), A to the band matrix X^T A X with the
     same eigenvalues (dsbgst, Crawford's algorithm) and that to tridiagonal
     form (dsbtrd), with no transformation accumulated and no m x m array."""
-    if not np.isfinite(A.bands).all():  # B's were checked by its Cholesky
-        raise ValueError("array must not contain infs or NaNs")
     m = A.size
     bw = max(A.bandwidth, B.bandwidth)
     ab = _lower_storage(A, bw)
@@ -565,21 +557,24 @@ def _reduced_standard(A, B):
     return T, _inf_norm(BandedSymmetric(T))
 
 
-def _standard_form(A, B, L, diagonal):
+def _standard_form(A, B, diagonal):
     """The window and count routes' one front end: a tridiagonal T with the
     pencil's eigenvalues, a bound ``scale`` on them (the inf-norm of the
     scaled band, or of a general pencil's reduced tridiagonal), whether
     T was band-reduced (B not ``diagonal``, or a scaled T wider than
     tridiagonal), which sets its values' slack and whether their twisted
     vectors serve, and the diagonal of B^-1/2 (None for a B that is not
-    diagonal), which maps a twisted vector to the pencil's.  ``L`` is a
-    diagonal B's Cholesky factor."""
+    diagonal), which maps a twisted vector to the pencil's.  Only a B that
+    is not diagonal is factored, once, by dpbstf inside its reduction.  A
+    scaling or reduction that overflows is a ``ValueError``."""
     if diagonal:
-        T, scale, s = _scaled_standard(A, L)
+        T, scale, s = _scaled_standard(A, B)
     else:
         (T, scale), s = _reduced_standard(A, B), None
+    if not math.isfinite(scale):
+        raise ValueError("array must not contain infs or NaNs")
     reduced = not diagonal or A.bandwidth > 1
-    return _tridiagonal(T), scale, reduced, s
+    return T, scale, reduced, s
 
 
 def _tridiagonal(T):
@@ -867,7 +862,7 @@ def _refined_values(rep, a, b, n_a, n_b, first, stop, tol, reduced, scale):
     return np.array(vals), twisted, np.array(slack)
 
 
-def _window_path(A, B, L, window, seed, lowest):
+def _window_path(A, B, window, seed, lowest):
     """Pairs strictly inside the window of a pencil with diagonal B: all of
     them, or with ``lowest`` = k the k lowest above the kernel threshold
     1e-8 max(|lo|, |hi|).
@@ -884,13 +879,14 @@ def _window_path(A, B, L, window, seed, lowest):
     cluster's copies, and every value of a T that dsbtrd ``reduced``, are
     inverse-iterated on the pencil.  Returns the estimates, their vectors
     and the slack within which each vector's quotient must stay of its
-    estimate, none of each for an empty window.
+    estimate, none of each for an empty window, for which T is built too,
+    so that a B that is not positive definite raises.
     """
     lo, hi = window
+    m = A.size
+    T, scale, reduced, s = _standard_form(A, B, True)
     if not lo < hi:
         return np.empty(0), [], np.empty(0)
-    m = A.size
-    T, scale, reduced, s = _standard_form(A, B, L, True)
     # the count inside the window is exact whatever abstol is
     abstol = _WINDOW_ABSTOL * max(abs(lo), abs(hi))
     chiral = A.bandwidth == 1 and lo == -hi and m % 2 == 0 and not A.bands[0].any()
@@ -932,7 +928,7 @@ def _window_path(A, B, L, window, seed, lowest):
     return vals, vectors, slack
 
 
-def _nearest_path(A, B, L, count, window, seed, diagonal):
+def _nearest_path(A, B, count, window, seed, diagonal):
     """Estimates of the ``count`` eigenvalues nearest the window (lo, hi),
     their vectors and the slack of each estimate.
 
@@ -948,7 +944,7 @@ def _nearest_path(A, B, L, count, window, seed, diagonal):
     1.38e-9."""
     lo, hi = window
     m = A.size
-    T, scale, reduced, _ = _standard_form(A, B, L, diagonal)
+    T, scale, reduced, _ = _standard_form(A, B, diagonal)
     rep = _ShiftedTridiagonal(T, scale)
     mu_lo, mu_hi = rep.rep(lo), rep.rep(hi)
     n_lo = rep.count(mu_lo)
@@ -1042,7 +1038,8 @@ def solve_generalized(
     "iterative" (shift-invert Lanczos), which needs ``count`` < m - 1 and
     raises ``ValueError`` otherwise.
 
-    Every route's pairs pass one gate, ``_certify``.
+    A or B with a NaN or an inf is a ``ValueError`` on every route, and
+    every route's pairs pass one gate, ``_certify``.
     """
     m = A.size
     if B.size != m:
@@ -1067,13 +1064,14 @@ def solve_generalized(
         raise ValueError(f"unknown method {method!r}")
     elif method == "iterative" and count >= m - 1:
         raise ValueError(f"method 'iterative' needs count < m - 1 = {m - 1}, got {count}")
-    L = _cholesky_or_raise(B)
+    if not (np.isfinite(A.bands).all() and np.isfinite(B.bands).all()):
+        raise ValueError("array must not contain infs or NaNs")
     if count is None:
-        return _certify(A, B, *_window_path(A, B, L, window, seed, lowest), window)
+        return _certify(A, B, *_window_path(A, B, window, seed, lowest), window)
     window = (0.0, 0.0) if window is None else window  # nearest 0
     if method == "iterative":
-        return _certify(A, B, *_iterative_path(A, B, L, count, window, seed))
-    return _certify(A, B, *_nearest_path(A, B, L, min(count, m), window, seed, diagonal))
+        return _certify(A, B, *_iterative_path(A, B, count, window, seed))
+    return _certify(A, B, *_nearest_path(A, B, min(count, m), window, seed, diagonal))
 
 
 @dataclass(frozen=True)

@@ -199,22 +199,24 @@ def test_not_positive_definite_reports_pivot():
 @pytest.mark.parametrize("bad", [None, (7, -1.0), (7, 0.0), (0, -0.0), (3, -1e-300)])
 @pytest.mark.parametrize("bandwidth", [0, 1])
 def test_diagonal_mass_factor_matches_dpbtrf(bandwidth, bad):
-    # a diagonal B (a zero sub-diagonal too) is factored by its square root
-    # without dpbtrf: the same factor bit for bit, and the same pivot at the
-    # first entry that is not positive
+    # a diagonal B (a zero sub-diagonal too) is scaled away by its square
+    # root without dpbtrf: B^-1/2 is 1 over dpbtrf's factor bit for bit, and
+    # the first entry that is not positive raises at dpbtrf's pivot
     diag = np.random.default_rng(5).uniform(1e-3, 1e3, 20)
     if bad is not None:
         diag[bad[0]] = bad[1]
         diag[bad[0] + 5] = -2.0  # a later bad entry is not the one reported
     bands = np.zeros((bandwidth + 1, 20))
     bands[0] = diag
+    A = BandedSymmetric.from_tridiagonal(np.ones(20), np.full(19, 0.5))
     factor, info = lapack.dpbtrf(bands, lower=1)
     if bad is None:
         assert info == 0
-        assert np.array_equal(eigensolve._cholesky_or_raise(BandedSymmetric(bands))[0], factor[0])
+        _, _, s = eigensolve._scaled_standard(A, BandedSymmetric(bands))
+        assert np.array_equal(s, 1.0 / factor[0])
     else:
         with pytest.raises(NotPositiveDefiniteError) as err:
-            eigensolve._cholesky_or_raise(BandedSymmetric(bands))
+            eigensolve._scaled_standard(A, BandedSymmetric(bands))
         assert err.value.pivot_index == info - 1 == bad[0]
 
 
@@ -277,6 +279,92 @@ def test_dense_rejects_non_finite_bands():
         solve_generalized(A, diagonal, count=3)
     with pytest.raises(ValueError):
         solve_generalized(A, diagonal, window=(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("mass", ["diagonal", "banded"])
+def test_standard_form_that_overflows_is_a_value_error(mass):
+    # finite bands whose scaling or dsbgst reduction overflows: a NaN norm
+    # would leave the count route's bracket growing without end
+    A, B = random_pencil(np.random.default_rng(12), 50)
+    B = BandedSymmetric.from_diagonal(B.bands[0]) if mass == "diagonal" else B
+    A, B = BandedSymmetric(A.bands * 1e307), BandedSymmetric(B.bands * 1e-5)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        solve_generalized(A, B, count=3)
+
+
+_ROUTES = {
+    "window": ({"window": (-1.0, 1.0)}, True),
+    "dense": ({"count": 3}, False),
+    "iterative": ({"count": 3, "method": "iterative"}, False),
+}
+
+
+@pytest.mark.parametrize("matrix", ["A", "B"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_non_finite_bands_are_a_value_error_on_every_route(capfd, route, bad, matrix):
+    # the front door checks A and B once for every route: ARPACK is never
+    # handed a NaN, which it reports as a DLASCL argument error and a
+    # failure to converge
+    kwargs, diagonal = _ROUTES[route]
+    A, B = (diagonal_mass_pencil if diagonal else random_pencil)(np.random.default_rng(12), 50)
+    (A if matrix == "A" else B).bands[0, 17] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_generalized(A, B, **kwargs)
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out + err
+
+
+@pytest.mark.parametrize(
+    "route, mass, factored",
+    [
+        ("window", "diagonal", []), ("dense", "diagonal", []),
+        ("dense", "banded", ["_dpbstf"]), ("iterative", "banded", ["_dpbtrf"]),
+    ],
+    ids=["window", "dense-diagonal", "dense-banded", "iterative"],
+)
+def test_each_route_factors_b_at_most_once(monkeypatch, route, mass, factored):
+    # a diagonal B is scaled by its square root; any other is factored by
+    # the one route that reads the factor: dpbstf inside the count route's
+    # reduction, dpbtrf for the ARPACK operator
+    called = []
+    for name in ("_dpbtrf", "_dpbstf"):
+        routine = getattr(eigensolve, name)
+
+        def recording(*args, _name=name, _routine=routine):
+            called.append(_name)
+            return _routine(*args)
+
+        monkeypatch.setattr(eigensolve, name, recording)
+    A, B = random_pencil(np.random.default_rng(7), 200)
+    B = BandedSymmetric.from_diagonal(B.bands[0]) if mass == "diagonal" else B
+    assert solve_generalized(A, B, **_ROUTES[route][0])
+    assert called == factored
+
+
+@pytest.mark.parametrize("method, pivot", [("dense", 15), ("iterative", 3)])
+def test_banded_mass_reports_its_routes_pivot(method, pivot):
+    # rows 3 and 15 of a tridiagonal B are negative: dpbtrf (ARPACK route)
+    # stops at the first, dpbstf (count route) factors the bottom half first
+    # and stops at the second
+    diag = np.ones(20)
+    diag[[3, 15]] = -1.0
+    A = BandedSymmetric.from_tridiagonal(np.ones(20), np.zeros(19))
+    B = BandedSymmetric.from_tridiagonal(diag, np.full(19, 0.1))
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        solve_generalized(A, B, count=2, method=method)
+    assert err.value.pivot_index == pivot
+
+
+@pytest.mark.parametrize("window", [(1.0, 1.0), (1.0, -1.0)], ids=["point", "inverted"])
+def test_empty_window_still_checks_the_mass(window):
+    # the window route scales B before it finds its window empty
+    diag = np.ones(20)
+    diag[7] = 0.0
+    A = BandedSymmetric.from_tridiagonal(np.ones(20), np.zeros(19))
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        solve_generalized(A, BandedSymmetric.from_diagonal(diag), window=window)
+    assert err.value.pivot_index == 7
 
 
 @pytest.mark.parametrize(
@@ -892,8 +980,7 @@ def test_front_end_sets_the_slack(bandwidth, diagonal, factor):
     # isolation tolerance
     A, B = random_pencil(np.random.default_rng(bandwidth), 60, bandwidth)
     B = BandedSymmetric.from_diagonal(B.bands[0]) if diagonal else B
-    L = eigensolve._cholesky_or_raise(B)
-    T, scale, reduced, _ = eigensolve._standard_form(A, B, L, diagonal)
+    T, scale, reduced, _ = eigensolve._standard_form(A, B, diagonal)
     assert T.shape == (2, 60) and reduced == (factor == 64.0)
     rep = eigensolve._ShiftedTridiagonal(T, scale)
     bracket = (rep.rep(-scale), rep.rep(scale), 0, 60)
@@ -978,7 +1065,7 @@ def chiral_pencil(rng, m):
 def half_bidiagonal(A, B):
     """The half-size bidiagonal of the chiral pencil (A, B), built from its
     scaled T as a window solve builds it."""
-    T, scale, _ = eigensolve._scaled_standard(A, eigensolve._cholesky_or_raise(B))
+    T, scale, _ = eigensolve._scaled_standard(A, B)
     return eigensolve._chiral_half(T, scale)
 
 
@@ -1045,7 +1132,7 @@ def _representation(kind, rng, m):
         diag[m - 2 :], sub[m - 3 :] = exact, 0.0
     A = BandedSymmetric.from_tridiagonal(diag, sub)
     B = BandedSymmetric.from_diagonal(np.ones(m))
-    T, scale, _ = eigensolve._scaled_standard(A, eigensolve._cholesky_or_raise(B))
+    T, scale, _ = eigensolve._scaled_standard(A, B)
     if kind == "chiral-half":
         return A, B, eigensolve._chiral_half(T, scale), exact
     return A, B, eigensolve._ShiftedTridiagonal(T, scale), exact
@@ -1504,16 +1591,18 @@ def test_bound_lapack_routines_match_scipy_wrappers(bw, m):
     assert info.value == wrapped_info == 0
     assert np.array_equal(solved, wrapped_x.T)
 
-    # a diagonal B's Cholesky factor is its IEEE square root, bit for bit
-    root = eigensolve._cholesky_or_raise(BandedSymmetric.from_diagonal(B.bands[0]))
-    assert np.array_equal(root[0], np.sqrt(B.bands[0]))
-    T, _, _ = eigensolve._scaled_standard(A, root)
+    # a diagonal B scales A by 1 over its IEEE square root, bit for bit
+    tridiagonal, _, s = eigensolve._scaled_standard(A, BandedSymmetric.from_diagonal(B.bands[0]))
+    assert np.array_equal(s, 1.0 / np.sqrt(B.bands[0]))
+    T = A.bands * s
+    for k in range(bw + 1):
+        T[k, : m - k] *= s[k:]
     T_before = T.copy()
     # dsbevx finds every value of a banded T, with abstol 0, by dsterf on
     # dsbtrd's tridiagonal: the one the count and window routes work on
     w, _, found, _, info = lapack.dsbevx(T, 0.0, 0.0, 1, m, compute_v=0, range=0, lower=1)
     assert info == 0 and found == m
-    tridiagonal = eigensolve._tridiagonal(T)
+    assert np.array_equal(eigensolve._tridiagonal(T), tridiagonal)
     values, info = lapack.dsterf(tridiagonal[0], tridiagonal[1, :-1])
     assert info == 0
     assert np.array_equal(values, w[:found])
