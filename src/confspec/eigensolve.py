@@ -3,8 +3,8 @@
 ``solve_generalized`` solves A x = lambda B x (A symmetric banded, B
 symmetric positive definite banded) in one of two ways.
 
-Every route but ARPACK works on one symmetric tridiagonal T with the
-pencil's eigenvalues, which one front end, ``_standard_form``, builds.  A
+Every route but the iterative one works on one symmetric tridiagonal T with
+the pencil's eigenvalues, which one front end, ``_standard_form``, builds.  A
 diagonal B is scaled away, T = B^-1/2 A B^-1/2, and a scaled T wider than
 tridiagonal (the pentadiagonal Paneitz pencil) is reduced once per solve by
 dsbtrd; any other B is reduced once by the band reduction inside LAPACK
@@ -66,21 +66,25 @@ block, the ``count`` on either side of the window and those inside it; a
 bracket grown outward from the window holds the block, the value stage
 isolates it, to 4 eps ||T||, and refines it, and the nearest ``count``
 values are inverse-iterated on the pencil.  ``method`` "auto" and
-"dense" both name this route.  ARPACK runs only when named: shift-invert
-Lanczos (``method="iterative"``, any m, and ``count`` < m - 1 as ARPACK
-requires; a larger count is a ``ValueError``, never a quiet switch to
-bisection) makes one ARPACK call on the standard symmetric operator
-L^T (A - sigma B)^-1 L, with B = L L^T the Cholesky factor that only this
-route computes, the banded LU of A - sigma B that inverse iteration uses
-and a deterministically seeded start vector; a breakdown or a non-converged
-call (even one that holds enough partial pairs) raises
-``SolverConvergenceError``.
+"dense" both name this route.  The iterative route runs only when named
+(``method="iterative"``, any m, and ``count`` < m - 1, the route's own
+contract; a larger count is a ``ValueError``, never a quiet switch to
+bisection), on the window's centre sigma, in three stages.  Krylov: one
+banded LU of A - sigma B, the one inverse iteration uses, grows a
+B-orthonormal basis X from a deterministically seeded start by
+w = (A - sigma B)^-1 B x, with B checked positive definite by dpbtrf and
+its factor not used.  Rayleigh-Ritz: the eigenpairs of X A X^T (eigh) are
+the pencil's Ritz pairs, and the basis grows until the ``count`` nearest
+sigma pass Ericsson and Ruhe's residual estimate; a basis that reaches its
+cap first raises ``SolverConvergenceError`` and returns no partial pairs.
+Polish: one step of inverse iteration per Ritz vector at its value.
 
 Inverse iteration, where it runs, is shifted inverse iteration on the
-banded A - (lam + delta) B from seeded vectors, B-orthogonalized against
-the earlier vectors of the same call.  Every route returns one shape: an
-array of value estimates, a list of as many vectors and an array of as
-many slacks (none of each for an empty window).  Every pair then passes
+banded A - (lam + delta) B from seeded vectors (from the Ritz vectors, one
+step each, on the iterative route), B-orthogonalized against the earlier
+vectors of the same call.  Every route returns one shape: an array of
+value estimates, a list of as many vectors and an array of as many slacks
+(none of each for an empty window).  Every pair then passes
 one gate, the pure function ``_certify``: the value is the vector's
 Rayleigh quotient, formed once (in extended precision where it lies within
 16 ulps of a window end, which it then decides), and a quotient further
@@ -90,9 +94,10 @@ than returning a duplicate or a stranger.  The slack of a window or count
 value is 8 eps ||T|| on a scaled tridiagonal T and 64 eps ||T|| on any
 reduced T (any other B by dsbgst, or a scaled T wider than tridiagonal by
 dsbtrd), whose band reduction rounds its values further from the
-quotients; a cluster's copy adds the isolation tolerance.  ARPACK's Ritz
-values have an infinite slack.  A window solve's quotient on an end is
-dropped, and every other pair must pass the residual certificate below.
+quotients; a cluster's copy adds the isolation tolerance.  The iterative
+route's Ritz values have an infinite slack.  A window solve's quotient on an
+end is dropped, and every other pair must pass the residual certificate
+below.
 
 Every returned vector is B-orthonormal as its route returns it, and no
 second pass touches it.  A twisted vector is B-normal by construction and
@@ -100,20 +105,19 @@ accurate to rounding over its value's relative gap.  Inverse iteration
 B-orthogonalizes each iterate against the earlier vectors of its call and
 B-normalizes it.  The chiral mirror S x keeps x's B-norm and B-products
 exactly (S B S = B) and is an eigenvector of -lam, hence B-orthogonal to
-the positive half.  ARPACK's Ritz vectors y are orthonormal, so the vectors
-x = L^-T y that its route returns are B-orthonormal.  Residuals
-||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||) are reported per pair and must
-stay below ``RESIDUAL_TOL`` or, where double precision cannot certify
-that, a small multiple of the evaluation floor.  Where that denominator
-is below its own rounding, as at an exact zero eigenvalue, the residual
-is taken against (||A|| + |lam| ||B||) ||x|| instead.
-A non-finite vector or residual fails that certificate.
+the positive half.  The iterative route's vectors come out of inverse
+iteration too.  Residuals ||Ax - lam Bx|| / (||Ax|| + |lam| ||Bx||) are
+reported per pair and must stay below ``RESIDUAL_TOL`` or, where double
+precision cannot certify that, a small multiple of the evaluation floor.
+Where that denominator is below its own rounding, as at an exact zero
+eigenvalue, the residual is taken against (||A|| + |lam| ||B||) ||x||
+instead.  A non-finite vector or residual fails that certificate.
 
 Every LAPACK routine is called one way: bound by ``_bind`` from scipy's
 Cython LAPACK table, which is loaded from its extension file, so importing
-this module imports neither ``scipy.linalg`` nor ``scipy.sparse``.  ARPACK
-(``scipy.sparse.linalg``) is imported by the first ``method="iterative"``
-solve, the only route that runs it.
+this module imports neither ``scipy.linalg`` nor ``scipy.sparse``, and no
+route imports anything later: the iterative route's Krylov basis runs on
+the same bindings.
 """
 
 from __future__ import annotations
@@ -142,6 +146,15 @@ __all__ = [
 ]
 
 _INVERSE_ITERATIONS = 3  # per vector; two already reach the residual floor
+# the iterative route's Krylov basis stops once the residual estimate of
+# each wanted Ritz pair is at most _RITZ_TOL, and fails past
+# count + _KRYLOV_EXTRA vectors (or m).  Over 146 pencils (criterion 7's,
+# the benchmark's, the lab's radial ones and shifts on an eigenvalue) it took
+# count + 14 vectors in the median and count + 53 at most, on a pencil asked
+# for 40 values; the most for a small count was count + 47, on a chiral
+# pencil whose count-th nearest value is one of a pair +-lam at equal distance
+_RITZ_TOL = 1e-6
+_KRYLOV_EXTRA = 200
 # a window interval narrower than this fraction of the window's half-width
 # that still holds two or more eigenvalues is a cluster (copies of its
 # midpoint, inverse-iterated); every isolated value is refined to rounding
@@ -268,8 +281,9 @@ np.empty(1 << 17)
 class NotPositiveDefiniteError(ValueError):
     """B failed its route's factorization; ``pivot_index`` is 0-based.  A
     diagonal B names its first entry that is not positive, as dpbtrf does;
-    another B the pivot of dpbtrf (ARPACK route) or of dpbstf (count route),
-    which factors the bottom half first and may name a later row."""
+    another B the pivot of dpbtrf (the iterative route's check) or of dpbstf
+    (count route), which factors the bottom half first and may name a later
+    row."""
 
     def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
@@ -291,16 +305,16 @@ class EigenPair:
     residual: float
 
 
-def _cholesky_or_raise(B: BandedSymmetric) -> np.ndarray:
-    """B's Cholesky factor L (B = L L^T) by dpbtrf, in Fortran-ordered lower
-    band storage, as dpbtrf leaves it."""
+def _cholesky_or_raise(B: BandedSymmetric) -> None:
+    """The iterative route's check that B is positive definite: a Cholesky
+    factorization by dpbtrf, whose first non-positive pivot raises
+    ``NotPositiveDefiniteError``.  The factor itself is not used."""
     ab = np.array(B.bands, order="F")  # dpbtrf factors in place
     n, kd, ld = ctypes.c_int(B.size), ctypes.c_int(B.bandwidth), ctypes.c_int(B.bandwidth + 1)
     info = ctypes.c_int(0)
     _dpbtrf(b"L", n, kd, ab.ctypes.data, ld, info)
     if info.value > 0:
         raise NotPositiveDefiniteError(info.value - 1)
-    return ab
 
 
 def _inf_norm(A: BandedSymmetric) -> float:
@@ -420,11 +434,13 @@ class _ShiftedSolver:
         return r
 
 
-def _inverse_iteration(A, B, vals, scale, seed):
+def _inverse_iteration(A, B, vals, scale, seed, starts=None):
     """B-orthonormal vectors of the pencil at the estimates ``vals``.
 
     Shifted inverse iteration (A - (lam + offset) B) x' = B x with one banded
-    LU per shift, each vector from its own seeded start.  ``scale`` is the
+    LU per shift, each vector from its own seeded start, or, given
+    ``starts`` (vectors already near their eigenvectors), one step from
+    each of those instead of ``_INVERSE_ITERATIONS``.  ``scale`` is the
     spectral scale of the pencil.  The offset 4 eps (|lam| + eps scale) keeps
     the shifted matrix from being exactly singular where a value is exact (a
     diagonal pencil, or lam = 0) while staying a few ulps of lam, not of
@@ -448,12 +464,14 @@ def _inverse_iteration(A, B, vals, scale, seed):
     m = A.size
     shifted = _ShiftedSolver(A, B)
     xs = np.empty((len(vals), m))  # rows, so that xs[:j] is contiguous
-    rng = np.random.default_rng(seed)
-    for j, lam in enumerate(vals):
+    steps = _INVERSE_ITERATIONS if starts is None else 1
+    if starts is None:
+        rng = np.random.default_rng(seed)
+        starts = (rng.standard_normal(m) for _ in vals)
+    for j, (lam, x) in enumerate(zip(vals, starts)):
         offset = 4.0 * eps * (abs(lam) + eps * scale) or 1.0
         shifted.factor(lam + offset, eps * (scale + abs(lam)))
-        x = rng.standard_normal(m)
-        for _ in range(_INVERSE_ITERATIONS):
+        for _ in range(steps):
             x = shifted.solve(B.matvec(x))  # a fresh array, solved in place
             np.ldexp(x, -math.frexp(np.abs(x).max())[1], out=x)
             x -= (xs[:j] @ B.matvec(x)) @ xs[:j]
@@ -467,54 +485,85 @@ def _inverse_iteration(A, B, vals, scale, seed):
 
 def _iterative_path(A, B, count, window, seed):
     """Estimates of the ``count`` eigenvalues nearest the window's centre
-    sigma, their vectors and an infinite slack for each, by Lanczos (ARPACK)
-    on a standard symmetric problem.
+    sigma, their vectors and an infinite slack for each: shift-invert
+    Krylov, then Rayleigh-Ritz on the pencil itself, then one step of
+    inverse iteration per vector.
 
-    With B = L L^T (``L`` its Cholesky factor in lower band storage), the
-    operator y -> L^T (A - sigma B)^-1 L y is symmetric with eigenvalues
-    theta = 1/(lam - sigma), so its ``count`` largest in magnitude are the
-    pencil's nearest sigma.  ARPACK's regular mode asks for this one product
-    per step and for no B-product.  A - sigma B is factored once by
-    ``_ShiftedSolver``, which sets an exactly zero pivot (sigma an
+    B must pass dpbtrf (``_cholesky_or_raise``), the route's check that it
+    is positive definite; the factor is not used.  A - sigma B is factored
+    once by ``_ShiftedSolver``, which sets an exactly zero pivot (sigma an
     eigenvalue) to the rounding of the matrix's entries,
-    eps (||A|| + |sigma| ||B||).  The estimates are sigma + 1/theta and the
-    vectors x = L^-T y, B-orthonormal because the Ritz vectors y are
-    orthonormal.  Ritz values have no bisection bound to hold them to."""
-    import scipy.sparse.linalg as spla  # ARPACK, loaded on the first iterative solve
+    eps (||A|| + |sigma| ||B||).
 
+    Krylov: from a seeded start the B-orthonormal basis X grows by
+    w = (A - sigma B)^-1 B x of its newest vector x, B-orthogonalized
+    against X in two full passes and scaled by the power of 2 of its
+    largest entry, exactly, as inverse iteration scales its iterates, so
+    that w B w stays in range for a mass near 1e150 or 1e-150.  X and B X
+    are kept as rows, and X A X^T gains a row per step.
+
+    Rayleigh-Ritz: the Ritz pairs (theta, y = X^T s) are the eigenpairs of
+    X A X^T (numpy's eigh), not of the inverted operator, whose products carry its
+    rounding times ||(A - sigma B)^-1||, 1e13 where sigma lies on an
+    eigenvalue.  The part of (A - sigma B)^-1 (A y - theta B y) outside the
+    basis has B-norm |theta - sigma| beta |s_last|, with beta the B-norm of
+    the orthogonalized w and s_last the Ritz vector's newest coordinate
+    (after Ericsson and Ruhe, Math. Comp. 35, 1980).  The basis stops
+    growing when that is at most ``_RITZ_TOL`` for the ``count`` Ritz pairs
+    nearest sigma.  Unlike the pencil residual relative to ||A||, it sees
+    the error along neighbouring eigenvectors where ||A|| dwarfs them;
+    unlike the residual relative to ||A y||, it leaves out the rounding a
+    shift on an eigenvalue spreads over the stiff end of the spectrum.  A
+    basis of min(m, count + ``_KRYLOV_EXTRA``) vectors without that raises
+    ``SolverConvergenceError`` with the worst estimate and returns no
+    pairs.  A non-finite projection (a spectrum beyond double range) is a
+    ``ValueError``.
+
+    Polish: each Ritz vector takes one step of inverse iteration at its
+    value (``_inverse_iteration``), which removes that rounding, takes the
+    pair to the residual floor and B-orthonormalizes the vectors.  Ritz
+    values have no bisection bound to hold them to."""
     m = A.size
-    L = _cholesky_or_raise(B)
-    kd = L.shape[0] - 1
+    _cholesky_or_raise(B)
+    norm_a, norm_b = _inf_norm(A), _inf_norm(B)
     center = 0.5 * (window[0] + window[1])
-    shifted = _ShiftedSolver(A, B)
-    eps = np.finfo(float).eps
-    shifted.factor(center, eps * (_inf_norm(A) + abs(center) * _inf_norm(B)))
-
-    def operator(y):
-        r = L[0] * y  # L y into a fresh array, solved in place
-        for k in range(1, kd + 1):
-            r[k:] += L[k, : m - k] * y[: m - k]
-        z = shifted.solve(r)
-        out = L[0] * z  # L^T z
-        for k in range(1, kd + 1):
-            out[: m - k] += L[k, : m - k] * z[k:]
-        return out
-
-    v0 = np.random.default_rng(seed).standard_normal(m)
-    try:
-        theta, ys = spla.eigsh(
-            spla.LinearOperator((m, m), matvec=operator, dtype=float),
-            k=count, which="LM", v0=v0, tol=0,
-        )
-    except (RuntimeError, ValueError) as exc:  # ArpackNoConvergence is a RuntimeError
-        raise SolverConvergenceError(math.inf) from exc
-    xs = np.array(ys.T, order="C")  # rows: the column-major right-hand sides of dtbtrs
-    info = ctypes.c_int(0)
-    _dtbtrs(
-        b"L", b"T", b"N", ctypes.c_int(m), ctypes.c_int(kd), ctypes.c_int(count), L.ctypes.data,
-        ctypes.c_int(kd + 1), xs.ctypes.data, ctypes.c_int(m), info,
-    )
-    return center + 1.0 / theta, list(xs), np.full(count, math.inf)
+    cap = min(m, count + _KRYLOV_EXTRA)
+    X, BX = np.empty((cap, m)), np.empty((cap, m))
+    G = np.empty((cap, cap))  # X A X^T
+    w = np.random.default_rng(seed).standard_normal(m)
+    worst = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = _ShiftedSolver(A, B)
+        shifted.factor(center, np.finfo(float).eps * (norm_a + abs(center) * norm_b))
+        for n in range(cap + 1):  # n vectors in the basis
+            for _ in range(2):
+                w -= (BX[:n] @ w) @ X[:n]
+            e = math.frexp(np.abs(w).max())[1]
+            np.ldexp(w, -e, out=w)  # scaled by 2^-e, exactly, so that w B w is in range
+            bw = B.matvec(w)
+            beta = math.sqrt(max(w @ bw, 0.0))
+            if not math.isfinite(beta):
+                raise ValueError("array must not contain infs or NaNs")
+            last = n == cap or beta == 0.0  # the basis can grow no further
+            if n >= count:
+                if not np.isfinite(G[:n, :n]).all():
+                    raise ValueError("array must not contain infs or NaNs")
+                ritz, Z = np.linalg.eigh(G[:n, :n])
+                near = np.sort(np.argsort(np.abs(ritz - center), kind="stable")[:count])
+                theta, S = ritz[near], Z[:, near]
+                # beta is the B-norm of w scaled by 2^-e
+                estimate = np.abs(theta - center) * np.ldexp(beta, e) * np.abs(S[n - 1])
+                worst = float(estimate.max())
+                if worst <= _RITZ_TOL:
+                    break
+            if last:
+                raise SolverConvergenceError(worst)
+            np.divide(w, beta, out=X[n])
+            np.divide(bw, beta, out=BX[n])
+            G[n, : n + 1] = G[: n + 1, n] = X[: n + 1] @ A.matvec(X[n])
+            w = shifted.solve(BX[n].copy())
+    vectors = _inverse_iteration(A, B, theta, norm_a / norm_b, seed, starts=S.T @ X[:n])
+    return theta, vectors, np.full(count, math.inf)
 
 
 def _scaled_standard(A, B):
@@ -527,10 +576,12 @@ def _scaled_standard(A, B):
     if bad.size:
         raise NotPositiveDefiniteError(int(bad[0]))
     s = 1.0 / np.sqrt(B.bands[0])
-    T = A.bands * s
-    for k in range(A.bandwidth + 1):
-        T[k, : m - k] *= s[k:]
-    return _tridiagonal(T), _inf_norm(BandedSymmetric(T)), s
+    with np.errstate(over="ignore"):  # an overflow is caught by the scale's check
+        T = A.bands * s
+        for k in range(A.bandwidth + 1):
+            T[k, : m - k] *= s[k:]
+        scale = _inf_norm(BandedSymmetric(T))
+    return _tridiagonal(T), scale, s
 
 
 def _reduced_standard(A, B):
@@ -1035,7 +1086,8 @@ def solve_generalized(
     With ``count``: the ``count`` pairs nearest the window (default: nearest
     0).  ``method`` is "auto" or its synonym "dense" (the value engine on
     the scaled or band-reduced pencil, then inverse iteration) or
-    "iterative" (shift-invert Lanczos), which needs ``count`` < m - 1 and
+    "iterative" (shift-invert Krylov, Rayleigh-Ritz on the pencil, then one
+    inverse-iteration step per vector), which needs ``count`` < m - 1 and
     raises ``ValueError`` otherwise.
 
     A or B with a NaN or an inf is a ``ValueError`` on every route, and

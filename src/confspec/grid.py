@@ -17,7 +17,7 @@ already sampled there, so a caller deriving all three from one geometry
 samples it once.
 
 Every matrix stays in LAPACK band storage (``BandedSymmetric``) from
-assembly to eigensolve, the eigensolver's ARPACK route included.
+assembly to eigensolve, the eigensolver's iterative route included.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from hypothesis import given, settings, strategies as st
 
@@ -243,7 +242,7 @@ def test_singular_shift_recovers():
 
 @pytest.mark.parametrize("m, count", [(3, 2), (50, 49), (50, 50), (50, 80)])
 def test_iterative_route_rejects_a_count_arpack_cannot_take(m, count):
-    # Lanczos needs count < m - 1: a larger count is refused with the limit
+    # the iterative route takes count < m - 1: a larger count is refused with the limit
     # named, not handed to the bisection route in its place
     A, B = random_pencil(np.random.default_rng(m), m)
     with pytest.raises(ValueError, match=rf"count < m - 1 = {m - 1}"):
@@ -251,21 +250,26 @@ def test_iterative_route_rejects_a_count_arpack_cannot_take(m, count):
     assert len(solve_generalized(A, B, count=m - 2, method="iterative")) == m - 2
 
 
-def test_arpack_no_convergence_is_an_error_even_with_enough_pairs(monkeypatch):
-    # a non-converged ARPACK call is a failure, not a source of partial pairs,
-    # even when those pairs are exact
+def test_krylov_basis_cap_is_an_error_even_with_enough_pairs(monkeypatch):
+    # a Krylov basis that reaches its cap unconverged is a failure, not a
+    # source of partial pairs, even though it holds as many Ritz pairs as
+    # were asked for; no pair reaches the polish or the gate
     rng = np.random.default_rng(4)
     A, B = random_pencil(rng, 700)
-    exact = solve_generalized(A, B, count=3, method="dense")
-    vals = np.array([p.value for p in exact])
-    vecs = np.column_stack([p.vector for p in exact])
+    assert len(solve_generalized(A, B, count=2, method="iterative")) == 2
+    polished = []
+    inverse_iteration = eigensolve._inverse_iteration
 
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", vals, vecs)
+    def spy(*args, **kwargs):
+        polished.append(args)
+        return inverse_iteration(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
-    with pytest.raises(SolverConvergenceError):
+    monkeypatch.setattr(eigensolve, "_inverse_iteration", spy)
+    monkeypatch.setattr(eigensolve, "_KRYLOV_EXTRA", 2)  # a basis of 4 vectors
+    with pytest.raises(SolverConvergenceError) as err:
         solve_generalized(A, B, count=2, method="iterative")
+    assert eigensolve._RITZ_TOL < err.value.achieved_residual < math.inf
+    assert not polished
 
 
 def test_dense_rejects_non_finite_bands():
@@ -281,17 +285,6 @@ def test_dense_rejects_non_finite_bands():
         solve_generalized(A, diagonal, window=(-1.0, 1.0))
 
 
-@pytest.mark.parametrize("mass", ["diagonal", "banded"])
-def test_standard_form_that_overflows_is_a_value_error(mass):
-    # finite bands whose scaling or dsbgst reduction overflows: a NaN norm
-    # would leave the count route's bracket growing without end
-    A, B = random_pencil(np.random.default_rng(12), 50)
-    B = BandedSymmetric.from_diagonal(B.bands[0]) if mass == "diagonal" else B
-    A, B = BandedSymmetric(A.bands * 1e307), BandedSymmetric(B.bands * 1e-5)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
-        solve_generalized(A, B, count=3)
-
-
 _ROUTES = {
     "window": ({"window": (-1.0, 1.0)}, True),
     "dense": ({"count": 3}, False),
@@ -299,13 +292,41 @@ _ROUTES = {
 }
 
 
+@pytest.mark.parametrize(
+    "route, mass",
+    [
+        (route, mass)
+        for route, (_, diagonal_only) in _ROUTES.items()
+        for mass in (["diagonal"] if diagonal_only else ["diagonal", "banded"])
+    ],
+)
+def test_standard_form_that_overflows_is_a_value_error(route, mass):
+    # finite bands whose spectrum lies beyond double range: the scaling, the
+    # dsbgst reduction or the Krylov projection overflows, which is the same
+    # ValueError on every route under every warning filter (the suite turns
+    # RuntimeWarning into an error); a NaN norm would leave the count
+    # route's bracket growing without end
+    A, B = random_pencil(np.random.default_rng(12), 50)
+    B = BandedSymmetric.from_diagonal(B.bands[0]) if mass == "diagonal" else B
+    A, B = BandedSymmetric(A.bands * 1e307), BandedSymmetric(B.bands * 1e-5)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_generalized(A, B, **_ROUTES[route][0])
+
+
 @pytest.mark.parametrize("matrix", ["A", "B"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("route", list(_ROUTES))
-def test_non_finite_bands_are_a_value_error_on_every_route(capfd, route, bad, matrix):
-    # the front door checks A and B once for every route: ARPACK is never
-    # handed a NaN, which it reports as a DLASCL argument error and a
-    # failure to converge
+def test_non_finite_bands_are_a_value_error_on_every_route(
+    monkeypatch, capfd, route, bad, matrix
+):
+    # the front door checks A and B once for every route: no route is
+    # handed a NaN, which a Fortran eigensolver reports as a DLASCL argument
+    # error and a failure to converge
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route was handed a non-finite band")
+
+    for name in ("_window_path", "_nearest_path", "_iterative_path"):
+        monkeypatch.setattr(eigensolve, name, refuse)
     kwargs, diagonal = _ROUTES[route]
     A, B = (diagonal_mass_pencil if diagonal else random_pencil)(np.random.default_rng(12), 50)
     (A if matrix == "A" else B).bands[0, 17] = bad
@@ -326,7 +347,7 @@ def test_non_finite_bands_are_a_value_error_on_every_route(capfd, route, bad, ma
 def test_each_route_factors_b_at_most_once(monkeypatch, route, mass, factored):
     # a diagonal B is scaled by its square root; any other is factored by
     # the one route that reads the factor: dpbstf inside the count route's
-    # reduction, dpbtrf for the ARPACK operator
+    # reduction, dpbtrf as the iterative route's positive definiteness check
     called = []
     for name in ("_dpbtrf", "_dpbstf"):
         routine = getattr(eigensolve, name)
@@ -344,7 +365,7 @@ def test_each_route_factors_b_at_most_once(monkeypatch, route, mass, factored):
 
 @pytest.mark.parametrize("method, pivot", [("dense", 15), ("iterative", 3)])
 def test_banded_mass_reports_its_routes_pivot(method, pivot):
-    # rows 3 and 15 of a tridiagonal B are negative: dpbtrf (ARPACK route)
+    # rows 3 and 15 of a tridiagonal B are negative: dpbtrf (iterative route)
     # stops at the first, dpbstf (count route) factors the bottom half first
     # and stops at the second
     diag = np.ones(20)
@@ -494,25 +515,24 @@ def test_iterative_route_survives_a_shift_on_an_eigenvalue(mass, window):
     assert all(p.residual <= 1e-9 for p in pairs)
 
 
-def test_iterative_route_hands_arpack_a_standard_problem(monkeypatch):
-    # the iterative route runs Lanczos on L^T (A - sigma B)^-1 L: one ARPACK
-    # call on an operator, with neither a mass matrix nor a shift, so ARPACK
-    # never asks for a B-product
+def test_iterative_route_factors_once_at_the_centre_and_once_per_pair(monkeypatch):
+    # the Krylov basis grows on one banded LU of A - sigma B at the window's
+    # centre; each Ritz vector then takes one inverse-iteration step on an
+    # LU of its own, a few ulps off its value
     A, B = random_pencil(np.random.default_rng(17), 400, bandwidth=2)
-    calls = []
-    eigsh = spla.eigsh
+    shifts = []
+    factor = eigensolve._ShiftedSolver.factor
 
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return eigsh(*args, **kwargs)
+    def spy(self, sigma, tiny):
+        shifts.append(sigma)
+        return factor(self, sigma, tiny)
 
-    monkeypatch.setattr(spla, "eigsh", spy)
-    pairs = solve_generalized(A, B, count=4, method="iterative", seed=2)
+    monkeypatch.setattr(eigensolve._ShiftedSolver, "factor", spy)
+    pairs = solve_generalized(A, B, count=4, window=(0.25, 0.25), method="iterative", seed=2)
     assert len(pairs) == 4
-    assert len(calls) == 1
-    (operator, *rest), kwargs = calls[0]
-    assert isinstance(operator, spla.LinearOperator)
-    assert not rest and kwargs.get("M") is None and kwargs.get("sigma") is None
+    assert len(shifts) == 1 + 4 and shifts[0] == 0.25
+    for shift, pair in zip(shifts[1:], pairs):
+        assert abs(shift - pair.value) <= 1e-10 * abs(pair.value)
 
 
 def test_count_solve_bisects_only_the_wanted_block(monkeypatch):
@@ -837,16 +857,17 @@ def test_aggregate_sorted_and_extraction_consistent(values):
 
 def test_nan_vector_is_not_certified():
     # a non-finite vector from a route must fail the gate, not come back as a
-    # pair with value and residual NaN, even at ARPACK's infinite slack
+    # pair with value and residual NaN, even at the iterative route's
+    # infinite slack
     A, B = random_pencil(np.random.default_rng(4), 50)
     with pytest.raises(SolverConvergenceError):
         eigensolve._certify(A, B, [0.0], [np.full(50, np.nan)], [math.inf])
 
 
 def test_certificate_rejects_a_vector_off_its_eigenvector():
-    # at ARPACK's infinite slack any quotient passes the slide gate; a vector
-    # 1e-6 off the exact eigenvector must then fail the residual certificate,
-    # which raises that pair's residual
+    # at the iterative route's infinite slack any quotient passes the slide
+    # gate; a vector 1e-6 off the exact eigenvector must then fail the
+    # residual certificate, which raises that pair's residual
     A, B = random_pencil(np.random.default_rng(4), 50)
     values, vectors = sla.eigh(A.to_dense(), B.to_dense())
     off = vectors[:, 1] + 1e-6 * np.random.default_rng(5).standard_normal(50)
@@ -995,13 +1016,13 @@ def test_front_end_sets_the_slack(bandwidth, diagonal, factor):
 
 
 @pytest.fixture
-def no_arpack(monkeypatch):
-    """Make any shift-invert Lanczos call fail the test."""
+def no_iterative_route(monkeypatch):
+    """Make any call of the iterative route fail the test."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("ARPACK ran on a pencil the program built")
+        raise AssertionError("the iterative route ran on a pencil the program built")
 
-    monkeypatch.setattr(spla, "eigsh", refuse)
+    monkeypatch.setattr(eigensolve, "_iterative_path", refuse)
 
 
 @pytest.mark.parametrize(
@@ -1009,8 +1030,10 @@ def no_arpack(monkeypatch):
     [(conformal_laplacian(3), 8), (dirac_operator(2), 5)],
     ids=["conformal-laplacian", "dirac"],
 )
-def test_experiments_never_call_arpack_and_sweep_rows_certify_at_1e9(no_arpack, op, ell_max):
-    # no experiment workload calls ARPACK's shift-invert Lanczos, and every
+def test_experiments_never_call_arpack_and_sweep_rows_certify_at_1e9(
+    no_iterative_route, op, ell_max
+):
+    # no experiment workload calls the iterative route, and every
     # sweep row, L = 1..8 and 30, succeeds with residuals <= 1e-9
     L_grid = [float(L) for L in range(1, 9)] + [30.0]
     rows = pinocchio_sweep(op, L_grid, N=2000, path="intrinsic")
@@ -1023,7 +1046,7 @@ def test_experiments_never_call_arpack_and_sweep_rows_certify_at_1e9(no_arpack, 
     assert all(scaling_check(op, c).passed for c in (0.5, 2.0, 3.0))
 
 
-def test_criterion_workloads_never_call_arpack(no_arpack):
+def test_criterion_workloads_never_call_arpack(no_iterative_route):
     # the criterion workloads beyond the two sweep operators: the Paneitz
     # validation and scaling check, and the exact-cylinder law
     op = paneitz_operator(5)
@@ -1264,7 +1287,8 @@ def test_no_route_calls_dstebz(monkeypatch):
     # bindings; each is wrapped to record its calls.  Counts, values and
     # vectors of window, chiral and count solves come from one L D L^T
     # (dpttrf, dlaneg and dlar1v) or from inverse iteration, and the
-    # iterative route's from ARPACK: no route reaches dstebz
+    # iterative route's from its Krylov basis (numpy's eigh on the
+    # projection): no route reaches dstebz
     called = set()
     for name, routine in list(vars(eigensolve).items()):
         if isinstance(routine, ctypes._CFuncPtr):
@@ -1304,7 +1328,8 @@ def test_inverse_iteration_keeps_extreme_masses_in_range(factor):
     # the iterate grows like ||B|| over the shift's distance; scaled by a
     # power of 2 before each B-product, it neither overflows nor underflows
     # where the pencil's entries lie near the ends of double range.  The
-    # count route and a window on a dsbtrd-reduced T iterate on the pencil.
+    # count route and a window on a dsbtrd-reduced T iterate on the pencil,
+    # and the iterative route scales its Krylov directions the same way.
     op = dirac_operator(2)
     mode = next(mode_groups(op))[0]
     base = intrinsic_assemble(covariance_record(op, constant_profile(1.0, 2), make_grid("polar", 400)), mode)
@@ -1315,10 +1340,11 @@ def test_inverse_iteration_keeps_extreme_masses_in_range(factor):
             warnings.simplefilter("error", RuntimeWarning)
             count = solve_generalized(A, B, count=4)
             window = solve_generalized(A, B, window=(-3.0 * scale, 3.0 * scale))
-        return np.array([p.value for p in count + window]) / scale
+            krylov = solve_generalized(A, B, count=4, method="iterative")
+        return np.array([p.value for p in count + window + krylov]) / scale
 
     reference = values(wide, base.B, 1.0)
-    assert len(reference) == 8
+    assert len(reference) == 12
     for A, B, scale in [
         (wide, base.B.scaled(factor), 1.0 / factor),  # the values scale by 1 / factor
         (BandedSymmetric(wide.bands * factor), base.B.scaled(factor), 1.0),
@@ -1661,8 +1687,9 @@ def run_isolated(code):
 
 
 def test_cli_import_loads_neither_scipy_linalg_nor_sparse():
-    # LAPACK comes from scipy's Cython table alone, ARPACK on first use; a
-    # later import of scipy.linalg shares the one table module
+    # LAPACK comes from scipy's Cython table alone, on every route, the
+    # iterative one included; a later import of scipy.linalg shares the one
+    # table module
     result = run_isolated(
         "import sys\n"
         "import numpy as np\n"
@@ -1674,9 +1701,10 @@ def test_cli_import_loads_neither_scipy_linalg_nor_sparse():
         "B = BandedSymmetric.from_diagonal(np.ones(40))\n"
         "dense = [p.value for p in solve_generalized(A, B, count=3)]\n"
         "assert 'scipy.sparse' not in sys.modules\n"
-        "lanczos = [p.value for p in solve_generalized(A, B, count=3, method='iterative')]\n"
-        "assert 'scipy.sparse.linalg' in sys.modules\n"
-        "assert np.allclose(lanczos, dense, rtol=1e-12, atol=0.0)\n"
+        "krylov = [p.value for p in solve_generalized(A, B, count=3, method='iterative')]\n"
+        "loaded = sorted(name for name in sys.modules if name.startswith('scipy'))\n"
+        "assert 'scipy.linalg' not in loaded and 'scipy.sparse' not in loaded, loaded\n"
+        "assert np.allclose(krylov, dense, rtol=1e-12, atol=0.0)\n"
         "import scipy.linalg\n"
         "from confspec import eigensolve\n"
         "assert scipy.linalg.cython_lapack is eigensolve._LAPACK\n"
@@ -1725,30 +1753,15 @@ def _imports(nodes):
             yield [f"{node.module}.{alias.name}" for alias in node.names]
 
 
-def _module_level(tree):
-    """Every node that runs when the module is imported: all but function bodies."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-
 def test_only_the_eigensolver_imports_scipy_sparse():
-    # every other module keeps its matrices in band storage; scipy.sparse
-    # serves the eigensolver's ARPACK route alone and is imported only when
-    # that route runs, and no module imports scipy.linalg, whose LAPACK
-    # table the eigensolver loads without it
-    importers, at_import = set(), set()
+    # every module keeps its matrices in band storage, so none imports
+    # scipy.sparse, the eigensolver included and not even in a function
+    # body, and none imports scipy.linalg, whose LAPACK table the
+    # eigensolver loads without it
+    importers = set()
     for path in pathlib.Path(eigensolve.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        for names in _imports(ast.walk(tree)):
+        for names in _imports(ast.walk(ast.parse(path.read_text()))):
             for name in names:
                 if name.startswith(("scipy.sparse", "scipy.linalg")):
-                    importers.add((path.name, name.split(".")[1]))
-        for names in _imports(_module_level(tree)):
-            if any(name.startswith(("scipy.sparse", "scipy.linalg")) for name in names):
-                at_import.add(path.name)
-    assert importers <= {("eigensolve.py", "sparse")}
-    assert not at_import
+                    importers.add((path.name, name))
+    assert not importers
