@@ -25,10 +25,10 @@ that holds no wanted index.  LAPACK dlar1v then runs Rayleigh quotient
 iteration on twisted factorizations from the interval's midpoint,
 safeguarded by the counts each step returns; a step after an accepted
 correction reuses the previous step's twist, and the step that gives the
-value and vector searches for its own.  An interval narrower than
-the solve's isolation tolerance that still holds c >= 2 values is a
-cluster: one copy of its midpoint for each wanted index it holds,
-inverse-iterated on the pencil.
+value and vector searches for its own.  An interval within the solve's
+isolation tolerance, or too narrow to split, that still holds c >= 2
+values is a cluster: one copy of its midpoint for each wanted index it
+holds, inverse-iterated on the pencil.
 
 Window solve (``count`` left out, B diagonal): every pair strictly inside a
 finite value window (lo, hi).  This is the route of the radial operators,
@@ -62,11 +62,12 @@ gives v = s C^-1 u by one bidiagonal solve and the pair's vector from
 Count solve (``count`` given, any banded B): the ``count`` eigenvalues
 nearest a finite window with lo <= hi (default: nearest 0; any other is a
 ``ValueError``).  Counts at the window's ends give the candidates' index
-block, the ``count`` on either side of the window and those inside it; a
-bracket grown outward from the window holds the block, the value stage
-isolates it, to 4 eps ||T||, and refines it, and the nearest ``count``
-values are inverse-iterated on the pencil.  ``method`` "auto" and
-"dense" both name this route.  The iterative route runs only when named
+block, the ``count`` on either side of the window and those inside it; the
+fixed bracket [0, 2 (||T|| - tau)) holds every eigenvalue of the positive
+definite L D L^T, the value stage isolates the block in it to the rounding
+of its shifts and refines it, and the nearest ``count`` values are
+inverse-iterated on the pencil.  ``method`` "auto" and "dense" both name
+this route.  The iterative route runs only when named
 (``method="iterative"``, any m, and ``count`` < m - 1, the route's own
 contract; a larger count is a ``ValueError``, never a quiet switch to
 bisection), on the window's centre sigma, in three stages.  Krylov: one
@@ -986,36 +987,32 @@ def _nearest_path(A, B, count, window, seed, diagonal):
     Counts of the ``_ShiftedTridiagonal`` of the front end's T
     (``_standard_form``) at lo and hi give the index block of the
     ``count`` on either side of the window and those inside it, which holds
-    the nearest ``count``.  A bracket grown outward from the window by
-    doubling steps from ||T|| / m holds the block; it stops at 0, below which
-    L D L^T has no eigenvalue, and at twice the bound ||T|| - tau on them.
-    The value stage isolates the block, to 4 eps ||T||, and refines it, and
-    the nearest ``count`` values are inverse-iterated on the pencil: twisted
-    vectors left one of criterion 4's covariance pencils at a residual of
-    1.38e-9."""
+    the nearest ``count``.  The bracket is [0, 2 (||T|| - tau)): L D L^T is
+    positive definite with its eigenvalues at most ||T|| - tau, so none lies
+    below 0 and all m lie below the top.  The top's count is checked: a top
+    that overflows, where ||T|| is within a factor 6 of the largest double,
+    counts fewer, which is ``SolverConvergenceError``.
+
+    The value stage isolates the block with no tolerance, so only values
+    equal to the rounding of their shifts form a cluster.  A tolerance
+    relative to ||T|| would merge the low values of a stiff pencil:
+    4 eps ||T|| is 1.5e8 on a Paneitz n=5 covariance pencil at N = 2000
+    whose lowest values are 4.4, 17 and 72.  The nearest ``count`` values
+    are inverse-iterated on the pencil.  Their twisted vectors would be
+    accurate over the relative gaps of L D L^T, which for an indefinite T
+    are those of T + 2 ||T|| I: on the Dirac cross-check pencils
+    (L = 0..8, N = 500..2000) they left residuals up to 1.2e-8."""
     lo, hi = window
     m = A.size
     T, scale, reduced, _ = _standard_form(A, B, diagonal)
     rep = _ShiftedTridiagonal(T, scale)
-    mu_lo, mu_hi = rep.rep(lo), rep.rep(hi)
-    n_lo = rep.count(mu_lo)
-    n_hi = n_lo if hi == lo else rep.count(mu_hi)
+    n_lo = rep.count(rep.rep(lo))
+    n_hi = n_lo if hi == lo else rep.count(rep.rep(hi))
     first, stop = max(n_lo - count, 0), min(n_hi + count, m)
-    a, b, n_a, n_b = mu_lo, mu_hi, n_lo, n_hi
-    ceiling = 2.0 * rep.rep(scale)
-    step = (scale or 1.0) / m
-    while n_a > first or n_b < stop:
-        if a == 0.0 and b == ceiling:  # counts no L D L^T of T can give
-            raise SolverConvergenceError(math.inf)
-        if n_a > first:
-            a = max(0.0, mu_lo - step)
-            n_a = rep.count(a)
-        if n_b < stop:
-            b = min(ceiling, mu_hi + step)
-            n_b = rep.count(b)
-        step *= 2.0
-    tol = 4.0 * np.finfo(float).eps * scale
-    vals, _, slack = _refined_values(rep, a, b, n_a, n_b, first, stop, tol, reduced, scale)
+    top = 2.0 * rep.rep(scale)
+    if rep.count(top) != m:  # counts no L D L^T of T can give
+        raise SolverConvergenceError(math.inf)
+    vals, _, slack = _refined_values(rep, 0.0, top, 0, m, first, stop, 0.0, reduced, scale)
     i0, i1 = _select_nearest(vals, count, window)
     vals = vals[i0 : i1 + 1]
     return vals, _inverse_iteration(A, B, vals, scale, seed), slack[i0 : i1 + 1]

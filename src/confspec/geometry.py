@@ -19,8 +19,8 @@ knots): t(r) is the nearest knot's value plus a short Gauss rule, and the
 inverse is a safeguarded Newton solve on that window's own forward map and
 closed-form slope dt/dr = F, started from a quintic-Hermite inverse of the
 table.  Each profile family is one private subclass of ``ConformalProfile``
-that answers ``F``, ``jet``, ``t_of_r``, ``r_of_t`` and ``total`` and lists
-its kinks: ``_Nose`` for ``profile_L`` and ``_Constant`` for
+that answers ``F``, ``jet``, ``t_of_r``, ``r_of_t`` and ``total_arclength``
+and lists its kinks: ``_Nose`` for ``profile_L`` and ``_Constant`` for
 ``constant_profile``.  The kinks are the one rule for what a grid must
 resolve: ``ConformalProfile.arclength_nodes`` puts a node on each, and
 ``volume`` rejects a polar grid that does not reach from the first to the
@@ -201,10 +201,11 @@ class ConformalProfile:
 
     A family answers ``F`` and ``jet`` (F, F' and F'' together), vectorized
     and in closed form, and the arclength map ``t_of_r`` = int_0^r F with
-    its inverse ``r_of_t`` and its ``total``.  The checked public methods
-    ``arclength_of_r`` and ``r_of_arclength`` raise ``ValueError`` for a NaN
-    or a value outside [0, pi] (for t(r)) or [0, total_arclength()] (for
-    the inverse) before they call the family's map.
+    its inverse ``r_of_t`` and its ``total_arclength``, t(pi).  The checked
+    public methods ``arclength_of_r`` and ``r_of_arclength`` raise
+    ``ValueError`` for a NaN or a value outside [0, pi] (for t(r)) or
+    [0, total_arclength()] (for the inverse) before they call the family's
+    map.
     ``kink_radii`` lists the polar distances where F is only C2, in
     increasing order, and ``kink_arclengths`` their images under t(r).
     ``arclength_nodes`` places a node on every kink, so no quadrature cell
@@ -233,9 +234,6 @@ class ConformalProfile:
             raise ValueError(f"arclength {t[bad][0]:g} outside [0, {total:g}]")
         return self.r_of_t(t)
 
-    def total_arclength(self) -> float:
-        return self.total()
-
     def arclength_nodes(self, N: int, exponent: float = 1.0) -> np.ndarray:
         """The N arclength nodes T (i/(N+1))^exponent, i = 1..N, with every
         kink snapped onto the nearest node that no earlier kink took, so two
@@ -255,10 +253,10 @@ class ConformalProfile:
 class _Nose(ConformalProfile):
     """The blowup profile of nose length L, in closed form: ``F`` alone, or
     F, F' and F'' from ``jet``, and the arclength map ``t_of_r`` =
-    int_0^r F with its inverse ``r_of_t`` and its ``total``.  t(r) is exact
-    except across the two smoothstep windows, where it is read from the
-    window tables and the inverse is a bracketed Newton solve started from
-    them."""
+    int_0^r F with its inverse ``r_of_t`` and its ``total_arclength``.
+    t(r) is exact except across the two smoothstep windows, where it is read
+    from the window tables and the inverse is a bracketed Newton solve
+    started from them."""
 
     def __init__(self, n: int, L: float):
         super().__init__(n)
@@ -380,7 +378,7 @@ class _Nose(ConformalProfile):
         out[m] = 1.0 + (t[m] - self.t_one)
         return out
 
-    def total(self) -> float:
+    def total_arclength(self) -> float:
         return self.t_one + (math.pi - 1.0)
 
 
@@ -404,7 +402,7 @@ class _Constant(ConformalProfile):
     def r_of_t(self, t):
         return t / self.c
 
-    def total(self) -> float:
+    def total_arclength(self) -> float:
         return self.c * math.pi
 
 
@@ -476,7 +474,8 @@ def warped_jet(profile: ConformalProfile, r) -> tuple[np.ndarray, np.ndarray, np
     (F, dF, d2F), sin, cos = profile.jet(r), np.sin(r), np.cos(r)
     h = F * sin
     dh = (dF * sin + F * cos) / F
-    d2h = (F * d2F * sin + F * dF * cos - F * F * sin - dF * dF * sin) / F**3
+    g = dF / F  # in ratios: F d2F alone grows like e^(4L) on the cap
+    d2h = ((d2F / F) * sin + g * cos - sin - g * g * sin) / F
     return h, dh, d2h
 
 

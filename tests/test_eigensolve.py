@@ -304,13 +304,29 @@ def test_standard_form_that_overflows_is_a_value_error(route, mass):
     # finite bands whose spectrum lies beyond double range: the scaling, the
     # dsbgst reduction or the Krylov projection overflows, which is the same
     # ValueError on every route under every warning filter (the suite turns
-    # RuntimeWarning into an error); a NaN norm would leave the count
-    # route's bracket growing without end
+    # RuntimeWarning into an error); a NaN norm would give the count
+    # route's bracket a NaN top, whose counts mean nothing
     A, B = random_pencil(np.random.default_rng(12), 50)
     B = BandedSymmetric.from_diagonal(B.bands[0]) if mass == "diagonal" else B
     A, B = BandedSymmetric(A.bands * 1e307), BandedSymmetric(B.bands * 1e-5)
     with pytest.raises(ValueError, match="infs or NaNs"):
         solve_generalized(A, B, **_ROUTES[route][0])
+
+
+@pytest.mark.parametrize(
+    "diag, sub", [(1e308, 0.0), (0.0, 2e307)], ids=["positive-definite", "indefinite"]
+)
+def test_count_solve_whose_bracket_top_overflows_raises_before_refining(monkeypatch, diag, sub):
+    # ||T|| is finite, but the bracket's top 2 (||T|| - tau) overflows to inf,
+    # where the count is 0 (tau = 0) or m - 1 (tau = -2 ||T||), not m: the
+    # top count stops the solve before any value is isolated or refined
+    def refuse(*args, **kwargs):
+        raise AssertionError("the value stage ran on a bracket that misses values")
+
+    monkeypatch.setattr(eigensolve, "_refined_values", refuse)
+    A = BandedSymmetric.from_tridiagonal(np.full(50, diag), np.full(49, sub))
+    with pytest.raises(SolverConvergenceError):
+        solve_generalized(A, BandedSymmetric.from_diagonal(np.ones(50)), count=3)
 
 
 @pytest.mark.parametrize("matrix", ["A", "B"])
@@ -1071,6 +1087,25 @@ def test_inverse_iteration_certifies_where_norm_dwarfs_the_value():
     ):
         assert [p.value for p in pairs] == pytest.approx(reference, rel=1e-10)
         assert all(p.residual <= 1e-11 for p in pairs)
+
+
+@pytest.mark.parametrize("L", [1.0, 4.0, 8.0])
+def test_count_solve_isolates_low_values_of_a_stiff_pencil(L):
+    # ||T|| of the Paneitz n=5 covariance pencil at N=2000 is about 1.7e23:
+    # an isolation tolerance of 4 eps ||T|| (1.5e8) would make its lowest
+    # values (4.4, 17 and 72 at L=1) one cluster, and inverse iteration
+    # from the cluster's midpoint leaves residuals near 2e-2
+    op = paneitz_operator(5)
+    profile = profile_L(5, L)
+    grid = nose_resolving_grid(profile, 2000, exponent=2.0)
+    asm = covariance_reduce(op, profile, make_mode(op, 0), grid)
+    pairs = solve_generalized(asm.A, asm.B, count=3)
+    values = [p.value for p in pairs]
+    hi = 1.0001 * values[-1]
+    assert values == [p.value for p in solve_generalized(asm.A, asm.B, window=(-hi, hi))]
+    iterative = solve_generalized(asm.A, asm.B, count=3, method="iterative")
+    assert values == pytest.approx([p.value for p in iterative], rel=1e-7)
+    assert all(p.residual <= 2e-6 for p in pairs)
 
 
 # ------------------------------------------------------------ chiral split

@@ -328,6 +328,17 @@ def test_pinocchio_curvature_approaches_cylinder_value():
     assert np.allclose(scal[nose], 2.0, atol=0.02)
 
 
+def test_warped_jet_stays_finite_on_a_long_nose_cap():
+    # F F'' and F'^2 grow like e^(4L) on the cap and overflow at L = 200;
+    # h'' formed in the ratios F'/F and F''/F stays in range (the suite
+    # turns the overflow warning into an error)
+    prof = profile_L(3, 200.0)
+    a, b = prof.kink_radii[:2]
+    r = np.concatenate([np.linspace(0.0, a, 5)[1:], np.linspace(a, b, 9)])
+    for values in geometry.warped_jet(prof, r):
+        assert np.isfinite(values).all()
+
+
 def test_warped_evaluators_answer_each_query_array():
     # equal length, equal ends and equal sum: a memo keyed on those would
     # hand the second query the first one's values
