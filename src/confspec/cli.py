@@ -1,7 +1,8 @@
 """Command-line front end: config parsing, experiment dispatch, CSV/JSON output.
 
-Every flag can also be set through an environment variable with the
-``CONFSPEC_`` prefix (e.g. ``CONFSPEC_N=1000``); explicit flags win.  Reports
+Every flag can also be set through an environment variable named
+``CONFSPEC_`` and the option's dest in upper case (``CONFSPEC_N=1000`` for
+``--N``, ``CONFSPEC_DIMENSION=3`` for ``--n``); explicit flags win.  Reports
 are RFC-4180 CSV with LF line endings and 17-significant-digit floats, plus a
 JSON sidecar echoing the options its command took, after defaults and
 overrides, so identical config and seed reproduce byte-identical outputs.
@@ -21,7 +22,6 @@ import os
 import platform
 import re
 import sys
-import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -152,37 +152,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
-    # built once per process: building takes 1.3-1.9 ms, mostly argparse's
-    # formatters asking for the terminal size, which is 10-20% of a sweep row
+    # built once per process and only read after, as CONFSPEC_* values enter
+    # argv as flags: building takes 1.3-1.9 ms, mostly argparse's formatters
+    # asking for the terminal size, which is 10-20% of a sweep row
     return build_parser()
 
 
-# option -> its default as build_parser set it, before any CONFSPEC_* override
-_BUILT_DEFAULTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _apply_env_overrides(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Set each option's default to its CONFSPEC_* value when that variable
-    is set and to its build-time default otherwise, so a reused parser never
-    keeps an override its environment has dropped (explicit flags win).
-    Only the top-level parser and the subparser of the command ``argv``
-    names are set: the only ones its parse reads."""
+def _with_env_flags(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """``argv`` with one ``--flag=value`` token after its command for each
+    CONFSPEC_<DEST> set for an option of that command, so that argparse
+    types, checks and requires an override as it does a flag, and an
+    explicit flag, parsed later, wins."""
     command = next((a for a in argv if not a.startswith("-")), None)
-    parsers = [parser]
-    for p in parsers:
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                if command in action.choices:
-                    parsers.append(action.choices[command])
-                continue
-            if not action.option_strings or action.dest == "help":
-                continue
-            built = _BUILT_DEFAULTS.setdefault(action, action.default)
-            raw = os.environ.get(ENV_PREFIX + action.dest.upper())
-            if raw is None:
-                action.default = built
-            else:
-                action.default = action.type(raw) if action.type else raw
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if command not in commands.choices:
+        return argv
+    at = argv.index(command) + 1
+    flags = [
+        f"{action.option_strings[0]}={os.environ[name]}"
+        for action in commands.choices[command]._actions
+        if action.dest != "help" and (name := ENV_PREFIX + action.dest.upper()) in os.environ
+    ]
+    return argv[:at] + flags + argv[at:]
 
 
 def _make_operator(cfg: SimpleNamespace) -> OperatorKind:
@@ -420,8 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _shared_parser()
     try:
-        _apply_env_overrides(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_env_flags(parser, argv))
         cfg = _config_from_args(args)
         _make_operator(cfg)  # dimension constraints checked up front
         return _COMMANDS[args.command](cfg)

@@ -68,8 +68,7 @@ definite L D L^T, the value stage isolates the block in it to the rounding
 of its shifts and refines it, and the nearest ``count`` values are
 inverse-iterated on the pencil.  ``method`` "auto" and "dense" both name
 this route.  The iterative route runs only when named
-(``method="iterative"``, any m, and ``count`` < m - 1, the route's own
-contract; a larger count is a ``ValueError``, never a quiet switch to
+(``method="iterative"``, any m and any ``count``, never a quiet switch to
 bisection), on the window's centre sigma, in three stages.  Krylov: one
 banded LU of A - sigma B, the one inverse iteration uses, grows a
 B-orthonormal basis X from a deterministically seeded start by
@@ -343,13 +342,22 @@ def _certificate(norm_a: float, norm_b: float, ax, bx, lam: float, x) -> tuple[f
     eigenvalue A x and lam vanish together and the first ratio is 1 for any
     x."""
     eps = np.finfo(float).eps
-    denom = np.linalg.norm(ax) + abs(lam) * np.linalg.norm(bx)
-    scale = (norm_a + abs(lam) * norm_b) * np.linalg.norm(x)
+    denom = _norm(ax) + abs(lam) * _norm(bx)
+    scale = (norm_a + abs(lam) * norm_b) * _norm(x)
     if denom < eps * scale:
         denom = scale
     if denom == 0.0:
         return 0.0, 0.0
-    return float(np.linalg.norm(ax - lam * bx) / denom), float(eps * scale / denom)
+    return float(_norm(ax - lam * bx) / denom), float(eps * scale / denom)
+
+
+def _norm(v) -> float:
+    """The 2-norm of ``v``, taken of v scaled by a power of 2 (exactly, as
+    ``_inverse_iteration`` scales its iterates) so that no square overflows
+    on a pencil whose entries pass 1e154."""
+    e = math.frexp(np.abs(v).max())[1]
+    y = np.ldexp(v, -e)
+    return math.ldexp(math.sqrt(y @ y), e)
 
 
 def _select_nearest(values: np.ndarray, count: int, window) -> tuple[int, int]:
@@ -1084,8 +1092,8 @@ def solve_generalized(
     0).  ``method`` is "auto" or its synonym "dense" (the value engine on
     the scaled or band-reduced pencil, then inverse iteration) or
     "iterative" (shift-invert Krylov, Rayleigh-Ritz on the pencil, then one
-    inverse-iteration step per vector), which needs ``count`` < m - 1 and
-    raises ``ValueError`` otherwise.
+    inverse-iteration step per vector).  A ``count`` above m takes all m
+    pairs on either route.
 
     A or B with a NaN or an inf is a ``ValueError`` on every route, and
     every route's pairs pass one gate, ``_certify``.
@@ -1111,16 +1119,15 @@ def solve_generalized(
         raise ValueError(f"a count solve needs a finite window with lo <= hi, got {window}")
     elif method not in ("auto", "dense", "iterative"):
         raise ValueError(f"unknown method {method!r}")
-    elif method == "iterative" and count >= m - 1:
-        raise ValueError(f"method 'iterative' needs count < m - 1 = {m - 1}, got {count}")
     if not (np.isfinite(A.bands).all() and np.isfinite(B.bands).all()):
         raise ValueError("array must not contain infs or NaNs")
     if count is None:
         return _certify(A, B, *_window_path(A, B, window, seed, lowest), window)
     window = (0.0, 0.0) if window is None else window  # nearest 0
+    count = min(count, m)
     if method == "iterative":
         return _certify(A, B, *_iterative_path(A, B, count, window, seed))
-    return _certify(A, B, *_nearest_path(A, B, min(count, m), window, seed, diagonal))
+    return _certify(A, B, *_nearest_path(A, B, count, window, seed, diagonal))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confspec import eigensolve, experiments, geometry
+from confspec import cli, eigensolve, experiments, geometry
 from confspec.cli import main, parse_range
 
 
@@ -525,6 +525,37 @@ def test_env_override_ends_with_its_variable(tmp_path, capsys, monkeypatch, args
     assert code == 0
     assert json.loads((tmp_path / "x.json").read_text())["config"]["N"] == 2000
 
+
+
+def test_env_override_supplies_a_required_flag(tmp_path, capsys, monkeypatch):
+    # an override enters argv as the flag, so it satisfies --operator's required
+    monkeypatch.setenv("CONFSPEC_OPERATOR", "dirac")
+    assert run(capsys, "cylinder-thresholds") == (0, "sigma,0.5\n", "")
+    out = tmp_path / "sigma.csv"
+    assert run(capsys, "cylinder-thresholds", "--out", str(out))[0] == 0
+    assert json.loads(out.with_suffix(".json").read_text())["config"]["operator"] == "dirac"
+
+
+def test_env_override_leaves_the_shared_parser_as_built(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CONFSPEC_N", "320")
+    code, _, _ = run(
+        capsys, "pinocchio-sweep", "--operator", "conformal-laplacian", "--L", "1",
+        "--path", "covariance", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 0
+    (commands,) = (a for a in cli._shared_parser()._actions if a.dest == "command")
+    assert commands.choices["pinocchio-sweep"]._option_string_actions["--N"].default == 2000
+
+
+def test_invalid_env_override_is_a_usage_error_beside_its_flag(capsys, monkeypatch):
+    # argparse checks the override's choices even where the flag replaces it
+    monkeypatch.setenv("CONFSPEC_PATH", "bogus")
+    code, out, err = run(
+        capsys, "pinocchio-sweep", "--operator", "conformal-laplacian", "--L", "1",
+        "--N", "200", "--path", "intrinsic",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: argument --path: invalid choice: 'bogus'")
 
 # per command: arguments of a passing run, and the options it took besides
 # command, operator, n and out, under their config names; convergence runs

@@ -240,14 +240,19 @@ def test_singular_shift_recovers():
     assert pairs[1].value == pytest.approx((math.pi / (math.pi - 2 * h)) ** 2, abs=1e-4)
 
 
-@pytest.mark.parametrize("m, count", [(3, 2), (50, 49), (50, 50), (50, 80)])
-def test_iterative_route_rejects_a_count_arpack_cannot_take(m, count):
-    # the iterative route takes count < m - 1: a larger count is refused with the limit
-    # named, not handed to the bisection route in its place
-    A, B = random_pencil(np.random.default_rng(m), m)
-    with pytest.raises(ValueError, match=rf"count < m - 1 = {m - 1}"):
-        solve_generalized(A, B, count=count, method="iterative")
-    assert len(solve_generalized(A, B, count=m - 2, method="iterative")) == m - 2
+@pytest.mark.parametrize("bandwidth", [1, 2])
+@pytest.mark.parametrize("m, count", [(3, 2), (3, 3), (3, 33), (50, 49), (50, 50), (50, 80)])
+def test_iterative_route_matches_dense_at_any_count(m, count, bandwidth):
+    # the shift-invert Krylov route has no count limit: up to the whole
+    # spectrum (a count above m takes all m pairs) it finds the count route's
+    # values, and every pair passes the gate
+    A, B = random_pencil(np.random.default_rng(m), m, bandwidth)
+    dense = solve_generalized(A, B, count=count, method="dense")
+    krylov = solve_generalized(A, B, count=count, method="iterative")
+    assert len(krylov) == len(dense) == min(count, m)
+    values = [p.value for p in dense]
+    assert [p.value for p in krylov] == pytest.approx(values, rel=1e-12, abs=1e-14)
+    assert max(p.residual for p in krylov) <= 1e-13
 
 
 def test_krylov_basis_cap_is_an_error_even_with_enough_pairs(monkeypatch):
@@ -1356,6 +1361,30 @@ def test_no_route_calls_dstebz(monkeypatch):
         "_dgttrf", "_dgttrs", "_dgbtrf", "_dgbtrs", "_dtbtrs",
     }
     assert not any("stebz" in name for name in vars(eigensolve))
+
+
+@pytest.mark.parametrize("size", [1e154, 1e155])
+@pytest.mark.parametrize(
+    "count, method", [(None, "auto"), (3, "auto"), (3, "iterative")],
+    ids=["window", "count", "iterative"],
+)
+def test_certificate_keeps_a_huge_pencil_in_range(count, method, size):
+    # ||A x||^2 overflows once the entries pass about 1e154; the certificate
+    # scales each vector by a power of 2 before its norm, so every route
+    # certifies a zero-diagonal tridiagonal pencil there
+    m = 50
+    A = BandedSymmetric(np.vstack([np.zeros(m), np.r_[np.full(m - 1, size), 0.0]]))
+    B = BandedSymmetric(np.ones((1, m)))
+    window = (-3.0 * size, 3.0 * size) if count is None else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pairs = solve_generalized(A, B, count=count, window=window, method=method)
+    assert len(pairs) == (count or m)
+    # the spectrum is 2 size cos(pi k / (m + 1)), k = 1..m
+    exact = 2.0 * size * np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
+    for p in pairs:
+        assert np.min(np.abs(exact - p.value)) <= 1e-13 * size
+        assert p.residual <= 1e-14
 
 
 @pytest.mark.parametrize("factor", [1e150, 1e-150])
